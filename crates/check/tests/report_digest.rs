@@ -208,3 +208,116 @@ fn timely_secure_report_digests_are_pinned() {
         mismatches.join("\n")
     );
 }
+
+/// Expected FNV-1a-64 digest of a *sampled* run per cell. Nothing else
+/// pins the functional-warming walk bit-for-bit (`benchmark/pins.json`
+/// pins no sampled cell; the sampled differential only bounds IPC error
+/// at 2%), so these are the tripwire for any change to the instant
+/// driver or the shared hierarchy policy: warming decides what every
+/// detailed window starts from, and each window's counters are in the
+/// report.
+///
+/// Generated on parent commit c8865bb (PR 12), i.e. by the `functional_*`
+/// copy of the walk, before ISSUE 13 replaced it with the policy/driver
+/// split — the split reproduces them unchanged.
+const PINNED_SAMPLED: [(&str, u64); 12] = [
+    ("nonsecure/nopf", 0x1345AA8B08E1A056),
+    ("nonsecure/ip-stride on access", 0xD195FFC7D4DDECD6),
+    ("nonsecure/bingo on access", 0xCF96BEA1A74A89D2),
+    ("ghostminion/nopf always-update", 0x775AE50F2BBBADFC),
+    ("ghostminion/ip-stride on access", 0x33A0E1B5D06E84D7),
+    ("ghostminion+suf/berti on commit", 0xD08C079C5D8253EF),
+    ("ghostminion+suf/spp-ppf on commit", 0xB0520704E330C99D),
+    ("ghostminion+suf/bingo on commit", 0x6C2EFE18CB22AA13),
+    ("tsb+suf/berti", 0x4279B3F7A57432D3),
+    ("ts+suf/ipcp", 0x63DE0D87715077DA),
+    (
+        "ghostminion+suf/ip-stride on commit, TLBs on",
+        0x7948058565DE9FC3,
+    ),
+    (
+        "2-core nonsecure bingo + ghostminion+suf berti",
+        0x22A98891D48D2FE6,
+    ),
+];
+
+/// The configurations behind [`PINNED_SAMPLED`], in order: L1 and L2
+/// prefetchers on access and on commit, always-update and SUF commit
+/// engines, the timely-secure wrappers, TLB warming, and a heterogeneous 2-core mix.
+fn sampled_cells() -> Vec<secpref_types::SystemConfig> {
+    use secpref_types::{CorePolicy, PrefetchMode, PrefetcherKind, SecureMode, SystemConfig};
+    let base = || SystemConfig::baseline(1);
+    let gm = |kind, mode| {
+        base()
+            .with_secure(SecureMode::GhostMinion)
+            .with_prefetcher(kind)
+            .with_mode(mode)
+    };
+    let oc_suf = |kind| gm(kind, PrefetchMode::OnCommit).with_suf(true);
+    let p0 = CorePolicy::of(&base());
+    let mix = SystemConfig::baseline(2).with_core_policies(vec![
+        CorePolicy {
+            prefetcher: PrefetcherKind::Bingo,
+            prefetch_mode: PrefetchMode::OnAccess,
+            ..p0
+        },
+        CorePolicy {
+            secure: SecureMode::GhostMinion,
+            prefetcher: PrefetcherKind::Berti,
+            prefetch_mode: PrefetchMode::OnCommit,
+            suf: true,
+            ..p0
+        },
+    ]);
+    vec![
+        base(),
+        base().with_prefetcher(PrefetcherKind::IpStride),
+        base().with_prefetcher(PrefetcherKind::Bingo),
+        gm(PrefetcherKind::None, PrefetchMode::OnAccess),
+        gm(PrefetcherKind::IpStride, PrefetchMode::OnAccess),
+        oc_suf(PrefetcherKind::Berti),
+        oc_suf(PrefetcherKind::SppPpf),
+        oc_suf(PrefetcherKind::Bingo),
+        oc_suf(PrefetcherKind::Berti).with_timely_secure(true),
+        oc_suf(PrefetcherKind::Ipcp).with_timely_secure(true),
+        oc_suf(PrefetcherKind::IpStride).with_tlb(true),
+        mix,
+    ]
+}
+
+fn sampled_digest(cfg: &secpref_types::SystemConfig) -> u64 {
+    use secpref_trace::suite::cached_trace;
+    use secpref_types::SamplingConfig;
+    cfg.validate().expect("sampled pin config must be valid");
+    let names = ["mcf_like_a", "bfs_small"];
+    let traces = (0..cfg.cores)
+        .map(|c| cached_trace(names[c % names.len()], 60_000))
+        .collect();
+    let plan = SamplingConfig::new(2_000, 1_000, 5_000).with_jitter(500, 7);
+    let mut sys = System::new(cfg.clone(), traces).with_window(10_000, 40_000);
+    sys.run_sampled(&plan);
+    let report = sys.report();
+    assert!(report.sampling.is_some(), "sampled run carries a summary");
+    fnv1a64(report_to_string(&report).as_bytes(), 0xCBF2_9CE4_8422_2325)
+}
+
+#[test]
+fn sampled_report_digests_are_pinned() {
+    let cells = sampled_cells();
+    assert_eq!(cells.len(), PINNED_SAMPLED.len());
+    let mut mismatches = Vec::new();
+    for (cfg, &(label, expected)) in cells.iter().zip(PINNED_SAMPLED.iter()) {
+        let actual = sampled_digest(cfg);
+        if actual != expected {
+            mismatches.push(format!(
+                "    (\"{label}\", {actual:#018X}), // was {expected:#018X}"
+            ));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "sampled report digests moved — the warming walk or the detailed \
+         windows changed behavior.\nIf intentional, re-pin:\n{}",
+        mismatches.join("\n")
+    );
+}

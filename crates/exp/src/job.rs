@@ -11,13 +11,10 @@
 
 use crate::scale::ExpScale;
 use secpref_sim::{
-    run_multi_sampled_with_window, run_multi_with_window, run_multi_with_window_obs,
-    run_multi_with_window_tel, run_single_sampled_with_window, run_single_with_window,
-    run_single_with_window_obs, run_single_with_window_tel, run_stream_sampled_with_window,
-    run_stream_with_window, ObsCapture, ObsConfig, SimReport, TelCapture, TelConfig,
+    ObsCapture, ObsConfig, SimReport, StreamFeed, System, TelCapture, TelConfig, TraceFeed,
 };
 use secpref_trace::suite;
-use secpref_types::{SamplingConfig, SystemConfig};
+use secpref_types::{CacheConfig, SamplingConfig, SystemConfig};
 use std::path::PathBuf;
 
 /// What a job simulates: one trace on one core, a multi-core mix, or a
@@ -130,9 +127,9 @@ impl JobSpec {
         })
     }
 
-    /// Switches the job to SMARTS-style sampled execution. Only
-    /// [`JobSpec::run`] honors the plan; traced and telemetry runs are
-    /// debugging paths and always execute full detail.
+    /// Switches the job to SMARTS-style sampled execution (honoured by
+    /// [`JobSpec::run`], [`JobSpec::run_traced`] and
+    /// [`JobSpec::run_telemetry`] alike).
     pub fn with_sampling(mut self, s: SamplingConfig) -> Self {
         self.sampling = Some(s);
         self
@@ -201,41 +198,43 @@ impl JobSpec {
         )
     }
 
-    /// Executes the job (synchronously, on the calling thread).
-    ///
-    /// Traces come from `secpref_trace::suite::cached_trace`, so repeated
-    /// jobs over the same trace share one generated copy per process.
-    pub fn run(&self) -> SimReport {
+    /// Builds the system this job simulates: one feed per core (suite
+    /// traces come from `secpref_trace::suite::cached_trace`, so repeated
+    /// jobs over the same trace share one generated copy per process),
+    /// the LLC scaled to the core count, and the job's windows.
+    fn system(&self) -> System {
         let (warmup, measure) = self.window();
-        match (&self.workload, self.sampling.as_ref()) {
-            (Workload::Single(name), None) => {
-                let trace = suite::cached_trace(name, self.scale.trace_len());
-                run_single_with_window(&self.cfg, &trace, warmup, measure)
+        let mem = |n: &String| TraceFeed::Mem(suite::cached_trace(n, self.scale.trace_len()));
+        let feeds = match &self.workload {
+            Workload::Single(name) => vec![mem(name)],
+            Workload::Mix(names) => names.iter().map(mem).collect(),
+            // The store was validated when the spec was built; a failure
+            // here means it vanished or was corrupted since.
+            Workload::Stream { path, .. } => {
+                let feed = StreamFeed::open_for_core(path, self.cfg.core.rob_entries)
+                    .unwrap_or_else(|e| panic!("chunk store {}: {e}", path.display()));
+                vec![TraceFeed::Stream(Box::new(feed))]
             }
-            (Workload::Single(name), Some(s)) => {
-                let trace = suite::cached_trace(name, self.scale.trace_len());
-                run_single_sampled_with_window(&self.cfg, &trace, warmup, measure, s)
-            }
-            (Workload::Mix(names), sampling) => {
-                let traces: Vec<_> = names
-                    .iter()
-                    .map(|n| suite::cached_trace(n, self.scale.trace_len()))
-                    .collect();
-                match sampling {
-                    None => run_multi_with_window(&self.cfg, traces, warmup, measure),
-                    Some(s) => run_multi_sampled_with_window(&self.cfg, traces, warmup, measure, s),
-                }
-            }
-            (Workload::Stream { path, .. }, sampling) => {
-                // The store was validated when the spec was built; a
-                // failure here means it vanished or was corrupted since.
-                match sampling {
-                    None => run_stream_with_window(&self.cfg, path, warmup, measure),
-                    Some(s) => run_stream_sampled_with_window(&self.cfg, path, warmup, measure, s),
-                }
-                .unwrap_or_else(|e| panic!("chunk store {}: {e}", path.display()))
-            }
+        };
+        let mut cfg = self.cfg.clone();
+        cfg.cores = feeds.len();
+        cfg.llc = CacheConfig::baseline_llc(cfg.cores);
+        System::from_feeds(cfg, feeds).with_window(warmup, measure)
+    }
+
+    /// Runs `sys` to completion the way the spec says: sampled when a
+    /// plan is attached, full detail otherwise.
+    fn execute(&self, mut sys: System) -> System {
+        match &self.sampling {
+            Some(plan) => sys.run_sampled(plan),
+            None => sys.run(),
         }
+        sys
+    }
+
+    /// Executes the job (synchronously, on the calling thread).
+    pub fn run(&self) -> SimReport {
+        self.execute(self.system()).report()
     }
 
     /// Executes the job with an observability recorder attached.
@@ -244,40 +243,11 @@ impl JobSpec {
     /// job key — it cannot change the simulation outcome, and traced runs
     /// bypass the result store entirely (see `Engine::run_traced`).
     pub fn run_traced(&self, obs: &ObsConfig) -> (SimReport, Option<ObsCapture>) {
-        let (warmup, measure) = self.window();
-        match &self.workload {
-            Workload::Single(name) => {
-                let trace = suite::cached_trace(name, self.scale.trace_len());
-                run_single_with_window_obs(&self.cfg, &trace, warmup, measure, obs)
-            }
-            Workload::Mix(names) => {
-                let traces = names
-                    .iter()
-                    .map(|n| suite::cached_trace(n, self.scale.trace_len()))
-                    .collect();
-                run_multi_with_window_obs(&self.cfg, traces, warmup, measure, obs)
-            }
-            Workload::Stream { path, .. } => {
-                let mut cfg = self.cfg.clone();
-                cfg.cores = 1;
-                cfg.llc = secpref_types::CacheConfig::baseline_llc(1);
-                let feed = secpref_sim::StreamFeed::open_for_core(path, cfg.core.rob_entries)
-                    .unwrap_or_else(|e| panic!("chunk store {}: {e}", path.display()));
-                let mut sys = secpref_sim::System::from_feeds(
-                    cfg,
-                    vec![secpref_sim::TraceFeed::Stream(Box::new(feed))],
-                )
-                .with_window(warmup, measure)
-                .with_obs(obs);
-                sys.run();
-                let capture = sys.take_obs();
-                (sys.report(), capture)
-            }
-        }
+        let mut sys = self.execute(self.system().with_obs(obs));
+        let capture = sys.take_obs();
+        (sys.report(), capture)
     }
-}
 
-impl JobSpec {
     /// Executes the job with a telemetry recorder attached.
     ///
     /// Like [`JobSpec::run_traced`], the telemetry configuration is *not*
@@ -285,36 +255,9 @@ impl JobSpec {
     /// outcome (it records at existing event sites), and telemetry runs
     /// bypass the result store (see `Engine::run_telemetry`).
     pub fn run_telemetry(&self, tel: &TelConfig) -> (SimReport, Option<TelCapture>) {
-        let (warmup, measure) = self.window();
-        match &self.workload {
-            Workload::Single(name) => {
-                let trace = suite::cached_trace(name, self.scale.trace_len());
-                run_single_with_window_tel(&self.cfg, &trace, warmup, measure, tel)
-            }
-            Workload::Mix(names) => {
-                let traces = names
-                    .iter()
-                    .map(|n| suite::cached_trace(n, self.scale.trace_len()))
-                    .collect();
-                run_multi_with_window_tel(&self.cfg, traces, warmup, measure, tel)
-            }
-            Workload::Stream { path, .. } => {
-                let mut cfg = self.cfg.clone();
-                cfg.cores = 1;
-                cfg.llc = secpref_types::CacheConfig::baseline_llc(1);
-                let feed = secpref_sim::StreamFeed::open_for_core(path, cfg.core.rob_entries)
-                    .unwrap_or_else(|e| panic!("chunk store {}: {e}", path.display()));
-                let mut sys = secpref_sim::System::from_feeds(
-                    cfg,
-                    vec![secpref_sim::TraceFeed::Stream(Box::new(feed))],
-                )
-                .with_window(warmup, measure)
-                .with_telemetry(tel);
-                sys.run();
-                let capture = sys.take_telemetry();
-                (sys.report(), capture)
-            }
-        }
+        let mut sys = self.execute(self.system().with_telemetry(tel));
+        let capture = sys.take_telemetry();
+        (sys.report(), capture)
     }
 }
 
@@ -456,6 +399,36 @@ mod tests {
         // Any plan knob changes the key.
         let other = base_job().with_sampling(s.with_jitter(300, 12));
         assert_ne!(sampled.key(), other.key());
+    }
+
+    #[test]
+    fn every_entry_point_honours_the_sampling_plan() {
+        // Regression: `run_traced` and `run_telemetry` used to ignore
+        // `sampling` and return a full-detail report.
+        let cfg = SystemConfig::baseline(1)
+            .with_secure(SecureMode::GhostMinion)
+            .with_prefetcher(PrefetcherKind::IpStride)
+            .with_mode(PrefetchMode::OnCommit)
+            .with_suf(true);
+        let plan = SamplingConfig::new(2_000, 500, 1_500).with_jitter(300, 11);
+        let job = JobSpec::single(cfg, "mcf_like_a", ExpScale::Quick).with_sampling(plan);
+        let plain = job.run();
+        let (traced, capture) = job.run_traced(&ObsConfig::enabled());
+        let (telemetered, hists) = job.run_telemetry(&TelConfig::enabled());
+        assert!(capture.is_some() && hists.is_some());
+        let digest = crate::codec::report_to_string(&plain);
+        for (how, r) in [("run", &plain), ("traced", &traced), ("tel", &telemetered)] {
+            let sm = r
+                .sampling
+                .as_ref()
+                .unwrap_or_else(|| panic!("{how}: not sampled"));
+            assert!(sm.windows >= 3, "{how}: {sm:?}");
+            assert_eq!(crate::codec::report_to_string(r), digest, "{how}");
+        }
+        // And without a plan all three stay full detail.
+        let full = base_job();
+        assert!(full.run().sampling.is_none());
+        assert!(full.run_traced(&ObsConfig::enabled()).0.sampling.is_none());
     }
 
     #[test]

@@ -1,39 +1,37 @@
-//! The full memory system: per-core GM + L1D + L2, a shared LLC and DRAM,
-//! the GhostMinion commit engine, prefetcher integration, and the Fig. 6
-//! classifier — driven by a cycle-ordered event queue.
+//! The memory system's two timing drivers over one policy.
 //!
-//! ## Request flows
+//! Every *what-happens* decision — GhostMinion's GM-only speculative
+//! fills, SUF's commit actions and writeback bits, clean-line
+//! propagation, prefetcher training, feedback and admission — lives in
+//! [`crate::policy`] and exists once. This module decides *when*:
 //!
-//! **Speculative demand load (GhostMinion).** The GM and L1D are probed in
-//! parallel without touching replacement state; on a miss the request
-//! allocates MSHRs level by level (contending for ports) and the response
-//! fills **only the GM**, recording the 2-bit hit level for SUF.
+//! **The detailed driver** ([`Hierarchy::issue_load`], [`Hierarchy::tick`],
+//! [`Hierarchy::commit_load`]) walks a request level by level on a
+//! cycle-ordered event wheel, contending for ports, allocating and
+//! merging MSHRs, queueing at DRAM, and filling on the response unwind.
+//! It alone keeps metrics and feeds the obs/telemetry/profiler hooks and
+//! the Fig. 6 classifier shadow.
 //!
-//! **Commit path.** When a load retires, the [`UpdateFilter`] decides
-//! between dropping the update (SUF), an on-commit write (GM hit → L1D
-//! fill with writeback bits), or a re-fetch walking the hierarchy. Clean
-//! lines later propagate outward on eviction if their writeback bit says
-//! so.
-//!
-//! **Prefetches** are injected at the L1D or L2, drop on duplicates, fill
-//! with the `prefetched` bit set, and report useful/late/useless outcomes
-//! back to the prefetcher.
+//! **The instant driver** ([`Hierarchy::functional_load`],
+//! [`Hierarchy::functional_store`]; SMARTS functional warming, DESIGN.md
+//! §14) runs the same steps back to back: one [`Hierarchy::instant_walk`]
+//! per access, evictions cascading on the spot, issue and commit at the
+//! same instant. It allocates nothing and touches no counter.
 
 use crate::classify::Classifier;
 use crate::metrics::CoreMetrics;
+use crate::policy::{self, Admit, AfterEvict, Commit, Lookup, MemState, PerLevel, ReqKind};
 use crate::profile::{Phase, ProfileReport, Profiler};
 use crate::wheel::EventWheel;
 use secpref_cpu::LoadIssue;
-use secpref_ghostminion::{CommitAction, GmCache, GmInsertOutcome, UpdateFilter, WbBits};
-use secpref_mem::{
-    DramModel, DramRequest, FillAttrs, MshrFile, MshrToken, PortScheduler, SetAssocCache, Tlb,
-};
+use secpref_ghostminion::{GmInsertOutcome, UpdateFilter, WbBits};
+use secpref_mem::{DramModel, DramRequest, FillAttrs, MshrFile, MshrToken, PortScheduler};
 use secpref_obs::{Event, EventKind, Obs};
-use secpref_prefetch::{AccessEvent, Feedback, FillEvent, PfBuf, Prefetcher};
+use secpref_prefetch::{AccessEvent, Feedback, Prefetcher};
 use secpref_telemetry::{LoadLevel, Tel, TelCapture};
 use secpref_types::{
     AccessKind, Addr, CacheConfig, CacheLevel, CoreId, Cycle, FillInfo, HitLevel, Ip, LineAddr,
-    PrefetchMode, PrefetchRequest, PrefetcherKind, SystemConfig,
+    PrefetchRequest, SystemConfig,
 };
 
 const EV_ACCESS: u8 = 0;
@@ -41,28 +39,13 @@ const EV_RESPONSE: u8 = 1;
 /// Maximum in-flight prefetch requests per core (prefetch queue depth);
 /// excess proposals are dropped at injection.
 const PF_QUEUE_DEPTH: usize = 48;
-/// Recently-injected prefetch lines remembered for injection-time dedup.
-const PF_RECENT: usize = 64;
 /// Retry bound: a request stuck this long indicates a livelock bug.
 const MAX_RETRIES: u32 = 1_000_000;
-/// Prefetch requests accepted per training event.
-const MAX_PF_PER_EVENT: usize = 16;
-/// Nominal DRAM portion of a functional-warming fetch latency (cycles).
-/// Functional accesses need only a plausible constant for GhostMinion
-/// timestamps and prefetcher latency hints; detailed windows use the
-/// real load-dependent DRAM model.
+/// Nominal DRAM portion of an instant-driver fetch latency (cycles).
+/// Warming needs only a plausible constant for GhostMinion timestamps
+/// and prefetcher latency hints; detailed windows use the real
+/// load-dependent DRAM model.
 const FUNC_DRAM_LATENCY: Cycle = 120;
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ReqKind {
-    Load,
-    Store,
-    Prefetch,
-    Refetch,
-    CommitWrite,
-    CleanProp,
-    DirtyWb,
-}
 
 #[derive(Clone, Copy, Debug)]
 struct Req {
@@ -83,11 +66,9 @@ struct Req {
     hit_pf_latency: u32,
     hit_level: HitLevel,
     retries: u32,
-    /// Prefetch fills into L1D (true) or stops at L2 (false).
-    pf_fill_l1: bool,
+    /// Writeback bits for the fill this request makes with explicit bits
+    /// (see [`policy::fill_attrs`]).
     wb: WbBits,
-    /// CleanProp: the wb bit the line carries at its destination.
-    wb_next_fill: bool,
     /// Load still holds an L1D input-queue slot (released at first grant).
     holds_l1_slot: bool,
     /// Metrics for the current level access were already recorded.
@@ -103,8 +84,8 @@ struct Req {
     alive: bool,
 }
 
-struct LevelState {
-    cache: SetAssocCache,
+/// The timing side of one cache level (its tags live in [`MemState`]).
+struct LevelTiming {
     mshr: MshrFile,
     ports: PortScheduler,
     /// Requests parked on an in-flight MSHR, keyed by token. A flat vec
@@ -116,18 +97,9 @@ struct LevelState {
     latency: Cycle,
 }
 
-fn replacement(cfg: &CacheConfig) -> secpref_mem::ReplacementKind {
-    match cfg.replacement {
-        secpref_types::config::ReplacementChoice::Lru => secpref_mem::ReplacementKind::Lru,
-        secpref_types::config::ReplacementChoice::Srrip => secpref_mem::ReplacementKind::Srrip,
-        secpref_types::config::ReplacementChoice::Random => secpref_mem::ReplacementKind::Random,
-    }
-}
-
-impl LevelState {
+impl LevelTiming {
     fn new(cfg: &CacheConfig) -> Self {
-        LevelState {
-            cache: SetAssocCache::with_policy(cfg.sets(), cfg.ways, replacement(cfg)),
+        LevelTiming {
             mshr: MshrFile::new(cfg.mshrs),
             ports: PortScheduler::new(cfg.ports_per_cycle),
             waiting: Vec::new(),
@@ -139,20 +111,11 @@ impl LevelState {
 /// The simulated memory system shared by all cores.
 pub struct Hierarchy {
     cfg: SystemConfig,
-    /// Per-core policy bits, resolved once from `cfg.policy(c)` so the
-    /// hot paths index a flat vec instead of re-deriving from the config.
-    sec: Vec<bool>,
-    oc: Vec<bool>,
-    pf_l1: Vec<bool>,
-    pf_none: Vec<bool>,
-    suf_on: Vec<bool>,
-    gm: Vec<GmCache>,
-    l1d: Vec<LevelState>,
-    l2: Vec<LevelState>,
-    llc: LevelState,
+    /// Caches, GhostMinions, filters, prefetchers and the policy over
+    /// them — all either driver may change about the modelled machine.
+    st: MemState,
+    timing: PerLevel<LevelTiming>,
     dram: DramModel,
-    filters: Vec<Box<dyn UpdateFilter>>,
-    prefetchers: Vec<Box<dyn Prefetcher>>,
     classifiers: Vec<Option<Classifier>>,
     reqs: Vec<Req>,
     free: Vec<u32>,
@@ -164,13 +127,8 @@ pub struct Hierarchy {
     pub completions: Vec<(CoreId, u32, u32, FillInfo)>,
     /// Per-core metrics.
     pub metrics: Vec<CoreMetrics>,
-    tlbs: Vec<Option<Tlb>>,
     l1_inflight: Vec<usize>,
-    commit_count: Vec<u64>,
-    pf_scratch: PfBuf,
     pf_outstanding: Vec<usize>,
-    pf_recent: Vec<[LineAddr; PF_RECENT]>,
-    pf_recent_head: Vec<usize>,
     /// Reusable DRAM-completion buffer for `tick` (no per-cycle allocs).
     dram_done: Vec<secpref_mem::DramCompletion>,
     /// Per-core `("l1d[c]", "l2[c]")` labels, built once at construction
@@ -199,21 +157,11 @@ fn level_phase(lvl: u8) -> Phase {
     }
 }
 
-/// Phase a response is attributed to: the level that supplied the data.
-fn hit_phase(hl: HitLevel) -> Phase {
-    match hl {
-        HitLevel::L1d => Phase::L1d,
-        HitLevel::L2 => Phase::L2,
-        HitLevel::Llc => Phase::Llc,
-        HitLevel::Dram => Phase::Dram,
-    }
-}
-
 impl std::fmt::Debug for Hierarchy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Hierarchy")
             .field("cores", &self.cfg.cores)
-            .field("secure", &self.sec)
+            .field("policy", &self.st.pol)
             .field("now", &self.now)
             .finish()
     }
@@ -222,7 +170,7 @@ impl std::fmt::Debug for Hierarchy {
 impl Hierarchy {
     /// Builds the memory system for `cfg`, with the given per-core
     /// prefetchers, update filters, and optional classifiers. The
-    /// policy vectors come from `cfg.policy(c)`, so heterogeneous
+    /// per-core policy comes from `cfg.policy(c)`, so heterogeneous
     /// mixes get per-core secure-mode/prefetcher behaviour.
     pub fn new(
         cfg: SystemConfig,
@@ -234,29 +182,10 @@ impl Hierarchy {
         assert_eq!(filters.len(), cfg.cores);
         assert_eq!(classifiers.len(), cfg.cores);
         let cores = cfg.cores;
-        let pol: Vec<_> = (0..cores).map(|c| cfg.policy(c)).collect();
         Hierarchy {
-            sec: pol.iter().map(|p| p.secure.is_secure()).collect(),
-            oc: pol
-                .iter()
-                .map(|p| p.prefetch_mode == PrefetchMode::OnCommit)
-                .collect(),
-            pf_l1: pol
-                .iter()
-                .map(|p| p.prefetcher.is_l1_prefetcher())
-                .collect(),
-            pf_none: pol
-                .iter()
-                .map(|p| p.prefetcher == PrefetcherKind::None)
-                .collect(),
-            suf_on: pol.iter().map(|p| p.suf).collect(),
-            gm: (0..cores).map(|_| GmCache::new(cfg.gm.lines())).collect(),
-            l1d: (0..cores).map(|_| LevelState::new(&cfg.l1d)).collect(),
-            l2: (0..cores).map(|_| LevelState::new(&cfg.l2)).collect(),
-            llc: LevelState::new(&cfg.llc),
+            st: MemState::new(&cfg, prefetchers, filters),
+            timing: PerLevel::new(&cfg, LevelTiming::new),
             dram: DramModel::new(cfg.dram.clone()),
-            filters,
-            prefetchers,
             classifiers,
             reqs: Vec::with_capacity(4096),
             free: Vec::new(),
@@ -264,27 +193,8 @@ impl Hierarchy {
             waiter_pool: Vec::new(),
             completions: Vec::new(),
             metrics: vec![CoreMetrics::default(); cores],
-            tlbs: (0..cores)
-                .map(|_| {
-                    cfg.tlb.enabled.then(|| {
-                        Tlb::new(
-                            cfg.tlb.l1_entries,
-                            cfg.tlb.l1_ways,
-                            cfg.tlb.l1_latency,
-                            cfg.tlb.stlb_entries,
-                            cfg.tlb.stlb_ways,
-                            cfg.tlb.stlb_latency,
-                            cfg.tlb.walk_latency,
-                        )
-                    })
-                })
-                .collect(),
             l1_inflight: vec![0; cores],
-            commit_count: vec![0; cores],
-            pf_scratch: PfBuf::new(),
             pf_outstanding: vec![0; cores],
-            pf_recent: vec![[LineAddr::new(u64::MAX); PF_RECENT]; cores],
-            pf_recent_head: vec![0; cores],
             dram_done: Vec::new(),
             mshr_labels: (0..cores)
                 .map(|c| (format!("l1d[{c}]"), format!("l2[{c}]")))
@@ -382,7 +292,7 @@ impl Hierarchy {
 
     /// GM lines currently resident for `core` (epoch-sample gauge).
     pub fn gm_occupancy(&self, core: CoreId) -> u64 {
-        self.gm[core].occupancy() as u64
+        self.st.gm[core].occupancy() as u64
     }
 
     /// Consumes the recorder into its capture, annotating the MSHR
@@ -393,14 +303,16 @@ impl Hierarchy {
         let mut cap = obs.finish()?;
         for c in 0..self.cfg.cores {
             let (l1d_label, l2_label) = &self.mshr_labels[c];
+            cap.mshr_high_water.push((
+                l1d_label.clone(),
+                self.timing.l1d[c].mshr.high_water() as u64,
+            ));
             cap.mshr_high_water
-                .push((l1d_label.clone(), self.l1d[c].mshr.high_water() as u64));
-            cap.mshr_high_water
-                .push((l2_label.clone(), self.l2[c].mshr.high_water() as u64));
+                .push((l2_label.clone(), self.timing.l2[c].mshr.high_water() as u64));
         }
         cap.mshr_high_water
-            .push(("llc".to_string(), self.llc.mshr.high_water() as u64));
-        cap.filter = self.filters[0].describe().to_string();
+            .push(("llc".to_string(), self.timing.llc.mshr.high_water() as u64));
+        cap.filter = self.st.filters[0].describe().to_string();
         Some(cap)
     }
 
@@ -417,9 +329,23 @@ impl Hierarchy {
         });
     }
 
-    /// Whether `core` runs an L1 prefetcher (vs an L2 one).
-    fn pf_is_l1(&self, core: CoreId) -> bool {
-        self.pf_l1[core]
+    /// Free MSHRs at `core`'s prefetcher's level (Berti's orchestration
+    /// input on every training event).
+    fn mshr_free(&self, core: CoreId) -> usize {
+        let level = match self.st.pf_level(core) {
+            0 => &self.timing.l1d[core],
+            _ => &self.timing.l2[core],
+        };
+        level.mshr.capacity() - level.mshr.occupancy()
+    }
+
+    /// Runs a classifier hook for `core` if it has a Fig. 6 shadow.
+    fn classify(&mut self, core: CoreId, hook: impl FnOnce(&mut Classifier)) {
+        if let Some(c) = self.classifiers[core].as_mut() {
+            self.prof.enter(Phase::Classifier);
+            hook(c);
+            self.prof.exit();
+        }
     }
 
     fn alloc_req(&mut self, req: Req) -> u32 {
@@ -464,9 +390,7 @@ impl Hierarchy {
             hit_pf_latency: 0,
             hit_level: HitLevel::L1d,
             retries: 0,
-            pf_fill_l1: true,
             wb: WbBits::ALL,
-            wb_next_fill: false,
             holds_l1_slot: false,
             counted: false,
             waiting_mshr: false,
@@ -495,22 +419,14 @@ impl Hierarchy {
         let rid = self.alloc_req(req);
         // Address translation happens before the cache access: the TLB
         // adds latency (1 cycle when it hits the dTLB).
-        let at = now + self.translate(issue.core, issue.addr);
+        let at = now + self.st.translate(issue.core, issue.addr);
         self.schedule(at, rid, EV_ACCESS);
         true
     }
 
-    /// Translation latency for `addr` on `core` (0 when TLBs are off).
-    fn translate(&mut self, core: CoreId, addr: secpref_types::Addr) -> Cycle {
-        match &mut self.tlbs[core] {
-            Some(tlb) => tlb.translate(addr).1,
-            None => 0,
-        }
-    }
-
     /// TLB statistics for `core`, if TLB modelling is enabled.
     pub fn tlb_stats(&self, core: CoreId) -> Option<secpref_mem::tlb::TlbStats> {
-        self.tlbs[core].as_ref().map(|t| t.stats())
+        self.st.tlb_stats(core)
     }
 
     /// Issues the non-speculative write of a retired store.
@@ -550,20 +466,14 @@ impl Hierarchy {
                     self.on_access(now, rid);
                 }
                 _ => {
-                    self.prof.enter(hit_phase(req.hit_level));
+                    // Attributed to the level that supplied the data.
+                    self.prof.enter(level_phase(req.hit_level.encode()));
                     self.on_response(now, rid);
                 }
             }
             self.prof.exit();
         }
-        // MSHR occupancy statistics.
-        for c in 0..self.cfg.cores {
-            let m = &mut self.metrics[c];
-            m.l1d.mshr_occupancy_integral += self.l1d[c].mshr.occupancy() as u64;
-            m.l1d.mshr_full_cycles += self.l1d[c].mshr.is_full() as u64;
-            m.l2.mshr_occupancy_integral += self.l2[c].mshr.occupancy() as u64;
-            m.l2.mshr_full_cycles += self.l2[c].mshr.is_full() as u64;
-        }
+        self.account_idle_cycles(1); // this cycle's MSHR occupancy sample
     }
 
     /// Earliest cycle strictly after `now` at which [`Hierarchy::tick`]
@@ -577,24 +487,17 @@ impl Hierarchy {
         }
     }
 
-    /// Folds in the per-cycle MSHR occupancy statistics for `n` cycles
-    /// skipped by the run loop's idle fast-forward. Occupancy cannot
-    /// change while no event fires, so the per-cycle accumulation in
-    /// [`Hierarchy::tick`] has this closed form over the skipped span.
+    /// Folds in the per-cycle MSHR occupancy statistics for `n` cycles:
+    /// one per [`Hierarchy::tick`], or a whole span skipped by the run
+    /// loop's idle fast-forward — occupancy cannot change while no event
+    /// fires, so the per-cycle sample has this closed form.
     pub fn account_idle_cycles(&mut self, n: u64) {
         for c in 0..self.cfg.cores {
             let m = &mut self.metrics[c];
-            m.l1d.mshr_occupancy_integral += self.l1d[c].mshr.occupancy() as u64 * n;
-            m.l1d.mshr_full_cycles += self.l1d[c].mshr.is_full() as u64 * n;
-            m.l2.mshr_occupancy_integral += self.l2[c].mshr.occupancy() as u64 * n;
-            m.l2.mshr_full_cycles += self.l2[c].mshr.is_full() as u64 * n;
-        }
-    }
-
-    /// Resets the metrics at the warm-up boundary (caches stay warm).
-    pub fn reset_metrics(&mut self) {
-        for m in &mut self.metrics {
-            *m = CoreMetrics::default();
+            m.l1d.mshr_occupancy_integral += self.timing.l1d[c].mshr.occupancy() as u64 * n;
+            m.l1d.mshr_full_cycles += self.timing.l1d[c].mshr.is_full() as u64 * n;
+            m.l2.mshr_occupancy_integral += self.timing.l2[c].mshr.occupancy() as u64 * n;
+            m.l2.mshr_full_cycles += self.timing.l2[c].mshr.is_full() as u64 * n;
         }
     }
 
@@ -641,25 +544,15 @@ impl Hierarchy {
         // A request parked on a full MSHR file waits without consuming
         // lookup bandwidth (it sits in the input queue in hardware).
         if req.waiting_mshr {
-            let full = match lvl {
-                0 => self.l1d[core].mshr.is_full(),
-                1 => self.l2[core].mshr.is_full(),
-                _ => self.llc.mshr.is_full(),
-            };
-            if full {
+            if self.timing.at(core, lvl).mshr.is_full() {
                 self.retry(now, rid);
                 return;
             }
             self.reqs[rid as usize].waiting_mshr = false;
         }
         // Port arbitration at this level; prefetches yield to demands.
-        let low_priority = matches!(req.kind, ReqKind::Prefetch);
-        let ports = match lvl {
-            0 => &mut self.l1d[core].ports,
-            1 => &mut self.l2[core].ports,
-            _ => &mut self.llc.ports,
-        };
-        let granted = if low_priority {
+        let ports = &mut self.timing.at(core, lvl).ports;
+        let granted = if matches!(req.kind, ReqKind::Prefetch) {
             ports.try_acquire_low_priority(now)
         } else {
             ports.try_acquire(now)
@@ -682,50 +575,28 @@ impl Hierarchy {
             // this site; the returned flag gates the completion-side
             // histogram record so the two reconcile across the warm-up
             // boundary.
-            if lvl == 0
-                && matches!(req.kind, ReqKind::Load | ReqKind::Store)
-                && self.tel.demand_access(core)
-            {
+            if lvl == 0 && req.kind.is_demand() && self.tel.demand_access(core) {
                 self.reqs[rid as usize].tel_counted = true;
             }
         }
 
         match req.kind {
-            ReqKind::CommitWrite => {
-                // GM → L1D transfer: fill with the filter's wb bits.
+            ReqKind::CommitWrite | ReqKind::CleanProp | ReqKind::DirtyWb => {
+                // A single-level install: GM → L1D transfer with the
+                // filter's wb bits, or a writeback landing at its target.
+                let attrs = policy::fill_attrs(req.kind, true, lvl, req.wb, 0);
                 self.fill_cache(
                     now,
                     core,
-                    0,
+                    lvl,
                     req.line,
-                    FillAttrs {
-                        dirty: false,
-                        prefetched: false,
-                        wb_bit: req.wb.l1_to_l2,
-                        wb_next: req.wb.l2_to_llc,
-                        fetch_latency: 0,
-                    },
+                    attrs.expect("installs always fill"),
                 );
-                // On-commit L1 prefetchers observe the (misleading)
-                // 1-cycle commit-write fill latency.
-                self.pf_fill_event(core, true, req.line, req.ip, now + 1, 1, false);
-                self.free_req(rid);
-            }
-            ReqKind::CleanProp | ReqKind::DirtyWb => {
-                let target = req.cur_level;
-                self.fill_cache(
-                    now,
-                    core,
-                    target,
-                    req.line,
-                    FillAttrs {
-                        dirty: matches!(req.kind, ReqKind::DirtyWb),
-                        prefetched: false,
-                        wb_bit: req.wb_next_fill,
-                        wb_next: false,
-                        fetch_latency: 0,
-                    },
-                );
+                if req.kind == ReqKind::CommitWrite {
+                    // On-commit L1 prefetchers observe the (misleading)
+                    // 1-cycle commit-write fill latency.
+                    self.pf_fill_event(core, true, req.line, req.ip, now + 1, 1);
+                }
                 self.free_req(rid);
             }
             ReqKind::Load | ReqKind::Store | ReqKind::Prefetch | ReqKind::Refetch => {
@@ -739,17 +610,15 @@ impl Hierarchy {
         let req = self.reqs[rid as usize];
         let core = req.core;
         let lvl = req.cur_level;
-        let is_demand = matches!(req.kind, ReqKind::Load | ReqKind::Store);
-        let speculative = self.sec[core] && matches!(req.kind, ReqKind::Load);
+        let is_demand = req.kind.is_demand();
 
-        // GhostMinion: speculative loads probe the GM in parallel with L1D.
-        if lvl == 0 && speculative {
+        if self.st.probes_gm(core, lvl, req.kind) {
             self.metrics[core].gm_accesses += 1;
             self.prof.enter(Phase::Gm);
-            let gm_hit = self.gm[core].lookup(req.line, req.ts).is_some();
+            let gm_hit = self.st.gm[core].lookup(req.line, req.ts).is_some();
             self.prof.exit();
             if gm_hit {
-                self.observe_demand_l1(now, rid, true, false, 0);
+                self.observe_demand(now, &req, &Lookup::GM_HIT);
                 let r = &mut self.reqs[rid as usize];
                 r.hit_level = HitLevel::L1d;
                 r.served_by_gm = true;
@@ -758,153 +627,94 @@ impl Hierarchy {
             }
         }
 
-        let (hit, was_prefetched, pf_latency) = {
-            let level = match lvl {
-                0 => &mut self.l1d[core],
-                1 => &mut self.l2[core],
-                _ => &mut self.llc,
-            };
-            if speculative {
-                // No replacement-state update for speculative accesses.
-                match level.cache.probe(req.line) {
-                    Some(meta) => (true, meta.prefetched, meta.fetch_latency),
-                    None => (false, false, 0),
-                }
-            } else if let Some((was_pf, lat)) = level
-                .cache
-                .touch_demand(req.line, matches!(req.kind, ReqKind::Store))
-            {
-                if matches!(req.kind, ReqKind::Prefetch) {
-                    (true, false, 0)
-                } else {
-                    (true, was_pf, lat)
-                }
-            } else {
-                (false, false, 0)
-            }
-        };
-        if speculative && hit {
-            // Statistics-only: record first demand use of prefetched lines.
-            let (was_pf2, lat2) = self.l1d[core]
-                .cache
-                .mark_demand_use(req.line)
-                .unwrap_or((false, 0));
-            let _ = (was_pf2, lat2);
+        let lk = self.st.lookup(core, lvl, req.kind, req.line);
+        if lk.hit && lvl > 0 && self.st.speculative(core, req.kind) {
+            // A speculative hit marks first demand use in the *L1D* even
+            // when L2 or the LLC supplied the line: a no-op unless the
+            // line reached the L1D after this load's L1D lookup, in which
+            // case its prefetched bit is cleared early. The pinned
+            // digests see this, so it stays until a modelling PR decides
+            // otherwise; the instant driver has no such window (its L1D
+            // lookup missed this very instant) and skips the scan.
+            self.st.caches.at(core, 0).mark_demand_use(req.line);
         }
-
-        // Prefetcher useful-feedback on demand hit to a prefetched line.
-        let pf_here = (lvl == 0) == self.pf_is_l1(core);
-        if hit && is_demand && was_prefetched && pf_here {
+        if lk.useful {
             self.metrics[core].prefetch.useful += 1;
-            self.obs_ev(now, core, EventKind::PrefetchUseful, req.line, pf_latency);
+            self.obs_ev(
+                now,
+                core,
+                EventKind::PrefetchUseful,
+                req.line,
+                lk.pf_latency,
+            );
             self.tel.pf_useful(core, req.line.raw(), now);
-            self.feedback(core, Feedback::Useful { line: req.line });
         }
-        // Demand observation for on-access prefetchers and the shadow.
-        if is_demand && lvl == 0 {
-            self.observe_demand_l1(now, rid, hit, was_prefetched, pf_latency);
-        } else if is_demand && lvl == 1 {
-            self.observe_demand_l2(now, rid, hit);
+        if is_demand {
+            self.observe_demand(now, &req, &lk);
         }
 
         // A prefetch may be dropped only before it has allocated any MSHR;
         // afterwards it must run to completion or it would leak entries.
-        let committed = req.path.iter().any(Option::is_some);
-        if hit {
-            match req.kind {
-                ReqKind::Prefetch if !committed => {
-                    // Already resident at its origin level: drop.
-                    self.metrics[core].prefetch.dropped_duplicate += 1;
-                    self.free_req(rid);
-                }
-                _ => {
-                    let lat = match lvl {
-                        0 => self.l1d[core].latency,
-                        1 => self.l2[core].latency,
-                        _ => self.llc.latency,
-                    };
-                    let r = &mut self.reqs[rid as usize];
-                    r.hit_level = HitLevel::from_level(match lvl {
-                        0 => CacheLevel::L1d,
-                        1 => CacheLevel::L2,
-                        _ => CacheLevel::Llc,
-                    });
-                    r.hit_prefetched = was_prefetched;
-                    r.hit_pf_latency = pf_latency;
-                    self.schedule(now + lat, rid, EV_RESPONSE);
-                }
+        let is_pf = matches!(req.kind, ReqKind::Prefetch);
+        let droppable = is_pf && req.path.iter().all(Option::is_none);
+        if lk.hit {
+            if droppable {
+                // Already resident at its origin level: drop.
+                self.metrics[core].prefetch.dropped_duplicate += 1;
+                self.free_req(rid);
+            } else {
+                let lat = self.timing.at(core, lvl).latency;
+                let r = &mut self.reqs[rid as usize];
+                r.hit_level = HitLevel::decode(lvl);
+                r.hit_prefetched = lk.was_prefetched;
+                r.hit_pf_latency = lk.pf_latency;
+                self.schedule(now + lat, rid, EV_RESPONSE);
             }
             return;
         }
 
         // Miss: merge or allocate an MSHR.
-        let demandish = !matches!(req.kind, ReqKind::Prefetch);
-        let merge_result = {
-            let level = match lvl {
-                0 => &mut self.l1d[core],
-                1 => &mut self.l2[core],
-                _ => &mut self.llc,
-            };
-            level
-                .mshr
-                .find(req.line)
-                .map(|(t, e)| (t, e.is_prefetch, e.alloc_cycle))
-        };
-        if let Some((token, in_flight_is_pf, in_flight_since)) = merge_result {
-            if matches!(req.kind, ReqKind::Prefetch) && !committed {
+        let pf_here = self.st.pf_here(core, lvl);
+        let in_flight = self.timing.at(core, lvl).mshr.find(req.line);
+        if let Some((token, in_flight_is_pf, in_flight_since)) =
+            in_flight.map(|(t, e)| (t, e.is_prefetch, e.alloc_cycle))
+        {
+            if droppable {
                 self.metrics[core].prefetch.dropped_duplicate += 1;
                 self.free_req(rid);
                 return;
             }
-            let joined_existing = {
-                let level = match lvl {
-                    0 => &mut self.l1d[core],
-                    1 => &mut self.l2[core],
-                    _ => &mut self.llc,
-                };
-                level.mshr.merge(req.line, demandish, req.ts);
-                match level.waiting.iter_mut().find(|(t, _)| *t == token) {
-                    Some((_, v)) => {
-                        v.push(rid);
-                        true
-                    }
-                    None => false,
+            let level = self.timing.at(core, lvl);
+            level.mshr.merge(req.line, !is_pf, req.ts);
+            match level.waiting.iter_mut().find(|(t, _)| *t == token) {
+                Some((_, v)) => v.push(rid),
+                None => {
+                    let mut v = self.waiter_pool.pop().unwrap_or_default();
+                    v.push(rid);
+                    self.timing.at(core, lvl).waiting.push((token, v));
                 }
-            };
-            if !joined_existing {
-                let mut v = self.waiter_pool.pop().unwrap_or_default();
-                v.push(rid);
-                let level = match lvl {
-                    0 => &mut self.l1d[core],
-                    1 => &mut self.l2[core],
-                    _ => &mut self.llc,
-                };
-                level.waiting.push((token, v));
             }
             // Merging onto an in-flight *demand* is a hit-under-miss, not
             // a new miss; merging onto a *prefetch* is the paper's "late
             // prefetch" and counts as a demand miss (Fig. 6).
             if is_demand && in_flight_is_pf {
                 self.count_demand_miss(now, rid, lvl, true);
-            }
-            if in_flight_is_pf && is_demand && pf_here {
-                self.metrics[core].prefetch.late += 1;
-                self.obs_ev(now, core, EventKind::PrefetchLate, req.line, 0);
-                self.tel.pf_late(core, now - in_flight_since);
-                self.reqs[rid as usize].merged_prefetch = true;
-                self.feedback(core, Feedback::Late { line: req.line });
+                if pf_here {
+                    self.metrics[core].prefetch.late += 1;
+                    self.obs_ev(now, core, EventKind::PrefetchLate, req.line, 0);
+                    self.tel.pf_late(core, now - in_flight_since);
+                    self.reqs[rid as usize].merged_prefetch = true;
+                    self.prof.enter(Phase::Prefetcher);
+                    self.st.prefetchers[core].feedback(Feedback::Late { line: req.line });
+                    self.prof.exit();
+                }
             }
             return;
         }
-        let full = match lvl {
-            0 => self.l1d[core].mshr.is_full(),
-            1 => self.l2[core].mshr.is_full(),
-            _ => self.llc.mshr.is_full(),
-        };
-        if full {
+        if self.timing.at(core, lvl).mshr.is_full() {
             self.level_metrics(core, lvl).mshr_full_stalls += 1;
             self.obs_ev(now, core, EventKind::MshrFull, req.line, lvl as u32);
-            if matches!(req.kind, ReqKind::Prefetch) && !committed {
+            if droppable {
                 self.metrics[core].prefetch.dropped_resources += 1;
                 self.free_req(rid);
             } else {
@@ -914,33 +724,22 @@ impl Hierarchy {
             return;
         }
         // Allocate and descend.
-        let is_pf = matches!(req.kind, ReqKind::Prefetch);
-        let token = {
-            let level = match lvl {
-                0 => &mut self.l1d[core],
-                1 => &mut self.l2[core],
-                _ => &mut self.llc,
-            };
-            level
-                .mshr
-                .alloc(req.line, is_pf, now, if is_pf { u64::MAX } else { req.ts })
-                .expect("checked not-full, no existing entry")
-        };
+        let level = self.timing.at(core, lvl);
+        let lat = level.latency;
+        let token = level
+            .mshr
+            .alloc(req.line, is_pf, now, if is_pf { u64::MAX } else { req.ts })
+            .expect("checked not-full, no existing entry");
         if is_demand {
             self.count_demand_miss(now, rid, lvl, false);
         }
         // `issued` counts requests entering the hierarchy, so only the
         // origin-level allocation increments it; the same prefetch
         // allocating deeper MSHRs as it descends is still one request.
-        if is_pf && !committed {
+        if droppable {
             self.metrics[core].prefetch.issued += 1;
             self.obs_ev(now, core, EventKind::PrefetchIssue, req.line, lvl as u32);
         }
-        let lat = match lvl {
-            0 => self.l1d[core].latency,
-            1 => self.l2[core].latency,
-            _ => self.llc.latency,
-        };
         let r = &mut self.reqs[rid as usize];
         r.path[lvl as usize] = Some(token);
         r.cur_level = lvl + 1;
@@ -974,135 +773,59 @@ impl Hierarchy {
     fn count_demand_miss(&mut self, now: Cycle, rid: u32, lvl: u8, merged_onto_pf: bool) {
         let req = self.reqs[rid as usize];
         self.level_metrics(req.core, lvl).demand_misses += 1;
-        let pf_here = (lvl == 0) == self.pf_is_l1(req.core);
-        if pf_here {
-            self.feedback(req.core, Feedback::DemandMiss { line: req.line });
-            if let Some(c) = self.classifiers[req.core].as_mut() {
-                self.prof.enter(Phase::Classifier);
-                c.demand_miss(req.line, now, merged_onto_pf);
-                self.prof.exit();
-            }
-        }
-    }
-
-    /// Demand-access observation at L1D: on-access prefetcher training
-    /// (L1 prefetchers) plus the always-on shadow.
-    fn observe_demand_l1(
-        &mut self,
-        now: Cycle,
-        rid: u32,
-        hit: bool,
-        hit_prefetched: bool,
-        pf_latency: u32,
-    ) {
-        let core = self.reqs[rid as usize].core;
-        if !self.pf_is_l1(core) || self.pf_none[core] {
-            return;
-        }
-        let req = self.reqs[rid as usize];
-        let ev = AccessEvent {
-            ip: req.ip,
-            line: req.line,
-            cycle: now,
-            hit,
-            access_cycle: now,
-            fetch_latency: if hit_prefetched { pf_latency } else { 0 },
-            hit_prefetched,
-            mshr_free: self.l1d[req.core].mshr.capacity() - self.l1d[req.core].mshr.occupancy(),
-        };
-        if let Some(c) = self.classifiers[req.core].as_mut() {
-            self.prof.enter(Phase::Classifier);
-            c.shadow_access(&ev);
-            self.prof.exit();
-        }
-        if !self.oc[core] {
-            self.train_and_inject(now, req.core, &ev);
-        }
-    }
-
-    fn observe_demand_l2(&mut self, now: Cycle, rid: u32, hit: bool) {
-        let core = self.reqs[rid as usize].core;
-        if self.pf_is_l1(core) || self.pf_none[core] {
-            return;
-        }
-        let req = self.reqs[rid as usize];
-        let ev = AccessEvent {
-            ip: req.ip,
-            line: req.line,
-            cycle: now,
-            hit,
-            access_cycle: now,
-            fetch_latency: 0,
-            hit_prefetched: false,
-            mshr_free: self.l2[req.core].mshr.capacity() - self.l2[req.core].mshr.occupancy(),
-        };
-        if let Some(c) = self.classifiers[req.core].as_mut() {
-            self.prof.enter(Phase::Classifier);
-            c.shadow_access(&ev);
-            self.prof.exit();
-        }
-        if !self.oc[core] {
-            self.train_and_inject(now, req.core, &ev);
-        }
-    }
-
-    fn train_and_inject(&mut self, now: Cycle, core: CoreId, ev: &AccessEvent) {
-        self.pf_scratch.clear();
         self.prof.enter(Phase::Prefetcher);
-        self.prefetchers[core].observe_access(ev, &mut self.pf_scratch);
+        let pf_here = self.st.demand_miss(req.core, lvl, req.line);
         self.prof.exit();
-        self.pf_scratch.truncate(MAX_PF_PER_EVENT);
+        if pf_here {
+            self.classify(req.core, |c| c.demand_miss(req.line, now, merged_onto_pf));
+        }
+    }
+
+    /// Shows a demand access to the prefetcher at its level: the Fig. 6
+    /// shadow always sees it, the prefetcher trains if it is on-access.
+    fn observe_demand(&mut self, now: Cycle, r: &Req, lk: &Lookup) {
+        let free = || self.mshr_free(r.core);
+        let ev = self
+            .st
+            .access_event(r.core, r.cur_level, r.ip, r.line, now, lk, free);
+        if let Some(ev) = ev {
+            self.classify(r.core, |c| c.shadow_access(&ev));
+            self.train_and_inject(now, r.core, &ev, false);
+        }
+    }
+
+    fn train_and_inject(&mut self, now: Cycle, core: CoreId, ev: &AccessEvent, on_commit: bool) {
+        self.prof.enter(Phase::Prefetcher);
+        let n = self.st.train(core, ev, on_commit);
+        self.prof.exit();
         // Index-copy: `inject_prefetch` needs `&mut self` but never touches
         // the scratch buffer.
-        for i in 0..self.pf_scratch.len() {
-            let pf = self.pf_scratch[i];
+        for i in 0..n {
+            let pf = self.st.pf_scratch[i];
             self.inject_prefetch(now, core, pf);
         }
     }
 
     fn inject_prefetch(&mut self, now: Cycle, core: CoreId, pf: PrefetchRequest) {
         self.metrics[core].prefetch.proposed += 1;
-        if let Some(c) = self.classifiers[core].as_mut() {
-            self.prof.enter(Phase::Classifier);
-            c.actual_issue(pf.line, now);
-            self.prof.exit();
-        }
-        // Injection-time dedup: the same target proposed again while it is
-        // still fresh (resident, in flight, or queued) is dropped without
-        // burning a cache port on discovering the duplicate.
-        if self.pf_recent[core].contains(&pf.line) {
-            self.metrics[core].prefetch.dropped_duplicate += 1;
-            return;
-        }
+        self.classify(core, |c| c.actual_issue(pf.line, now));
         // Prefetch-queue depth: a full PQ drops further proposals.
-        if self.pf_outstanding[core] >= PF_QUEUE_DEPTH {
-            self.metrics[core].prefetch.dropped_resources += 1;
-            return;
+        let room = self.pf_outstanding[core] < PF_QUEUE_DEPTH;
+        match self.st.admit_prefetch(core, &pf, room) {
+            Admit::Duplicate => self.metrics[core].prefetch.dropped_duplicate += 1,
+            Admit::QueueFull => self.metrics[core].prefetch.dropped_resources += 1,
+            Admit::At(origin) => {
+                self.pf_outstanding[core] += 1;
+                let mut req = Self::blank_req(core, pf.line, pf.trigger_ip, ReqKind::Prefetch, now);
+                req.cur_level = origin;
+                let rid = self.alloc_req(req);
+                self.schedule(now, rid, EV_ACCESS);
+            }
         }
-        let head = self.pf_recent_head[core];
-        self.pf_recent[core][head] = pf.line;
-        self.pf_recent_head[core] = (head + 1) % PF_RECENT;
-        self.pf_outstanding[core] += 1;
-        let mut req = Self::blank_req(core, pf.line, pf.trigger_ip, ReqKind::Prefetch, now);
-        req.pf_fill_l1 = pf.fill_level == CacheLevel::L1d;
-        req.cur_level = if self.pf_is_l1(core) && req.pf_fill_l1 {
-            0
-        } else {
-            1
-        };
-        let rid = self.alloc_req(req);
-        self.schedule(now, rid, EV_ACCESS);
     }
 
-    fn feedback(&mut self, core: CoreId, fb: Feedback) {
-        self.prof.enter(Phase::Prefetcher);
-        self.prefetchers[core].feedback(fb);
-        self.prof.exit();
-    }
-
-    /// L1-level fill event for on-commit L1 prefetchers (commit writes and
-    /// re-fetch fills) and access-path fills for on-access mode / shadows.
-    #[allow(clippy::too_many_arguments)]
+    /// L1D-level fill as seen by L1 prefetchers and the shadow: commit
+    /// writes and re-fetch fills (`commit_path`) or access-path fills.
     fn pf_fill_event(
         &mut self,
         core: CoreId,
@@ -1111,109 +834,58 @@ impl Hierarchy {
         ip: Ip,
         at: Cycle,
         latency: u32,
-        by_prefetch: bool,
     ) {
-        if !self.pf_is_l1(core) || self.pf_none[core] {
-            return;
-        }
-        let ev = FillEvent {
-            line,
-            ip,
-            cycle: at,
-            latency,
-            by_prefetch,
-        };
-        if commit_path {
-            if self.oc[core] {
-                self.prof.enter(Phase::Prefetcher);
-                self.prefetchers[core].observe_fill(&ev);
-                self.prof.exit();
-            }
-        } else {
-            if let Some(c) = self.classifiers[core].as_mut() {
-                self.prof.enter(Phase::Classifier);
-                c.shadow_fill(&ev);
-                self.prof.exit();
-            }
-            if !self.oc[core] {
-                self.prof.enter(Phase::Prefetcher);
-                self.prefetchers[core].observe_fill(&ev);
-                self.prof.exit();
-            }
+        self.prof.enter(Phase::Prefetcher);
+        let ev = self.st.fill_event(core, commit_path, line, ip, at, latency);
+        self.prof.exit();
+        if let (Some(ev), false) = (ev, commit_path) {
+            self.classify(core, |c| c.shadow_fill(&ev));
         }
     }
 
+    /// Installs a line and enacts what the policy decided for the victim:
+    /// writebacks become requests that reach the next level a cycle on.
     fn fill_cache(&mut self, now: Cycle, core: CoreId, lvl: u8, line: LineAddr, attrs: FillAttrs) {
-        let evicted = {
-            let level = match lvl {
-                0 => &mut self.l1d[core],
-                1 => &mut self.l2[core],
-                _ => &mut self.llc,
-            };
-            level.cache.fill(line, attrs)
+        let Some(ev) = self.st.fill(core, lvl, line, attrs) else {
+            return;
         };
-        if let Some(ev) = evicted {
-            self.handle_eviction(now, core, lvl, ev);
-        }
-    }
-
-    fn handle_eviction(&mut self, now: Cycle, core: CoreId, lvl: u8, ev: secpref_mem::EvictedLine) {
-        // Useless-prefetch accounting at the prefetcher's level.
-        let pf_here = (lvl == 0) == self.pf_is_l1(core);
-        if ev.prefetched && pf_here && lvl <= 1 {
+        if ev.useless {
             self.metrics[core].prefetch.useless += 1;
             self.obs_ev(now, core, EventKind::PrefetchUseless, ev.line, 0);
             self.tel.pf_useless(core, ev.line.raw(), now);
-            self.feedback(core, Feedback::Useless { line: ev.line });
         }
-        match lvl {
-            0 | 1 => {
-                let target = lvl + 1;
-                if ev.dirty {
-                    let mut req = Self::blank_req(core, ev.line, Ip::new(0), ReqKind::DirtyWb, now);
-                    req.cur_level = target;
-                    let rid = self.alloc_req(req);
-                    self.schedule(now + 1, rid, EV_ACCESS);
-                } else if self.sec[core] && ev.wb_bit {
+        match ev.then {
+            AfterEvict::Nothing => {}
+            AfterEvict::Writeback { kind, wb } => {
+                if kind == ReqKind::CleanProp {
                     // GhostMinion clean-line commit propagation.
                     self.metrics[core].commit.propagations += 1;
                     self.obs_ev(now, core, EventKind::CleanProp, ev.line, lvl as u32);
-                    let mut req =
-                        Self::blank_req(core, ev.line, Ip::new(0), ReqKind::CleanProp, now);
-                    req.cur_level = target;
-                    req.wb_next_fill = if lvl == 0 { ev.wb_next } else { false };
-                    let rid = self.alloc_req(req);
-                    self.schedule(now + 1, rid, EV_ACCESS);
-                } else if self.sec[core] && self.suf_on[core] {
-                    // SUF skipped a propagation: score its accuracy.
-                    self.metrics[core].commit.propagation_skipped += 1;
-                    let present = if lvl == 0 {
-                        self.l2[core].cache.probe(ev.line).is_some()
-                            || self.llc.cache.probe(ev.line).is_some()
-                    } else {
-                        self.llc.cache.probe(ev.line).is_some()
-                    };
-                    if present {
-                        self.metrics[core].commit.propagation_skip_correct += 1;
-                    } else {
-                        self.metrics[core].commit.propagation_skip_wrong += 1;
-                    }
-                    self.obs_ev(
-                        now,
-                        core,
-                        EventKind::PropagationSkip,
-                        ev.line,
-                        present as u32,
-                    );
                 }
+                let mut req = Self::blank_req(core, ev.line, Ip::new(0), kind, now);
+                req.cur_level = lvl + 1;
+                req.wb = wb;
+                let rid = self.alloc_req(req);
+                self.schedule(now + 1, rid, EV_ACCESS);
             }
-            _ => {
-                if ev.dirty {
-                    let mut req = Self::blank_req(core, ev.line, Ip::new(0), ReqKind::DirtyWb, now);
-                    req.cur_level = 3;
-                    let rid = self.alloc_req(req);
-                    self.schedule(now + 1, rid, EV_ACCESS);
+            AfterEvict::SufSkip => {
+                // SUF skipped a propagation: score its accuracy.
+                let present =
+                    (lvl + 1..3).any(|l| self.st.caches.at(core, l).probe(ev.line).is_some());
+                let m = &mut self.metrics[core].commit;
+                m.propagation_skipped += 1;
+                if present {
+                    m.propagation_skip_correct += 1;
+                } else {
+                    m.propagation_skip_wrong += 1;
                 }
+                self.obs_ev(
+                    now,
+                    core,
+                    EventKind::PropagationSkip,
+                    ev.line,
+                    present as u32,
+                );
             }
         }
     }
@@ -1224,31 +896,26 @@ impl Hierarchy {
     fn on_response(&mut self, now: Cycle, rid: u32) {
         let req = self.reqs[rid as usize];
         let core = req.core;
+        let latency = (now - req.issued_at) as u32;
         // Unwind allocated MSHRs from deepest to shallowest.
         for lvl in (0..3u8).rev() {
             let Some(token) = req.path[lvl as usize] else {
                 continue;
             };
-            let (mut waiters, allocated_at) = {
-                let level = match lvl {
-                    0 => &mut self.l1d[core],
-                    1 => &mut self.l2[core],
-                    _ => &mut self.llc,
-                };
-                let entry = level.mshr.complete(token);
-                let waiters = match level.waiting.iter().position(|(t, _)| *t == token) {
-                    Some(i) => level.waiting.swap_remove(i).1,
-                    None => Vec::new(),
-                };
-                (waiters, entry.alloc_cycle)
+            let level = self.timing.at(core, lvl);
+            let allocated_at = level.mshr.complete(token).alloc_cycle;
+            let mut waiters = match level.waiting.iter().position(|(t, _)| *t == token) {
+                Some(i) => level.waiting.swap_remove(i).1,
+                None => Vec::new(),
             };
             self.tel
                 .mshr_complete(core, lvl as usize, now - allocated_at);
-            self.fill_on_path(now, rid, lvl);
+            let attrs = policy::fill_attrs(req.kind, self.st.pol[core].sec, lvl, req.wb, latency);
+            if let Some(attrs) = attrs {
+                self.fill_cache(now, core, lvl, req.line, attrs);
+            }
             for &w in &waiters {
-                let hl = req.hit_level;
-                let wr = &mut self.reqs[w as usize];
-                wr.hit_level = hl;
+                self.reqs[w as usize].hit_level = req.hit_level;
                 self.schedule(now, w, EV_RESPONSE);
             }
             if waiters.capacity() > 0 && self.waiter_pool.len() < 64 {
@@ -1256,121 +923,56 @@ impl Hierarchy {
                 self.waiter_pool.push(waiters);
             }
         }
-        self.finish_request(now, rid);
+        self.finish_request(now, rid, latency);
     }
 
-    /// Fill policy for a level on a request's response path.
-    fn fill_on_path(&mut self, now: Cycle, rid: u32, lvl: u8) {
+    fn finish_request(&mut self, now: Cycle, rid: u32, latency: u32) {
         let req = self.reqs[rid as usize];
         let core = req.core;
-        let latency = (now - req.issued_at) as u32;
-        match req.kind {
-            ReqKind::Load if !self.sec[core] => {
-                self.fill_cache(now, core, lvl, req.line, FillAttrs::default());
-            }
-            // GhostMinion: speculative fills go to the GM only (at
-            // finish_request); the hierarchy stays untouched.
-            ReqKind::Store => {
-                if lvl == 0 {
-                    self.fill_cache(
-                        now,
-                        core,
-                        lvl,
-                        req.line,
-                        FillAttrs {
-                            dirty: true,
-                            ..FillAttrs::default()
-                        },
-                    );
-                } else if !self.sec[core] {
-                    self.fill_cache(now, core, lvl, req.line, FillAttrs::default());
-                }
-            }
-            ReqKind::Prefetch => {
-                self.fill_cache(
-                    now,
-                    core,
-                    lvl,
-                    req.line,
-                    FillAttrs {
-                        prefetched: true,
-                        fetch_latency: latency,
-                        ..FillAttrs::default()
-                    },
-                );
-            }
-            ReqKind::Refetch => {
-                let attrs = if lvl == 0 {
-                    FillAttrs {
-                        wb_bit: req.wb.l1_to_l2,
-                        wb_next: req.wb.l2_to_llc,
-                        ..FillAttrs::default()
-                    }
-                } else {
-                    FillAttrs::default()
-                };
-                self.fill_cache(now, core, lvl, req.line, attrs);
-            }
-            _ => {}
-        }
-    }
-
-    fn finish_request(&mut self, now: Cycle, rid: u32) {
-        let req = self.reqs[rid as usize];
-        let core = req.core;
-        let latency = (now - req.issued_at) as u32;
+        let missed_l1 = req.hit_level != HitLevel::L1d;
         match req.kind {
             ReqKind::Load => {
-                if self.sec[core] && req.hit_level != HitLevel::L1d {
+                if missed_l1 {
                     // Speculative fill into the GM, timestamped with the
                     // oldest waiting instruction.
                     self.prof.enter(Phase::Gm);
-                    self.gm[core].insert(req.line, req.ts, latency);
+                    let filled = self.st.spec_fill(core, req.line, req.ts, latency);
                     self.prof.exit();
-                    self.obs_ev(now, core, EventKind::GmSpecFill, req.line, latency);
-                    let occ = self.gm[core].occupancy() as u64;
-                    self.tel.gm_fill(core, occ);
-                }
-                if req.hit_level != HitLevel::L1d {
+                    if filled.is_some() {
+                        self.obs_ev(now, core, EventKind::GmSpecFill, req.line, latency);
+                        let occ = self.st.gm[core].occupancy() as u64;
+                        self.tel.gm_fill(core, occ);
+                    }
                     let m = &mut self.metrics[core].l1d;
                     m.miss_latency_sum += latency as u64;
                     m.miss_latency_count += 1;
                     // Access-path fill event (real latency) for on-access
                     // prefetchers and the shadow.
-                    self.pf_fill_event(core, false, req.line, req.ip, now, latency, false);
+                    self.pf_fill_event(core, false, req.line, req.ip, now, latency);
                 }
                 if !req.wrong_path {
-                    let fetch_latency = if req.hit_level == HitLevel::L1d {
-                        if req.hit_prefetched {
-                            req.hit_pf_latency
-                        } else {
-                            0
-                        }
-                    } else {
-                        latency
+                    let fill = FillInfo {
+                        line: req.line,
+                        hit_level: req.hit_level,
+                        issued_at: req.issued_at,
+                        filled_at: now,
+                        merged_with_prefetch: req.merged_prefetch,
+                        hit_prefetched_line: req.hit_prefetched,
+                        fetch_latency: policy::xlq_latency(
+                            req.hit_level,
+                            req.hit_prefetched,
+                            req.hit_pf_latency,
+                            latency,
+                        ),
                     };
-                    self.completions.push((
-                        core,
-                        req.lq,
-                        req.gen,
-                        FillInfo {
-                            line: req.line,
-                            hit_level: req.hit_level,
-                            issued_at: req.issued_at,
-                            filled_at: now,
-                            merged_with_prefetch: req.merged_prefetch,
-                            hit_prefetched_line: req.hit_prefetched,
-                            fetch_latency,
-                        },
-                    ));
+                    self.completions.push((core, req.lq, req.gen, fill));
                 }
             }
-            ReqKind::Refetch
-                // On-commit L1 prefetchers observe the re-fetch fill with
-                // its (real, long) latency.
-                if req.hit_level != HitLevel::L1d => {
-                    self.pf_fill_event(core, true, req.line, req.ip, now, latency, false);
-                }
+            // On-commit L1 prefetchers observe the re-fetch fill with
+            // its (real, long) latency.
+            ReqKind::Refetch if missed_l1 => {
+                self.pf_fill_event(core, true, req.line, req.ip, now, latency);
+            }
             ReqKind::Prefetch => {
                 self.obs_ev(now, core, EventKind::PrefetchFill, req.line, latency);
                 // Starts the fill-to-first-demand-use clock of the
@@ -1406,77 +1008,44 @@ impl Hierarchy {
         ts: u64,
         fill: &FillInfo,
     ) {
-        if self.sec[core] {
-            // The whole commit engine (GM lookup, SUF decision, action
-            // dispatch, GM expiry) is GhostMinion work.
-            self.prof.enter(Phase::Gm);
-            let gm_hit = self.gm[core].lookup_commit(line, ts).is_some();
-            let action = self.filters[core].commit_action(fill.hit_level, gm_hit);
-            match action {
-                CommitAction::Drop => {
-                    self.metrics[core].commit.suf_dropped += 1;
-                    let present = self.l1d[core].cache.probe(line).is_some() || gm_hit;
-                    if present {
-                        self.metrics[core].commit.suf_drop_correct += 1;
-                    } else {
-                        self.metrics[core].commit.suf_drop_wrong += 1;
-                    }
-                    self.obs_ev(now, core, EventKind::SufDrop, line, present as u32);
-                    self.gm[core].remove(line);
+        // The whole commit engine (GM lookup, SUF decision, GM removal
+        // and expiry, action dispatch) is GhostMinion work.
+        self.prof.enter(Phase::Gm);
+        match self.st.commit(core, line, ts, now, fill.hit_level, None) {
+            None => {}
+            Some(Commit::Drop { gm_hit }) => {
+                let present = gm_hit || self.st.caches.at(core, 0).probe(line).is_some();
+                let m = &mut self.metrics[core].commit;
+                m.suf_dropped += 1;
+                if present {
+                    m.suf_drop_correct += 1;
+                } else {
+                    m.suf_drop_wrong += 1;
                 }
-                CommitAction::CommitWrite => {
-                    self.gm[core].remove(line);
-                    self.metrics[core].commit.commit_writes += 1;
-                    self.obs_ev(now, core, EventKind::CommitWrite, line, 0);
-                    let mut req = Self::blank_req(core, line, ip, ReqKind::CommitWrite, now);
-                    req.wb = self.filters[core].wb_bits(fill.hit_level);
-                    let rid = self.alloc_req(req);
-                    self.schedule(now, rid, EV_ACCESS);
-                }
-                CommitAction::Refetch => {
-                    self.metrics[core].commit.refetches += 1;
-                    self.obs_ev(now, core, EventKind::Refetch, line, 0);
-                    let mut req = Self::blank_req(core, line, ip, ReqKind::Refetch, now);
-                    req.ts = ts;
-                    req.wb = self.filters[core].wb_bits(fill.hit_level);
-                    let rid = self.alloc_req(req);
-                    self.schedule(now, rid, EV_ACCESS);
-                }
+                self.obs_ev(now, core, EventKind::SufDrop, line, present as u32);
             }
-            // Periodically expire GM leftovers of squashed instructions.
-            self.commit_count[core] += 1;
-            if self.commit_count[core].is_multiple_of(16) {
-                self.gm[core].expire_older_than(ts, now);
+            Some(Commit::Update { kind, wb }) => {
+                let m = &mut self.metrics[core].commit;
+                let event = if kind == ReqKind::CommitWrite {
+                    m.commit_writes += 1;
+                    EventKind::CommitWrite
+                } else {
+                    m.refetches += 1;
+                    EventKind::Refetch
+                };
+                self.obs_ev(now, core, event, line, 0);
+                let mut req = Self::blank_req(core, line, ip, kind, now);
+                req.ts = ts;
+                req.wb = wb;
+                let rid = self.alloc_req(req);
+                self.schedule(now, rid, EV_ACCESS);
             }
-            self.prof.exit();
         }
+        self.prof.exit();
         // On-commit prefetcher training/triggering.
-        if self.oc[core] && !self.pf_none[core] {
-            if self.pf_is_l1(core) {
-                let ev = AccessEvent {
-                    ip,
-                    line,
-                    cycle: now,
-                    hit: fill.hit_level == HitLevel::L1d,
-                    access_cycle: fill.issued_at,
-                    fetch_latency: fill.fetch_latency,
-                    hit_prefetched: fill.hit_prefetched_line,
-                    mshr_free: self.l1d[core].mshr.capacity() - self.l1d[core].mshr.occupancy(),
-                };
-                self.train_and_inject(now, core, &ev);
-            } else if fill.hit_level >= HitLevel::L2 {
-                let ev = AccessEvent {
-                    ip,
-                    line,
-                    cycle: now,
-                    hit: fill.hit_level == HitLevel::L2,
-                    access_cycle: fill.issued_at,
-                    fetch_latency: fill.fetch_latency,
-                    hit_prefetched: false,
-                    mshr_free: self.l2[core].mshr.capacity() - self.l2[core].mshr.occupancy(),
-                };
-                self.train_and_inject(now, core, &ev);
-            }
+        let free = || self.mshr_free(core);
+        if let Some(ev) = self.st.commit_event(core, ip, line, now, fill, free) {
+            self.train_and_inject(now, core, &ev, true);
         }
     }
 
@@ -1501,12 +1070,12 @@ impl Hierarchy {
 
     /// Replaces one core's commit-path update filter (ablation studies).
     pub fn set_filter(&mut self, core: CoreId, filter: Box<dyn UpdateFilter>) {
-        self.filters[core] = filter;
+        self.st.filters[core] = filter;
     }
 
     /// Sets a core's prefetcher timeliness knob (ablation studies).
     pub fn set_timeliness_knob(&mut self, core: CoreId, k: u32) {
-        self.prefetchers[core].set_timeliness_knob(k);
+        self.st.prefetchers[core].set_timeliness_knob(k);
     }
 
     /// DRAM statistics (shared).
@@ -1519,8 +1088,8 @@ impl Hierarchy {
     pub fn debug_state(&self, core: CoreId) -> (usize, usize, usize, usize) {
         (
             self.events.len(),
-            self.reqs.len() - self.free.len(),
-            self.l1d[core].mshr.occupancy(),
+            self.live_requests(),
+            self.timing.l1d[core].mshr.occupancy(),
             self.l1_inflight[core],
         )
     }
@@ -1529,17 +1098,12 @@ impl Hierarchy {
     /// hierarchy without disturbing any state (used by security tests:
     /// "did the transient load leave a footprint?").
     pub fn probe_line(&self, core: CoreId, level: CacheLevel, line: LineAddr) -> bool {
-        match level {
-            CacheLevel::L1d => self.l1d[core].cache.probe(line).is_some(),
-            CacheLevel::L2 => self.l2[core].cache.probe(line).is_some(),
-            CacheLevel::Llc => self.llc.cache.probe(line).is_some(),
-            CacheLevel::Dram => true,
-        }
+        self.st.resident(core, level, line)
     }
 
     /// Probes the GM (timing-unaware residence check for tests).
     pub fn probe_gm(&self, core: CoreId, line: LineAddr) -> bool {
-        self.gm[core].lookup(line, u64::MAX).is_some()
+        self.st.gm[core].lookup(line, u64::MAX).is_some()
     }
 
     /// In-flight classifier counts (debug/tests).
@@ -1547,37 +1111,33 @@ impl Hierarchy {
         self.classifiers[core].as_ref().map(|c| c.counts())
     }
 
-    // =================================================================
-    // Functional warming (SMARTS-style sampling, DESIGN.md §14)
-    // =================================================================
-    //
-    // The `functional_*` family mirrors the detailed request flows with
-    // timing collapsed: every access completes instantly at the nominal
-    // uncontended latency of the level that supplied it. Architectural
-    // and near-architectural state stays warm — caches (replacement,
-    // dirty/prefetched/writeback bits), TLBs, the GhostMinion, the SUF
-    // commit filters, prefetcher training, and the injection dedup ring
-    // — while *no metrics counter is ever touched* (sampled reports
-    // accumulate measured windows only; audited by `secpref-check`) and
-    // no event, MSHR, port, or DRAM state is allocated. The Fig. 6
-    // classifier shadow is deliberately not fed: it is instrumentation,
-    // not warmth-bearing state, and feeding it would charge shadow
-    // activity to unmeasured spans.
-
     /// Live (allocated, un-freed) requests. The sampling scheduler
     /// drains this to zero before switching to functional warming.
     pub fn live_requests(&self) -> usize {
         self.reqs.len() - self.free.len()
     }
 
+    // =================================================================
+    // The instant driver (SMARTS functional warming, DESIGN.md §14)
+    // =================================================================
+    //
+    // Same policy calls as the detailed driver above, with time collapsed:
+    // every access completes on the spot at the nominal uncontended
+    // latency of the level that supplied it, and a load commits the
+    // instant it issues. Everything in `MemState` stays warm; no request,
+    // event, MSHR, port or DRAM state is allocated and *no metrics
+    // counter is ever touched* (sampled reports accumulate measured
+    // windows only; audited by `secpref-check`). The Fig. 6 classifier
+    // shadow is not fed: it is instrumentation, not warmth-bearing state.
+
     /// Nominal uncontended latency of a fetch served by `hl`.
     fn functional_latency(&self, core: CoreId, hl: HitLevel) -> u32 {
-        let mut lat = self.l1d[core].latency;
+        let mut lat = self.timing.l1d[core].latency;
         if hl >= HitLevel::L2 {
-            lat += self.l2[core].latency;
+            lat += self.timing.l2[core].latency;
         }
         if hl >= HitLevel::Llc {
-            lat += self.llc.latency;
+            lat += self.timing.llc.latency;
         }
         if hl == HitLevel::Dram {
             lat += FUNC_DRAM_LATENCY;
@@ -1585,535 +1145,197 @@ impl Hierarchy {
         lat as u32
     }
 
-    /// Functionally retires one load: the speculative walk of
-    /// [`Hierarchy::issue_load`] and the commit engine of
-    /// [`Hierarchy::commit_load`] compressed into one instant.
+    /// Functionally retires one load: issue, speculative fill and commit
+    /// at one instant.
     pub fn functional_load(&mut self, now: Cycle, core: CoreId, ip: Ip, addr: Addr, ts: u64) {
         self.now = now;
-        let _ = self.translate(core, addr); // dTLB/STLB stay warm
+        let _ = self.st.translate(core, addr); // dTLB/STLB stay warm
         let line = addr.line();
-        if self.sec[core] {
-            self.functional_secure_load(now, core, ip, line, ts);
-        } else {
-            let (hl, was_pf, pf_lat) = self.functional_demand_walk(now, core, ip, line, false);
-            let fetch_latency = if hl == HitLevel::L1d {
-                if was_pf {
-                    pf_lat
-                } else {
-                    0
+        let (hit_level, lk, mut gm_visible) = self.instant_walk(
+            core,
+            ReqKind::Load,
+            0,
+            line,
+            ts,
+            WbBits::ALL,
+            |h, lvl, lk| h.instant_observe(now, core, lvl, ip, line, lk),
+        );
+        let latency = self.functional_latency(core, hit_level);
+        if hit_level != HitLevel::L1d {
+            // Functional retirement is in strict `ts` order, so what the
+            // speculative fill leaves in the GM is what commit will see
+            // there: no second GM scan before the commit decision.
+            if let Some(outcome) = self.st.spec_fill(core, line, ts, latency) {
+                gm_visible = outcome != GmInsertOutcome::Dropped;
+            }
+            self.st.fill_event(core, false, line, ip, now, latency);
+        }
+        let commit = self
+            .st
+            .commit(core, line, ts, now, hit_level, Some(gm_visible));
+        match commit {
+            None | Some(Commit::Drop { .. }) => {}
+            Some(Commit::Update { kind, wb }) if kind == ReqKind::CommitWrite => {
+                let attrs = policy::fill_attrs(kind, true, 0, wb, 0);
+                self.instant_fill(core, 0, line, attrs.expect("installs always fill"));
+                self.st.fill_event(core, true, line, ip, now + 1, 1);
+            }
+            Some(Commit::Update { kind, wb }) => {
+                let (served_by, ..) = self.instant_walk(core, kind, 0, line, ts, wb, |_, _, _| {});
+                if served_by != HitLevel::L1d {
+                    let lat = self.functional_latency(core, served_by);
+                    self.st.fill_event(core, true, line, ip, now, lat);
                 }
-            } else {
-                let lat = self.functional_latency(core, hl);
-                self.functional_fill_event(core, false, line, ip, now, lat);
-                lat
+            }
+        }
+        if self.st.trains(core, true) {
+            let (hitp, pf_lat) = (lk.was_prefetched, lk.pf_latency);
+            let fill = FillInfo {
+                line,
+                hit_level,
+                issued_at: now,
+                filled_at: now,
+                merged_with_prefetch: false,
+                hit_prefetched_line: hitp,
+                fetch_latency: policy::xlq_latency(hit_level, hitp, pf_lat, latency),
             };
-            self.functional_oc_train(now, core, ip, line, hl, was_pf, fetch_latency);
+            let free = || self.mshr_free(core);
+            if let Some(ev) = self.st.commit_event(core, ip, line, now, &fill, free) {
+                self.instant_train(core, &ev, true);
+            }
         }
     }
 
     /// Functionally retires one store (the non-speculative write walk;
     /// stores skip address translation in the detailed model too).
-    pub fn functional_store(&mut self, now: Cycle, core: CoreId, ip: Ip, addr: Addr, _ts: u64) {
+    pub fn functional_store(&mut self, now: Cycle, core: CoreId, ip: Ip, addr: Addr, ts: u64) {
         self.now = now;
-        self.functional_demand_walk(now, core, ip, addr.line(), true);
-    }
-
-    /// The GhostMinion load flow: GM ∥ L1D probe (replacement-neutral),
-    /// speculative GM fill, then the commit-filter action — all at once.
-    fn functional_secure_load(
-        &mut self,
-        now: Cycle,
-        core: CoreId,
-        ip: Ip,
-        line: LineAddr,
-        ts: u64,
-    ) {
-        let gm_hit = self.gm[core].lookup(line, ts).is_some();
-        let mut hit_level = HitLevel::Dram;
-        let mut hit_prefetched = false;
-        let mut hit_pf_latency = 0u32;
-        if gm_hit {
-            self.functional_observe_l1(now, core, ip, line, true, false, 0);
-            hit_level = HitLevel::L1d;
-        } else if let Some((pf, lat)) = self.l1d[core].cache.mark_demand_use(line) {
-            // One set scan stands in for the detailed probe plus the
-            // commit-time mark_demand_use: both are replacement-neutral,
-            // and with issue and commit compressed to the same instant the
-            // line observed here is exactly the line marked there.
-            if pf && self.pf_l1[core] {
-                self.prefetchers[core].feedback(Feedback::Useful { line });
-            }
-            self.functional_observe_l1(now, core, ip, line, true, pf, lat);
-            hit_level = HitLevel::L1d;
-            hit_prefetched = pf;
-            hit_pf_latency = lat;
-        } else {
-            // L1D missed this instant, so the commit-path L1D
-            // mark_demand_use of the detailed flow is a guaranteed miss —
-            // no need to replay it on the deeper-hit arms below.
-            self.functional_observe_l1(now, core, ip, line, false, false, 0);
-            if self.pf_l1[core] {
-                self.prefetchers[core].feedback(Feedback::DemandMiss { line });
-            }
-            match self.l2[core]
-                .cache
-                .probe(line)
-                .map(|m| (m.prefetched, m.fetch_latency))
-            {
-                Some((pf, lat)) => {
-                    if pf && !self.pf_l1[core] {
-                        self.prefetchers[core].feedback(Feedback::Useful { line });
-                    }
-                    self.functional_observe_l2(now, core, ip, line, true);
-                    hit_level = HitLevel::L2;
-                    hit_prefetched = pf;
-                    hit_pf_latency = lat;
-                }
-                None => {
-                    self.functional_observe_l2(now, core, ip, line, false);
-                    if !self.pf_l1[core] {
-                        self.prefetchers[core].feedback(Feedback::DemandMiss { line });
-                    }
-                    match self
-                        .llc
-                        .cache
-                        .probe(line)
-                        .map(|m| (m.prefetched, m.fetch_latency))
-                    {
-                        Some((pf, lat)) => {
-                            if pf && !self.pf_l1[core] {
-                                self.prefetchers[core].feedback(Feedback::Useful { line });
-                            }
-                            hit_level = HitLevel::Llc;
-                            hit_prefetched = pf;
-                            hit_pf_latency = lat;
-                        }
-                        None => {
-                            if !self.pf_l1[core] {
-                                self.prefetchers[core].feedback(Feedback::DemandMiss { line });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Finish: the speculative fill goes into the GM, never the
-        // hierarchy (exactly as in the detailed flow). Functional
-        // retirement is in strict `ts` order, so no GM entry can carry a
-        // timestamp younger than `ts`; residency after this fill is
-        // therefore exactly what the commit-path `lookup_commit` would
-        // observe — no second GM scan needed.
-        let latency = self.functional_latency(core, hit_level);
-        let mut gm_commit_hit = gm_hit;
-        if hit_level != HitLevel::L1d {
-            gm_commit_hit = self.gm[core].insert(line, ts, latency) != GmInsertOutcome::Dropped;
-            self.functional_fill_event(core, false, line, ip, now, latency);
-        }
-        // Commit engine, compressed to the same instant.
-        match self.filters[core].commit_action(hit_level, gm_commit_hit) {
-            CommitAction::Drop => {
-                if gm_commit_hit {
-                    self.gm[core].remove(line);
-                }
-            }
-            CommitAction::CommitWrite => {
-                self.gm[core].remove(line);
-                let wb = self.filters[core].wb_bits(hit_level);
-                self.functional_fill(
-                    core,
-                    0,
-                    line,
-                    FillAttrs {
-                        dirty: false,
-                        prefetched: false,
-                        wb_bit: wb.l1_to_l2,
-                        wb_next: wb.l2_to_llc,
-                        fetch_latency: 0,
-                    },
-                );
-                self.functional_fill_event(core, true, line, ip, now + 1, 1);
-            }
-            CommitAction::Refetch => {
-                let wb = self.filters[core].wb_bits(hit_level);
-                self.functional_refetch(now, core, ip, line, wb);
-            }
-        }
-        self.commit_count[core] += 1;
-        if self.commit_count[core].is_multiple_of(16) {
-            self.gm[core].expire_older_than(ts, now);
-        }
-        let fetch_latency = if hit_level == HitLevel::L1d {
-            if hit_prefetched {
-                hit_pf_latency
-            } else {
-                0
-            }
-        } else {
-            latency
-        };
-        self.functional_oc_train(
-            now,
+        let line = addr.line();
+        self.instant_walk(
             core,
-            ip,
+            ReqKind::Store,
+            0,
             line,
-            hit_level,
-            hit_prefetched,
-            fetch_latency,
+            ts,
+            WbBits::ALL,
+            |h, lvl, lk| h.instant_observe(now, core, lvl, ip, line, lk),
         );
     }
 
-    /// A demand walk with replacement updates (non-secure loads and all
-    /// stores), filling the missed levels per the detailed fill policy.
-    fn functional_demand_walk(
+    /// Walks one `kind` request from `origin` to the level that has the
+    /// line and fills the levels that missed, deepest first (the response
+    /// unwind) — the detailed driver's `access_cache_level` +
+    /// `on_response`, minus everything that takes time. `at_level` is
+    /// what the requester does with each level's lookup: demands show it
+    /// to the prefetcher ([`Hierarchy::instant_observe`]), prefetches and
+    /// re-fetches do nothing. Returns the serving level, the lookup that
+    /// hit there, and whether the GM served it.
+    #[allow(clippy::too_many_arguments)]
+    fn instant_walk(
         &mut self,
-        now: Cycle,
         core: CoreId,
-        ip: Ip,
+        kind: ReqKind,
+        origin: u8,
         line: LineAddr,
-        is_store: bool,
-    ) -> (HitLevel, bool, u32) {
-        let mut missed = [false; 3];
-        let mut hit_level = HitLevel::Dram;
-        let mut hit_prefetched = false;
-        let mut hit_pf_latency = 0u32;
-        for lvl in 0..3u8 {
-            let touched = match lvl {
-                0 => self.l1d[core].cache.touch_demand(line, is_store),
-                1 => self.l2[core].cache.touch_demand(line, is_store),
-                _ => self.llc.cache.touch_demand(line, is_store),
-            };
-            let pf_here = (lvl == 0) == self.pf_l1[core];
-            if let Some((was_pf, lat)) = touched {
-                if was_pf && pf_here {
-                    self.prefetchers[core].feedback(Feedback::Useful { line });
-                }
-                match lvl {
-                    0 => self.functional_observe_l1(now, core, ip, line, true, was_pf, lat),
-                    1 => self.functional_observe_l2(now, core, ip, line, true),
-                    _ => {}
-                }
-                hit_level = match lvl {
-                    0 => HitLevel::L1d,
-                    1 => HitLevel::L2,
-                    _ => HitLevel::Llc,
-                };
-                hit_prefetched = was_pf;
-                hit_pf_latency = lat;
-                break;
-            }
-            match lvl {
-                0 => self.functional_observe_l1(now, core, ip, line, false, false, 0),
-                1 => self.functional_observe_l2(now, core, ip, line, false),
-                _ => {}
-            }
-            if pf_here {
-                self.prefetchers[core].feedback(Feedback::DemandMiss { line });
-            }
-            missed[lvl as usize] = true;
-        }
-        // Fill the missed levels deepest-first (the response unwind).
-        for lvl in (0..3u8).rev() {
-            if !missed[lvl as usize] {
-                continue;
-            }
-            if is_store {
-                if lvl == 0 {
-                    self.functional_fill(
-                        core,
-                        0,
-                        line,
-                        FillAttrs {
-                            dirty: true,
-                            ..FillAttrs::default()
-                        },
-                    );
-                } else if !self.sec[core] {
-                    self.functional_fill(core, lvl, line, FillAttrs::default());
-                }
+        ts: u64,
+        wb: WbBits,
+        mut at_level: impl FnMut(&mut Self, u8, &Lookup),
+    ) -> (HitLevel, Lookup, bool) {
+        let mut lvl = origin;
+        let (lk, gm_hit) = loop {
+            let gm_hit =
+                self.st.probes_gm(core, lvl, kind) && self.st.gm[core].lookup(line, ts).is_some();
+            let lk = if gm_hit {
+                Lookup::GM_HIT
             } else {
-                self.functional_fill(core, lvl, line, FillAttrs::default());
+                self.st.lookup(core, lvl, kind, line)
+            };
+            at_level(self, lvl, &lk);
+            if lk.hit {
+                break (lk, gm_hit);
+            }
+            lvl += 1;
+            if lvl == 3 {
+                break (lk, false); // DRAM serves it
+            }
+        };
+        let hit_level = HitLevel::decode(lvl);
+        if lvl > origin {
+            let latency = self.functional_latency(core, hit_level);
+            for lvl in (origin..lvl).rev() {
+                if let Some(attrs) =
+                    policy::fill_attrs(kind, self.st.pol[core].sec, lvl, wb, latency)
+                {
+                    self.instant_fill(core, lvl, line, attrs);
+                }
             }
         }
-        (hit_level, hit_prefetched, hit_pf_latency)
+        (hit_level, lk, gm_hit)
     }
 
-    /// Mirrors [`Hierarchy::observe_demand_l1`] without the classifier
-    /// shadow (on-access L1 prefetcher training only).
-    #[allow(clippy::too_many_arguments)]
-    fn functional_observe_l1(
+    /// A demand's business at each level of its walk: show the lookup to
+    /// the prefetcher there, then report the miss if it was one.
+    fn instant_observe(
         &mut self,
         now: Cycle,
         core: CoreId,
+        lvl: u8,
         ip: Ip,
         line: LineAddr,
-        hit: bool,
-        hit_prefetched: bool,
-        pf_latency: u32,
+        lk: &Lookup,
     ) {
-        if !self.pf_l1[core] || self.pf_none[core] || self.oc[core] {
-            return;
-        }
-        let ev = AccessEvent {
-            ip,
-            line,
-            cycle: now,
-            hit,
-            access_cycle: now,
-            fetch_latency: if hit_prefetched { pf_latency } else { 0 },
-            hit_prefetched,
-            mshr_free: self.l1d[core].mshr.capacity() - self.l1d[core].mshr.occupancy(),
-        };
-        self.functional_train(now, core, &ev);
-    }
-
-    /// Mirrors [`Hierarchy::observe_demand_l2`] without the classifier
-    /// shadow (on-access L2 prefetcher training only).
-    fn functional_observe_l2(
-        &mut self,
-        now: Cycle,
-        core: CoreId,
-        ip: Ip,
-        line: LineAddr,
-        hit: bool,
-    ) {
-        if self.pf_l1[core] || self.pf_none[core] || self.oc[core] {
-            return;
-        }
-        let ev = AccessEvent {
-            ip,
-            line,
-            cycle: now,
-            hit,
-            access_cycle: now,
-            fetch_latency: 0,
-            hit_prefetched: false,
-            mshr_free: self.l2[core].mshr.capacity() - self.l2[core].mshr.occupancy(),
-        };
-        self.functional_train(now, core, &ev);
-    }
-
-    /// Mirrors the on-commit training tail of [`Hierarchy::commit_load`].
-    #[allow(clippy::too_many_arguments)]
-    fn functional_oc_train(
-        &mut self,
-        now: Cycle,
-        core: CoreId,
-        ip: Ip,
-        line: LineAddr,
-        hit_level: HitLevel,
-        hit_prefetched: bool,
-        fetch_latency: u32,
-    ) {
-        if !self.oc[core] || self.pf_none[core] {
-            return;
-        }
-        if self.pf_is_l1(core) {
-            let ev = AccessEvent {
-                ip,
-                line,
-                cycle: now,
-                hit: hit_level == HitLevel::L1d,
-                access_cycle: now,
-                fetch_latency,
-                hit_prefetched,
-                mshr_free: self.l1d[core].mshr.capacity() - self.l1d[core].mshr.occupancy(),
-            };
-            self.functional_train(now, core, &ev);
-        } else if hit_level >= HitLevel::L2 {
-            let ev = AccessEvent {
-                ip,
-                line,
-                cycle: now,
-                hit: hit_level == HitLevel::L2,
-                access_cycle: now,
-                fetch_latency,
-                hit_prefetched: false,
-                mshr_free: self.l2[core].mshr.capacity() - self.l2[core].mshr.occupancy(),
-            };
-            self.functional_train(now, core, &ev);
-        }
-    }
-
-    /// Mirrors [`Hierarchy::pf_fill_event`] without the classifier
-    /// shadow: the prefetcher observes the fill iff the path (commit vs
-    /// access) matches its training mode.
-    fn functional_fill_event(
-        &mut self,
-        core: CoreId,
-        commit_path: bool,
-        line: LineAddr,
-        ip: Ip,
-        at: Cycle,
-        latency: u32,
-    ) {
-        if !self.pf_l1[core] || self.pf_none[core] || commit_path != self.oc[core] {
-            return;
-        }
-        let ev = FillEvent {
-            line,
-            ip,
-            cycle: at,
-            latency,
-            by_prefetch: false,
-        };
-        self.prefetchers[core].observe_fill(&ev);
-    }
-
-    /// Mirrors [`Hierarchy::train_and_inject`]: candidates complete
-    /// instantly via [`Hierarchy::functional_inject`].
-    fn functional_train(&mut self, _now: Cycle, core: CoreId, ev: &AccessEvent) {
-        self.pf_scratch.clear();
-        self.prefetchers[core].observe_access(ev, &mut self.pf_scratch);
-        self.pf_scratch.truncate(MAX_PF_PER_EVENT);
-        for i in 0..self.pf_scratch.len() {
-            let pf = self.pf_scratch[i];
-            self.functional_inject(core, pf);
-        }
-    }
-
-    /// Mirrors [`Hierarchy::inject_prefetch`] plus the prefetch walk:
-    /// the dedup ring is maintained, targets resident at the origin
-    /// level drop, and missed levels from the origin down fill
-    /// instantly with the `prefetched` bit set. Queue-depth drops
-    /// cannot occur — nothing is outstanding while warming.
-    fn functional_inject(&mut self, core: CoreId, pf: PrefetchRequest) {
-        if self.pf_recent[core].contains(&pf.line) {
-            return;
-        }
-        let head = self.pf_recent_head[core];
-        self.pf_recent[core][head] = pf.line;
-        self.pf_recent_head[core] = (head + 1) % PF_RECENT;
-        let origin: u8 = if self.pf_is_l1(core) && pf.fill_level == CacheLevel::L1d {
-            0
-        } else {
-            1
-        };
-        let mut missed = [false; 3];
-        let mut hit_level = HitLevel::Dram;
-        for lvl in origin..3u8 {
-            let hit = match lvl {
-                0 => self.l1d[core].cache.touch_demand(pf.line, false).is_some(),
-                1 => self.l2[core].cache.touch_demand(pf.line, false).is_some(),
-                _ => self.llc.cache.touch_demand(pf.line, false).is_some(),
-            };
-            if hit {
-                hit_level = match lvl {
-                    0 => HitLevel::L1d,
-                    1 => HitLevel::L2,
-                    _ => HitLevel::Llc,
-                };
-                break;
+        // No shadow to feed here, so an event nobody trains on is not built.
+        if self.st.trains(core, false) {
+            let free = || self.mshr_free(core);
+            if let Some(ev) = self.st.access_event(core, lvl, ip, line, now, lk, free) {
+                self.instant_train(core, &ev, false);
             }
-            missed[lvl as usize] = true;
         }
-        let latency = self.functional_latency(core, hit_level);
-        for lvl in (origin..3u8).rev() {
-            if missed[lvl as usize] {
-                self.functional_fill(
+        if !lk.hit {
+            self.st.demand_miss(core, lvl, line);
+        }
+    }
+
+    /// Trains on `ev` and completes every accepted candidate on the spot.
+    /// Nothing is outstanding while warming, so the prefetch queue always
+    /// has room.
+    fn instant_train(&mut self, core: CoreId, ev: &AccessEvent, on_commit: bool) {
+        for i in 0..self.st.train(core, ev, on_commit) {
+            let pf = self.st.pf_scratch[i];
+            if let Admit::At(origin) = self.st.admit_prefetch(core, &pf, true) {
+                self.instant_walk(
                     core,
-                    lvl,
+                    ReqKind::Prefetch,
+                    origin,
                     pf.line,
-                    FillAttrs {
-                        prefetched: true,
-                        fetch_latency: latency,
-                        ..FillAttrs::default()
-                    },
+                    0,
+                    WbBits::ALL,
+                    |_, _, _| {},
                 );
             }
         }
     }
 
-    /// Mirrors [`Hierarchy::fill_cache`] with evicted dirty and
-    /// clean-propagating lines cascading instantly.
-    fn functional_fill(&mut self, core: CoreId, lvl: u8, line: LineAddr, attrs: FillAttrs) {
-        let evicted = {
-            let level = match lvl {
-                0 => &mut self.l1d[core],
-                1 => &mut self.l2[core],
-                _ => &mut self.llc,
+    /// Installs a line with the eviction cascade collapsed: each victim
+    /// the policy sends down lands in the next level at once (an LLC
+    /// victim's DRAM write leaves no cache state behind).
+    fn instant_fill(
+        &mut self,
+        core: CoreId,
+        mut lvl: u8,
+        mut line: LineAddr,
+        mut attrs: FillAttrs,
+    ) {
+        while let Some(ev) = self.st.fill(core, lvl, line, attrs) {
+            let AfterEvict::Writeback { kind, wb } = ev.then else {
+                return;
             };
-            level.cache.fill(line, attrs)
-        };
-        if let Some(ev) = evicted {
-            self.functional_eviction(core, lvl, ev);
-        }
-    }
-
-    /// Mirrors [`Hierarchy::handle_eviction`]: useless feedback at the
-    /// prefetcher's level, dirty writeback and GhostMinion clean-line
-    /// propagation cascade to the next level. SUF propagation-skip
-    /// scoring is metrics-only and therefore skipped.
-    fn functional_eviction(&mut self, core: CoreId, lvl: u8, ev: secpref_mem::EvictedLine) {
-        let pf_here = (lvl == 0) == self.pf_is_l1(core);
-        if ev.prefetched && pf_here && lvl <= 1 {
-            self.prefetchers[core].feedback(Feedback::Useless { line: ev.line });
-        }
-        if lvl >= 2 {
-            return; // LLC dirty evictions write to DRAM: no cache state.
-        }
-        let target = lvl + 1;
-        if ev.dirty {
-            self.functional_fill(
-                core,
-                target,
-                ev.line,
-                FillAttrs {
-                    dirty: true,
-                    ..FillAttrs::default()
-                },
-            );
-        } else if self.sec[core] && ev.wb_bit {
-            self.functional_fill(
-                core,
-                target,
-                ev.line,
-                FillAttrs {
-                    wb_bit: if lvl == 0 { ev.wb_next } else { false },
-                    ..FillAttrs::default()
-                },
-            );
-        }
-    }
-
-    /// Mirrors the commit-path re-fetch: a demand-kind walk whose L1D
-    /// fill carries the filter's writeback bits.
-    fn functional_refetch(&mut self, now: Cycle, core: CoreId, ip: Ip, line: LineAddr, wb: WbBits) {
-        let mut missed = [false; 3];
-        let mut hit_level = HitLevel::Dram;
-        for lvl in 0..3u8 {
-            let hit = match lvl {
-                0 => self.l1d[core].cache.touch_demand(line, false).is_some(),
-                1 => self.l2[core].cache.touch_demand(line, false).is_some(),
-                _ => self.llc.cache.touch_demand(line, false).is_some(),
-            };
-            if hit {
-                hit_level = match lvl {
-                    0 => HitLevel::L1d,
-                    1 => HitLevel::L2,
-                    _ => HitLevel::Llc,
-                };
-                break;
+            if lvl == 2 {
+                return;
             }
-            missed[lvl as usize] = true;
-        }
-        for lvl in (0..3u8).rev() {
-            if !missed[lvl as usize] {
-                continue;
-            }
-            let attrs = if lvl == 0 {
-                FillAttrs {
-                    wb_bit: wb.l1_to_l2,
-                    wb_next: wb.l2_to_llc,
-                    ..FillAttrs::default()
-                }
-            } else {
-                FillAttrs::default()
-            };
-            self.functional_fill(core, lvl, line, attrs);
-        }
-        if hit_level != HitLevel::L1d {
-            let lat = self.functional_latency(core, hit_level);
-            self.functional_fill_event(core, true, line, ip, now, lat);
+            lvl += 1;
+            line = ev.line;
+            attrs = policy::fill_attrs(kind, true, lvl, wb, 0).expect("installs always fill");
         }
     }
 }

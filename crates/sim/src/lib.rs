@@ -26,6 +26,7 @@ pub mod classify;
 pub mod energy;
 pub mod hierarchy;
 pub mod metrics;
+mod policy;
 pub mod profile;
 pub mod report;
 pub mod system;
@@ -190,26 +191,6 @@ pub fn run_single_with_window_obs(
     (sys.report(), capture)
 }
 
-/// Like [`run_multi_with_window`], with an observability recorder
-/// attached.
-pub fn run_multi_with_window_obs(
-    cfg: &SystemConfig,
-    traces: Vec<Arc<Trace>>,
-    warmup: u64,
-    measure: u64,
-    obs: &ObsConfig,
-) -> (SimReport, Option<ObsCapture>) {
-    let mut cfg = cfg.clone();
-    cfg.cores = traces.len();
-    cfg.llc = secpref_types::CacheConfig::baseline_llc(cfg.cores);
-    let mut sys = System::new(cfg, traces)
-        .with_window(warmup, measure)
-        .with_obs(obs);
-    sys.run();
-    let capture = sys.take_obs();
-    (sys.report(), capture)
-}
-
 /// Like [`run_single_with_window`], with a telemetry recorder attached:
 /// returns the report together with the histogram capture (`None` when
 /// `tel` is disabled). Telemetry never perturbs the report — it is
@@ -227,25 +208,6 @@ pub fn run_single_with_window_tel(
     cfg.cores = 1;
     cfg.llc = secpref_types::CacheConfig::baseline_llc(1);
     let mut sys = System::new(cfg, vec![trace.clone()])
-        .with_window(warmup, measure)
-        .with_telemetry(tel);
-    sys.run();
-    let capture = sys.take_telemetry();
-    (sys.report(), capture)
-}
-
-/// Like [`run_multi_with_window`], with a telemetry recorder attached.
-pub fn run_multi_with_window_tel(
-    cfg: &SystemConfig,
-    traces: Vec<Arc<Trace>>,
-    warmup: u64,
-    measure: u64,
-    tel: &TelConfig,
-) -> (SimReport, Option<TelCapture>) {
-    let mut cfg = cfg.clone();
-    cfg.cores = traces.len();
-    cfg.llc = secpref_types::CacheConfig::baseline_llc(cfg.cores);
-    let mut sys = System::new(cfg, traces)
         .with_window(warmup, measure)
         .with_telemetry(tel);
     sys.run();

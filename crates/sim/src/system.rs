@@ -101,10 +101,10 @@ impl ObsTrack {
         }
     }
 
-    /// Starts epoch sampling at the core's warm-up boundary.
+    /// (Re)starts epoch sampling at a warm-up boundary — the run's, or
+    /// each sampled window's; epochs number on across windows.
     fn begin(&mut self, now: Cycle, warmup: u64, dram: DramStats) {
         self.next_at = warmup + self.interval;
-        self.epoch_idx = 0;
         self.prev_cycle = now;
         self.prev_instr = warmup;
         self.prev = CoreMetrics::default(); // metrics were just reset
@@ -132,6 +132,9 @@ struct CoreCtx {
     core: Core,
     /// Instructions retired by already-finished replays of the trace.
     retired_base: u64,
+    /// Retired-instruction count at which the current window's warm
+    /// slice ends and measurement begins.
+    warm_target: u64,
     warmup_cycle: Option<Cycle>,
     finished_cycle: Option<Cycle>,
     /// Epoch-sampling / squash-polling state, present only while an
@@ -142,6 +145,15 @@ struct CoreCtx {
 impl CoreCtx {
     fn total_retired(&self) -> u64 {
         self.retired_base + self.core.retired()
+    }
+
+    /// Trace exhausted but target not reached: start it over.
+    fn replay(&mut self) {
+        self.retired_base += self.core.retired();
+        self.core.replay();
+        if let Some(t) = self.obs.as_mut() {
+            t.prev_squashed = 0; // fresh core, fresh counter
+        }
     }
 }
 
@@ -257,6 +269,7 @@ impl System {
             .map(|(i, f)| CoreCtx {
                 core: Core::from_feed(i, cfg.core.clone(), f),
                 retired_base: 0,
+                warm_target: 0,
                 warmup_cycle: None,
                 finished_cycle: None,
                 obs: None,
@@ -365,6 +378,21 @@ impl System {
     /// Runs the simulation to completion: every core retires
     /// `warmup + measure` instructions (traces replay if shorter).
     ///
+    /// # Panics
+    ///
+    /// Panics if the system livelocks (no retirement progress for
+    /// millions of cycles) — a simulator bug, not a workload property.
+    pub fn run(&mut self) {
+        self.run_window(self.warmup, self.measure);
+        self.hierarchy.finalize();
+        self.finished = true;
+    }
+
+    /// The one detailed run loop — the whole of [`System::run`] and each
+    /// measured window of [`System::run_sampled`]: every core retires
+    /// `warm` more instructions (at which boundary its metrics reset and
+    /// obs/telemetry arm) and then `window` measured ones.
+    ///
     /// The loop fast-forwards over idle spans: when no hierarchy event
     /// is due, no core can act, and nothing retired this cycle, `now`
     /// jumps straight to the earliest cycle anything can happen. The
@@ -372,14 +400,14 @@ impl System {
     /// provably a no-op (see DESIGN.md §10) and the only per-cycle
     /// accumulation (MSHR occupancy integrals) is folded in closed form
     /// via [`Hierarchy::account_idle_cycles`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system livelocks (no retirement progress for
-    /// millions of cycles) — a simulator bug, not a workload property.
-    pub fn run(&mut self) {
-        let target = self.warmup + self.measure;
-        let mut last_progress = (0u64, 0 as Cycle);
+    fn run_window(&mut self, warm: u64, window: u64) {
+        for st in &mut self.cores {
+            st.warm_target = st.total_retired() + warm;
+            st.warmup_cycle = None;
+            st.finished_cycle = None;
+        }
+        let start = self.now;
+        let mut last_progress = (self.cores.iter().map(|s| s.total_retired()).sum(), start);
         let trace_progress = std::env::var_os("SECPREF_TRACE_PROGRESS").is_some();
         // The fast-forward stays off under observability (epoch sampling
         // and squash polling are per-cycle) and under the debug escape
@@ -407,12 +435,13 @@ impl System {
             let mut all_done = true;
             for c in 0..self.cores.len() {
                 let st = &mut self.cores[c];
-                if st.total_retired() >= target {
+                if st.total_retired() >= st.warm_target + window {
                     if st.finished_cycle.is_none() {
                         st.finished_cycle = Some(now);
-                        let warm_start = st.warmup_cycle.unwrap_or(0);
+                        let warm_start = st.warmup_cycle.unwrap_or(start);
                         self.hierarchy.metrics[c].cycles = now - warm_start;
-                        self.hierarchy.metrics[c].instructions = st.total_retired() - self.warmup;
+                        self.hierarchy.metrics[c].instructions =
+                            st.total_retired() - st.warm_target;
                         // Flush any epoch completed in the final stretch.
                         self.obs_sample_epochs(c, now);
                     }
@@ -420,7 +449,7 @@ impl System {
                 }
                 all_done = false;
                 // Warm-up boundary: reset this core's metrics.
-                if st.warmup_cycle.is_none() && st.total_retired() >= self.warmup {
+                if st.warmup_cycle.is_none() && st.total_retired() >= st.warm_target {
                     st.warmup_cycle = Some(now);
                     self.hierarchy.reset_core_metrics(c);
                     // Event recording starts here, so per-kind event
@@ -428,16 +457,11 @@ impl System {
                     self.hierarchy.arm_obs(c);
                     self.hierarchy.arm_tel(c);
                     if let Some(t) = st.obs.as_mut() {
-                        t.begin(now, self.warmup, self.hierarchy.dram_stats());
+                        t.begin(now, st.warm_target, self.hierarchy.dram_stats());
                     }
                 }
-                // Trace exhausted but target not reached: replay.
                 if st.core.is_done() {
-                    st.retired_base += st.core.retired();
-                    st.core.replay();
-                    if let Some(t) = st.obs.as_mut() {
-                        t.prev_squashed = 0; // fresh core, fresh counter
-                    }
+                    st.replay();
                 }
                 events.clear();
                 // Core phase: the core model itself plus the retire
@@ -543,8 +567,6 @@ impl System {
             }
             self.now = next_cycle;
         }
-        self.hierarchy.finalize();
-        self.finished = true;
     }
 
     /// Emits one epoch sample for `c` when its retired-instruction count
@@ -632,7 +654,7 @@ impl System {
                 break;
             }
             functional_instructions += self.run_functional(gap);
-            self.run_detailed_window(s.warm, s.window);
+            self.run_window(s.warm, s.window);
             // Capture this window's sample and fold its counters into
             // the aggregate (measured windows only).
             let mut wi = 0u64;
@@ -709,8 +731,7 @@ impl System {
             let mut stepped_core = 0u64;
             while remaining > 0 {
                 if st.core.is_done() {
-                    st.retired_base += st.core.retired();
-                    st.core.replay();
+                    st.replay();
                     if st.core.is_done() {
                         break; // empty trace: nothing to warm
                     }
@@ -731,127 +752,6 @@ impl System {
         self.now += slice_max;
         self.hierarchy.prof_exit();
         total
-    }
-
-    /// Runs one detailed window: every core retires `warm` detailed
-    /// warm-up instructions (pipelines and MSHRs refill; metrics reset
-    /// and obs/telemetry re-arm at the boundary) followed by `window`
-    /// measured instructions. Mirrors [`System::run`]'s loop with
-    /// per-window instruction targets.
-    fn run_detailed_window(&mut self, warm: u64, window: u64) {
-        let warm_target: Vec<u64> = self
-            .cores
-            .iter()
-            .map(|s| s.total_retired() + warm)
-            .collect();
-        let target: Vec<u64> = warm_target.iter().map(|w| w + window).collect();
-        for st in &mut self.cores {
-            st.warmup_cycle = None;
-            st.finished_cycle = None;
-        }
-        let start_retired: u64 = self.cores.iter().map(|s| s.total_retired()).sum();
-        let mut last_progress = (start_retired, self.now);
-        let fast_forward = self.allow_skip
-            && !self.obs_on
-            && !self.hierarchy.obs_enabled()
-            && std::env::var_os("SECPREF_NO_SKIP").is_none();
-        let mut completions = Vec::new();
-        let mut events: Vec<CoreEvent> = Vec::new();
-        loop {
-            let now = self.now;
-            self.hierarchy.tick(now);
-            completions.clear();
-            completions.append(&mut self.hierarchy.completions);
-            self.hierarchy.prof_enter(Phase::Core);
-            for &(c, lq, gen, fill) in completions.iter() {
-                self.cores[c].core.complete_load(lq, gen, fill);
-            }
-            self.hierarchy.prof_exit();
-            let mut all_done = true;
-            for c in 0..self.cores.len() {
-                let st = &mut self.cores[c];
-                if st.total_retired() >= target[c] {
-                    if st.finished_cycle.is_none() {
-                        st.finished_cycle = Some(now);
-                        let warm_start = st.warmup_cycle.unwrap_or(now);
-                        self.hierarchy.metrics[c].cycles = now - warm_start;
-                        self.hierarchy.metrics[c].instructions =
-                            st.total_retired() - warm_target[c];
-                    }
-                    continue;
-                }
-                all_done = false;
-                if st.warmup_cycle.is_none() && st.total_retired() >= warm_target[c] {
-                    st.warmup_cycle = Some(now);
-                    self.hierarchy.reset_core_metrics(c);
-                    self.hierarchy.arm_obs(c);
-                    self.hierarchy.arm_tel(c);
-                }
-                if st.core.is_done() {
-                    st.retired_base += st.core.retired();
-                    st.core.replay();
-                }
-                events.clear();
-                self.hierarchy.prof_enter(Phase::Core);
-                let mut port = PortAdapter {
-                    h: &mut self.hierarchy,
-                };
-                st.core.tick(now, &mut port, &mut events);
-                for ev in &events {
-                    match *ev {
-                        CoreEvent::RetiredLoad { ip, addr, ts, fill } => {
-                            self.hierarchy
-                                .commit_load(now, c, ip, addr.line(), ts, &fill);
-                        }
-                        CoreEvent::RetiredStore { ip, addr, ts } => {
-                            self.hierarchy.commit_store(now, c, ip, addr.line(), ts);
-                        }
-                    }
-                }
-                self.hierarchy.prof_exit();
-            }
-            if all_done {
-                break;
-            }
-            let retired_now: u64 = self.cores.iter().map(|s| s.total_retired()).sum();
-            let progressed = retired_now > last_progress.0;
-            if progressed {
-                last_progress = (retired_now, now);
-            } else {
-                assert!(
-                    now - last_progress.1 < WATCHDOG_CYCLES,
-                    "simulator livelock in sampled window: no retirement \
-                     since cycle {} (now {now})",
-                    last_progress.1
-                );
-            }
-            let mut next_cycle = now + 1;
-            if fast_forward && !progressed {
-                let mut wake = self.hierarchy.next_due(now);
-                if wake > next_cycle {
-                    for st in &mut self.cores {
-                        if st.finished_cycle.is_some() {
-                            continue;
-                        }
-                        let w = if st.core.is_done() {
-                            next_cycle
-                        } else {
-                            st.core.next_wake(now)
-                        };
-                        wake = wake.min(w);
-                        if wake <= next_cycle {
-                            break;
-                        }
-                    }
-                }
-                if wake > next_cycle {
-                    let wake = wake.min(now.saturating_add(WATCHDOG_CYCLES));
-                    self.hierarchy.account_idle_cycles(wake - now - 1);
-                    next_cycle = wake;
-                }
-            }
-            self.now = next_cycle;
-        }
     }
 
     /// Drains in-flight detailed state before switching to functional

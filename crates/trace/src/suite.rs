@@ -282,8 +282,14 @@ mod tests {
         assert!(trace_by_name("nonexistent").is_none());
     }
 
+    /// Serialises the tests that assert on the process-global trace LRU:
+    /// run concurrently, the cap test's 64+ inserts evict the other
+    /// test's entry between its two lookups.
+    static CACHE_TESTS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn cache_returns_same_arc() {
+        let _serial = CACHE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let a = cached_trace("bfs_small", 2000);
         let b = cached_trace("bfs_small", 2000);
         assert!(Arc::ptr_eq(&a, &b), "same (name, len) must share one Arc");
@@ -308,6 +314,7 @@ mod tests {
 
     #[test]
     fn cache_is_lru_capped() {
+        let _serial = CACHE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         // Request far more distinct (name, len) cells than the cap; the
         // map must never exceed TRACE_CACHE_CAP. Use tiny lengths so the
         // test is cheap (distinct lengths are distinct keys).

@@ -11,12 +11,6 @@ cargo fmt --check
 echo "== cargo clippy (deny warnings, incl. perf lints)"
 cargo clippy --offline --workspace --all-targets -- -D warnings -D clippy::perf
 
-echo "== cargo clippy secpref-obs (deny warnings)"
-cargo clippy --offline -p secpref-obs --all-targets -- -D warnings
-
-echo "== cargo clippy secpref-telemetry (deny warnings)"
-cargo clippy --offline -p secpref-telemetry --all-targets -- -D warnings
-
 echo "== cargo build --release"
 cargo build --release
 
@@ -27,9 +21,9 @@ echo "== cargo test -q"
 cargo test -q
 
 echo "== repro --quiet produces no stderr"
-# The root `cargo build --release` covers only the root package; the
-# repro binary lives in secpref-bench and must be built explicitly.
-cargo build --release -p secpref-bench --bin repro
+# (`cargo build --release` above covers the whole workspace, so the
+# secpref-bench binaries used from here on — repro, simbench, sectrace —
+# are already built.)
 stderr_file="$(mktemp)"
 trap 'rm -f "$stderr_file"' EXIT
 ./target/release/repro --quiet table1 >/dev/null 2>"$stderr_file"
@@ -101,7 +95,6 @@ echo "== simbench smoke (benchmark harness stays runnable)"
 # One tiny iteration per cell: validates that the benchmark matrix still
 # builds and runs, that BENCH_simcore.json-shaped output parses, and that
 # the geomean is positive. Not a performance measurement.
-cargo build --release -p secpref-bench --bin simbench
 ./target/release/simbench --smoke
 
 echo "== simbench perf guard (vs committed BENCH_simcore.json)"
@@ -135,7 +128,6 @@ echo "== sectrace streamed-replay differential"
 # it streamed, and diff the canonical report digest against the same
 # workload regenerated in memory. Any divergence between bounded-memory
 # streaming and whole-trace indexing fails the gate (DESIGN.md §11).
-cargo build --release -p secpref-bench --bin sectrace
 sct_file="$(mktemp -u).sct"
 ./target/release/sectrace capture --trace mcf_like_a --n 120000 \
     --out "$sct_file" --chunk 4096 >/dev/null
