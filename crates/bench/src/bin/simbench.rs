@@ -17,8 +17,11 @@
 //!   effective rate is guarded against the committed artifact's block
 //!   (when present) alongside the full-detail geomean.
 //! - `--profile`: run the matrix once with the built-in phase profiler
-//!   and print the ranked wall-time-per-phase table instead of
-//!   benchmarking (see EXPERIMENTS.md, "Profiling the simulator"). The
+//!   and print the ranked wall-time-per-phase table — and beside it
+//!   the detailed driver's request walks per instruction, its share of
+//!   cycles ticked rather than skipped and the wait list's high-water
+//!   mark — instead of benchmarking (see EXPERIMENTS.md, "Profiling
+//!   the simulator"). The
 //!   phase attribution is also exported as Chrome trace-event JSON
 //!   (loadable in Perfetto, same exporter as the experiment engine's
 //!   sweep span traces) to `--out` if given, else
@@ -87,7 +90,7 @@ fn main() {
         println!("simbench: phase profile over the full matrix");
         println!("{report}");
         let trace_out = out.unwrap_or_else(|| "target/exp/telemetry/profile-trace.json".into());
-        let json = simcore::profile_trace_json(&report);
+        let json = simcore::profile_trace_json(&report.phases);
         if let Err(e) = secpref_exp::validate_trace_json(&json) {
             die(&format!("profile trace failed validation: {e}"));
         }

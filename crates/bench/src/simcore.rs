@@ -288,15 +288,56 @@ pub fn run_decode_bench() -> f64 {
     geomean(rates.into_iter())
 }
 
+/// What `simbench --profile` prints: the matrix-wide phase attribution
+/// and, beside it, how much event handling the full-detail cells did.
+#[derive(Clone, Debug)]
+pub struct MatrixProfile {
+    /// Wall time per phase, merged over every cell.
+    pub phases: secpref_sim::ProfileReport,
+    /// Request walks and ticked cycles summed over the full-detail cells
+    /// (the sampled cell is left out: its cycle count covers only the
+    /// detailed windows), and the longest wait list any of them saw.
+    pub driver: secpref_sim::DriverCounts,
+    /// Instructions (warm-up + measured) of the same cells: the base of
+    /// walks per instruction.
+    pub instructions: u64,
+    /// Simulated cycles of the same cells: the base of the ticked share.
+    pub cycles: u64,
+}
+
+impl std::fmt::Display for MatrixProfile {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(f, "{}", self.phases)?;
+        let d = &self.driver;
+        write!(
+            f,
+            "detailed driver: {:.2} request walks/instr ({} over {} instrs), \
+             {:.1}% of cycles ticked ({} of {}), wait-list high water {}",
+            d.walks as f64 / self.instructions.max(1) as f64,
+            d.walks,
+            self.instructions,
+            100.0 * d.ticked_cycles as f64 / self.cycles.max(1) as f64,
+            d.ticked_cycles,
+            self.cycles,
+            d.wait_high_water,
+        )
+    }
+}
+
 /// Runs one pass of the matrix with the phase profiler enabled and
 /// returns the aggregated wall-time attribution (`simbench --profile`).
 ///
 /// Each cell simulates the full warm-up + measurement window exactly
 /// once (no repetition — profiling wants attribution, not variance
 /// control) and the per-cell profiles are merged into one ranked table.
-pub fn run_profile() -> secpref_sim::ProfileReport {
+pub fn run_profile() -> MatrixProfile {
     let window = WARMUP + MEASURE;
-    let mut agg = secpref_sim::ProfileReport::empty();
+    let mut agg = MatrixProfile {
+        phases: secpref_sim::ProfileReport::empty(),
+        driver: secpref_sim::DriverCounts::default(),
+        instructions: 0,
+        cycles: 0,
+    };
     for (label, cfg) in config_matrix() {
         for trace_name in trace_matrix() {
             let trace = suite::cached_trace(trace_name, window as usize);
@@ -309,7 +350,13 @@ pub fn run_profile() -> secpref_sim::ProfileReport {
                 "[profile] {label} x {trace_name}: {:.1} ms",
                 cell.total().as_secs_f64() * 1e3
             );
-            agg.merge(&cell);
+            agg.phases.merge(&cell);
+            let d = sys.driver_counts();
+            agg.driver.walks += d.walks;
+            agg.driver.ticked_cycles += d.ticked_cycles;
+            agg.driver.wait_high_water = agg.driver.wait_high_water.max(d.wait_high_water);
+            agg.instructions += window;
+            agg.cycles += sys.cycles();
         }
     }
     // One sampled cell on top, so the functional-warming phase
@@ -327,7 +374,7 @@ pub fn run_profile() -> secpref_sim::ProfileReport {
         "[profile] ghostminion+suf/ip-stride-on-commit x mcf_like_a (sampled): {:.1} ms",
         cell.total().as_secs_f64() * 1e3
     );
-    agg.merge(&cell);
+    agg.phases.merge(&cell);
     agg
 }
 

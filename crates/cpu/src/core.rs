@@ -216,14 +216,12 @@ pub struct Core {
     /// `issue_loads` skip the LQ scan entirely on quiet cycles.
     lq_pending: usize,
     next_ts: u64,
-    /// Per-trace-index load completion times, indexed by
-    /// `trace_idx & done_mask`. For in-memory feeds the table is
-    /// trace-length and the mask is all-ones (identity indexing, exactly
-    /// the pre-streaming layout); for streamed feeds it is a power-of-two
-    /// ring sized past `rob_entries + max_dep_dist`, which is safe
-    /// because a slot is rewritten to `NOT_DONE` at dispatch before any
-    /// dependent can read it and the live index span never exceeds the
-    /// ring length.
+    /// Load completion times by trace index, a power-of-two ring indexed
+    /// by `trace_idx & done_mask` and sized past `rob_entries` + the
+    /// feed's largest `dep_dist`: a slot is rewritten to `NOT_DONE` at
+    /// dispatch before any dependent can read it, and the span of live
+    /// indices (ROB contents plus the furthest producer they name) never
+    /// exceeds the ring length.
     load_done_at: Vec<Cycle>,
     done_mask: usize,
     stats: CoreStats,
@@ -239,14 +237,7 @@ impl Core {
     /// Creates a core over any [`TraceFeed`] (in-memory or streamed).
     pub fn from_feed(id: CoreId, cfg: CoreConfig, feed: TraceFeed) -> Self {
         let lq_n = cfg.lq_entries;
-        let (done_len, done_mask) = match &feed {
-            TraceFeed::Mem(t) => (t.instrs.len(), usize::MAX),
-            TraceFeed::Stream(f) => {
-                let span = cfg.rob_entries + f.max_dep_dist() + 64;
-                let len = span.next_power_of_two();
-                (len, len - 1)
-            }
-        };
+        let done_len = (cfg.rob_entries + feed.max_dep_dist() + 64).next_power_of_two();
         Core {
             id,
             cfg,
@@ -261,7 +252,7 @@ impl Core {
             lq_pending: 0,
             next_ts: 1,
             load_done_at: vec![NOT_DONE; done_len],
-            done_mask,
+            done_mask: done_len - 1,
             stats: CoreStats::default(),
         }
     }
@@ -914,6 +905,18 @@ mod tests {
         let wp: Vec<_> = mem.issued_log.iter().filter(|r| r.wrong_path).collect();
         assert_eq!(wp.len(), 1);
         assert_eq!(wp[0].addr, Addr::new(0xDEAD_0000));
+    }
+
+    #[test]
+    fn completion_ring_is_sized_by_the_live_span_not_the_trace() {
+        let cfg = CoreConfig::default();
+        let mut instrs: Vec<Instr> = (0..100_000).map(Instr::alu).collect();
+        instrs[50_000] = Instr::load_dep(1, 64, 700);
+        let core = Core::new(0, cfg.clone(), Arc::new(Trace::new("t", instrs)));
+        let span = cfg.rob_entries + 700 + 64;
+        let n = core.load_done_at.len();
+        assert!(n.is_power_of_two() && n >= span && n < 2 * span, "{n}");
+        assert_eq!(core.done_mask, n - 1);
     }
 
     #[test]

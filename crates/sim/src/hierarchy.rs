@@ -9,6 +9,9 @@
 //! [`Hierarchy::commit_load`]) walks a request level by level on a
 //! cycle-ordered event wheel, contending for ports, allocating and
 //! merging MSHRs, queueing at DRAM, and filling on the response unwind.
+//! A request that is denied a port, finds the MSHR file full or is
+//! refused by the DRAM queue leaves the wheel for the ordered wait list
+//! ([`crate::wheel`]) and is woken there, never polled through the wheel.
 //! It alone keeps metrics and feeds the obs/telemetry/profiler hooks and
 //! the Fig. 6 classifier shadow.
 //!
@@ -22,7 +25,7 @@ use crate::classify::Classifier;
 use crate::metrics::CoreMetrics;
 use crate::policy::{self, Admit, AfterEvict, Commit, Lookup, MemState, PerLevel, ReqKind};
 use crate::profile::{Phase, ProfileReport, Profiler};
-use crate::wheel::EventWheel;
+use crate::wheel::{EventWheel, WaitList};
 use secpref_cpu::LoadIssue;
 use secpref_ghostminion::{GmInsertOutcome, UpdateFilter, WbBits};
 use secpref_mem::{DramModel, DramRequest, FillAttrs, MshrFile, MshrToken, PortScheduler};
@@ -39,8 +42,6 @@ const EV_RESPONSE: u8 = 1;
 /// Maximum in-flight prefetch requests per core (prefetch queue depth);
 /// excess proposals are dropped at injection.
 const PF_QUEUE_DEPTH: usize = 48;
-/// Retry bound: a request stuck this long indicates a livelock bug.
-const MAX_RETRIES: u32 = 1_000_000;
 /// Nominal DRAM portion of an instant-driver fetch latency (cycles).
 /// Warming needs only a plausible constant for GhostMinion timestamps
 /// and prefetcher latency hints; detailed windows use the real
@@ -65,7 +66,6 @@ struct Req {
     hit_prefetched: bool,
     hit_pf_latency: u32,
     hit_level: HitLevel,
-    retries: u32,
     /// Writeback bits for the fill this request makes with explicit bits
     /// (see [`policy::fill_attrs`]).
     wb: WbBits,
@@ -73,7 +73,8 @@ struct Req {
     holds_l1_slot: bool,
     /// Metrics for the current level access were already recorded.
     counted: bool,
-    /// Parked waiting for MSHR space (retries skip the port).
+    /// Parked in the wait list until the level's MSHR file has space
+    /// (and then goes to the port again).
     waiting_mshr: bool,
     /// Telemetry counted this request as a demand access (set only while
     /// armed, so histogram totals reconcile with the report counters).
@@ -120,6 +121,15 @@ pub struct Hierarchy {
     reqs: Vec<Req>,
     free: Vec<u32>,
     events: EventWheel,
+    /// Everything due next cycle, blocked requests above all; with
+    /// `events` it forms the one event order (see [`crate::wheel`]).
+    waits: WaitList,
+    /// True while [`Hierarchy::tick`] runs: a push for the current cycle
+    /// is then processed in this tick, not as a `late` event of the next.
+    ticking: bool,
+    /// Request walks and ticked cycles ([`DriverCounts`]).
+    walks: u64,
+    ticks: u64,
     /// Spare waiter vectors recycled across MSHR merge/complete cycles.
     waiter_pool: Vec<Vec<u32>>,
     /// Completed demand loads, drained by the system each cycle:
@@ -145,6 +155,20 @@ pub struct Hierarchy {
     /// `simbench --profile` style runs request it.
     prof: Profiler,
     now: Cycle,
+}
+
+/// Work counts of the detailed driver ([`Hierarchy::driver_counts`]):
+/// host-side cost figures, no part of any report.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DriverCounts {
+    /// Request walks: accesses that were admitted to their level (or
+    /// accepted by DRAM) plus responses — every event except a blocked
+    /// request being passed over.
+    pub walks: u64,
+    /// Cycles [`Hierarchy::tick`] ran for (the rest were fast-forwarded).
+    pub ticked_cycles: u64,
+    /// Longest wait list a cycle started with.
+    pub wait_high_water: usize,
 }
 
 /// Phase a cache-walk event at `lvl` is attributed to.
@@ -190,6 +214,10 @@ impl Hierarchy {
             reqs: Vec::with_capacity(4096),
             free: Vec::new(),
             events: EventWheel::new(),
+            waits: WaitList::default(),
+            ticking: false,
+            walks: 0,
+            ticks: 0,
             waiter_pool: Vec::new(),
             completions: Vec::new(),
             metrics: vec![CoreMetrics::default(); cores],
@@ -368,8 +396,19 @@ impl Hierarchy {
         self.free.push(rid);
     }
 
+    /// Queues `(rid, kind)` for cycle `at`, keeping the one event order
+    /// of [`crate::wheel`]: next-cycle pushes go to the wait list in the
+    /// order they are made, same-cycle pushes made while ticking go to
+    /// its FIFO, and only the rest (two or more cycles out, or `late`
+    /// pushes of the core phase) goes to the wheel.
     fn schedule(&mut self, at: Cycle, rid: u32, kind: u8) {
-        self.events.push(at, rid, kind);
+        if at == self.now + 1 {
+            self.waits.push_next(rid, kind);
+        } else if at == self.now && self.ticking {
+            self.waits.push_same(rid, kind);
+        } else {
+            self.events.push(at, rid, kind);
+        }
     }
 
     fn blank_req(core: CoreId, line: LineAddr, ip: Ip, kind: ReqKind, now: Cycle) -> Req {
@@ -389,7 +428,6 @@ impl Hierarchy {
             hit_prefetched: false,
             hit_pf_latency: 0,
             hit_level: HitLevel::L1d,
-            retries: 0,
             wb: WbBits::ALL,
             holds_l1_slot: false,
             counted: false,
@@ -441,6 +479,9 @@ impl Hierarchy {
     /// events due at or before `now`.
     pub fn tick(&mut self, now: Cycle) {
         self.now = now;
+        self.ticks += 1;
+        self.ticking = true;
+        self.waits.begin_cycle();
         let mut done = std::mem::take(&mut self.dram_done);
         done.clear();
         self.prof.enter(Phase::Dram);
@@ -455,31 +496,81 @@ impl Hierarchy {
             self.schedule(now, rid, EV_RESPONSE);
         }
         self.dram_done = done;
+        // The three steps of the order law in `crate::wheel`.
         while let Some((rid, kind)) = self.events.pop_due(now) {
-            let req = &self.reqs[rid as usize];
-            if !req.alive {
-                continue;
-            }
-            match kind {
-                EV_ACCESS => {
-                    self.prof.enter(level_phase(req.cur_level));
-                    self.on_access(now, rid);
-                }
-                _ => {
-                    // Attributed to the level that supplied the data.
-                    self.prof.enter(level_phase(req.hit_level.encode()));
-                    self.on_response(now, rid);
-                }
-            }
-            self.prof.exit();
+            self.dispatch(now, rid, kind);
         }
+        self.walk_waiters(now);
+        while let Some((rid, kind)) = self.waits.pop_same() {
+            self.dispatch(now, rid, kind);
+        }
+        self.ticking = false;
         self.account_idle_cycles(1); // this cycle's MSHR occupancy sample
     }
 
+    /// Step 2 of the order law: this cycle's wait list, front to back.
+    /// Requests that stay blocked far outnumber every other event, so a
+    /// run of cache-level accesses at one level shares one profiler scope
+    /// (that level's phase, where [`Hierarchy::dispatch`] would put each)
+    /// instead of paying two clock reads per waiter passed over.
+    fn walk_waiters(&mut self, now: Cycle) {
+        let mut scope = None;
+        while let Some((rid, kind)) = self.waits.pop_cur() {
+            let r = &self.reqs[rid as usize];
+            let lvl = r.cur_level;
+            if kind == EV_ACCESS && lvl < 3 && r.alive {
+                if scope != Some(lvl) {
+                    if scope.is_some() {
+                        self.prof.exit();
+                    }
+                    self.prof.enter(level_phase(lvl));
+                    scope = Some(lvl);
+                }
+                if self.admit(now, rid) {
+                    self.access_level(now, rid);
+                }
+            } else {
+                if scope.take().is_some() {
+                    self.prof.exit();
+                }
+                self.dispatch(now, rid, kind);
+            }
+        }
+        if scope.is_some() {
+            self.prof.exit();
+        }
+    }
+
+    fn dispatch(&mut self, now: Cycle, rid: u32, kind: u8) {
+        let req = &self.reqs[rid as usize];
+        if !req.alive {
+            return;
+        }
+        match kind {
+            EV_ACCESS => {
+                self.prof.enter(level_phase(req.cur_level));
+                self.on_access(now, rid);
+            }
+            _ => {
+                // Attributed to the level that supplied the data.
+                self.prof.enter(level_phase(req.hit_level.encode()));
+                self.on_response(now, rid);
+            }
+        }
+        self.prof.exit();
+    }
+
     /// Earliest cycle strictly after `now` at which [`Hierarchy::tick`]
-    /// has work: the wheel's next due event or DRAM's next possible
-    /// action. `Cycle::MAX` when the memory system is fully idle.
+    /// has work: the wait list's next cycle, the wheel's next due event
+    /// or DRAM's next possible action. `Cycle::MAX` when the memory
+    /// system is fully idle. Waiters parked on a full MSHR file or DRAM
+    /// queue are no wake source of their own: what frees the resource is
+    /// a wheel event or a DRAM action, and a waiter passed over before
+    /// the resource freed marks the list due ([`WaitList::wake_parked`]).
     pub fn next_due(&self, now: Cycle) -> Cycle {
+        if self.waits.due_next_cycle() {
+            return now + 1;
+        }
         match self.events.next_due(now) {
             // Already due next cycle: DRAM cannot beat that.
             Some(at) if at <= now + 1 => at,
@@ -521,48 +612,54 @@ impl Hierarchy {
         }
     }
 
-    fn retry(&mut self, now: Cycle, rid: u32) {
-        let req = &mut self.reqs[rid as usize];
-        req.retries += 1;
-        assert!(
-            req.retries < MAX_RETRIES,
-            "request livelocked: {:?} at level {}",
-            req.kind,
-            req.cur_level
-        );
-        self.schedule(now + 1, rid, EV_ACCESS);
+    fn on_access(&mut self, now: Cycle, rid: u32) {
+        if self.reqs[rid as usize].cur_level == 3 {
+            self.access_dram(now, rid);
+        } else if self.admit(now, rid) {
+            self.access_level(now, rid);
+        }
     }
 
-    fn on_access(&mut self, now: Cycle, rid: u32) {
-        let req = self.reqs[rid as usize];
-        if req.cur_level == 3 {
-            self.access_dram(now, rid);
-            return;
-        }
-        let core = req.core;
-        let lvl = req.cur_level;
+    /// The gate of a cache-level access: `false` when the request is
+    /// still blocked and went (back) to the wait list. Cheap enough to
+    /// run every ticked cycle on every waiter — it reads a few fields of
+    /// the request and copies nothing. Nothing counts how long a waiter
+    /// waits; a request that is never admitted stops retirement and
+    /// trips `WATCHDOG_CYCLES` in the run loop.
+    #[inline]
+    fn admit(&mut self, now: Cycle, rid: u32) -> bool {
+        let r = &mut self.reqs[rid as usize];
+        let (core, lvl, line) = (r.core, r.cur_level, r.line);
+        let level = self.timing.at(core, lvl);
         // A request parked on a full MSHR file waits without consuming
         // lookup bandwidth (it sits in the input queue in hardware).
-        if req.waiting_mshr {
-            if self.timing.at(core, lvl).mshr.is_full() {
-                self.retry(now, rid);
-                return;
+        if r.waiting_mshr {
+            if level.mshr.is_full() {
+                self.waits.park(rid, EV_ACCESS);
+                return false;
             }
-            self.reqs[rid as usize].waiting_mshr = false;
+            r.waiting_mshr = false;
         }
         // Port arbitration at this level; prefetches yield to demands.
-        let ports = &mut self.timing.at(core, lvl).ports;
-        let granted = if matches!(req.kind, ReqKind::Prefetch) {
-            ports.try_acquire_low_priority(now)
+        let granted = if matches!(r.kind, ReqKind::Prefetch) {
+            level.ports.try_acquire_low_priority(now)
         } else {
-            ports.try_acquire(now)
+            level.ports.try_acquire(now)
         };
         if !granted {
             self.level_metrics(core, lvl).port_stalls += 1;
-            self.obs_ev(now, core, EventKind::PortStall, req.line, lvl as u32);
-            self.retry(now, rid);
-            return;
+            self.obs_ev(now, core, EventKind::PortStall, line, lvl as u32);
+            self.waits.push_next(rid, EV_ACCESS);
         }
+        granted
+    }
+
+    /// An admitted access at L1D/L2/LLC: counts it and does what its
+    /// kind asks of the level.
+    fn access_level(&mut self, now: Cycle, rid: u32) {
+        self.walks += 1;
+        let req = self.reqs[rid as usize];
+        let (core, lvl) = (req.core, req.cur_level);
         if req.holds_l1_slot {
             self.l1_inflight[core] = self.l1_inflight[core].saturating_sub(1);
             self.reqs[rid as usize].holds_l1_slot = false;
@@ -719,7 +816,7 @@ impl Hierarchy {
                 self.free_req(rid);
             } else {
                 self.reqs[rid as usize].waiting_mshr = true;
-                self.retry(now, rid);
+                self.waits.park(rid, EV_ACCESS);
             }
             return;
         }
@@ -748,26 +845,29 @@ impl Hierarchy {
     }
 
     fn access_dram(&mut self, now: Cycle, rid: u32) {
-        let req = self.reqs[rid as usize];
-        self.metrics[req.core].dram_accesses += 1;
+        let r = &self.reqs[rid as usize];
+        let (core, is_write) = (r.core, matches!(r.kind, ReqKind::DirtyWb));
         let dram_req = DramRequest {
-            line: req.line,
-            is_write: matches!(req.kind, ReqKind::DirtyWb),
+            line: r.line,
+            is_write,
             token: rid as u64,
             arrival: now,
         };
-        match self.dram.enqueue(dram_req) {
-            Ok(()) => {
-                if matches!(req.kind, ReqKind::DirtyWb) {
-                    self.free_req(rid); // writes complete silently
-                }
-                // Reads resolve via dram.tick → EV_RESPONSE.
-            }
-            Err(_) => {
-                self.metrics[req.core].dram_accesses -= 1;
-                self.retry(now, rid);
-            }
+        if self.dram.enqueue(dram_req).is_err() {
+            // Queue full: wait for DRAM to pick a request, which is a
+            // wake source of its own (`DramModel::next_event`).
+            self.waits.park(rid, EV_ACCESS);
+            return;
         }
+        self.walks += 1;
+        self.metrics[core].dram_accesses += 1;
+        if is_write {
+            // A queued write forwards to reads of its line, so a read
+            // parked on the full read queue may be accepted now.
+            self.waits.wake_parked();
+            self.free_req(rid); // writes complete silently
+        }
+        // Reads resolve via dram.tick → EV_RESPONSE.
     }
 
     fn count_demand_miss(&mut self, now: Cycle, rid: u32, lvl: u8, merged_onto_pf: bool) {
@@ -894,6 +994,7 @@ impl Hierarchy {
     /// or DRAM completion): unwind the MSHR path, fill caches per policy,
     /// wake waiters, and deliver the completion.
     fn on_response(&mut self, now: Cycle, rid: u32) {
+        self.walks += 1;
         let req = self.reqs[rid as usize];
         let core = req.core;
         let latency = (now - req.issued_at) as u32;
@@ -903,6 +1004,9 @@ impl Hierarchy {
                 continue;
             };
             let level = self.timing.at(core, lvl);
+            if level.mshr.is_full() {
+                self.waits.wake_parked();
+            }
             let allocated_at = level.mshr.complete(token).alloc_cycle;
             let mut waiters = match level.waiting.iter().position(|(t, _)| *t == token) {
                 Some(i) => level.waiting.swap_remove(i).1,
@@ -1083,11 +1187,12 @@ impl Hierarchy {
         self.dram.stats()
     }
 
-    /// Debug snapshot: (queued events, live requests, L1 MSHR occupancy,
-    /// L1 inflight count) — used by the livelock watchdog.
+    /// Debug snapshot: (queued events incl. listed waiters, live requests,
+    /// L1 MSHR occupancy, L1 inflight count) — used by the livelock
+    /// watchdog.
     pub fn debug_state(&self, core: CoreId) -> (usize, usize, usize, usize) {
         (
-            self.events.len(),
+            self.events.len() + self.waits.len(),
             self.live_requests(),
             self.timing.l1d[core].mshr.occupancy(),
             self.l1_inflight[core],
@@ -1109,6 +1214,15 @@ impl Hierarchy {
     /// In-flight classifier counts (debug/tests).
     pub fn classification(&self, core: CoreId) -> Option<crate::metrics::MissClassCounts> {
         self.classifiers[core].as_ref().map(|c| c.counts())
+    }
+
+    /// How much event handling the detailed driver has done so far.
+    pub fn driver_counts(&self) -> DriverCounts {
+        DriverCounts {
+            walks: self.walks,
+            ticked_cycles: self.ticks,
+            wait_high_water: self.waits.high_water(),
+        }
     }
 
     /// Live (allocated, un-freed) requests. The sampling scheduler

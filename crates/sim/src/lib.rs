@@ -34,6 +34,7 @@ mod wheel;
 
 pub use classify::Classifier;
 pub use energy::EnergyModel;
+pub use hierarchy::DriverCounts;
 pub use metrics::{CommitMetrics, CoreMetrics, LevelMetrics, MissClassCounts, PrefetchMetrics};
 pub use profile::{Phase, ProfileReport, ProfileRow, Profiler, PHASES};
 pub use report::{geomean, mean, weighted_speedup, SimReport};

@@ -2,7 +2,7 @@
 //! and the run loop.
 
 use crate::classify::Classifier;
-use crate::hierarchy::Hierarchy;
+use crate::hierarchy::{DriverCounts, Hierarchy};
 use crate::metrics::{CoreMetrics, LevelMetrics};
 use crate::profile::{Phase, ProfileReport};
 use crate::report::SimReport;
@@ -346,6 +346,13 @@ impl System {
     /// [`System::with_profiling`] was used).
     pub fn profile_report(&mut self) -> ProfileReport {
         self.hierarchy.profile_report()
+    }
+
+    /// Host-side work counts of the detailed driver so far (request
+    /// walks, ticked cycles, wait-list high-water mark) — what `simbench
+    /// --profile` prints beside the phase table. No part of the report.
+    pub fn driver_counts(&self) -> DriverCounts {
+        self.hierarchy.driver_counts()
     }
 
     /// Overrides the warm-up / measurement windows (instructions).

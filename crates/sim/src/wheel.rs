@@ -1,17 +1,18 @@
-//! A bucketed time wheel for the hierarchy's event queue.
+//! The detailed driver's two event queues: a bucketed time wheel for
+//! events two or more cycles out, and an ordered wait list for everything
+//! due next cycle — above all the requests that are *blocked*.
 //!
-//! The memory system schedules almost every event a small, bounded number
-//! of cycles ahead (cache latencies, port retries, next-cycle MSHR
-//! re-checks), so a ring of per-cycle FIFO buckets gives O(1) push/pop
-//! where the `BinaryHeap` it replaces paid an O(log n) sift on every
-//! event — the single hottest operation in the whole simulator under a
-//! profiler. Events beyond the wheel horizon (rare: long TLB walks or
-//! deeply backed-up DRAM) fall back to a small heap.
+//! # The wheel
 //!
-//! # Ordering
+//! The memory system schedules almost every timed event a small, bounded
+//! number of cycles ahead (cache latencies, TLB walks), so a ring of
+//! per-cycle FIFO buckets gives O(1) push/pop where the `BinaryHeap` it
+//! replaced paid an O(log n) sift on every event. Events beyond the wheel
+//! horizon (rare: long TLB walks or deeply backed-up DRAM) fall back to a
+//! small heap; events scheduled *behind* the drain point (the post-drain
+//! core phase pushing at the cycle just drained) go to the `late` FIFO.
 //!
-//! Drain order is bit-identical to the heap it replaced, which ordered
-//! events by `(cycle, sequence)`:
+//! Drain order is `(cycle, push sequence)`:
 //!
 //! - buckets preserve insertion order per cycle, and insertion order *is*
 //!   sequence order;
@@ -20,6 +21,37 @@
 //!   strictly earlier than every bucket entry for `t` (which is pushed
 //!   within the horizon), so draining overflow first per cycle
 //!   reproduces the global sequence order exactly.
+//!
+//! # The wait list
+//!
+//! A request denied a port, parked on a full MSHR file or refused by the
+//! DRAM queue must be looked at again next cycle. Putting it back on the
+//! wheel every cycle made such re-polls 90–97 % of all events on the
+//! GhostMinion cells (DESIGN.md §10, wave 3), and because a poll was
+//! always due at `now + 1` the run loop's idle fast-forward never engaged
+//! while an MSHR file was full. [`WaitList`] holds those requests instead:
+//! it is walked once per *ticked* cycle, a waiter whose resource is still
+//! full is passed over without the request walk, and a list that holds
+//! only such parked waiters does not ask for the next cycle at all.
+//!
+//! The contract between the two (kept by `Hierarchy::schedule`): a push
+//! for `now + 1` goes to the list, a push for `now` made while the
+//! hierarchy is ticking goes to the list's same-cycle FIFO, and the wheel
+//! sees only events at least two cycles out plus `late`. At cycle `t` the
+//! hierarchy then processes, in this order — which is exactly the order
+//! one wheel used to give:
+//!
+//! 1. the wheel: `late`, then overflow and bucket entries for `t` (all
+//!    pushed before the drain of `t − 1` began);
+//! 2. the list built for `t`: everything pushed for `t` during the drain
+//!    of `t − 1`, *in the order its parent was processed* — so a request
+//!    first blocked by a step-1 event precedes every older waiter,
+//!    surviving waiters keep their relative order, and a `now + 1` child
+//!    (a GM-hit response, a writeback) sits where its parent sat — then
+//!    the `now + 1` pushes of the core phase of `t − 1` (1-cycle-TLB
+//!    loads);
+//! 3. the same-cycle FIFO: DRAM completions of `t`, then what steps 1–3
+//!    push for `t` itself (MSHR-waiter responses, prefetch injections).
 
 use secpref_types::Cycle;
 use std::cmp::Reverse;
@@ -192,6 +224,104 @@ impl EventWheel {
     }
 }
 
+/// The ordered list of `(rid, kind)` entries due next cycle (see the
+/// module doc for the order law it keeps).
+///
+/// Two vectors trade places each tick: `cur` is the list built for this
+/// cycle and is walked front to back; `next` collects, in processing
+/// order, what this cycle schedules for the following one. An entry is
+/// *parked* when its pusher knows it cannot proceed until a resource
+/// frees (a full MSHR file, a full DRAM queue): parked entries alone do
+/// not make the next cycle due.
+#[derive(Debug, Default)]
+pub(crate) struct WaitList {
+    cur: Vec<(u32, u8)>,
+    /// Walk position in `cur`.
+    pos: usize,
+    next: Vec<(u32, u8)>,
+    /// Same-cycle pushes made during the tick, drained after the walk.
+    same: VecDeque<(u32, u8)>,
+    /// Parked entries in `next`.
+    parked: usize,
+    /// Something a parked entry of `next` may be waiting for was freed
+    /// after that entry was pushed: the next cycle must look again.
+    woken: bool,
+    high_water: usize,
+}
+
+impl WaitList {
+    /// Starts a ticked cycle: the list built so far becomes the one to
+    /// walk. Nothing is lost when cycles were skipped in between — the
+    /// list then held only parked entries, which waited in place.
+    pub fn begin_cycle(&mut self) {
+        debug_assert!(self.pos == self.cur.len() && self.same.is_empty());
+        self.cur.clear();
+        self.pos = 0;
+        std::mem::swap(&mut self.cur, &mut self.next);
+        self.parked = 0;
+        self.woken = false;
+        self.high_water = self.high_water.max(self.cur.len());
+    }
+
+    /// The next entry of this cycle's list, front to back.
+    #[inline]
+    pub fn pop_cur(&mut self) -> Option<(u32, u8)> {
+        let e = self.cur.get(self.pos).copied();
+        self.pos += e.is_some() as usize;
+        e
+    }
+
+    /// Queues an entry that must be processed next cycle.
+    #[inline]
+    pub fn push_next(&mut self, rid: u32, kind: u8) {
+        self.next.push((rid, kind));
+    }
+
+    /// Queues an entry that waits for a resource to free: it keeps its
+    /// place in the order but does not by itself make the next cycle due.
+    #[inline]
+    pub fn park(&mut self, rid: u32, kind: u8) {
+        self.next.push((rid, kind));
+        self.parked += 1;
+    }
+
+    /// A resource parked entries may wait for was freed. Entries not yet
+    /// walked this cycle see that on their own; the ones already passed
+    /// over need the next cycle.
+    #[inline]
+    pub fn wake_parked(&mut self) {
+        self.woken |= self.parked > 0;
+    }
+
+    /// Queues an entry for the cycle being ticked.
+    #[inline]
+    pub fn push_same(&mut self, rid: u32, kind: u8) {
+        self.same.push_back((rid, kind));
+    }
+
+    /// The next same-cycle entry, in push order.
+    #[inline]
+    pub fn pop_same(&mut self) -> Option<(u32, u8)> {
+        self.same.pop_front()
+    }
+
+    /// Whether the list needs the very next cycle ticked: it holds an
+    /// entry that is not parked, or a parked one that was woken.
+    pub fn due_next_cycle(&self) -> bool {
+        self.next.len() > self.parked || self.woken
+    }
+
+    /// Entries queued and not yet processed.
+    pub fn len(&self) -> usize {
+        self.next.len() + (self.cur.len() - self.pos) + self.same.len()
+    }
+
+    /// Longest list a cycle ever started with.
+    pub fn high_water(&self) -> usize {
+        self.high_water
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,6 +417,154 @@ mod tests {
         assert_eq!(drain(&mut w, 6), vec![(2, 0), (3, 0), (4, 0)]);
         assert_eq!(drain(&mut w, 10), vec![(1, 0)]);
         assert_eq!(w.len(), 0);
+    }
+
+    // ---- The wait list's order law, clause by clause. `tick` below is
+    // the hierarchy's three steps in miniature: every handler is a
+    // closure deciding where its entry goes next.
+
+    /// What a handler does with the entry it is given.
+    enum Do {
+        /// Blocked again (`true`: parked on a resource).
+        Wait(bool),
+        /// Replaced by `(rid, kind)` next cycle (a `now + 1` child).
+        Succeed(u32, u8),
+        Done,
+    }
+
+    /// One ticked cycle: `wheel` entries, then the list (nothing here
+    /// pushes for the same cycle; see the third test for that FIFO).
+    /// Returns the processing order.
+    fn tick(
+        l: &mut WaitList,
+        wheel: &[(u32, u8)],
+        mut handle: impl FnMut(u32, u8) -> Do,
+    ) -> Vec<u32> {
+        let mut order = Vec::new();
+        let mut run = |l: &mut WaitList, (rid, kind): (u32, u8)| {
+            order.push(rid);
+            match handle(rid, kind) {
+                Do::Wait(false) => l.push_next(rid, kind),
+                Do::Wait(true) => l.park(rid, kind),
+                Do::Succeed(r, k) => l.push_next(r, k),
+                Do::Done => {}
+            }
+        };
+        l.begin_cycle();
+        for &e in wheel {
+            run(l, e);
+        }
+        while let Some(e) = l.pop_cur() {
+            run(l, e);
+        }
+        order
+    }
+
+    #[test]
+    fn front_entrants_precede_survivors_which_keep_their_order() {
+        let mut l = WaitList::default();
+        // Cycle 0: three requests arrive from the wheel and block.
+        tick(&mut l, &[(1, 0), (2, 0), (3, 0)], |_, _| Do::Wait(false));
+        // Cycle 1: 10 arrives from the wheel and blocks too; 2 is granted.
+        let order = tick(&mut l, &[(10, 0)], |rid, _| match rid {
+            2 => Do::Done,
+            _ => Do::Wait(false),
+        });
+        assert_eq!(order, vec![10, 1, 2, 3]);
+        // Cycle 2: the newcomer is ahead of the older waiters 1 and 3,
+        // exactly where re-pushing on one wheel put it.
+        let order = tick(&mut l, &[], |_, _| Do::Done);
+        assert_eq!(order, vec![10, 1, 3]);
+        assert_eq!(l.len(), 0);
+    }
+
+    #[test]
+    fn in_place_successor_keeps_its_parents_position() {
+        let mut l = WaitList::default();
+        tick(&mut l, &[(1, 0), (2, 0), (3, 0)], |_, _| Do::Wait(false));
+        // 2 proceeds and leaves a next-cycle child (a GM-hit response, a
+        // victim's writeback): the child sits between 1 and 3.
+        let order = tick(&mut l, &[], |rid, _| match rid {
+            2 => Do::Succeed(20, 1),
+            _ => Do::Wait(false),
+        });
+        assert_eq!(order, vec![1, 2, 3]);
+        let mut kinds = Vec::new();
+        let order = tick(&mut l, &[], |_, kind| {
+            kinds.push(kind);
+            Do::Done
+        });
+        assert_eq!(order, vec![1, 20, 3]);
+        assert_eq!(kinds, vec![0, 1, 0]);
+    }
+
+    #[test]
+    fn core_phase_pushes_follow_the_tick_and_same_cycle_pushes_go_last() {
+        let mut l = WaitList::default();
+        tick(&mut l, &[(1, 0), (2, 0)], |_, _| Do::Wait(false));
+        // After the tick, the core phase issues a 1-cycle-TLB load.
+        l.push_next(7, 0);
+        assert!(l.due_next_cycle());
+        // Next cycle: a DRAM completion (8) is queued before anything is
+        // processed, the wheel entry 9 spawns a same-cycle child 90 and
+        // waiter 1 a same-cycle child 91. Same-cycle entries run after
+        // the whole list, completions first, then in spawn order.
+        l.begin_cycle();
+        l.push_same(8, 1);
+        let mut order = vec![9];
+        l.push_same(90, 0);
+        while let Some((rid, kind)) = l.pop_cur() {
+            order.push(rid);
+            if rid == 1 {
+                l.push_same(91, kind);
+            }
+        }
+        while let Some((rid, _)) = l.pop_same() {
+            order.push(rid);
+        }
+        assert_eq!(order, vec![9, 1, 2, 7, 8, 90, 91]);
+        assert!(!l.due_next_cycle());
+    }
+
+    #[test]
+    fn parked_survivors_keep_order_across_a_skipped_span_and_ask_for_no_cycle() {
+        let mut l = WaitList::default();
+        tick(&mut l, &[(1, 0), (2, 0), (3, 0)], |_, _| Do::Wait(true));
+        assert!(!l.due_next_cycle(), "parked entries alone wake nothing");
+        assert_eq!(l.len(), 3);
+        // The run loop skips ahead; the next ticked cycle (whatever its
+        // number) finds the same list. 5 blocks at the front, 2 proceeds.
+        let order = tick(&mut l, &[(5, 0)], |rid, _| match rid {
+            2 => Do::Done,
+            _ => Do::Wait(true),
+        });
+        assert_eq!(order, vec![5, 1, 2, 3]);
+        assert!(!l.due_next_cycle());
+        let order = tick(&mut l, &[], |_, _| Do::Wait(true));
+        assert_eq!(order, vec![5, 1, 3]);
+        // One entry that is not parked makes the next cycle due.
+        l.push_next(6, 0);
+        assert!(l.due_next_cycle());
+        assert_eq!(l.high_water(), 3);
+    }
+
+    #[test]
+    fn a_free_after_the_pass_over_makes_the_next_cycle_due() {
+        let mut l = WaitList::default();
+        tick(&mut l, &[(1, 0)], |_, _| Do::Wait(true));
+        // Freed while nothing is parked in the list being built: the
+        // walk has yet to reach the waiter and will see it by itself.
+        l.begin_cycle();
+        l.wake_parked();
+        let e = l.pop_cur().expect("one waiter");
+        l.park(e.0, e.1); // still full for this one
+        assert!(!l.due_next_cycle());
+        // Freed after it was passed over: it must be looked at again.
+        l.wake_parked();
+        assert!(l.due_next_cycle());
+        // The wake lasts one cycle.
+        tick(&mut l, &[], |_, _| Do::Wait(true));
+        assert!(!l.due_next_cycle());
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! cycle. Complements the pinned report digests (which run with the
 //! fast-forward on, against pins recorded before it existed).
 
-use secpref_sim::System;
+use secpref_sim::{SimReport, System};
 use secpref_trace::{Instr, Trace};
-use secpref_types::{PrefetchMode, PrefetcherKind, SecureMode, SystemConfig};
+use secpref_types::{CorePolicy, PrefetchMode, PrefetcherKind, SecureMode, SystemConfig};
 use std::sync::Arc;
 
 /// Deterministic mixed trace: strided and scattered loads (cache misses
@@ -57,20 +57,65 @@ fn mixed_trace(seed: u64, n: usize) -> Arc<Trace> {
     Arc::new(Trace::new("skip-equiv", instrs))
 }
 
-fn run(cfg: &SystemConfig, traces: Vec<Arc<Trace>>, skip: bool) -> (String, u64) {
+/// DRAM-bound scattered trace: bursts of independent loads spread over
+/// 256 MiB (every one an LLC miss) between short ALU runs, so a small
+/// MSHR file is full most of the time with further loads parked behind
+/// it while the core can do nothing but wait.
+fn scattered_trace(seed: u64, n: usize) -> Arc<Trace> {
+    let mut state = seed | 1;
+    let mut rng = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut instrs = Vec::with_capacity(n);
+    while instrs.len() < n {
+        for _ in 0..8 {
+            instrs.push(Instr::load(0x400 + rng() % 7, (rng() % 0x40_0000) * 64));
+        }
+        if rng() % 4 == 0 {
+            instrs.push(Instr::store(0x600, (rng() % 0x40_0000) * 64));
+        }
+        for _ in 0..(rng() % 6) {
+            instrs.push(Instr::alu(0x800));
+        }
+    }
+    instrs.truncate(n);
+    Arc::new(Trace::new("skip-equiv-scattered", instrs))
+}
+
+fn run(cfg: &SystemConfig, traces: Vec<Arc<Trace>>, skip: bool) -> (SimReport, u64, u64) {
     let n = traces[0].instrs.len() as u64;
     let mut sys = System::new(cfg.clone(), traces)
         .with_window(n / 4, n)
         .with_cycle_skip(skip);
     sys.run();
-    (format!("{:?}", sys.report()), sys.cycles())
+    (
+        sys.report(),
+        sys.cycles(),
+        sys.driver_counts().ticked_cycles,
+    )
 }
 
-fn assert_equiv(label: &str, cfg: &SystemConfig, traces: Vec<Arc<Trace>>) {
-    let (rep_skip, cyc_skip) = run(cfg, traces.clone(), true);
-    let (rep_step, cyc_step) = run(cfg, traces, false);
+/// Runs `cfg` skipping and cycle by cycle, asserts the full reports
+/// (every counter, the per-cycle MSHR integrals included) and the end
+/// cycles agree, and returns the skipping run's report, its end cycle
+/// and how many of its cycles were ticked.
+fn assert_equiv(label: &str, cfg: &SystemConfig, traces: Vec<Arc<Trace>>) -> (SimReport, u64, u64) {
+    let (rep_skip, cyc_skip, ticked) = run(cfg, traces.clone(), true);
+    let (rep_step, cyc_step, ticked_step) = run(cfg, traces, false);
     assert_eq!(cyc_skip, cyc_step, "{label}: end cycle diverged");
-    assert_eq!(rep_skip, rep_step, "{label}: report diverged");
+    assert_eq!(
+        format!("{rep_skip:?}"),
+        format!("{rep_step:?}"),
+        "{label}: report diverged"
+    );
+    assert!(
+        ticked_step >= cyc_step,
+        "{label}: cycle-by-cycle run skipped"
+    );
+    (rep_skip, cyc_skip, ticked)
 }
 
 #[test]
@@ -109,16 +154,11 @@ fn skip_matches_cycle_by_cycle_two_cores() {
     );
 }
 
-#[test]
-fn skip_matches_cycle_by_cycle_eight_cores_mixed_prefetchers() {
-    use secpref_types::CorePolicy;
-    // Heterogeneous per-core policies: every prefetcher kind, secure and
-    // non-secure cores, on-access and on-commit, with and without SUF/TS.
-    // The idle-span detector must agree with the cycle-by-cycle loop even
-    // when eight differently-configured cores contend for the shared LLC
-    // and DRAM channel.
+/// Heterogeneous per-core policies: every prefetcher kind, secure and
+/// non-secure cores, on-access and on-commit, with and without SUF/TS.
+fn mixed_policies() -> Vec<CorePolicy> {
     let base = CorePolicy::of(&SystemConfig::baseline(1));
-    let policies = vec![
+    vec![
         CorePolicy {
             prefetcher: PrefetcherKind::IpStride,
             ..base
@@ -158,11 +198,66 @@ fn skip_matches_cycle_by_cycle_eight_cores_mixed_prefetchers() {
             prefetch_mode: PrefetchMode::OnAccess,
             ..base
         },
-    ];
-    let cfg = SystemConfig::baseline(8).with_core_policies(policies);
+    ]
+}
+
+#[test]
+fn skip_matches_cycle_by_cycle_eight_cores_mixed_prefetchers() {
+    // The idle-span detector must agree with the cycle-by-cycle loop even
+    // when eight differently-configured cores contend for the shared LLC
+    // and DRAM channel.
+    let cfg = SystemConfig::baseline(8).with_core_policies(mixed_policies());
     cfg.validate().expect("8-core mixed config must be valid");
     let traces = (0..8u64)
         .map(|c| mixed_trace(0xF6 + 0x11 * c, 2000))
         .collect();
     assert_equiv("8core/mixed", &cfg, traces);
+}
+
+/// Starves `cfg` of L1D MSHRs and DRAM queue slots: loads park on the
+/// full MSHR file, misses park on the full DRAM queue.
+fn starved(mut cfg: SystemConfig) -> SystemConfig {
+    cfg.l1d.mshrs = 2;
+    cfg.dram.queue_depth = 4;
+    cfg
+}
+
+#[test]
+fn skip_matches_with_waiters_parked_across_skipped_spans() {
+    // GhostMinion + on-commit Berti (commit writes and re-fetches contend
+    // with the loads for the two ports) on a DRAM-bound trace.
+    let label = "2-mshr gm+suf/berti-on-commit";
+    let cfg = starved(
+        SystemConfig::baseline(1)
+            .with_secure(SecureMode::GhostMinion)
+            .with_suf(true)
+            .with_prefetcher(PrefetcherKind::Berti)
+            .with_mode(PrefetchMode::OnCommit),
+    );
+    let (rep, cycles, ticked) = assert_equiv(label, &cfg, vec![scattered_trace(0x17, 6000)]);
+    let l1d = &rep.cores[0].l1d;
+    assert!(l1d.mshr_full_stalls > 0, "{label}: nothing ever parked");
+    assert!(l1d.port_stalls > 0, "{label}: ports never contended");
+    // Some skipped cycles had a full L1D MSHR file with requests parked
+    // behind it: full cycles plus skipped cycles exceed the run.
+    assert!(
+        l1d.mshr_full_cycles + (cycles - ticked) > cycles,
+        "{label}: no MSHR-full cycle was skipped ({} full, {ticked} ticked of {cycles})",
+        l1d.mshr_full_cycles
+    );
+}
+
+#[test]
+fn skip_matches_with_waiters_parked_eight_cores_mixed_prefetchers() {
+    // The mixed cell again, starved: eight cores are rarely all idle, so
+    // the spans that do get skipped begin and end in the middle of other
+    // cores' MSHR and DRAM-queue waits.
+    let label = "8core/mixed, 2-mshr";
+    let cfg = starved(SystemConfig::baseline(8).with_core_policies(mixed_policies()));
+    let traces = (0..8u64)
+        .map(|c| scattered_trace(0x31 + 0x11 * c, 1500))
+        .collect();
+    let (rep, cycles, ticked) = assert_equiv(label, &cfg, traces);
+    assert!(ticked < cycles, "{label}: nothing was skipped");
+    assert!(rep.cores.iter().all(|c| c.l1d.mshr_full_stalls > 0));
 }

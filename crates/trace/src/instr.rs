@@ -127,6 +127,21 @@ impl Trace {
         }
     }
 
+    /// The largest distance any load reaches back to its producer (what
+    /// a `.sct` store records in its header): with the ROB size it bounds
+    /// the span of trace indices a core has live at once. One pass over
+    /// the trace per call.
+    pub fn max_dep_dist(&self) -> usize {
+        self.instrs
+            .iter()
+            .map(|i| match i.kind {
+                InstrKind::Load { dep_dist, .. } => dep_dist as usize,
+                _ => 0,
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Attaches wrong-path loads to the branch at `index`.
     ///
     /// # Panics
@@ -167,6 +182,22 @@ mod tests {
         assert!(Instr::store(1, 2).is_mem());
         assert!(!Instr::alu(1).is_mem());
         assert!(!Instr::branch(1, true).is_mem());
+    }
+
+    #[test]
+    fn max_dep_dist_is_the_largest_load_distance() {
+        assert_eq!(Trace::default().max_dep_dist(), 0);
+        let t = Trace::new(
+            "t",
+            vec![
+                Instr::load(1, 0),
+                Instr::load_dep(2, 64, 1),
+                Instr::alu(3),
+                Instr::load_dep(4, 128, 3),
+                Instr::store(5, 192),
+            ],
+        );
+        assert_eq!(t.max_dep_dist(), 3);
     }
 
     #[test]

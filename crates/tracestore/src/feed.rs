@@ -401,6 +401,16 @@ impl TraceFeed {
         }
     }
 
+    /// The largest load dependency distance in the trace (read from the
+    /// store's header for a stream, found by one pass over an in-memory
+    /// trace).
+    pub fn max_dep_dist(&self) -> usize {
+        match self {
+            TraceFeed::Mem(t) => t.max_dep_dist(),
+            TraceFeed::Stream(f) => f.max_dep_dist(),
+        }
+    }
+
     /// The instruction at `idx`.
     ///
     /// # Panics
