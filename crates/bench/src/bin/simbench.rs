@@ -19,9 +19,10 @@
 //! - `--profile`: run the matrix once with the built-in phase profiler
 //!   and print the ranked wall-time-per-phase table — and beside it
 //!   the detailed driver's request walks per instruction, its share of
-//!   cycles ticked rather than skipped and the wait list's high-water
-//!   mark — instead of benchmarking (see EXPERIMENTS.md, "Profiling
-//!   the simulator"). The
+//!   cycles ticked rather than skipped, the wait list's high-water
+//!   mark, and the request records read for blocked requests and
+//!   load-queue slots examined per instruction — instead of
+//!   benchmarking (see EXPERIMENTS.md, "Profiling the simulator"). The
 //!   phase attribution is also exported as Chrome trace-event JSON
 //!   (loadable in Perfetto, same exporter as the experiment engine's
 //!   sweep span traces) to `--out` if given, else

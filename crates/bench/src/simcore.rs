@@ -294,9 +294,11 @@ pub fn run_decode_bench() -> f64 {
 pub struct MatrixProfile {
     /// Wall time per phase, merged over every cell.
     pub phases: secpref_sim::ProfileReport,
-    /// Request walks and ticked cycles summed over the full-detail cells
-    /// (the sampled cell is left out: its cycle count covers only the
-    /// detailed windows), and the longest wait list any of them saw.
+    /// Request walks, ticked cycles, request records read for blocked
+    /// requests and load-queue slots examined, summed over the
+    /// full-detail cells (the sampled cell is left out: its cycle count
+    /// covers only the detailed windows), and the longest wait list any
+    /// of them saw.
     pub driver: secpref_sim::DriverCounts,
     /// Instructions (warm-up + measured) of the same cells: the base of
     /// walks per instruction.
@@ -312,7 +314,9 @@ impl std::fmt::Display for MatrixProfile {
         write!(
             f,
             "detailed driver: {:.2} request walks/instr ({} over {} instrs), \
-             {:.1}% of cycles ticked ({} of {}), wait-list high water {}",
+             {:.1}% of cycles ticked ({} of {}), wait-list high water {}, \
+             {:.2} blocked-request record reads/instr ({}), \
+             {:.2} load-queue slots examined/instr ({})",
             d.walks as f64 / self.instructions.max(1) as f64,
             d.walks,
             self.instructions,
@@ -320,6 +324,10 @@ impl std::fmt::Display for MatrixProfile {
             d.ticked_cycles,
             self.cycles,
             d.wait_high_water,
+            d.blocked_req_reads as f64 / self.instructions.max(1) as f64,
+            d.blocked_req_reads,
+            d.lq_slots_examined as f64 / self.instructions.max(1) as f64,
+            d.lq_slots_examined,
         )
     }
 }
@@ -355,6 +363,8 @@ pub fn run_profile() -> MatrixProfile {
             agg.driver.walks += d.walks;
             agg.driver.ticked_cycles += d.ticked_cycles;
             agg.driver.wait_high_water = agg.driver.wait_high_water.max(d.wait_high_water);
+            agg.driver.blocked_req_reads += d.blocked_req_reads;
+            agg.driver.lq_slots_examined += d.lq_slots_examined;
             agg.instructions += window;
             agg.cycles += sys.cycles();
         }

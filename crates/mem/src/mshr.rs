@@ -119,6 +119,7 @@ impl MshrFile {
     }
 
     /// True when no further allocation is possible.
+    #[inline]
     pub fn is_full(&self) -> bool {
         self.entries.len() >= self.capacity
     }

@@ -61,6 +61,7 @@ impl PortScheduler {
     ///
     /// Panics (debug assertion) if `cycle` moves backwards — the simulator
     /// processes events in cycle order.
+    #[inline]
     pub fn try_acquire(&mut self, cycle: Cycle) -> bool {
         debug_assert!(
             cycle >= self.current_cycle,
@@ -83,6 +84,7 @@ impl PortScheduler {
     /// Low-priority acquisition for prefetch/background traffic: never
     /// takes the last slot of a cycle, so demands always find bandwidth.
     /// Calls must use non-decreasing cycles.
+    #[inline]
     pub fn try_acquire_low_priority(&mut self, cycle: Cycle) -> bool {
         debug_assert!(cycle >= self.current_cycle);
         if cycle > self.current_cycle {
@@ -97,6 +99,15 @@ impl PortScheduler {
             self.total_rejected += 1;
             false
         }
+    }
+
+    /// Books `n` refused acquisitions without attempting them, for a
+    /// caller that knows the outcome: port use only grows within a
+    /// cycle, so after one refusal every later acquisition of the same
+    /// (or lower) priority in that cycle is refused too.
+    #[inline]
+    pub fn refuse(&mut self, n: u64) {
+        self.total_rejected += n;
     }
 
     /// Slots consumed over the whole simulation.
@@ -123,6 +134,26 @@ mod tests {
         assert!(p.try_acquire(5));
         assert_eq!(p.total_acquired(), 3);
         assert_eq!(p.total_rejected(), 1);
+    }
+
+    #[test]
+    fn refusals_repeat_within_a_cycle_and_refuse_books_them() {
+        for ports in 1..4 {
+            let mut p = PortScheduler::new(ports);
+            while p.try_acquire_low_priority(5) {}
+            // Refused once, refused for the rest of the cycle.
+            assert!(!p.try_acquire_low_priority(5));
+            while p.try_acquire(5) {}
+            assert!(!p.try_acquire(5) && !p.try_acquire_low_priority(5));
+            let mut q = p.clone();
+            q.refuse(3);
+            for _ in 0..3 {
+                assert!(!p.try_acquire(5));
+            }
+            assert_eq!(q.total_rejected(), p.total_rejected());
+            assert_eq!(q.total_acquired(), p.total_acquired());
+            assert_eq!(q.try_acquire(6), p.try_acquire(6));
+        }
     }
 
     #[test]

@@ -31,26 +31,100 @@ const MIN_SEARCHES: u8 = 6;
 /// When the L1D MSHR has fewer free slots, demote L1D prefetches to L2.
 const MSHR_SLACK: usize = 4;
 const MAX_ABS_DELTA: i64 = 1024;
+/// log2 of the lines per history region. A region is as long as the
+/// largest delta, so a line within `MAX_ABS_DELTA` of another lies in
+/// the same region or a neighbouring one.
+const REGION_SHIFT: u32 = 10;
+const _: () = assert!(1 << REGION_SHIFT == MAX_ABS_DELTA);
+/// Hash buckets threading the history (a power of two, at least three so
+/// that neighbouring regions never share one).
+const HIST_BUCKETS: usize = 256;
 /// Maximum prefetch requests issued per trigger (PQ bandwidth).
 const MAX_PF_PER_TRIGGER: usize = 8;
 /// History slots scanned for same-line dedup on insert.
-const DEDUP_SCAN: usize = 8;
+const DEDUP_SCAN: u64 = 8;
 
 #[derive(Clone, Copy, Debug, Default)]
 struct HistEntry {
-    valid: bool,
+    tag: u32,
     line: LineAddr,
     /// The time this access could have triggered a prefetch.
     trigger_time: Cycle,
+    /// Stamp of the next older entry in the same bucket.
+    older: u64,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
+/// The access history: a ring threaded by hash bucket, so that
+/// [`BertiEngine::train`] visits only entries that can be near its line.
+///
+/// Entries are numbered by *stamp*, the count of insertions up to and
+/// including theirs (0 means none). Stamp `s` lives in slot `(s - 1) %
+/// HISTORY_SIZE` until stamp `s + HISTORY_SIZE` overwrites it, so whether
+/// a stamp still names a live entry is one comparison with `inserted`
+/// and nothing is ever unlinked: a chain ends at its first dead stamp
+/// (what lies behind it is older still).
+#[derive(Clone, Debug)]
+struct History {
+    ring: [HistEntry; HISTORY_SIZE],
+    /// Stamp of the newest entry of each bucket.
+    newest: [u64; HIST_BUCKETS],
+    inserted: u64,
+}
+
+impl History {
+    fn entry(&self, stamp: u64) -> Option<&HistEntry> {
+        let live = stamp > self.inserted.saturating_sub(HISTORY_SIZE as u64);
+        live.then(|| &self.ring[(stamp - 1) as usize % HISTORY_SIZE])
+    }
+
+    /// Bucket of `tag`'s accesses to `region`: consecutive regions of
+    /// one IP fall in consecutive buckets, IPs are spread by a
+    /// multiplicative hash.
+    fn bucket(tag: u32, region: u64) -> usize {
+        let spread = tag.wrapping_mul(0x9E37_79B9) >> 24;
+        (region as usize).wrapping_add(spread as usize) % HIST_BUCKETS
+    }
+
+    /// The newest `n` entries, newest first.
+    fn recent(&self, n: u64) -> impl Iterator<Item = &HistEntry> {
+        (0..n).map_while(|k| self.entry(self.inserted.checked_sub(k)?))
+    }
+
+    fn push(&mut self, tag: u32, line: LineAddr, trigger_time: Cycle) {
+        let bucket = &mut self.newest[Self::bucket(tag, line.raw() >> REGION_SHIFT)];
+        let older = std::mem::replace(bucket, self.inserted + 1);
+        self.ring[self.inserted as usize % HISTORY_SIZE] = HistEntry {
+            tag,
+            line,
+            trigger_time,
+            older,
+        };
+        self.inserted += 1;
+    }
+
+    /// Newest first, a superset of `tag`'s entries within `MAX_ABS_DELTA`
+    /// lines of `line`: the chains of the three buckets such an entry
+    /// can be in, merged by age.
+    fn near(&self, tag: u32, line: LineAddr) -> impl Iterator<Item = &HistEntry> {
+        let region = line.raw() >> REGION_SHIFT;
+        let mut next = [region.wrapping_sub(1), region, region.wrapping_add(1)]
+            .map(|r| self.newest[Self::bucket(tag, r)]);
+        std::iter::from_fn(move || {
+            let chain = (0..3).max_by_key(|&c| next[c])?;
+            let e = self.entry(next[chain])?;
+            next[chain] = e.older;
+            Some(e)
+        })
+    }
+}
+
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct DeltaStat {
     delta: i32,
     count: u8,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct DeltaEntry {
     valid: bool,
     deltas: [DeltaStat; DELTAS_PER_ENTRY],
@@ -81,12 +155,7 @@ struct DeltaEntry {
 /// ```
 #[derive(Clone, Debug)]
 pub struct BertiEngine {
-    history: Vec<HistEntry>,
-    /// Packed ip-tags parallel to `history`: the full-depth search in
-    /// [`Self::train`] touches 4 bytes per slot instead of a whole
-    /// entry, only loading entries whose tag matches.
-    hist_tags: Vec<u32>,
-    head: usize,
+    history: History,
     table: Vec<DeltaEntry>,
     /// Packed ip-tags parallel to `table` (same trick for row lookup).
     table_tags: Vec<u32>,
@@ -103,9 +172,11 @@ impl BertiEngine {
     /// Creates the Table III configuration.
     pub fn new() -> Self {
         BertiEngine {
-            history: vec![HistEntry::default(); HISTORY_SIZE],
-            hist_tags: vec![0; HISTORY_SIZE],
-            head: 0,
+            history: History {
+                ring: [HistEntry::default(); HISTORY_SIZE],
+                newest: [0; HIST_BUCKETS],
+                inserted: 0,
+            },
             table: vec![DeltaEntry::default(); DELTA_TABLE_SIZE],
             table_tags: vec![0; DELTA_TABLE_SIZE],
             lru_clock: 0,
@@ -125,23 +196,10 @@ impl BertiEngine {
         // Same-line dedup: repeated accesses within a line would flood the
         // history and shrink its effective depth; keep the earliest entry
         // (the earliest prefetch-trigger opportunity).
-        for k in 1..=DEDUP_SCAN {
-            let i = (self.head + HISTORY_SIZE - k) % HISTORY_SIZE;
-            if self.hist_tags[i] != tag {
-                continue;
-            }
-            let h = &self.history[i];
-            if h.valid && h.line == line {
-                return;
-            }
+        let same = |e: &HistEntry| e.tag == tag && e.line == line;
+        if !self.history.recent(DEDUP_SCAN).any(same) {
+            self.history.push(tag, line, trigger_time);
         }
-        self.history[self.head] = HistEntry {
-            valid: true,
-            line,
-            trigger_time,
-        };
-        self.hist_tags[self.head] = tag;
-        self.head = (self.head + 1) % HISTORY_SIZE;
     }
 
     /// Trains deltas for (`ip`, `line`): searches the history for same-IP
@@ -149,32 +207,38 @@ impl BertiEngine {
     /// they triggered would have arrived in time) and credits the delta.
     pub fn train(&mut self, ip: Ip, line: LineAddr, need_time: Cycle, latency: u32) {
         let tag = Self::ip_tag(ip);
-        let mut timely: [Option<i32>; DELTAS_PER_ENTRY] = [None; DELTAS_PER_ENTRY];
+        let mut timely = [0i32; DELTAS_PER_ENTRY];
         let mut n = 0;
-        // Scan newest → oldest: the nearest timely access yields the
-        // smallest (most reusable) delta, as in the Berti hardware search.
-        for k in 1..=HISTORY_SIZE {
-            let i = (self.head + HISTORY_SIZE - k) % HISTORY_SIZE;
-            if self.hist_tags[i] != tag {
-                continue;
-            }
-            let h = &self.history[i];
-            if !h.valid || h.line == line {
-                continue;
-            }
-            if h.trigger_time + latency as Cycle > need_time {
-                continue; // not timely
-            }
-            let d = line.delta(h.line);
-            if d == 0 || d.abs() > MAX_ABS_DELTA {
-                continue;
-            }
-            if n < DELTAS_PER_ENTRY && !timely[..n].contains(&Some(d as i32)) {
-                timely[n] = Some(d as i32);
-                n += 1;
+        // With `need_time < latency` no trigger could have been timely.
+        if let Some(latest) = need_time.checked_sub(latency as Cycle) {
+            // Newest → oldest: the nearest timely access yields the
+            // smallest (most reusable) delta, as in the Berti hardware
+            // search, which keeps the first `DELTAS_PER_ENTRY` distinct
+            // ones.
+            for e in self.history.near(tag, line) {
+                if e.tag != tag || e.trigger_time > latest {
+                    continue;
+                }
+                let d = line.delta(e.line);
+                if d == 0 || d.unsigned_abs() > MAX_ABS_DELTA as u64 {
+                    continue;
+                }
+                if !timely[..n].contains(&(d as i32)) {
+                    timely[n] = d as i32;
+                    n += 1;
+                    if n == DELTAS_PER_ENTRY {
+                        break;
+                    }
+                }
             }
         }
-        if n == 0 {
+        self.credit(tag, &timely[..n]);
+    }
+
+    /// Books one search of `tag`'s row and credits the `timely` deltas
+    /// it found.
+    fn credit(&mut self, tag: u32, timely: &[i32]) {
+        if timely.is_empty() {
             // Still count the search so coverage reflects misses the
             // learned deltas would not have covered.
             self.bump_search(tag);
@@ -182,7 +246,7 @@ impl BertiEngine {
         }
         let e = self.entry_mut(tag);
         e.searches = e.searches.saturating_add(1);
-        for d in timely.iter().flatten() {
+        for d in timely {
             if let Some(s) = e.deltas.iter_mut().find(|s| s.delta == *d && s.count > 0) {
                 s.count = s.count.saturating_add(1);
             } else if let Some(s) = e.deltas.iter_mut().min_by_key(|s| s.count) {
@@ -362,6 +426,150 @@ impl Prefetcher for OnAccessBerti {
 mod tests {
     use super::*;
     use crate::simple_access;
+    use secpref_types::rng::Xoshiro256ss;
+
+    /// The linear search `train` replaced, kept as the reference: every
+    /// filled ring slot, newest → oldest, one test after the other.
+    fn train_linear(e: &mut BertiEngine, ip: Ip, line: LineAddr, need_time: Cycle, latency: u32) {
+        let tag = BertiEngine::ip_tag(ip);
+        let mut timely = Vec::new();
+        for h in e.history.recent(HISTORY_SIZE as u64) {
+            if h.tag != tag || h.line == line {
+                continue;
+            }
+            if h.trigger_time + latency as Cycle > need_time {
+                continue; // not timely
+            }
+            let d = line.delta(h.line);
+            if d == 0 || d.abs() > MAX_ABS_DELTA {
+                continue;
+            }
+            if timely.len() < DELTAS_PER_ENTRY && !timely.contains(&(d as i32)) {
+                timely.push(d as i32);
+            }
+        }
+        e.credit(tag, &timely);
+    }
+
+    fn assert_same_tables(a: &BertiEngine, b: &BertiEngine, probe: LineAddr, what: &str) {
+        assert_eq!(a.table, b.table, "{what}: delta table");
+        assert_eq!(a.table_tags, b.table_tags, "{what}: row tags");
+        assert_eq!(a.lru_clock, b.lru_clock, "{what}: LRU clock");
+        for ip in STREAM_IPS {
+            let (mut x, mut y) = (PfBuf::new(), PfBuf::new());
+            a.prefetches(Ip::new(ip), probe, 16, &mut x);
+            b.prefetches(Ip::new(ip), probe, 16, &mut y);
+            let reqs = |v: &PfBuf| v.iter().map(|r| (r.line, r.fill_level)).collect::<Vec<_>>();
+            assert_eq!(reqs(&x), reqs(&y), "{what}: prefetches of ip {ip:#x}");
+        }
+    }
+
+    const STREAM_IPS: [u64; 3] = [0x40_1000, 0x40_1008, 0x7f_2230];
+
+    /// A stream that reaches every corner of the history search: few
+    /// IPs, so nearly every slot has the tag; walks dense enough for
+    /// far more than 16 distinct timely deltas; steps of exactly
+    /// ±`MAX_ABS_DELTA` and one more; repeated lines; far jumps (other
+    /// regions, other buckets); and it starts on an empty ring and wraps
+    /// it many times.
+    fn next_access(rng: &mut Xoshiro256ss, line: &mut u64, now: &mut Cycle) -> (Ip, LineAddr) {
+        *now += rng.gen_u64(12);
+        *line = match rng.gen_index(16) {
+            0 => *line,
+            1 => *line + MAX_ABS_DELTA as u64,
+            2 => *line - MAX_ABS_DELTA as u64,
+            3 => *line + MAX_ABS_DELTA as u64 + 1,
+            4 => *line - MAX_ABS_DELTA as u64 - 1,
+            5 => (1 << 30) + rng.gen_u64(1 << 22),
+            6 | 7 => *line - rng.gen_u64(40),
+            _ => *line + 1 + rng.gen_u64(3),
+        };
+        (Ip::new(STREAM_IPS[rng.gen_index(3)]), LineAddr::new(*line))
+    }
+
+    #[test]
+    fn bucketed_search_matches_the_linear_reference_on_access() {
+        for seed in 0..6u64 {
+            let mut rng = Xoshiro256ss::seed_from_u64(seed);
+            let mut real = OnAccessBerti::new();
+            let mut lin = BertiEngine::new();
+            let (mut line, mut now) = (1u64 << 30, 0);
+            let mut out = PfBuf::new();
+            for step in 0..4_000 {
+                let (ip, at) = next_access(&mut rng, &mut line, &mut now);
+                // Latencies from 0 to beyond the time elapsed so far, so
+                // `need_time < latency` occurs.
+                let latency = rng.gen_u64(if step < 50 { 400 } else { 90 }) as u32;
+                let ev = AccessEvent {
+                    hit: rng.gen_flip(),
+                    hit_prefetched: rng.gen_flip(),
+                    fetch_latency: latency,
+                    ..simple_access(ip.raw(), at.raw(), now, false)
+                };
+                out.clear();
+                real.observe_access(&ev, &mut out);
+                if ev.hit && ev.hit_prefetched && latency > 0 {
+                    train_linear(&mut lin, ip, at, now, latency);
+                }
+                lin.record_access(ip, at, now);
+                assert_same_tables(real.engine(), &lin, at, "access");
+                if !ev.hit {
+                    let fill = FillEvent {
+                        line: at,
+                        ip,
+                        cycle: now + latency as Cycle / 2,
+                        latency,
+                        by_prefetch: false,
+                    };
+                    real.observe_fill(&fill);
+                    let need = fill.cycle.saturating_sub(latency as Cycle);
+                    train_linear(&mut lin, ip, at, need, latency);
+                    assert_same_tables(real.engine(), &lin, at, "fill");
+                }
+            }
+        }
+    }
+
+    /// The same against TSB's use of the engine (`secpref-core`): the
+    /// deadline is the access time, well before the commit-time trigger
+    /// that is recorded, and the latency is the true fetch latency.
+    #[test]
+    fn bucketed_search_matches_the_linear_reference_in_tsb_order() {
+        for seed in 10..16u64 {
+            let mut rng = Xoshiro256ss::seed_from_u64(seed);
+            let (mut real, mut lin) = (BertiEngine::new(), BertiEngine::new());
+            let (mut line, mut now) = (1u64 << 30, 0);
+            for _ in 0..4_000 {
+                let (ip, at) = next_access(&mut rng, &mut line, &mut now);
+                let latency = 1 + rng.gen_u64(300) as u32;
+                let commit = now + rng.gen_u64(200);
+                real.train(ip, at, now, latency);
+                train_linear(&mut lin, ip, at, now, latency);
+                real.record_access(ip, at, commit);
+                lin.record_access(ip, at, commit);
+                assert_same_tables(&real, &lin, at, "commit");
+            }
+        }
+    }
+
+    #[test]
+    fn more_than_sixteen_timely_deltas_keep_the_sixteen_nearest() {
+        let (mut real, mut lin) = (BertiEngine::new(), BertiEngine::new());
+        let ip = Ip::new(STREAM_IPS[0]);
+        for i in 0..200u64 {
+            let at = LineAddr::new(5_000 + 3 * i);
+            for e in [&mut real, &mut lin] {
+                e.record_access(ip, at, i);
+            }
+            real.train(ip, at, 10_000, 1);
+            train_linear(&mut lin, ip, at, 10_000, 1);
+            assert_same_tables(&real, &lin, at, "dense walk");
+        }
+        let row = real.table.iter().find(|r| r.valid).expect("trained row");
+        let mut deltas: Vec<i32> = row.deltas.iter().map(|s| s.delta).collect();
+        deltas.sort_unstable();
+        assert_eq!(deltas, (1..=16).map(|k| 3 * k).collect::<Vec<_>>());
+    }
 
     #[test]
     fn learns_latency_covering_delta() {

@@ -40,7 +40,7 @@ struct TrackSlot {
 
 /// A bounded line → cycle map with FIFO aging.
 ///
-/// Probes an FNV-hashed open-addressed table (linear probing,
+/// Probes a multiply-shift-hashed open-addressed table (linear probing,
 /// backward-shift deletion — no tombstones) instead of a `HashMap`, so
 /// the classifier's per-event lookups avoid SipHash and per-node
 /// indirection. Retention semantics are exactly the old map's: FIFO by
@@ -62,15 +62,11 @@ impl Default for IssueTracker {
 }
 
 impl IssueTracker {
-    /// FNV-1a over the line address's little-endian bytes.
+    /// Multiply-shift (Fibonacci) hash: the product's top bits. What
+    /// the map holds and when it forgets does not depend on the hash.
     #[inline]
     fn home(line: u64) -> usize {
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        for b in line.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        (h as usize) & (TRACK_SLOTS - 1)
+        (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - TRACK_SLOTS.trailing_zeros())) as usize
     }
 
     /// Slot index of `line` if tracked.
@@ -211,15 +207,9 @@ impl Classifier {
     /// resolves any pending misses on that line as commit-late.
     pub fn actual_issue(&mut self, line: LineAddr, now: Cycle) {
         self.actual_issued.insert(line, now);
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].0 == line {
-                self.pending.remove(i);
-                self.counts.commit_late += 1;
-            } else {
-                i += 1;
-            }
-        }
+        let before = self.pending.len();
+        self.pending.retain(|&(l, _)| l != line);
+        self.counts.commit_late += (before - self.pending.len()) as u64;
     }
 
     /// Classifies a demand miss at the prefetcher's cache level.
@@ -297,6 +287,19 @@ mod tests {
         assert_eq!(c.counts().total(), 0, "classification deferred");
         c.actual_issue(la(5), 300);
         assert_eq!(c.counts().commit_late, 1);
+    }
+
+    #[test]
+    fn one_actual_issue_resolves_every_pending_miss_on_its_line() {
+        let mut c = classifier();
+        for line in [5, 6, 5, 7, 5] {
+            c.shadow_issued.insert(la(line), 50);
+            c.demand_miss(la(line), 100, false);
+        }
+        c.actual_issue(la(5), 300);
+        assert_eq!(c.counts().commit_late, 3);
+        let left: Vec<_> = c.pending.iter().map(|&(l, _)| l).collect();
+        assert_eq!(left, vec![la(6), la(7)], "the others wait on, in order");
     }
 
     #[test]

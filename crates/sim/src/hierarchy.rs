@@ -25,7 +25,7 @@ use crate::classify::Classifier;
 use crate::metrics::CoreMetrics;
 use crate::policy::{self, Admit, AfterEvict, Commit, Lookup, MemState, PerLevel, ReqKind};
 use crate::profile::{Phase, ProfileReport, Profiler};
-use crate::wheel::{EventWheel, WaitList};
+use crate::wheel::{EventWheel, Gate, WaitList, Waiter, EV_ACCESS, EV_RESPONSE};
 use secpref_cpu::LoadIssue;
 use secpref_ghostminion::{GmInsertOutcome, UpdateFilter, WbBits};
 use secpref_mem::{DramModel, DramRequest, FillAttrs, MshrFile, MshrToken, PortScheduler};
@@ -37,8 +37,13 @@ use secpref_types::{
     PrefetchRequest, SystemConfig,
 };
 
-const EV_ACCESS: u8 = 0;
-const EV_RESPONSE: u8 = 1;
+/// What the gate has settled, during one walk of the wait list, for
+/// every later waiter of one kind ([`Hierarchy::verdicts`]): nothing —
+/// ask the gate —, parked again on a still-full MSHR file, or denied a
+/// port.
+const ASK: u8 = 0;
+const PARK: u8 = 1;
+const DENY: u8 = 2;
 /// Maximum in-flight prefetch requests per core (prefetch queue depth);
 /// excess proposals are dropped at injection.
 const PF_QUEUE_DEPTH: usize = 48;
@@ -73,9 +78,6 @@ struct Req {
     holds_l1_slot: bool,
     /// Metrics for the current level access were already recorded.
     counted: bool,
-    /// Parked in the wait list until the level's MSHR file has space
-    /// (and then goes to the port again).
-    waiting_mshr: bool,
     /// Telemetry counted this request as a demand access (set only while
     /// armed, so histogram totals reconcile with the report counters).
     tel_counted: bool,
@@ -124,12 +126,26 @@ pub struct Hierarchy {
     /// Everything due next cycle, blocked requests above all; with
     /// `events` it forms the one event order (see [`crate::wheel`]).
     waits: WaitList,
+    /// By [`Gate::index`], valid while the wait list is walked: how the
+    /// gate's last answer to a waiter of that kind settles every later
+    /// one of the walk. Ports only get scarcer within a cycle, so a
+    /// denial stands to its end; a full MSHR file stays full until
+    /// [`Hierarchy::on_response`] completes an entry, which resets the
+    /// level's `PARK`. Blocked parked waiters and port waiters alternate
+    /// in a contended level's list by the dozen, each ticked cycle: this
+    /// turns the gate into one table read for all but the first of a kind.
+    verdicts: Vec<u8>,
+    /// Port denials handed out from `verdicts`, by [`Gate::index`],
+    /// booked when the walk ends.
+    denials: Vec<u32>,
     /// True while [`Hierarchy::tick`] runs: a push for the current cycle
     /// is then processed in this tick, not as a `late` event of the next.
     ticking: bool,
-    /// Request walks and ticked cycles ([`DriverCounts`]).
+    /// Request walks, ticked cycles and request records read for a
+    /// request that stayed blocked ([`DriverCounts`]).
     walks: u64,
     ticks: u64,
+    blocked_reads: u64,
     /// Spare waiter vectors recycled across MSHR merge/complete cycles.
     waiter_pool: Vec<Vec<u32>>,
     /// Completed demand loads, drained by the system each cycle:
@@ -169,6 +185,15 @@ pub struct DriverCounts {
     pub ticked_cycles: u64,
     /// Longest wait list a cycle started with.
     pub wait_high_water: usize,
+    /// Request records read on a visit that left the request blocked (a
+    /// port denial, a still-full MSHR file, a DRAM-queue refusal). A
+    /// waiter at a cache level carries its gate in its list entry and
+    /// costs none; what remains are first denials and DRAM refusals.
+    pub blocked_req_reads: u64,
+    /// Load-queue slots the cores' issue scans examined
+    /// ([`secpref_cpu::Core::lq_slots_examined`]; filled in by
+    /// [`crate::System::driver_counts`], the hierarchy has no core).
+    pub lq_slots_examined: u64,
 }
 
 /// Phase a cache-walk event at `lvl` is attributed to.
@@ -215,9 +240,12 @@ impl Hierarchy {
             free: Vec::new(),
             events: EventWheel::new(),
             waits: WaitList::default(),
+            verdicts: vec![ASK; cores * Gate::KINDS],
+            denials: vec![0; cores * Gate::KINDS],
             ticking: false,
             walks: 0,
             ticks: 0,
+            blocked_reads: 0,
             waiter_pool: Vec::new(),
             completions: Vec::new(),
             metrics: vec![CoreMetrics::default(); cores],
@@ -403,7 +431,7 @@ impl Hierarchy {
     /// pushes of the core phase) goes to the wheel.
     fn schedule(&mut self, at: Cycle, rid: u32, kind: u8) {
         if at == self.now + 1 {
-            self.waits.push_next(rid, kind);
+            self.waits.push_next(Waiter::event(rid, kind));
         } else if at == self.now && self.ticking {
             self.waits.push_same(rid, kind);
         } else {
@@ -431,7 +459,6 @@ impl Hierarchy {
             wb: WbBits::ALL,
             holds_l1_slot: false,
             counted: false,
-            waiting_mshr: false,
             tel_counted: false,
             served_by_gm: false,
             alive: true,
@@ -510,34 +537,49 @@ impl Hierarchy {
 
     /// Step 2 of the order law: this cycle's wait list, front to back.
     /// Requests that stay blocked far outnumber every other event, so a
-    /// run of cache-level accesses at one level shares one profiler scope
-    /// (that level's phase, where [`Hierarchy::dispatch`] would put each)
-    /// instead of paying two clock reads per waiter passed over.
+    /// waiter goes to the gate with what its entry carries — or not at
+    /// all, once `verdicts` has the answer for its kind — and a run of
+    /// waiters at one level shares one profiler scope (that level's
+    /// phase, where [`Hierarchy::dispatch`] would put each) instead of
+    /// paying two clock reads per waiter passed over.
     fn walk_waiters(&mut self, now: Cycle) {
+        self.verdicts.fill(ASK);
         let mut scope = None;
-        while let Some((rid, kind)) = self.waits.pop_cur() {
-            let r = &self.reqs[rid as usize];
-            let lvl = r.cur_level;
-            if kind == EV_ACCESS && lvl < 3 && r.alive {
-                if scope != Some(lvl) {
+        while let Some(w) = self.waits.pop_cur() {
+            if let Some(gate) = w.gate() {
+                debug_assert!(self.reqs[w.rid as usize].alive);
+                if scope != Some(gate.lvl()) {
                     if scope.is_some() {
                         self.prof.exit();
                     }
-                    self.prof.enter(level_phase(lvl));
-                    scope = Some(lvl);
+                    self.prof.enter(level_phase(gate.lvl()));
+                    scope = Some(gate.lvl());
                 }
-                if self.admit(now, rid) {
-                    self.access_level(now, rid);
+                let verdict = self.verdicts[gate.index()];
+                if verdict != ASK {
+                    // No branch on which: the two alternate.
+                    self.denials[gate.index()] += (verdict == DENY) as u32;
+                    self.waits.push_blocked(w, verdict == PARK);
+                } else if self.admit(now, w.rid, Some(gate)) {
+                    self.access_level(now, w.rid);
                 }
             } else {
                 if scope.take().is_some() {
                     self.prof.exit();
                 }
-                self.dispatch(now, rid, kind);
+                self.dispatch(now, w.rid, w.kind());
             }
         }
         if scope.is_some() {
             self.prof.exit();
+        }
+        for index in 0..self.denials.len() {
+            let n = std::mem::take(&mut self.denials[index]) as u64;
+            if n > 0 {
+                let (core, lvl) = (Gate::at(index).core(), Gate::at(index).lvl());
+                self.timing.at(core, lvl).ports.refuse(n);
+                self.level_metrics(core, lvl).port_stalls += n;
+            }
         }
     }
 
@@ -615,43 +657,56 @@ impl Hierarchy {
     fn on_access(&mut self, now: Cycle, rid: u32) {
         if self.reqs[rid as usize].cur_level == 3 {
             self.access_dram(now, rid);
-        } else if self.admit(now, rid) {
+        } else if self.admit(now, rid, None) {
             self.access_level(now, rid);
         }
     }
 
+    /// The gate `r` stands at at its level.
+    fn gate_of(r: &Req, for_mshr: bool) -> Gate {
+        let prefetch = matches!(r.kind, ReqKind::Prefetch);
+        Gate::new(r.core, r.cur_level, prefetch, for_mshr)
+    }
+
     /// The gate of a cache-level access: `false` when the request is
-    /// still blocked and went (back) to the wait list. Cheap enough to
-    /// run every ticked cycle on every waiter — it reads a few fields of
-    /// the request and copies nothing. Nothing counts how long a waiter
+    /// still blocked and went (back) to the wait list. A waiter brings
+    /// its gate in `carried`; the request record is read only for a
+    /// request that arrives for the first time (or, under obs, for the
+    /// line of a `PortStall` event). Nothing counts how long a waiter
     /// waits; a request that is never admitted stops retirement and
     /// trips `WATCHDOG_CYCLES` in the run loop.
-    #[inline]
-    fn admit(&mut self, now: Cycle, rid: u32) -> bool {
-        let r = &mut self.reqs[rid as usize];
-        let (core, lvl, line) = (r.core, r.cur_level, r.line);
+    fn admit(&mut self, now: Cycle, rid: u32, carried: Option<Gate>) -> bool {
+        let gate = carried.unwrap_or_else(|| Self::gate_of(&self.reqs[rid as usize], false));
+        let (core, lvl) = (gate.core(), gate.lvl());
         let level = self.timing.at(core, lvl);
         // A request parked on a full MSHR file waits without consuming
         // lookup bandwidth (it sits in the input queue in hardware).
-        if r.waiting_mshr {
-            if level.mshr.is_full() {
-                self.waits.park(rid, EV_ACCESS);
-                return false;
+        let parked = gate.for_mshr() && level.mshr.is_full();
+        let gate = Gate::new(core, lvl, gate.prefetch(), parked);
+        if !parked {
+            // Port arbitration at this level; prefetches yield to demands.
+            let granted = if gate.prefetch() {
+                level.ports.try_acquire_low_priority(now)
+            } else {
+                level.ports.try_acquire(now)
+            };
+            if granted {
+                return true;
             }
-            r.waiting_mshr = false;
-        }
-        // Port arbitration at this level; prefetches yield to demands.
-        let granted = if matches!(r.kind, ReqKind::Prefetch) {
-            level.ports.try_acquire_low_priority(now)
-        } else {
-            level.ports.try_acquire(now)
-        };
-        if !granted {
             self.level_metrics(core, lvl).port_stalls += 1;
-            self.obs_ev(now, core, EventKind::PortStall, line, lvl as u32);
-            self.waits.push_next(rid, EV_ACCESS);
         }
-        granted
+        // Under obs every denial is an event carrying the request's
+        // line, so denials are never handed out from the table.
+        let traced = !parked && self.obs.is_enabled();
+        if traced {
+            let line = self.reqs[rid as usize].line;
+            self.obs_ev(now, core, EventKind::PortStall, line, lvl as u32);
+        } else {
+            self.verdicts[gate.index()] = if parked { PARK } else { DENY };
+        }
+        self.blocked_reads += (carried.is_none() || traced) as u64;
+        self.waits.push_blocked(Waiter::blocked(rid, gate), parked);
+        false
     }
 
     /// An admitted access at L1D/L2/LLC: counts it and does what its
@@ -815,8 +870,8 @@ impl Hierarchy {
                 self.metrics[core].prefetch.dropped_resources += 1;
                 self.free_req(rid);
             } else {
-                self.reqs[rid as usize].waiting_mshr = true;
-                self.waits.park(rid, EV_ACCESS);
+                self.waits
+                    .park(Waiter::blocked(rid, Self::gate_of(&req, true)));
             }
             return;
         }
@@ -855,8 +910,11 @@ impl Hierarchy {
         };
         if self.dram.enqueue(dram_req).is_err() {
             // Queue full: wait for DRAM to pick a request, which is a
-            // wake source of its own (`DramModel::next_event`).
-            self.waits.park(rid, EV_ACCESS);
+            // wake source of its own (`DramModel::next_event`). Whether
+            // the queue takes it depends on its line (a queued write
+            // forwards), so this waiter is re-offered from its record.
+            self.blocked_reads += 1;
+            self.waits.park(Waiter::event(rid, EV_ACCESS));
             return;
         }
         self.walks += 1;
@@ -1006,6 +1064,9 @@ impl Hierarchy {
             let level = self.timing.at(core, lvl);
             if level.mshr.is_full() {
                 self.waits.wake_parked();
+                for prefetch in [false, true] {
+                    self.verdicts[Gate::new(core, lvl, prefetch, true).index()] = ASK;
+                }
             }
             let allocated_at = level.mshr.complete(token).alloc_cycle;
             let mut waiters = match level.waiting.iter().position(|(t, _)| *t == token) {
@@ -1222,6 +1283,8 @@ impl Hierarchy {
             walks: self.walks,
             ticked_cycles: self.ticks,
             wait_high_water: self.waits.high_water(),
+            blocked_req_reads: self.blocked_reads,
+            lq_slots_examined: 0,
         }
     }
 
@@ -1450,6 +1513,189 @@ impl Hierarchy {
             lvl += 1;
             line = ev.line;
             attrs = policy::fill_attrs(kind, true, lvl, wb, 0).expect("installs always fill");
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use secpref_ghostminion::AlwaysUpdate;
+    use secpref_obs::ObsConfig;
+    use secpref_prefetch::NullPrefetcher;
+
+    const NOW: Cycle = 7;
+
+    /// `walk_waiters` without its table — the gate applied entry by
+    /// entry, nothing ever settled for the next waiter — kept as the
+    /// reference the table is checked against.
+    fn walk_entry_by_entry(h: &mut Hierarchy) {
+        while let Some(w) = h.waits.pop_cur() {
+            h.verdicts.fill(ASK);
+            match w.gate() {
+                Some(gate) => {
+                    if h.admit(NOW, w.rid, Some(gate)) {
+                        h.access_level(NOW, w.rid);
+                    }
+                }
+                None => h.dispatch(NOW, w.rid, w.kind()),
+            }
+        }
+        assert!(
+            h.denials.iter().all(|&n| n == 0),
+            "nothing came from the table"
+        );
+    }
+
+    /// A two-core hierarchy one cycle before a crowded walk: core 0's
+    /// L1D and core 1's L2 MSHR files full and the DRAM read queue full;
+    /// in the list, in mixed order, waiters parked at those two levels,
+    /// port waiters of both priorities at four levels of both cores, the
+    /// response that frees one of core 0's L1D MSHRs half-way, and a
+    /// DRAM-parked read.
+    fn crowded(obs: bool) -> Hierarchy {
+        let mut cfg = SystemConfig::baseline(2);
+        cfg.dram.queue_depth = 2;
+        let boxed = |_| Box::new(NullPrefetcher) as Box<dyn Prefetcher>;
+        let mut h = Hierarchy::new(
+            cfg,
+            (0..2).map(boxed).collect(),
+            (0..2).map(|_| Box::new(AlwaysUpdate) as _).collect(),
+            vec![None, None],
+        );
+        if obs {
+            let on = ObsConfig {
+                enabled: true,
+                ..ObsConfig::default()
+            };
+            h.set_obs(Obs::new(&on, 2));
+            h.arm_obs(0);
+            h.arm_obs(1);
+        }
+        let mut line = 0x4_0000u64;
+        let mut fresh = || {
+            line += 97;
+            LineAddr::new(line)
+        };
+        let mut tokens = Vec::new();
+        for (level, ts) in [(&mut h.timing.l1d[0], 1), (&mut h.timing.l2[1], 2)] {
+            while !level.mshr.is_full() {
+                tokens.push(level.mshr.alloc(fresh(), false, 0, ts).expect("room"));
+            }
+        }
+        for token in 0..2 {
+            let read = DramRequest {
+                line: fresh(),
+                is_write: false,
+                token,
+                arrival: 0,
+            };
+            h.dram.enqueue(read).expect("room");
+        }
+        // (core, level, kind, parked on the MSHR file)
+        let demand = ReqKind::Load;
+        let pf = ReqKind::Prefetch;
+        let response = ReqKind::Store; // stands for the response below
+        let list = [
+            (0, 0, demand, true),
+            (0, 0, demand, true),
+            (0, 0, demand, false), // port 1 of 2, then finds the file full
+            (0, 0, response, false),
+            (0, 0, demand, true), // the file has room: port 2 of 2
+            (0, 0, demand, true), // and is full again
+            (0, 0, pf, true),
+            (1, 1, demand, true),
+            (0, 0, demand, false),
+            (0, 2, demand, false),
+            (0, 0, pf, false),
+            (1, 0, demand, false),
+            (0, 0, demand, false),
+            (1, 1, demand, true),
+            (1, 2, demand, false),
+            (0, 3, demand, false), // DRAM read queue full
+            (0, 0, pf, false),
+            (1, 1, demand, false),
+            (1, 0, demand, false),
+            (0, 2, pf, false),
+            (1, 1, pf, false),
+            (0, 0, demand, true),
+            (1, 2, demand, false),
+            (1, 1, demand, false),
+            (1, 0, demand, false),
+            (1, 1, demand, false),
+            (0, 2, demand, false),
+            (1, 2, pf, false),
+            (0, 0, demand, false),
+        ];
+        for (core, lvl, kind, parked) in list {
+            let mut req = Hierarchy::blank_req(core, fresh(), Ip::new(0x40), kind, 0);
+            req.cur_level = lvl;
+            if kind == response {
+                req.kind = ReqKind::Load;
+                req.wrong_path = true;
+                req.cur_level = 1;
+                req.hit_level = HitLevel::L2;
+                req.path[0] = Some(tokens[3]);
+                let rid = h.alloc_req(req);
+                h.waits.push_next(Waiter::event(rid, EV_RESPONSE));
+                continue;
+            }
+            let gate = Hierarchy::gate_of(&req, parked);
+            let rid = h.alloc_req(req);
+            match (lvl, parked) {
+                (3, _) => h.waits.park(Waiter::event(rid, EV_ACCESS)),
+                (_, true) => h.waits.park(Waiter::blocked(rid, gate)),
+                (_, false) => h.waits.push_next(Waiter::blocked(rid, gate)),
+            }
+        }
+        h.now = NOW;
+        h.ticking = true;
+        h.waits.begin_cycle();
+        h
+    }
+
+    /// Everything a walk may leave behind.
+    fn aftermath(h: &mut Hierarchy) -> String {
+        let rejected: Vec<u64> = [&h.timing.l1d[0], &h.timing.l1d[1]]
+            .into_iter()
+            .chain([&h.timing.l2[0], &h.timing.l2[1], &h.timing.llc])
+            .map(|level| level.ports.total_rejected())
+            .collect();
+        let events = h.take_obs_capture().map(|cap| cap.events);
+        format!(
+            "{:?}\n{rejected:?}\n{:?}\n{:?}\n{events:?}\n{:?}\n{}",
+            h.waits,
+            h.metrics,
+            h.reqs,
+            h.driver_counts(),
+            h.events.len()
+        )
+    }
+
+    #[test]
+    fn table_walk_equals_the_gate_applied_entry_by_entry() {
+        for obs in [false, true] {
+            let (mut fast, mut slow) = (crowded(obs), crowded(obs));
+            fast.walk_waiters(NOW);
+            walk_entry_by_entry(&mut slow);
+            // Anti-vacuity: the scene is what `crowded` says it is.
+            let m = &fast.metrics;
+            let denials = |c: usize| {
+                [
+                    m[c].l1d.port_stalls,
+                    m[c].l2.port_stalls,
+                    m[c].llc.port_stalls,
+                ]
+            };
+            assert_eq!((denials(0), denials(1)), ([5, 0, 1], [1, 2, 1]));
+            assert_eq!(
+                (m[0].l1d.mshr_full_stalls, m[1].l2.mshr_full_stalls),
+                (1, 2)
+            );
+            // One record read for the DRAM refusal; under obs one more
+            // per denial, for the event's line.
+            assert_eq!(fast.driver_counts().blocked_req_reads, 1 + 10 * obs as u64);
+            assert_eq!(aftermath(&mut fast), aftermath(&mut slow), "obs {obs}");
         }
     }
 }

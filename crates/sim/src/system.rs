@@ -349,10 +349,15 @@ impl System {
     }
 
     /// Host-side work counts of the detailed driver so far (request
-    /// walks, ticked cycles, wait-list high-water mark) — what `simbench
-    /// --profile` prints beside the phase table. No part of the report.
+    /// walks, ticked cycles, wait-list high-water mark, request records
+    /// read for blocked requests, load-queue slots examined) — what
+    /// `simbench --profile` prints beside the phase table. No part of
+    /// the report.
     pub fn driver_counts(&self) -> DriverCounts {
-        self.hierarchy.driver_counts()
+        DriverCounts {
+            lq_slots_examined: self.cores.iter().map(|c| c.core.lq_slots_examined()).sum(),
+            ..self.hierarchy.driver_counts()
+        }
     }
 
     /// Overrides the warm-up / measurement windows (instructions).

@@ -32,7 +32,10 @@
 //! while an MSHR file was full. [`WaitList`] holds those requests instead:
 //! it is walked once per *ticked* cycle, a waiter whose resource is still
 //! full is passed over without the request walk, and a list that holds
-//! only such parked waiters does not ask for the next cycle at all.
+//! only such parked waiters does not ask for the next cycle at all. A
+//! request blocked at a cache level carries its [`Gate`] in its entry, so
+//! passing it over — or denying it a port again — reads the entry and
+//! what the gate last answered a waiter like it, not the request.
 //!
 //! The contract between the two (kept by `Hierarchy::schedule`): a push
 //! for `now + 1` goes to the list, a push for `now` made while the
@@ -224,8 +227,80 @@ impl EventWheel {
     }
 }
 
-/// The ordered list of `(rid, kind)` entries due next cycle (see the
-/// module doc for the order law it keeps).
+/// Event tags of the `(rid, kind)` pairs both queues carry.
+pub(crate) const EV_ACCESS: u8 = 0;
+pub(crate) const EV_RESPONSE: u8 = 1;
+
+/// Where a blocked request waits: everything the gate of a cache-level
+/// access ([`crate::hierarchy::Hierarchy`]'s `admit`) asks of the request,
+/// so that a waiter that stays blocked costs no read of its record.
+/// Packed as a dense index: what the gate finds out about one waiter
+/// holds for every other with the same index.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Gate(u32);
+
+impl Gate {
+    /// Indices per core.
+    pub const KINDS: usize = 16;
+
+    /// The gate of a request of `core` at `lvl` (0 = L1D, 1 = L2, 2 =
+    /// LLC). `prefetch`: it yields the last port of a cycle to demands.
+    /// `for_mshr`: it waits for space in the level's MSHR file (and then
+    /// goes to the port again), not for a port.
+    pub fn new(core: usize, lvl: u8, prefetch: bool, for_mshr: bool) -> Self {
+        Gate(((core as u32 * 4 + lvl as u32) * 2 + prefetch as u32) * 2 + for_mshr as u32)
+    }
+    pub fn at(index: usize) -> Self {
+        Gate(index as u32)
+    }
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+    pub fn core(self) -> usize {
+        self.index() / Self::KINDS
+    }
+    pub fn lvl(self) -> u8 {
+        (self.0 / 4 % 4) as u8
+    }
+    pub fn prefetch(self) -> bool {
+        self.0 & 2 != 0
+    }
+    pub fn for_mshr(self) -> bool {
+        self.0 & 1 != 0
+    }
+}
+
+/// One wait-list entry, two whole words: the request and either the
+/// event to dispatch for it or, for an [`EV_ACCESS`] blocked at a cache
+/// level, the [`Gate`] it waits at.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Waiter {
+    pub rid: u32,
+    /// A gate's index, or `EVENT | kind`.
+    what: u32,
+}
+
+impl Waiter {
+    const EVENT: u32 = 1 << 31;
+
+    /// A plain event (no gate known: the handler reads the request).
+    pub fn event(rid: u32, kind: u8) -> Self {
+        let what = Self::EVENT | kind as u32;
+        Waiter { rid, what }
+    }
+    pub fn blocked(rid: u32, gate: Gate) -> Self {
+        Waiter { rid, what: gate.0 }
+    }
+    pub fn gate(self) -> Option<Gate> {
+        (self.what & Self::EVENT == 0).then_some(Gate(self.what))
+    }
+    pub fn kind(self) -> u8 {
+        self.gate().map_or(self.what as u8, |_| EV_ACCESS)
+    }
+}
+
+/// The ordered list of entries due next cycle (see the module doc for
+/// the order law it keeps).
 ///
 /// Two vectors trade places each tick: `cur` is the list built for this
 /// cycle and is walked front to back; `next` collects, in processing
@@ -235,10 +310,10 @@ impl EventWheel {
 /// not make the next cycle due.
 #[derive(Debug, Default)]
 pub(crate) struct WaitList {
-    cur: Vec<(u32, u8)>,
+    cur: Vec<Waiter>,
     /// Walk position in `cur`.
     pos: usize,
-    next: Vec<(u32, u8)>,
+    next: Vec<Waiter>,
     /// Same-cycle pushes made during the tick, drained after the walk.
     same: VecDeque<(u32, u8)>,
     /// Parked entries in `next`.
@@ -265,7 +340,7 @@ impl WaitList {
 
     /// The next entry of this cycle's list, front to back.
     #[inline]
-    pub fn pop_cur(&mut self) -> Option<(u32, u8)> {
+    pub fn pop_cur(&mut self) -> Option<Waiter> {
         let e = self.cur.get(self.pos).copied();
         self.pos += e.is_some() as usize;
         e
@@ -273,16 +348,23 @@ impl WaitList {
 
     /// Queues an entry that must be processed next cycle.
     #[inline]
-    pub fn push_next(&mut self, rid: u32, kind: u8) {
-        self.next.push((rid, kind));
+    pub fn push_next(&mut self, w: Waiter) {
+        self.next.push(w);
     }
 
     /// Queues an entry that waits for a resource to free: it keeps its
     /// place in the order but does not by itself make the next cycle due.
     #[inline]
-    pub fn park(&mut self, rid: u32, kind: u8) {
-        self.next.push((rid, kind));
-        self.parked += 1;
+    pub fn park(&mut self, w: Waiter) {
+        self.push_blocked(w, true);
+    }
+
+    /// Queues a still-blocked entry, parked or not, without branching on
+    /// which: the two kinds alternate in a contended level's list.
+    #[inline]
+    pub fn push_blocked(&mut self, w: Waiter, parked: bool) {
+        self.next.push(w);
+        self.parked += parked as usize;
     }
 
     /// A resource parked entries may wait for was freed. Entries not yet
@@ -441,18 +523,18 @@ mod tests {
         mut handle: impl FnMut(u32, u8) -> Do,
     ) -> Vec<u32> {
         let mut order = Vec::new();
-        let mut run = |l: &mut WaitList, (rid, kind): (u32, u8)| {
-            order.push(rid);
-            match handle(rid, kind) {
-                Do::Wait(false) => l.push_next(rid, kind),
-                Do::Wait(true) => l.park(rid, kind),
-                Do::Succeed(r, k) => l.push_next(r, k),
+        let mut run = |l: &mut WaitList, w: Waiter| {
+            order.push(w.rid);
+            match handle(w.rid, w.kind()) {
+                Do::Wait(false) => l.push_next(w),
+                Do::Wait(true) => l.park(w),
+                Do::Succeed(r, k) => l.push_next(Waiter::event(r, k)),
                 Do::Done => {}
             }
         };
         l.begin_cycle();
-        for &e in wheel {
-            run(l, e);
+        for &(rid, kind) in wheel {
+            run(l, Waiter::event(rid, kind));
         }
         while let Some(e) = l.pop_cur() {
             run(l, e);
@@ -503,7 +585,7 @@ mod tests {
         let mut l = WaitList::default();
         tick(&mut l, &[(1, 0), (2, 0)], |_, _| Do::Wait(false));
         // After the tick, the core phase issues a 1-cycle-TLB load.
-        l.push_next(7, 0);
+        l.push_next(Waiter::event(7, 0));
         assert!(l.due_next_cycle());
         // Next cycle: a DRAM completion (8) is queued before anything is
         // processed, the wheel entry 9 spawns a same-cycle child 90 and
@@ -513,10 +595,10 @@ mod tests {
         l.push_same(8, 1);
         let mut order = vec![9];
         l.push_same(90, 0);
-        while let Some((rid, kind)) = l.pop_cur() {
-            order.push(rid);
-            if rid == 1 {
-                l.push_same(91, kind);
+        while let Some(w) = l.pop_cur() {
+            order.push(w.rid);
+            if w.rid == 1 {
+                l.push_same(91, w.kind());
             }
         }
         while let Some((rid, _)) = l.pop_same() {
@@ -543,7 +625,7 @@ mod tests {
         let order = tick(&mut l, &[], |_, _| Do::Wait(true));
         assert_eq!(order, vec![5, 1, 3]);
         // One entry that is not parked makes the next cycle due.
-        l.push_next(6, 0);
+        l.push_next(Waiter::event(6, 0));
         assert!(l.due_next_cycle());
         assert_eq!(l.high_water(), 3);
     }
@@ -556,8 +638,8 @@ mod tests {
         // walk has yet to reach the waiter and will see it by itself.
         l.begin_cycle();
         l.wake_parked();
-        let e = l.pop_cur().expect("one waiter");
-        l.park(e.0, e.1); // still full for this one
+        let w = l.pop_cur().expect("one waiter");
+        l.park(w); // still full for this one
         assert!(!l.due_next_cycle());
         // Freed after it was passed over: it must be looked at again.
         l.wake_parked();
