@@ -108,18 +108,5 @@ fn main() {
             gen.generate(10_000).instrs.len()
         });
     }
-    {
-        let t = secpref_trace::suite::trace_by_name("gcc_like")
-            .unwrap()
-            .generate(10_000);
-        mb.bench("trace_io_round_trip_10k", move || {
-            let mut buf = Vec::with_capacity(200_000);
-            secpref_trace::io::write_trace(&mut buf, &t).unwrap();
-            secpref_trace::io::read_trace(buf.as_slice())
-                .unwrap()
-                .instrs
-                .len()
-        });
-    }
     mb.finish();
 }

@@ -23,7 +23,7 @@
 //! differential checker, the invariant auditor, and the secret-footprint
 //! containment probe armed. Failing traces are bisection-shrunk and
 //! dumped under `target/check/`; exit status is nonzero on any failure.
-//! `--check-replay FILE` re-runs one dumped `.trace` artifact through
+//! `--check-replay FILE` re-runs one dumped `.sct` artifact through
 //! every cell and reports each cell's verdict. Both modes skip the
 //! figure pipeline entirely. `--check` also runs the quick sampled
 //! differential (below), so the sampled-report audit rules are armed in
@@ -53,7 +53,8 @@
 //! `<key>.events.jsonl` and `<key>.epochs.csv` — under
 //! `target/exp/obs/`. Traced runs bypass the result store, so the
 //! artifacts are byte-identical regardless of `--workers` or of what an
-//! earlier run already persisted. With `--trace` and no positional
+//! earlier run already persisted. Like every sweep it also writes the
+//! run's engine span trace (below). With `--trace` and no positional
 //! targets, repro skips figure rendering entirely.
 //!
 //! `--telemetry TARGET` (repeatable) is the distribution-level analogue:
@@ -76,7 +77,7 @@
 
 use secpref_bench::runner::ExpScale;
 use secpref_bench::{figures, runner, sweep};
-use secpref_exp::ObsConfig;
+use secpref_exp::{ObsConfig, RunMode, TelConfig};
 use std::time::Instant;
 
 fn main() {
@@ -118,7 +119,7 @@ fn main() {
             "--check-replay" => {
                 let file = it
                     .next()
-                    .unwrap_or_else(|| die("--check-replay needs a .trace file"));
+                    .unwrap_or_else(|| die("--check-replay needs a .sct file"));
                 check_replay = Some(file.clone());
             }
             "--workers" => {
@@ -314,39 +315,33 @@ fn main() {
     let t0 = Instant::now();
     let mut phases: Vec<(&str, std::time::Duration)> = Vec::new();
 
-    // Traced runs: re-simulate with the recorder on, export artifacts.
-    if !trace_targets.is_empty() {
-        let jobs =
-            sweep::jobs_for_targets(trace_targets.iter().map(String::as_str), scale, mix_count);
-        let (_, summary) = runner::engine().run_traced(&jobs, &ObsConfig::enabled());
-        if !quiet {
-            eprintln!(
-                "[repro] traced {} job(s) for {}; artifacts under {}/obs, manifest {}",
-                summary.jobs_unique,
-                trace_targets.join("+"),
-                runner::engine().store_dir().display(),
-                summary.manifest_path.display(),
-            );
+    // Diagnostic sweeps: re-simulate with a recorder on, export artifacts.
+    let (obs, tel) = (ObsConfig::enabled(), TelConfig::enabled());
+    for (phase, subdir, mode, diag_targets) in [
+        ("trace", "obs", RunMode::Traced(&obs), &trace_targets),
+        (
+            "telemetry",
+            "telemetry",
+            RunMode::Telemetry(&tel),
+            &telemetry_targets,
+        ),
+    ] {
+        if diag_targets.is_empty() {
+            continue;
         }
-        phases.push(("trace", t0.elapsed()));
-    }
-
-    // Telemetry runs: re-simulate with the histogram recorder on.
-    if !telemetry_targets.is_empty() {
-        let t_tel = Instant::now();
-        let jobs = sweep::jobs_for_targets(
-            telemetry_targets.iter().map(String::as_str),
-            scale,
-            mix_count,
-        );
-        let (_, summary) =
-            runner::engine().run_telemetry(&jobs, &secpref_exp::TelConfig::enabled());
+        let t_diag = Instant::now();
+        let jobs =
+            sweep::jobs_for_targets(diag_targets.iter().map(String::as_str), scale, mix_count);
+        let engine = runner::engine();
+        let (_, summary) = engine.run_with(&jobs, mode);
         if !quiet {
             eprintln!(
-                "[repro] telemetry for {}: {} job(s); histograms under {}/telemetry, span trace {}",
-                telemetry_targets.join("+"),
+                "[repro] {phase} for {}: {} job(s); artifacts under {}/{subdir}, manifest {}, \
+                 span trace {}",
+                diag_targets.join("+"),
                 summary.jobs_unique,
-                runner::engine().store_dir().display(),
+                engine.store_dir().display(),
+                summary.manifest_path.display(),
                 summary
                     .trace_path
                     .as_deref()
@@ -354,7 +349,7 @@ fn main() {
                     .unwrap_or_else(|| "(not written)".into()),
             );
         }
-        phases.push(("telemetry", t_tel.elapsed()));
+        phases.push((phase, t_diag.elapsed()));
     }
 
     if !trace_targets.is_empty() || !telemetry_targets.is_empty() {

@@ -8,8 +8,6 @@
 //! sectrace info PATH [--json]
 //! sectrace verify PATH
 //! sectrace replay PATH [--warmup N] [--measure N] [--compare-mem]
-//! sectrace import SRC.strace DST.sct [--chunk RECORDS]
-//! sectrace export SRC.sct DST.strace
 //! ```
 //!
 //! - `capture`: stream a suite generator to disk chunk-by-chunk — the
@@ -24,15 +22,11 @@
 //!   print the canonical report digest. With `--compare-mem` the same
 //!   workload is regenerated in memory and both reports are diffed;
 //!   exits non-zero if they are not bit-identical (the tier-1 stage).
-//! - `import`/`export`: convert flat `.strace` files to/from chunk
-//!   stores, streaming record-at-a-time in both directions.
 
 use secpref_sim::{run_single_with_window, run_stream_with_window};
 use secpref_trace::suite;
-use secpref_tracestore::{
-    format::{export_strace, import_strace},
-    CaptureSink, TraceReader, TraceWriter, DEFAULT_CHUNK_SIZE,
-};
+use secpref_tracestore::fnv::{fnv1a64, FNV_OFFSET};
+use secpref_tracestore::{CaptureSink, TraceReader, TraceWriter, DEFAULT_CHUNK_SIZE};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::Path;
@@ -44,18 +38,13 @@ fn die(msg: &str) -> ! {
 }
 
 fn usage() -> ! {
-    die("usage: sectrace <capture|info|verify|replay|import|export> ... (see --help in the source header)");
+    die("usage: sectrace <capture|info|verify|replay> ... (see --help in the source header)");
 }
 
 /// FNV-1a 64 over the canonical report text — the same digest scheme the
 /// pinned report-digest tripwire uses.
 fn report_digest(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in text.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a64(text.as_bytes(), FNV_OFFSET)
 }
 
 fn open_reader(path: &str) -> TraceReader<BufReader<File>> {
@@ -219,42 +208,6 @@ fn cmd_replay(path: &str, args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_import(src: &str, dst: &str, args: &[String]) -> ExitCode {
-    let mut chunk = DEFAULT_CHUNK_SIZE;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--chunk" => {
-                chunk = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--chunk needs a record count"))
-            }
-            other => die(&format!("import: unknown flag `{other}`")),
-        }
-    }
-    let src_f = BufReader::new(File::open(src).unwrap_or_else(|e| die(&format!("{src}: {e}"))));
-    let dst_f = BufWriter::new(File::create(dst).unwrap_or_else(|e| die(&format!("{dst}: {e}"))));
-    let meta = import_strace(src_f, dst_f, chunk).unwrap_or_else(|e| die(&format!("import: {e}")));
-    println!(
-        "imported {} instrs of {} into {dst} (digest {:016x})",
-        meta.n_instr, meta.name, meta.content_digest
-    );
-    ExitCode::SUCCESS
-}
-
-fn cmd_export(src: &str, dst: &str) -> ExitCode {
-    let mut r = open_reader(src);
-    let dst_f = BufWriter::new(File::create(dst).unwrap_or_else(|e| die(&format!("{dst}: {e}"))));
-    export_strace(&mut r, dst_f).unwrap_or_else(|e| die(&format!("export: {e}")));
-    println!(
-        "exported {} instrs of {} into {dst}",
-        r.meta().n_instr,
-        r.meta().name
-    );
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.split_first() {
@@ -263,8 +216,6 @@ fn main() -> ExitCode {
             ("info", [path, rest @ ..]) => cmd_info(path, rest),
             ("verify", [path]) => cmd_verify(path),
             ("replay", [path, rest @ ..]) => cmd_replay(path, rest),
-            ("import", [src, dst, rest @ ..]) => cmd_import(src, dst, rest),
-            ("export", [src, dst]) => cmd_export(src, dst),
             _ => usage(),
         },
         None => usage(),

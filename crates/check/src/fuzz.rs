@@ -15,7 +15,7 @@
 //! iteration sequence is seeded independently, so the run is bit-identical
 //! for any worker count. A failing trace is minimized by bisection (drop
 //! half, then quarters, …, re-running the full check after each cut) and
-//! dumped as a replayable `.trace` artifact next to the failure report.
+//! dumped as a replayable `.sct` artifact next to the failure report.
 
 use crate::golden::{CheckedFilter, GoldenCache, GoldenGm, GoldenLine};
 use crate::invariants::audit_run;
@@ -23,7 +23,8 @@ use secpref_core::SecureUpdateFilter;
 use secpref_ghostminion::{AlwaysUpdate, GmCache};
 use secpref_mem::{FillAttrs, SetAssocCache};
 use secpref_sim::{ObsConfig, System};
-use secpref_trace::{io, Instr, Trace};
+use secpref_trace::{Instr, Trace};
+use secpref_tracestore::{TraceReader, TraceWriter, DEFAULT_CHUNK_SIZE};
 use secpref_types::rng::Xoshiro256ss;
 use secpref_types::{Addr, CacheLevel, PrefetchMode, PrefetcherKind, SecureMode, SystemConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -744,11 +745,10 @@ fn fuzz_cell(plan: &FuzzPlan, cell: &FuzzCell, cell_idx: usize, iters: u64) -> C
             Err(message) => {
                 let shrunk = shrink(cell, &trace);
                 let artifact = plan.artifact_dir.as_ref().and_then(|dir| {
-                    let name = format!("{}-{seed:016x}.trace", cell.label.replace(['/', '+'], "_"));
+                    let name = format!("{}-{seed:016x}.sct", cell.label.replace(['/', '+'], "_"));
                     let path = dir.join(name);
                     std::fs::create_dir_all(dir).ok()?;
-                    let file = std::fs::File::create(&path).ok()?;
-                    io::write_trace(std::io::BufWriter::new(file), &shrunk).ok()?;
+                    write_artifact(&path, &shrunk).ok()?;
                     Some(path)
                 });
                 summary.failure = Some(CellFailure {
@@ -780,7 +780,7 @@ pub fn run_fuzz(plan: &FuzzPlan) -> FuzzSummary {
             (i, c, share)
         })
         .collect();
-    let results = secpref_exp::pool::run_items_with(
+    let results = secpref_exp::pool::run_items(
         &work,
         plan.workers,
         |(idx, cell, share)| fuzz_cell(plan, cell, *idx, *share),
@@ -794,11 +794,45 @@ pub fn run_fuzz(plan: &FuzzPlan) -> FuzzSummary {
     }
 }
 
-/// Replays a dumped `.trace` artifact through every cell, returning the
+/// Dumps a (shrunk) failing trace, wrong-path annotations included, as a
+/// `.sct` chunk store.
+fn write_artifact(path: &Path, trace: &Trace) -> std::io::Result<()> {
+    let file = std::io::BufWriter::new(std::fs::File::create(path)?);
+    let mut w = TraceWriter::create(file, &trace.name, DEFAULT_CHUNK_SIZE)?;
+    for i in trace.instrs.iter() {
+        w.push(i)?;
+    }
+    for (&idx, addrs) in &trace.wrong_path {
+        w.push_wrong_path(u64::from(idx), addrs.clone());
+    }
+    w.finish().map(|_| ())
+}
+
+/// Reads a dumped artifact back whole (every chunk checksum verified on
+/// the way).
+fn read_artifact(path: &Path) -> std::io::Result<Trace> {
+    let mut r = TraceReader::open(std::io::BufReader::new(std::fs::File::open(path)?))?;
+    let mut instrs = Vec::new();
+    for chunk in 0..r.meta().chunks.len() {
+        instrs.extend(r.read_chunk(chunk)?);
+    }
+    let mut trace = Trace::new(r.meta().name.clone(), instrs);
+    for (&idx, addrs) in &r.meta().wrong_path {
+        let idx = u32::try_from(idx).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "wrong-path index exceeds u32",
+            )
+        })?;
+        trace.wrong_path.insert(idx, addrs.clone());
+    }
+    Ok(trace)
+}
+
+/// Replays a dumped `.sct` artifact through every cell, returning the
 /// per-cell results (label, outcome).
 pub fn replay_artifact(path: &Path) -> std::io::Result<Vec<(String, Result<RunStats, String>)>> {
-    let trace = io::read_trace(std::io::BufReader::new(std::fs::File::open(path)?))?;
-    let trace = Arc::new(trace);
+    let trace = Arc::new(read_artifact(path)?);
     Ok(cells()
         .iter()
         .map(|cell| (cell.label.clone(), check_run(cell, &trace)))
@@ -859,6 +893,34 @@ mod tests {
                 ));
             }
         }
+    }
+
+    #[test]
+    fn artifact_round_trips_and_replays() {
+        // The failure artifact is a `.sct` chunk store: what the shrinker
+        // dumps must come back instruction for instruction, wrong-path
+        // annotations included, and replay through every cell.
+        let mut seed = 0u64;
+        let mut t = gen_trace(seed);
+        while t.wrong_path.is_empty() {
+            seed += 1;
+            t = gen_trace(seed);
+        }
+        let dir = std::env::temp_dir().join(format!("secpref-fuzz-art-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("case.sct");
+        write_artifact(&path, &t).unwrap();
+        let back = read_artifact(&path).unwrap();
+        assert_eq!(back.name, t.name);
+        assert_eq!(back.instrs, t.instrs);
+        assert_eq!(back.wrong_path, t.wrong_path);
+        let results = replay_artifact(&path).unwrap();
+        assert_eq!(results.len(), cells().len());
+        for (label, outcome) in &results {
+            assert!(outcome.is_ok(), "{label}: {outcome:?}");
+        }
+        assert!(replay_artifact(&dir.join("missing.sct")).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

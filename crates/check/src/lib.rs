@@ -20,7 +20,7 @@
 //!    xoshiro-seeded generator of adversarial traces (wrong-path gadget
 //!    bursts, alias-heavy strides, branch storms) replayed through every
 //!    secure-mode × prefetcher cell with layers 1–2 armed. Failures are
-//!    bisection-shrunk and dumped as replayable `.trace` artifacts.
+//!    bisection-shrunk and dumped as replayable `.sct` artifacts.
 //!
 //! Entry points: `cargo test -p secpref-check` for the quick pinned
 //! pass, `repro --check` for the full tier-1 fuzz budget, and

@@ -191,7 +191,7 @@ pub fn run_sampled_differential(quick: bool, workers: usize) -> SampledDiffSumma
         .iter()
         .flat_map(|(l, c)| traces.iter().map(move |&t| (l.clone(), c.clone(), t)))
         .collect();
-    let results = secpref_exp::pool::run_items_with(
+    let results = secpref_exp::pool::run_items(
         &combos,
         workers.max(1),
         |(label, cfg, trace)| run_one(label, cfg, trace),

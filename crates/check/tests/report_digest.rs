@@ -20,6 +20,7 @@ use secpref_check::fuzz::gen_trace;
 use secpref_check::{cells, PINNED_SEED};
 use secpref_exp::codec::report_to_string;
 use secpref_sim::System;
+use secpref_tracestore::fnv::{fnv1a64, FNV_OFFSET};
 
 /// Trace seeds: three flavors of adversarial trace per cell, derived
 /// from the fuzzer's pinned seed. Offsets chosen so the generator's
@@ -57,16 +58,8 @@ const PINNED_TS: [(&str, u64); 5] = [
     ("ts+suf/Berti", 0x02A5843DFDCB8DE2),
 ];
 
-fn fnv1a64(data: &[u8], mut hash: u64) -> u64 {
-    for &b in data {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 fn cell_digest(cfg: &secpref_types::SystemConfig) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    let mut hash = FNV_OFFSET;
     for seed in TRACE_SEEDS {
         let trace = Arc::new(gen_trace(seed));
         let n = trace.instrs.len() as u64;
@@ -150,10 +143,7 @@ fn mc_digest(cores: usize) -> u64 {
     let n = traces.iter().map(|t| t.instrs.len()).min().unwrap() as u64;
     let mut sys = System::new(cfg, traces).with_window(0, n);
     sys.run();
-    fnv1a64(
-        report_to_string(&sys.report()).as_bytes(),
-        0xCBF2_9CE4_8422_2325,
-    )
+    fnv1a64(report_to_string(&sys.report()).as_bytes(), FNV_OFFSET)
 }
 
 #[test]
@@ -298,7 +288,7 @@ fn sampled_digest(cfg: &secpref_types::SystemConfig) -> u64 {
     sys.run_sampled(&plan);
     let report = sys.report();
     assert!(report.sampling.is_some(), "sampled run carries a summary");
-    fnv1a64(report_to_string(&report).as_bytes(), 0xCBF2_9CE4_8422_2325)
+    fnv1a64(report_to_string(&report).as_bytes(), FNV_OFFSET)
 }
 
 #[test]

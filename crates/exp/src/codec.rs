@@ -1,10 +1,16 @@
 //! JSON encoding/decoding of [`SimReport`] for the result store.
 //!
-//! Encoders destructure every struct exhaustively and decoders build the
-//! structs with full literals, so adding a metrics field is a compile
-//! error here rather than a silent data loss. Counters stay `u64` end to
-//! end; the single `f64` (`energy_nj`) round-trips bit-exactly through
-//! the shortest-representation formatter in [`crate::json`].
+//! The five flat counter records (`LevelMetrics`, `PrefetchMetrics`,
+//! `CommitMetrics`, `MissClassCounts`, `DramStats`) are declared through
+//! `secpref_types::counters!` and go through one generic loop each way
+//! over their `NAMES` table — this file names none of their fields, so a
+//! new counter needs no edit here. The four mixed records (`SimReport`,
+//! `CoreMetrics`, `SamplingSummary`, `MetricStats`) are written out:
+//! encoders destructure them exhaustively and decoders build them with
+//! full literals, so a new field there is a compile error rather than a
+//! silent data loss. Counters stay `u64` end to end; every `f64`
+//! round-trips bit-exactly through the shortest-representation formatter
+//! in [`crate::json`].
 
 use crate::json::{obj, parse, Json};
 use secpref_sim::{
@@ -26,7 +32,7 @@ pub fn encode_report(report: &SimReport) -> Json {
     let mut fields = vec![
         ("label", Json::Str(label.clone())),
         ("energy_nj", Json::Float(*energy_nj)),
-        ("dram", encode_dram(dram)),
+        ("dram", encode_counters(&DramStats::NAMES, dram.values())),
         ("cores", Json::Arr(cores.iter().map(encode_core).collect())),
     ];
     if let Some(s) = sampling {
@@ -44,7 +50,7 @@ pub fn decode_report(json: &Json) -> Result<SimReport, String> {
     Ok(SimReport {
         label: str_field(json, "label")?,
         energy_nj: f64_field(json, "energy_nj")?,
-        dram: decode_dram(field(json, "dram")?)?,
+        dram: DramStats::from_values(decode_counters(json, "dram", &DramStats::NAMES)?),
         cores: field(json, "cores")?
             .as_arr()
             .ok_or("cores: not an array")?
@@ -72,31 +78,29 @@ pub fn report_from_str(s: &str) -> Result<SimReport, String> {
     decode_report(&parse(s)?)
 }
 
-fn encode_dram(d: &DramStats) -> Json {
-    let DramStats {
-        reads,
-        writes,
-        row_hits,
-        row_misses,
-        wq_forwards,
-    } = d;
-    obj(vec![
-        ("reads", Json::UInt(*reads)),
-        ("writes", Json::UInt(*writes)),
-        ("row_hits", Json::UInt(*row_hits)),
-        ("row_misses", Json::UInt(*row_misses)),
-        ("wq_forwards", Json::UInt(*wq_forwards)),
-    ])
+/// Encodes one `counters!` record: its names against its values.
+fn encode_counters<const N: usize>(names: &[&str; N], values: [u64; N]) -> Json {
+    Json::Obj(
+        names
+            .iter()
+            .zip(values)
+            .map(|(name, v)| (name.to_string(), Json::UInt(v)))
+            .collect(),
+    )
 }
 
-fn decode_dram(json: &Json) -> Result<DramStats, String> {
-    Ok(DramStats {
-        reads: u64_field(json, "reads")?,
-        writes: u64_field(json, "writes")?,
-        row_hits: u64_field(json, "row_hits")?,
-        row_misses: u64_field(json, "row_misses")?,
-        wq_forwards: u64_field(json, "wq_forwards")?,
-    })
+/// Decodes the `counters!` record stored under `key`, in `names` order.
+fn decode_counters<const N: usize>(
+    json: &Json,
+    key: &str,
+    names: &[&str; N],
+) -> Result<[u64; N], String> {
+    let record = field(json, key)?;
+    let mut values = [0; N];
+    for (v, name) in values.iter_mut().zip(names) {
+        *v = u64_field(record, name)?;
+    }
+    Ok(values)
 }
 
 fn encode_core(c: &CoreMetrics) -> Json {
@@ -113,184 +117,54 @@ fn encode_core(c: &CoreMetrics) -> Json {
         class,
         wrong_path_loads,
     } = c;
+    let level = |l: &LevelMetrics| encode_counters(&LevelMetrics::NAMES, l.values());
     obj(vec![
         ("instructions", Json::UInt(*instructions)),
         ("cycles", Json::UInt(*cycles)),
-        ("l1d", encode_level(l1d)),
-        ("l2", encode_level(l2)),
-        ("llc", encode_level(llc)),
+        ("l1d", level(l1d)),
+        ("l2", level(l2)),
+        ("llc", level(llc)),
         ("dram_accesses", Json::UInt(*dram_accesses)),
         ("gm_accesses", Json::UInt(*gm_accesses)),
-        ("prefetch", encode_prefetch(prefetch)),
-        ("commit", encode_commit(commit)),
-        ("class", encode_class(class)),
+        (
+            "prefetch",
+            encode_counters(&PrefetchMetrics::NAMES, prefetch.values()),
+        ),
+        (
+            "commit",
+            encode_counters(&CommitMetrics::NAMES, commit.values()),
+        ),
+        (
+            "class",
+            encode_counters(&MissClassCounts::NAMES, class.values()),
+        ),
         ("wrong_path_loads", Json::UInt(*wrong_path_loads)),
     ])
 }
 
 fn decode_core(json: &Json) -> Result<CoreMetrics, String> {
+    let level =
+        |key| decode_counters(json, key, &LevelMetrics::NAMES).map(LevelMetrics::from_values);
     Ok(CoreMetrics {
         instructions: u64_field(json, "instructions")?,
         cycles: u64_field(json, "cycles")?,
-        l1d: decode_level(field(json, "l1d")?)?,
-        l2: decode_level(field(json, "l2")?)?,
-        llc: decode_level(field(json, "llc")?)?,
+        l1d: level("l1d")?,
+        l2: level("l2")?,
+        llc: level("llc")?,
         dram_accesses: u64_field(json, "dram_accesses")?,
         gm_accesses: u64_field(json, "gm_accesses")?,
-        prefetch: decode_prefetch(field(json, "prefetch")?)?,
-        commit: decode_commit(field(json, "commit")?)?,
-        class: decode_class(field(json, "class")?)?,
+        prefetch: PrefetchMetrics::from_values(decode_counters(
+            json,
+            "prefetch",
+            &PrefetchMetrics::NAMES,
+        )?),
+        commit: CommitMetrics::from_values(decode_counters(json, "commit", &CommitMetrics::NAMES)?),
+        class: MissClassCounts::from_values(decode_counters(
+            json,
+            "class",
+            &MissClassCounts::NAMES,
+        )?),
         wrong_path_loads: u64_field(json, "wrong_path_loads")?,
-    })
-}
-
-fn encode_level(l: &LevelMetrics) -> Json {
-    let LevelMetrics {
-        demand_accesses,
-        demand_misses,
-        prefetch_accesses,
-        commit_accesses,
-        writeback_accesses,
-        mshr_occupancy_integral,
-        mshr_full_cycles,
-        mshr_full_stalls,
-        port_stalls,
-        miss_latency_sum,
-        miss_latency_count,
-    } = l;
-    obj(vec![
-        ("demand_accesses", Json::UInt(*demand_accesses)),
-        ("demand_misses", Json::UInt(*demand_misses)),
-        ("prefetch_accesses", Json::UInt(*prefetch_accesses)),
-        ("commit_accesses", Json::UInt(*commit_accesses)),
-        ("writeback_accesses", Json::UInt(*writeback_accesses)),
-        (
-            "mshr_occupancy_integral",
-            Json::UInt(*mshr_occupancy_integral),
-        ),
-        ("mshr_full_cycles", Json::UInt(*mshr_full_cycles)),
-        ("mshr_full_stalls", Json::UInt(*mshr_full_stalls)),
-        ("port_stalls", Json::UInt(*port_stalls)),
-        ("miss_latency_sum", Json::UInt(*miss_latency_sum)),
-        ("miss_latency_count", Json::UInt(*miss_latency_count)),
-    ])
-}
-
-fn decode_level(json: &Json) -> Result<LevelMetrics, String> {
-    Ok(LevelMetrics {
-        demand_accesses: u64_field(json, "demand_accesses")?,
-        demand_misses: u64_field(json, "demand_misses")?,
-        prefetch_accesses: u64_field(json, "prefetch_accesses")?,
-        commit_accesses: u64_field(json, "commit_accesses")?,
-        writeback_accesses: u64_field(json, "writeback_accesses")?,
-        mshr_occupancy_integral: u64_field(json, "mshr_occupancy_integral")?,
-        mshr_full_cycles: u64_field(json, "mshr_full_cycles")?,
-        mshr_full_stalls: u64_field(json, "mshr_full_stalls")?,
-        port_stalls: u64_field(json, "port_stalls")?,
-        miss_latency_sum: u64_field(json, "miss_latency_sum")?,
-        miss_latency_count: u64_field(json, "miss_latency_count")?,
-    })
-}
-
-fn encode_prefetch(p: &PrefetchMetrics) -> Json {
-    let PrefetchMetrics {
-        proposed,
-        issued,
-        dropped_duplicate,
-        dropped_resources,
-        useful,
-        late,
-        useless,
-    } = p;
-    obj(vec![
-        ("proposed", Json::UInt(*proposed)),
-        ("issued", Json::UInt(*issued)),
-        ("dropped_duplicate", Json::UInt(*dropped_duplicate)),
-        ("dropped_resources", Json::UInt(*dropped_resources)),
-        ("useful", Json::UInt(*useful)),
-        ("late", Json::UInt(*late)),
-        ("useless", Json::UInt(*useless)),
-    ])
-}
-
-fn decode_prefetch(json: &Json) -> Result<PrefetchMetrics, String> {
-    Ok(PrefetchMetrics {
-        proposed: u64_field(json, "proposed")?,
-        issued: u64_field(json, "issued")?,
-        dropped_duplicate: u64_field(json, "dropped_duplicate")?,
-        dropped_resources: u64_field(json, "dropped_resources")?,
-        useful: u64_field(json, "useful")?,
-        late: u64_field(json, "late")?,
-        useless: u64_field(json, "useless")?,
-    })
-}
-
-fn encode_commit(c: &CommitMetrics) -> Json {
-    let CommitMetrics {
-        commit_writes,
-        refetches,
-        suf_dropped,
-        suf_drop_correct,
-        suf_drop_wrong,
-        propagation_skipped,
-        propagation_skip_correct,
-        propagation_skip_wrong,
-        propagations,
-    } = c;
-    obj(vec![
-        ("commit_writes", Json::UInt(*commit_writes)),
-        ("refetches", Json::UInt(*refetches)),
-        ("suf_dropped", Json::UInt(*suf_dropped)),
-        ("suf_drop_correct", Json::UInt(*suf_drop_correct)),
-        ("suf_drop_wrong", Json::UInt(*suf_drop_wrong)),
-        ("propagation_skipped", Json::UInt(*propagation_skipped)),
-        (
-            "propagation_skip_correct",
-            Json::UInt(*propagation_skip_correct),
-        ),
-        (
-            "propagation_skip_wrong",
-            Json::UInt(*propagation_skip_wrong),
-        ),
-        ("propagations", Json::UInt(*propagations)),
-    ])
-}
-
-fn decode_commit(json: &Json) -> Result<CommitMetrics, String> {
-    Ok(CommitMetrics {
-        commit_writes: u64_field(json, "commit_writes")?,
-        refetches: u64_field(json, "refetches")?,
-        suf_dropped: u64_field(json, "suf_dropped")?,
-        suf_drop_correct: u64_field(json, "suf_drop_correct")?,
-        suf_drop_wrong: u64_field(json, "suf_drop_wrong")?,
-        propagation_skipped: u64_field(json, "propagation_skipped")?,
-        propagation_skip_correct: u64_field(json, "propagation_skip_correct")?,
-        propagation_skip_wrong: u64_field(json, "propagation_skip_wrong")?,
-        propagations: u64_field(json, "propagations")?,
-    })
-}
-
-fn encode_class(c: &MissClassCounts) -> Json {
-    let MissClassCounts {
-        late,
-        commit_late,
-        missed_opportunity,
-        uncovered,
-    } = c;
-    obj(vec![
-        ("late", Json::UInt(*late)),
-        ("commit_late", Json::UInt(*commit_late)),
-        ("missed_opportunity", Json::UInt(*missed_opportunity)),
-        ("uncovered", Json::UInt(*uncovered)),
-    ])
-}
-
-fn decode_class(json: &Json) -> Result<MissClassCounts, String> {
-    Ok(MissClassCounts {
-        late: u64_field(json, "late")?,
-        commit_late: u64_field(json, "commit_late")?,
-        missed_opportunity: u64_field(json, "missed_opportunity")?,
-        uncovered: u64_field(json, "uncovered")?,
     })
 }
 

@@ -1,7 +1,7 @@
 //! The experiment engine: dedupe → resume → parallel execute → persist.
 //!
-//! [`Engine::run_all`] takes an arbitrary job list (duplicates welcome —
-//! figures freely re-request the same configurations) and:
+//! Every sweep is one loop. It takes an arbitrary job list (duplicates
+//! welcome — figures freely re-request the same configurations) and:
 //!
 //! 1. deduplicates by content key ([`JobSpec::key`]),
 //! 2. resolves what it can from the in-memory cache and the on-disk
@@ -13,23 +13,48 @@
 //! 4. runs the remaining jobs on the worker pool, appending each result
 //!    to the store the moment it completes — a killed run resumes from
 //!    exactly the jobs it finished,
-//! 5. writes a run manifest (JSON) and a per-job timing table (CSV), and
+//! 5. writes a run manifest (JSON), a per-job timing table (CSV) and the
+//!    run's span trace (`telemetry/trace-<run_id>.json`, Chrome
+//!    trace-event format), and
 //! 6. returns reports in the order of the *request*, independent of
 //!    worker count.
+//!
+//! What the jobs run with — a [`RunMode`] — is the loop's one parameter
+//! ([`Engine::run_with`]). [`Engine::run_all`] runs them plain. The two
+//! recorder modes are *diagnostic* sweeps: step 2 resolves nothing and
+//! step 4 writes each job's capture
+//! to artifact files instead of appending to the store, so they always
+//! re-simulate and never read or write `results.jsonl` or the in-process
+//! cache. That keeps the artifacts a pure function of `(job, recorder
+//! config)` — byte-identical across worker counts and across cold and
+//! resumed engines — and keeps diagnostic runs from polluting the store
+//! with results that sweeps would then trust. Artifacts are written from
+//! the pool's `on_done` callback on the calling thread, so artifact I/O
+//! is single-threaded without extra locks.
+//!
+//! The span trace embeds wall-clock durations, so it is validated
+//! structurally ([`crate::validate_trace_json`]), never byte-compared.
+//! Its shape is a contract (`benchmark/` reads every sweep's): on track 0
+//! an `X` span `dedup`, a `B`/`E` pair `resolve` around the per-job
+//! `dedup-hit` / `dedup-miss` marks, an `X` span `trace-acquire`, and a
+//! `B`/`E` pair `execute` around one `X` span per completion
+//! (`store-append`, or `obs-export` / `hist-export` in the diagnostic
+//! modes) and the `cells` counter; on track `1 + worker`, one `X` span
+//! `simulate` per job.
 
-use crate::job::JobSpec;
+use crate::job::{Capture, JobSpec, RunMode};
 use crate::json::{obj, Json};
 use crate::pool;
 use crate::store::{ResultStore, StoredResult};
 use secpref_obs::ObsSummary;
-use secpref_sim::{ObsConfig, SimReport, TelConfig};
+use secpref_sim::SimReport;
 use secpref_telemetry::{progress::stderr_is_tty, Progress, TraceBuilder};
 use secpref_trace::suite;
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Where a job's report came from in this run.
@@ -181,111 +206,104 @@ impl Engine {
         self.run_all_with_summary(jobs).0
     }
 
-    /// Runs a sweep, returning the reports plus the run's summary
+    /// Runs a plain sweep, returning the reports plus the run's summary
     /// (job provenance counts, manifest path, timings).
     pub fn run_all_with_summary(&self, jobs: &[JobSpec]) -> (Vec<SimReport>, RunSummary) {
+        self.run_with(jobs, RunMode::Plain)
+    }
+
+    /// The one sweep loop: runs `jobs` under `mode`, which says what
+    /// every job runs with and, by that alone, whether this is a
+    /// diagnostic sweep (see the module docs for what that bypasses).
+    ///
+    /// [`RunMode::Traced`] exports `<key>.events.jsonl` and
+    /// `<key>.epochs.csv` under `<store_dir>/obs/` and gives each job's
+    /// manifest record an `obs` object; [`RunMode::Telemetry`] exports
+    /// `<key>.hist.csv` under `<store_dir>/telemetry/` and gives each
+    /// record a `tel` object.
+    pub fn run_with(&self, jobs: &[JobSpec], mode: RunMode<'_>) -> (Vec<SimReport>, RunSummary) {
         let t0 = Instant::now();
         let run_id = self.next_run_id();
         let us = |d: Duration| d.as_micros() as u64;
         let mut tb = TraceBuilder::new();
         tb.thread_name(0, "engine");
+        // What the mode decides, in one place: the run's name in progress
+        // lines, the span around each completion's write, and where that
+        // write goes.
+        let dir = self.store.dir();
+        let (kind, write_span, out_dir) = match mode {
+            RunMode::Plain => ("sweep", "store-append", dir.to_path_buf()),
+            RunMode::Traced(_) => ("traced", "obs-export", dir.join("obs")),
+            RunMode::Telemetry(_) => ("telemetry", "hist-export", dir.join("telemetry")),
+        };
 
-        // Phase 1: dedupe, preserving first-occurrence order.
+        // Phase 1: dedupe, preserving first-occurrence order. `slot_of`
+        // maps a key to its position in `unique` (indices into `jobs`).
         let keyed: Vec<(String, String)> = jobs.iter().map(|j| (j.key(), j.canonical())).collect();
-        let mut seen = HashSet::new();
+        let mut slot_of: HashMap<&str, usize> = HashMap::new();
         let mut unique: Vec<usize> = Vec::new();
         for (i, (key, _)) in keyed.iter().enumerate() {
-            if seen.insert(key.clone()) {
+            slot_of.entry(key).or_insert_with(|| {
                 unique.push(i);
-            }
+                unique.len() - 1
+            });
         }
         let n_req = jobs.len().to_string();
         tb.complete(0, "dedup", 0, us(t0.elapsed()), &[("requested", &n_req)]);
 
-        // Phase 2: resolve from memory, then from the on-disk store. The
-        // per-job dedup-hit/miss events below carry later timestamps, so
-        // this span must OPEN before them (a trailing `X` with the phase's
-        // start time would regress the engine track's event order, which
-        // the validator rejects).
+        // Phase 2: resolve from memory, then from the on-disk store —
+        // plain sweeps only. The per-job dedup-hit/miss events below
+        // carry later timestamps, so this span must OPEN before them (a
+        // trailing `X` with the phase's start time would regress the
+        // engine track's event order, which the validator rejects).
         tb.begin(0, "resolve", us(t0.elapsed()), &[]);
-        let mut records: HashMap<String, JobRecord> = HashMap::new();
+        let mut reports: Vec<Option<SimReport>> = vec![None; unique.len()];
+        let mut records: Vec<Option<JobRecord>> = vec![None; unique.len()];
         let mut to_run: Vec<usize> = Vec::new();
-        {
-            let mem = self.mem.lock().expect("engine mem cache");
-            let mut disk = self.disk.lock().expect("engine disk cache");
-            let disk = disk.get_or_insert_with(|| self.store.load());
-            let mut mem_inserts: Vec<(String, SimReport)> = Vec::new();
-            for &i in &unique {
-                let (key, canonical) = &keyed[i];
-                let source = if mem.contains_key(key) {
-                    Some(ResultSource::Memory)
-                } else if let Some(stored) = disk.get(key) {
-                    if &stored.canonical == canonical {
-                        mem_inserts.push((key.clone(), stored.report.clone()));
-                        Some(ResultSource::Store)
-                    } else {
-                        // Hash collision or stale canonical: re-run.
-                        None
-                    }
-                } else {
-                    None
-                };
-                match source {
-                    Some(src) => {
-                        tb.complete(
-                            0,
-                            "dedup-hit",
-                            us(t0.elapsed()),
-                            0,
-                            &[("key", key), ("source", src.name())],
-                        );
-                        records.insert(
-                            key.clone(),
-                            JobRecord {
-                                key: key.clone(),
-                                label: jobs[i].label(),
-                                source: src,
-                                wall: Duration::ZERO,
-                                obs: None,
-                                tel_samples: None,
-                            },
-                        );
-                    }
-                    None => {
-                        tb.complete(0, "dedup-miss", us(t0.elapsed()), 0, &[("key", key)]);
-                        to_run.push(i);
-                    }
-                }
-            }
-            drop(mem);
-            let mut mem = self.mem.lock().expect("engine mem cache");
-            for (k, r) in mem_inserts {
-                mem.insert(k, r);
-            }
+        for (slot, &i) in unique.iter().enumerate() {
+            let (key, canonical) = &keyed[i];
+            let hit = match mode {
+                RunMode::Plain => self.resolve(key, canonical),
+                _ => None,
+            };
+            let Some((report, source)) = hit else {
+                tb.complete(0, "dedup-miss", us(t0.elapsed()), 0, &[("key", key)]);
+                to_run.push(slot);
+                continue;
+            };
+            let args = [("key", key.as_str()), ("source", source.name())];
+            tb.complete(0, "dedup-hit", us(t0.elapsed()), 0, &args);
+            reports[slot] = Some(report);
+            records[slot] = Some(JobRecord {
+                key: key.clone(),
+                label: jobs[i].label(),
+                source,
+                wall: Duration::ZERO,
+                obs: None,
+                tel_samples: None,
+            });
         }
         tb.end(0, us(t0.elapsed()));
-
-        let from_memory = records
-            .values()
-            .filter(|r| r.source == ResultSource::Memory)
-            .count();
-        let from_store = records
-            .values()
-            .filter(|r| r.source == ResultSource::Store)
-            .count();
+        let from = |source| {
+            records
+                .iter()
+                .flatten()
+                .filter(|r| r.source == source)
+                .count()
+        };
+        let (from_memory, from_store) = (from(ResultSource::Memory), from(ResultSource::Store));
         self.say(&format!(
-            "[exp] run {run_id}: {} jobs requested, {} unique, {} from memory, {} from store, {} to run on {} workers",
+            "[exp] {kind} run {run_id}: {} jobs requested, {} unique, {from_memory} from memory, \
+             {from_store} from store, {} to run on {} workers",
             jobs.len(),
             unique.len(),
-            from_memory,
-            from_store,
             to_run.len(),
             self.workers,
         ));
 
         // Phase 3: pre-generate traces so workers hit a warm trace cache
         // instead of serializing on generation.
-        let run_specs: Vec<JobSpec> = to_run.iter().map(|&i| jobs[i].clone()).collect();
+        let run_specs: Vec<JobSpec> = to_run.iter().map(|&s| jobs[unique[s]].clone()).collect();
         let pregen_start = t0.elapsed();
         self.pregenerate_traces(&run_specs);
         tb.complete(
@@ -296,9 +314,10 @@ impl Engine {
             &[],
         );
 
-        // Phase 4: execute, persisting and reporting each completion.
-        // Span layout: one track per worker (simulate spans), with dedup,
-        // store-append, and phase spans on the engine track.
+        // Phase 4: execute, persisting (or exporting) and reporting each
+        // completion. Span layout: one track per worker (simulate spans),
+        // with dedup, store-append / export, and phase spans on the
+        // engine track.
         let total = run_specs.len();
         for w in 0..self.workers.clamp(1, total.max(1)) {
             tb.thread_name(w as u32 + 1, &format!("worker-{w}"));
@@ -310,61 +329,80 @@ impl Engine {
         progress.set_dedup_hits((unique.len() - total) as u64);
         for _ in 0..unique.len() - total {
             if let Some(line) = progress.tick(0) {
-                eprint!(
-                    "
-{line}"
-                );
+                eprint!("\r{line}");
             }
         }
-        let done = AtomicUsize::new(0);
-        let outcomes = pool::run_items_timed(
+        let mut done = 0usize;
+        let outcomes = pool::run_items(
             &run_specs,
             self.workers,
-            JobSpec::run,
-            |idx, job, report, timing| {
-                let (key, canonical) = &keyed[to_run[idx]];
-                let append_start = t0.elapsed();
-                if let Err(e) = self.store.append(key, canonical, report) {
-                    self.say(&format!("[exp] warning: store append failed: {e}"));
-                }
+            |job| job.run_with(mode),
+            |idx, job, (report, capture), timing| {
+                let (key, canonical) = &keyed[unique[to_run[idx]]];
+                let label = job.label();
                 tb.complete(
                     timing.worker as u32 + 1,
                     "simulate",
                     us(exec_base + timing.start),
                     us(timing.wall),
-                    &[("key", key), ("label", &job.label())],
+                    &[("key", key), ("label", &label)],
                 );
+                // A plain job's result goes to the store the moment it
+                // completes; a diagnostic job's capture goes to its
+                // artifact files and the store is left alone.
+                let mut record = JobRecord {
+                    key: key.clone(),
+                    label,
+                    source: ResultSource::Ran,
+                    wall: timing.wall,
+                    obs: None,
+                    tel_samples: None,
+                };
+                let write_start = t0.elapsed();
+                let written = match (mode, capture) {
+                    (RunMode::Plain, _) => self.store.append(key, canonical, report).map(|()| None),
+                    (RunMode::Traced(cfg), Capture::Obs(cap)) => {
+                        record.obs = Some(cap.summary());
+                        crate::obs::write_trace_artifacts(&out_dir, key, cfg, cap)
+                            .map(|(events, _)| Some(events))
+                    }
+                    (_, Capture::Tel(cap)) => {
+                        record.tel_samples = Some(cap.total_samples());
+                        crate::telemetry::write_tel_artifacts(&out_dir, key, cap).map(Some)
+                    }
+                    // The recorder was configured off: nothing to export.
+                    _ => Ok(None),
+                };
+                match written {
+                    Ok(Some(path)) => self.say(&format!("[exp] wrote {}", path.display())),
+                    Ok(None) => {}
+                    Err(e) => self.say(&format!("[exp] warning: {write_span} failed: {e}")),
+                }
                 tb.complete(
                     0,
-                    "store-append",
-                    us(append_start),
-                    us(t0.elapsed().saturating_sub(append_start)),
+                    write_span,
+                    us(write_start),
+                    us(t0.elapsed().saturating_sub(write_start)),
                     &[("key", key)],
                 );
-                let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                tb.counter(0, "cells", us(t0.elapsed()), "done", n as u64);
+                done += 1;
+                tb.counter(0, "cells", us(t0.elapsed()), "done", done as u64);
                 let instr: u64 = report.cores.iter().map(|m| m.instructions).sum();
                 if let Some(line) = progress.tick(instr) {
-                    eprint!(
-                        "
-{line}"
-                    );
+                    eprint!("\r{line}");
                 } else if !progress.is_enabled() {
                     let elapsed = t0.elapsed();
-                    let eta = if n > 0 {
-                        elapsed.mul_f64((total - n) as f64 / n as f64)
-                    } else {
-                        Duration::ZERO
-                    };
+                    let eta = elapsed.mul_f64((total - done) as f64 / done as f64);
                     self.say(&format!(
-                        "[exp] {n}/{total} ({:.0}%) elapsed {} eta {} — {} in {}",
-                        n as f64 * 100.0 / total.max(1) as f64,
+                        "[exp] {done}/{total} ({:.0}%) elapsed {} eta {} — {} in {}",
+                        done as f64 * 100.0 / total as f64,
                         fmt_secs(elapsed),
                         fmt_secs(eta),
-                        job.label(),
+                        record.label,
                         fmt_secs(timing.wall),
                     ));
                 }
+                records[to_run[idx]] = Some(record);
             },
         );
         if progress.needs_newline() {
@@ -372,33 +410,19 @@ impl Engine {
         }
         let exec_wall = t0.elapsed().saturating_sub(exec_base);
         tb.end(0, us(t0.elapsed()));
-        {
-            let mut mem = self.mem.lock().expect("engine mem cache");
-            for (idx, (report, wall)) in outcomes.iter().enumerate() {
-                let (key, _) = &keyed[to_run[idx]];
-                mem.insert(key.clone(), report.clone());
-                records.insert(
-                    key.clone(),
-                    JobRecord {
-                        key: key.clone(),
-                        label: run_specs[idx].label(),
-                        source: ResultSource::Ran,
-                        wall: *wall,
-                        obs: None,
-                        tel_samples: None,
-                    },
-                );
+        let sim_wall: Duration = outcomes.iter().map(|(_, wall)| *wall).sum();
+        let mut mem = self.mem.lock().expect("engine mem cache");
+        for (&slot, ((report, _), _)) in to_run.iter().zip(outcomes) {
+            if let RunMode::Plain = mode {
+                mem.insert(keyed[unique[slot]].0.clone(), report.clone());
             }
+            reports[slot] = Some(report);
         }
+        drop(mem);
 
         // Phase 5: manifest + timings + span trace, then assemble
-        // request-order output.
-        let job_records: Vec<JobRecord> = unique
-            .iter()
-            .map(|&i| records[&keyed[i].0].clone())
-            .collect();
+        // request-order output (duplicates share the unique job's report).
         let wall = t0.elapsed();
-        let sim_wall: Duration = outcomes.iter().map(|(_, w)| *w).sum();
         let trace_path = self.write_span_trace(&run_id, tb);
         let summary = self.write_observability(RunSummary {
             run_id: run_id.clone(),
@@ -413,13 +437,18 @@ impl Engine {
             utilization: utilization(sim_wall, exec_wall, self.workers, total),
             dedup_hit_rate: dedup_hit_rate(jobs.len(), total),
             trace_path,
-            jobs: job_records,
+            jobs: records
+                .into_iter()
+                .map(|r| r.expect("every unique job resolved or ran"))
+                .collect(),
         });
-
-        let mem = self.mem.lock().expect("engine mem cache");
-        let reports = keyed.iter().map(|(key, _)| mem[key].clone()).collect();
+        let reports = keyed
+            .iter()
+            .map(|(key, _)| reports[slot_of[key.as_str()]].clone())
+            .map(|r| r.expect("every unique job resolved or ran"))
+            .collect();
         self.say(&format!(
-            "[exp] run {run_id} done in {} ({} simulated, {} reused); manifest {}",
+            "[exp] {kind} run {run_id} done in {} ({} simulated, {} reused); manifest {}",
             fmt_secs(wall),
             summary.executed,
             summary.from_memory + summary.from_store,
@@ -428,274 +457,22 @@ impl Engine {
         (reports, summary)
     }
 
-    /// Runs every unique job with an observability recorder attached and
-    /// exports trace artifacts under `<store_dir>/obs/`.
-    ///
-    /// Traced runs are a *diagnostic* mode: they always re-simulate and
-    /// never read from or write to the result store or the in-process
-    /// cache. That keeps the artifacts a pure function of `(job, obs)` —
-    /// byte-identical across worker counts and across cold/resumed
-    /// engines — and keeps diagnostic runs from polluting the store with
-    /// results that sweeps would then trust.
-    ///
-    /// Artifacts (`<key>.events.jsonl`, `<key>.epochs.csv`) are written
-    /// from the `on_done` callback on the calling thread, so artifact
-    /// I/O is single-threaded without extra locks. The run manifest gains
-    /// an `obs` object per job. Reports come back in request order.
-    pub fn run_traced(&self, jobs: &[JobSpec], obs: &ObsConfig) -> (Vec<SimReport>, RunSummary) {
-        let t0 = Instant::now();
-        let run_id = self.next_run_id();
-        let obs_dir = self.store.dir().join("obs");
-
-        // Dedupe, preserving first-occurrence order (same as run_all).
-        let keyed: Vec<String> = jobs.iter().map(JobSpec::key).collect();
-        let mut seen = HashSet::new();
-        let mut unique: Vec<usize> = Vec::new();
-        for (i, key) in keyed.iter().enumerate() {
-            if seen.insert(key.clone()) {
-                unique.push(i);
-            }
+    /// Looks a job up in the in-process cache, then in the on-disk store
+    /// (loaded on first use). A stored result counts only if its
+    /// canonical string matches — a hash collision or stale canonical
+    /// falls through to a re-run instead of returning the wrong report.
+    fn resolve(&self, key: &str, canonical: &str) -> Option<(SimReport, ResultSource)> {
+        let mut mem = self.mem.lock().expect("engine mem cache");
+        if let Some(report) = mem.get(key) {
+            return Some((report.clone(), ResultSource::Memory));
         }
-        let run_specs: Vec<JobSpec> = unique.iter().map(|&i| jobs[i].clone()).collect();
-        self.say(&format!(
-            "[exp] traced run {run_id}: {} jobs requested, {} unique, artifacts under {}",
-            jobs.len(),
-            unique.len(),
-            obs_dir.display(),
-        ));
-        self.pregenerate_traces(&run_specs);
-
-        let total = run_specs.len();
-        let done = AtomicUsize::new(0);
-        let mut job_records: Vec<JobRecord> = Vec::with_capacity(total);
-        let outcomes = pool::run_jobs_with(
-            &run_specs,
-            self.workers,
-            |job| job.run_traced(obs),
-            |idx, job, (_, capture), wall| {
-                let key = &keyed[unique[idx]];
-                let summary = capture.as_ref().map(|cap| {
-                    match crate::obs::write_trace_artifacts(&obs_dir, key, obs, cap) {
-                        Ok((events, _)) => self.say(&format!("[exp] wrote {}", events.display())),
-                        Err(e) => self.say(&format!("[exp] warning: artifact write failed: {e}")),
-                    }
-                    cap.summary()
-                });
-                job_records.push(JobRecord {
-                    key: key.clone(),
-                    label: job.label(),
-                    source: ResultSource::Ran,
-                    wall,
-                    obs: summary,
-                    tel_samples: None,
-                });
-                let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                self.say(&format!(
-                    "[exp] {n}/{total} traced — {} in {}",
-                    job.label(),
-                    fmt_secs(wall),
-                ));
-            },
-        );
-        // on_done fires in completion order; the manifest lists jobs in
-        // request order, so sort the records back by key position.
-        job_records.sort_by_key(|r| {
-            unique
-                .iter()
-                .position(|&i| keyed[i] == r.key)
-                .unwrap_or(usize::MAX)
-        });
-
-        let wall = t0.elapsed();
-        let sim_wall: Duration = outcomes.iter().map(|(_, w)| *w).sum();
-        let summary = self.write_observability(RunSummary {
-            run_id: run_id.clone(),
-            jobs_requested: jobs.len(),
-            jobs_unique: unique.len(),
-            from_memory: 0,
-            from_store: 0,
-            executed: total,
-            wall,
-            manifest_path: PathBuf::new(),
-            timings_path: PathBuf::new(),
-            utilization: utilization(sim_wall, wall, self.workers, total),
-            dedup_hit_rate: dedup_hit_rate(jobs.len(), total),
-            trace_path: None,
-            jobs: job_records,
-        });
-
-        // Request-order reports (duplicates share the unique job's run).
-        let by_key: HashMap<&String, &SimReport> = unique
-            .iter()
-            .zip(&outcomes)
-            .map(|(&i, ((report, _), _))| (&keyed[i], report))
-            .collect();
-        let reports = keyed.iter().map(|key| by_key[key].clone()).collect();
-        self.say(&format!(
-            "[exp] traced run {run_id} done in {} ({} simulated); manifest {}",
-            fmt_secs(wall),
-            total,
-            summary.manifest_path.display(),
-        ));
-        (reports, summary)
-    }
-
-    /// Runs every unique job with a telemetry recorder attached, exports
-    /// `<key>.hist.csv` histogram artifacts under
-    /// `<store_dir>/telemetry/`, and writes the run's engine span trace
-    /// (`trace-<run_id>.json`, Chrome trace-event format) next to them.
-    ///
-    /// Like [`Engine::run_traced`], telemetry runs are a diagnostic mode:
-    /// they always re-simulate and never touch the result store or the
-    /// in-process cache, which keeps the histogram artifacts a pure
-    /// function of the job — byte-identical across worker counts and
-    /// across cold/resumed engines. The span-trace JSON embeds wall-clock
-    /// durations, so it is validated structurally (balanced `B`/`E`,
-    /// monotonic per-track timestamps), never byte-compared.
-    pub fn run_telemetry(&self, jobs: &[JobSpec], tel: &TelConfig) -> (Vec<SimReport>, RunSummary) {
-        let t0 = Instant::now();
-        let run_id = self.next_run_id();
-        let tel_dir = self.store.dir().join("telemetry");
-        let us = |d: Duration| d.as_micros() as u64;
-        let mut tb = TraceBuilder::new();
-        tb.thread_name(0, "engine");
-
-        // Dedupe, preserving first-occurrence order (same as run_all).
-        let keyed: Vec<String> = jobs.iter().map(JobSpec::key).collect();
-        let mut seen = HashSet::new();
-        let mut unique: Vec<usize> = Vec::new();
-        for (i, key) in keyed.iter().enumerate() {
-            if seen.insert(key.clone()) {
-                unique.push(i);
-            }
+        let mut disk = self.disk.lock().expect("engine disk cache");
+        let stored = disk.get_or_insert_with(|| self.store.load()).get(key)?;
+        if stored.canonical != canonical {
+            return None;
         }
-        let run_specs: Vec<JobSpec> = unique.iter().map(|&i| jobs[i].clone()).collect();
-        self.say(&format!(
-            "[exp] telemetry run {run_id}: {} jobs requested, {} unique, artifacts under {}",
-            jobs.len(),
-            unique.len(),
-            tel_dir.display(),
-        ));
-        let pregen_start = t0.elapsed();
-        self.pregenerate_traces(&run_specs);
-        tb.complete(
-            0,
-            "trace-acquire",
-            us(pregen_start),
-            us(t0.elapsed().saturating_sub(pregen_start)),
-            &[],
-        );
-
-        let total = run_specs.len();
-        for w in 0..self.workers.clamp(1, total.max(1)) {
-            tb.thread_name(w as u32 + 1, &format!("worker-{w}"));
-        }
-        let n_total = total.to_string();
-        tb.begin(0, "execute", us(t0.elapsed()), &[("jobs", &n_total)]);
-        let exec_base = t0.elapsed();
-        let mut progress = Progress::new(total as u64, self.verbose && stderr_is_tty());
-        let done = AtomicUsize::new(0);
-        let mut job_records: Vec<JobRecord> = Vec::with_capacity(total);
-        let outcomes = pool::run_items_timed(
-            &run_specs,
-            self.workers,
-            |job| job.run_telemetry(tel),
-            |idx, job, (report, capture), timing| {
-                let key = &keyed[unique[idx]];
-                let samples = capture.as_ref().map(|cap| {
-                    let export_start = t0.elapsed();
-                    match crate::telemetry::write_tel_artifacts(&tel_dir, key, cap) {
-                        Ok(p) => self.say(&format!("[exp] wrote {}", p.display())),
-                        Err(e) => self.say(&format!("[exp] warning: artifact write failed: {e}")),
-                    }
-                    tb.complete(
-                        0,
-                        "hist-export",
-                        us(export_start),
-                        us(t0.elapsed().saturating_sub(export_start)),
-                        &[("key", key)],
-                    );
-                    cap.total_samples()
-                });
-                tb.complete(
-                    timing.worker as u32 + 1,
-                    "simulate",
-                    us(exec_base + timing.start),
-                    us(timing.wall),
-                    &[("key", key), ("label", &job.label())],
-                );
-                job_records.push(JobRecord {
-                    key: key.clone(),
-                    label: job.label(),
-                    source: ResultSource::Ran,
-                    wall: timing.wall,
-                    obs: None,
-                    tel_samples: samples,
-                });
-                let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                tb.counter(0, "cells", us(t0.elapsed()), "done", n as u64);
-                let instr: u64 = report.cores.iter().map(|m| m.instructions).sum();
-                if let Some(line) = progress.tick(instr) {
-                    eprint!(
-                        "
-{line}"
-                    );
-                } else if !progress.is_enabled() {
-                    self.say(&format!(
-                        "[exp] {n}/{total} telemetry — {} in {}",
-                        job.label(),
-                        fmt_secs(timing.wall),
-                    ));
-                }
-            },
-        );
-        if progress.needs_newline() {
-            eprintln!();
-        }
-        let exec_wall = t0.elapsed().saturating_sub(exec_base);
-        tb.end(0, us(t0.elapsed()));
-        // on_done fires in completion order; the manifest lists jobs in
-        // request order, so sort the records back by key position.
-        job_records.sort_by_key(|r| {
-            unique
-                .iter()
-                .position(|&i| keyed[i] == r.key)
-                .unwrap_or(usize::MAX)
-        });
-
-        let wall = t0.elapsed();
-        let sim_wall: Duration = outcomes.iter().map(|(_, w)| *w).sum();
-        let trace_path = self.write_span_trace(&run_id, tb);
-        let summary = self.write_observability(RunSummary {
-            run_id: run_id.clone(),
-            jobs_requested: jobs.len(),
-            jobs_unique: unique.len(),
-            from_memory: 0,
-            from_store: 0,
-            executed: total,
-            wall,
-            manifest_path: PathBuf::new(),
-            timings_path: PathBuf::new(),
-            utilization: utilization(sim_wall, exec_wall, self.workers, total),
-            dedup_hit_rate: dedup_hit_rate(jobs.len(), total),
-            trace_path,
-            jobs: job_records,
-        });
-
-        // Request-order reports (duplicates share the unique job's run).
-        let by_key: HashMap<&String, &SimReport> = unique
-            .iter()
-            .zip(&outcomes)
-            .map(|(&i, ((report, _), _))| (&keyed[i], report))
-            .collect();
-        let reports = keyed.iter().map(|key| by_key[key].clone()).collect();
-        self.say(&format!(
-            "[exp] telemetry run {run_id} done in {} ({} simulated); manifest {}",
-            fmt_secs(wall),
-            total,
-            summary.manifest_path.display(),
-        ));
-        (reports, summary)
+        mem.insert(key.to_string(), stored.report.clone());
+        Some((stored.report.clone(), ResultSource::Store))
     }
 
     /// Writes the run's span trace as Chrome trace-event JSON under
@@ -719,24 +496,9 @@ impl Engine {
 
     /// Runs (or fetches) a single job: memory → store → simulate inline.
     pub fn run_one(&self, job: &JobSpec) -> SimReport {
-        let key = job.key();
-        if let Some(r) = self.mem.lock().expect("engine mem cache").get(&key) {
-            return r.clone();
-        }
-        let canonical = job.canonical();
-        {
-            let mut disk = self.disk.lock().expect("engine disk cache");
-            let disk = disk.get_or_insert_with(|| self.store.load());
-            if let Some(stored) = disk.get(&key) {
-                if stored.canonical == canonical {
-                    let report = stored.report.clone();
-                    self.mem
-                        .lock()
-                        .expect("engine mem cache")
-                        .insert(key, report.clone());
-                    return report;
-                }
-            }
+        let (key, canonical) = (job.key(), job.canonical());
+        if let Some((report, _)) = self.resolve(&key, &canonical) {
+            return report;
         }
         let report = job.run();
         if let Err(e) = self.store.append(&key, &canonical, &report) {
@@ -829,7 +591,7 @@ impl Engine {
             .collect();
         let manifest = obj(vec![
             ("run_id", Json::Str(summary.run_id.clone())),
-            ("git", Json::Str(git_describe())),
+            ("git", Json::Str(git_describe().to_string())),
             ("started_unix", Json::UInt(unix_now())),
             ("workers", Json::UInt(self.workers as u64)),
             ("wall_s", Json::Float(summary.wall.as_secs_f64())),
@@ -909,15 +671,21 @@ fn unix_now() -> u64 {
         .unwrap_or(0)
 }
 
-fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
+/// `git describe` of the working directory, resolved once per process
+/// (every sweep's manifest carries it; spawning git per sweep cost more
+/// than a resumed sweep's whole resolve phase).
+fn git_describe() -> &'static str {
+    static DESCRIBE: OnceLock<String> = OnceLock::new();
+    DESCRIBE.get_or_init(|| {
+        std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_string())
+            .unwrap_or_else(|| "unknown".to_string())
+    })
 }
 
 /// Worker utilization: total simulated wall-clock over the capacity the

@@ -14,8 +14,38 @@ use secpref_sim::{
     ObsCapture, ObsConfig, SimReport, StreamFeed, System, TelCapture, TelConfig, TraceFeed,
 };
 use secpref_trace::suite;
+use secpref_tracestore::fnv::{fnv1a64, FNV_OFFSET};
 use secpref_types::{CacheConfig, SamplingConfig, SystemConfig};
 use std::path::PathBuf;
+
+/// What a job runs with: nothing, or one of the two diagnostic recorders.
+///
+/// Neither recorder's configuration is part of the job key — recording
+/// cannot change the simulation outcome (the reports are bit-identical
+/// in all three modes), and diagnostic sweeps bypass the result store
+/// (see [`Engine::run_with`](crate::Engine::run_with)).
+#[derive(Clone, Copy, Debug)]
+pub enum RunMode<'a> {
+    /// A plain run: the report only.
+    Plain,
+    /// With the observability recorder (event ring + epoch series).
+    Traced(&'a ObsConfig),
+    /// With the telemetry recorder (latency histograms).
+    Telemetry(&'a TelConfig),
+}
+
+/// What the recorder of a [`RunMode`] captured (boxed: a telemetry
+/// capture is 28 KB of histograms, and every plain result would carry
+/// that much padding through the pool's channel).
+#[derive(Debug)]
+pub enum Capture {
+    /// Plain run, or the recorder was configured off.
+    None,
+    /// Events and epochs of a traced run.
+    Obs(Box<ObsCapture>),
+    /// Histograms of a telemetry run.
+    Tel(Box<TelCapture>),
+}
 
 /// What a job simulates: one trace on one core, a multi-core mix, or a
 /// streamed on-disk chunk store.
@@ -127,9 +157,8 @@ impl JobSpec {
         })
     }
 
-    /// Switches the job to SMARTS-style sampled execution (honoured by
-    /// [`JobSpec::run`], [`JobSpec::run_traced`] and
-    /// [`JobSpec::run_telemetry`] alike).
+    /// Switches the job to SMARTS-style sampled execution (honoured
+    /// under every [`RunMode`]).
     pub fn with_sampling(mut self, s: SamplingConfig) -> Self {
         self.sampling = Some(s);
         self
@@ -174,7 +203,7 @@ impl JobSpec {
     /// Content-addressed job key: FNV-1a 64 of [`JobSpec::canonical`],
     /// as 16 hex digits.
     pub fn key(&self) -> String {
-        format!("{:016x}", fnv1a64(self.canonical().as_bytes()))
+        format!("{:016x}", fnv1a64(self.canonical().as_bytes(), FNV_OFFSET))
     }
 
     /// Short label for progress lines and timing exports.
@@ -198,11 +227,14 @@ impl JobSpec {
         )
     }
 
-    /// Builds the system this job simulates: one feed per core (suite
-    /// traces come from `secpref_trace::suite::cached_trace`, so repeated
-    /// jobs over the same trace share one generated copy per process),
-    /// the LLC scaled to the core count, and the job's windows.
-    fn system(&self) -> System {
+    /// Executes the job (synchronously, on the calling thread) under
+    /// `mode`: sampled when a plan is attached, full detail otherwise.
+    ///
+    /// The system gets one feed per core (suite traces come from
+    /// `secpref_trace::suite::cached_trace`, so repeated jobs over the
+    /// same trace share one generated copy per process), the LLC scaled
+    /// to the core count, and the job's windows.
+    pub fn run_with(&self, mode: RunMode<'_>) -> (SimReport, Capture) {
         let (warmup, measure) = self.window();
         let mem = |n: &String| TraceFeed::Mem(suite::cached_trace(n, self.scale.trace_len()));
         let feeds = match &self.workload {
@@ -219,56 +251,32 @@ impl JobSpec {
         let mut cfg = self.cfg.clone();
         cfg.cores = feeds.len();
         cfg.llc = CacheConfig::baseline_llc(cfg.cores);
-        System::from_feeds(cfg, feeds).with_window(warmup, measure)
-    }
-
-    /// Runs `sys` to completion the way the spec says: sampled when a
-    /// plan is attached, full detail otherwise.
-    fn execute(&self, mut sys: System) -> System {
+        let sys = System::from_feeds(cfg, feeds).with_window(warmup, measure);
+        let mut sys = match mode {
+            RunMode::Plain => sys,
+            RunMode::Traced(obs) => sys.with_obs(obs),
+            RunMode::Telemetry(tel) => sys.with_telemetry(tel),
+        };
         match &self.sampling {
             Some(plan) => sys.run_sampled(plan),
             None => sys.run(),
         }
-        sys
+        let capture = match mode {
+            RunMode::Plain => Capture::None,
+            RunMode::Traced(_) => sys
+                .take_obs()
+                .map_or(Capture::None, |c| Capture::Obs(Box::new(c))),
+            RunMode::Telemetry(_) => sys
+                .take_telemetry()
+                .map_or(Capture::None, |c| Capture::Tel(Box::new(c))),
+        };
+        (sys.report(), capture)
     }
 
-    /// Executes the job (synchronously, on the calling thread).
+    /// Executes the job with no recorder attached.
     pub fn run(&self) -> SimReport {
-        self.execute(self.system()).report()
+        self.run_with(RunMode::Plain).0
     }
-
-    /// Executes the job with an observability recorder attached.
-    ///
-    /// The observability configuration is deliberately *not* part of the
-    /// job key — it cannot change the simulation outcome, and traced runs
-    /// bypass the result store entirely (see `Engine::run_traced`).
-    pub fn run_traced(&self, obs: &ObsConfig) -> (SimReport, Option<ObsCapture>) {
-        let mut sys = self.execute(self.system().with_obs(obs));
-        let capture = sys.take_obs();
-        (sys.report(), capture)
-    }
-
-    /// Executes the job with a telemetry recorder attached.
-    ///
-    /// Like [`JobSpec::run_traced`], the telemetry configuration is *not*
-    /// part of the job key — telemetry cannot change the simulation
-    /// outcome (it records at existing event sites), and telemetry runs
-    /// bypass the result store (see `Engine::run_telemetry`).
-    pub fn run_telemetry(&self, tel: &TelConfig) -> (SimReport, Option<TelCapture>) {
-        let mut sys = self.execute(self.system().with_telemetry(tel));
-        let capture = sys.take_telemetry();
-        (sys.report(), capture)
-    }
-}
-
-/// FNV-1a, 64-bit.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -403,7 +411,7 @@ mod tests {
 
     #[test]
     fn every_entry_point_honours_the_sampling_plan() {
-        // Regression: `run_traced` and `run_telemetry` used to ignore
+        // Regression: the traced and telemetry runs used to ignore
         // `sampling` and return a full-detail report.
         let cfg = SystemConfig::baseline(1)
             .with_secure(SecureMode::GhostMinion)
@@ -413,9 +421,9 @@ mod tests {
         let plan = SamplingConfig::new(2_000, 500, 1_500).with_jitter(300, 11);
         let job = JobSpec::single(cfg, "mcf_like_a", ExpScale::Quick).with_sampling(plan);
         let plain = job.run();
-        let (traced, capture) = job.run_traced(&ObsConfig::enabled());
-        let (telemetered, hists) = job.run_telemetry(&TelConfig::enabled());
-        assert!(capture.is_some() && hists.is_some());
+        let (traced, capture) = job.run_with(RunMode::Traced(&ObsConfig::enabled()));
+        let (telemetered, hists) = job.run_with(RunMode::Telemetry(&TelConfig::enabled()));
+        assert!(matches!(capture, Capture::Obs(_)) && matches!(hists, Capture::Tel(_)));
         let digest = crate::codec::report_to_string(&plain);
         for (how, r) in [("run", &plain), ("traced", &traced), ("tel", &telemetered)] {
             let sm = r
@@ -428,14 +436,10 @@ mod tests {
         // And without a plan all three stay full detail.
         let full = base_job();
         assert!(full.run().sampling.is_none());
-        assert!(full.run_traced(&ObsConfig::enabled()).0.sampling.is_none());
-    }
-
-    #[test]
-    fn fnv_reference_values() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        let traced = full.run_with(RunMode::Traced(&ObsConfig::enabled())).0;
+        assert!(traced.sampling.is_none());
+        // A recorder configured off captures nothing.
+        let (_, capture) = full.run_with(RunMode::Traced(&ObsConfig::default()));
+        assert!(matches!(capture, Capture::None));
     }
 }

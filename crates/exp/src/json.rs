@@ -156,6 +156,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -166,9 +167,17 @@ pub fn parse(input: &str) -> Result<Json, String> {
     Ok(v)
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The deepest document
+/// this workspace writes, a result-store line, nests five levels; the
+/// bound turns hostile input (`[[[[…`) into an `Err` instead of a stack
+/// overflow.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -206,11 +215,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object, one level deeper.
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -303,16 +326,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are safe to re-decode).
+                    // Consume the whole run up to the next delimiter at
+                    // once. Both delimiters are ASCII, so in valid UTF-8
+                    // they never fall inside a scalar: the run's ends are
+                    // char boundaries and checking it alone is enough.
                     let rest = &self.bytes[self.pos..];
-                    let ch = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid utf-8")?
-                        .chars()
-                        .next()
-                        .ok_or("unterminated string")?;
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len]).map_err(|_| "invalid utf-8")?;
+                    s.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -414,6 +439,43 @@ mod tests {
         let s = "line1\nline2\ttab \"quoted\" back\\slash \u{1}";
         let v = Json::Str(s.to_string());
         assert_eq!(parse(&v.to_string()).unwrap().as_str(), Some(s));
+    }
+
+    #[test]
+    fn runs_and_escapes_alternate_without_losing_a_byte() {
+        // Multi-byte scalars (2, 3 and 4 bytes) sit directly against every
+        // escape the parser knows, so each run boundary falls next to one.
+        let src = r#""é\"\\€\/𝄞\b\fñ\n\r\tü\u00e9\u0001ß""#;
+        let want = "é\"\\€/𝄞\u{8}\u{c}ñ\n\r\tüé\u{1}ß";
+        assert_eq!(parse(src).unwrap().as_str(), Some(want));
+        // And back out through the writer.
+        let v = Json::Str(want.to_string());
+        assert_eq!(parse(&v.to_string()).unwrap(), v);
+        // A run that ends the input is an unterminated string, not a panic.
+        assert!(parse("\"é€").is_err());
+    }
+
+    #[test]
+    fn truncated_unicode_escape_is_an_error() {
+        assert!(parse(r#""\u12""#).is_err());
+        assert!(parse(r#""\u12"#).is_err());
+        assert!(parse(r#""\u"#).is_err());
+        assert!(parse(r#""\"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + "0" + &close.repeat(n);
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest("[", "]", MAX_DEPTH + 1)).is_err());
+        assert!(parse(&nest("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest("{\"a\":", "}", MAX_DEPTH + 1)).is_err());
+        // Deep enough to overflow the stack if the parser recursed.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&nest("[{\"a\":", "}]", 100_000)).is_err());
+        // Depth is released on the way out: siblings do not add up.
+        let wide = format!("[{}]", vec![nest("[", "]", MAX_DEPTH - 1); 8].join(","));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]

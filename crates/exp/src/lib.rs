@@ -16,17 +16,18 @@
 //!   [`JobSpec::key`] define identity (the full config participates, so
 //!   configs differing only in, say, L1D geometry never collide).
 //! - [`scale`] — [`ExpScale`]: Quick/Full windows.
-//! - [`pool`] — deterministic-order worker pool.
+//! - [`pool`] — deterministic-order worker pool ([`pool::run_items`]).
 //! - [`store`] — [`ResultStore`]: append-only `results.jsonl`,
 //!   torn-write tolerant.
 //! - [`codec`] / [`json`] — hand-rolled, exact JSON (u64 counters stay
 //!   integers; `f64` round-trips bit-identically).
 //! - [`engine`] — [`Engine`]: dedupe → resume → pre-generate traces →
-//!   execute → persist → manifest.
+//!   execute → persist → manifest; one loop ([`Engine::run_with`]) whose
+//!   [`RunMode`] makes it a plain, a traced or a telemetry sweep.
 //! - [`obs`] — deterministic trace-artifact exporters (events JSONL,
-//!   epochs CSV) for [`Engine::run_traced`] diagnostic runs.
+//!   epochs CSV) for [`RunMode::Traced`] diagnostic sweeps.
 //! - [`telemetry`] — deterministic histogram-artifact exporter
-//!   (`<key>.hist.csv`) for [`Engine::run_telemetry`] runs, plus the
+//!   (`<key>.hist.csv`) for [`RunMode::Telemetry`] sweeps, plus the
 //!   structural validator for exported span-trace JSON.
 //!
 //! # Examples
@@ -60,9 +61,9 @@ pub mod store;
 pub mod telemetry;
 
 pub use engine::{default_workers, Engine, JobRecord, ResultSource, RunSummary};
-pub use job::{JobSpec, Workload};
+pub use job::{Capture, JobSpec, RunMode, Workload};
 pub use obs::write_trace_artifacts;
-pub use pool::{ItemTiming, JobOutcome};
+pub use pool::ItemTiming;
 pub use scale::ExpScale;
 pub use secpref_sim::{ObsCapture, ObsConfig, TelCapture, TelConfig};
 pub use store::{ResultStore, StoredResult};

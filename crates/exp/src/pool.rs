@@ -1,14 +1,12 @@
-//! A std-only worker pool for simulation jobs.
+//! A std-only worker pool.
 //!
-//! Workers are scoped `std::thread`s pulling job indices from a shared
-//! atomic cursor and reporting `(index, report, wall)` over an mpsc
-//! channel. The pool's *result order is the job order* regardless of
+//! Workers are scoped `std::thread`s pulling item indices from a shared
+//! atomic cursor and reporting `(index, result, timing)` over an mpsc
+//! channel. The pool's *result order is the item order* regardless of
 //! worker count or completion interleaving — callers receive a `Vec`
 //! indexed like the input slice, which is what makes N-worker sweeps
 //! bit-identical to single-threaded ones.
 
-use crate::job::JobSpec;
-use secpref_sim::SimReport;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -26,86 +24,20 @@ pub struct ItemTiming {
     pub wall: Duration,
 }
 
-/// One completed job: the report plus how long the simulation took on
-/// its worker thread.
-#[derive(Clone, Debug)]
-pub struct JobOutcome {
-    /// The simulation result.
-    pub report: SimReport,
-    /// Wall-clock the job spent executing.
-    pub wall: Duration,
-}
-
-/// Runs every job in `jobs` across `workers` threads.
+/// Runs `run` over every item across `workers` threads — the engine's
+/// [`JobSpec`](crate::JobSpec)s, or any other `Sync` work items
+/// (`secpref-check` fans its fuzzing and differential cells out here).
 ///
-/// `on_done` fires on the *calling* thread once per completed job, in
-/// completion order (use it for progress lines and store appends — no
-/// synchronization needed). The returned vector is in job order.
-///
-/// # Panics
-///
-/// Propagates a panic from any job once all workers have drained.
-pub fn run_jobs(
-    jobs: &[JobSpec],
-    workers: usize,
-    mut on_done: impl FnMut(usize, &JobSpec, &SimReport, Duration),
-) -> Vec<JobOutcome> {
-    run_jobs_with(
-        jobs,
-        workers,
-        |job| job.run(),
-        |idx, job, report, wall| on_done(idx, job, report, wall),
-    )
-    .into_iter()
-    .map(|(report, wall)| JobOutcome { report, wall })
-    .collect()
-}
-
-/// Generic form of [`run_jobs`]: `run` produces any `Send` result per
-/// job (e.g. a report *plus* an observability capture). Result order is
-/// still the job order; `on_done` still fires on the calling thread —
-/// which keeps artifact writes single-threaded without extra locks.
-///
-/// # Panics
-///
-/// Propagates a panic from any job once all workers have drained.
-pub fn run_jobs_with<R: Send>(
-    jobs: &[JobSpec],
-    workers: usize,
-    run: impl Fn(&JobSpec) -> R + Sync,
-    on_done: impl FnMut(usize, &JobSpec, &R, Duration),
-) -> Vec<(R, Duration)> {
-    run_items_with(jobs, workers, run, on_done)
-}
-
-/// Fully generic pool: runs `run` over arbitrary `Sync` work items — not
-/// just [`JobSpec`]s — with the same ordering and callback guarantees as
-/// [`run_jobs`]. `secpref-check` uses this to fan fuzzing cells out
-/// across workers while keeping per-cell determinism.
+/// `on_done` fires on the *calling* thread once per completed item, in
+/// completion order, and learns where the item ran ([`ItemTiming`]) — use
+/// it for progress lines, store appends and artifact writes, which stay
+/// single-threaded without extra locks. The returned vector is in item
+/// order, each result beside the wall-clock its item took.
 ///
 /// # Panics
 ///
 /// Propagates a panic from any item once all workers have drained.
-pub fn run_items_with<T: Sync, R: Send>(
-    items: &[T],
-    workers: usize,
-    run: impl Fn(&T) -> R + Sync,
-    mut on_done: impl FnMut(usize, &T, &R, Duration),
-) -> Vec<(R, Duration)> {
-    run_items_timed(items, workers, run, |idx, item, result, t| {
-        on_done(idx, item, result, t.wall)
-    })
-}
-
-/// Like [`run_items_with`], but `on_done` additionally learns *where*
-/// each item ran ([`ItemTiming`]: worker index plus start offset), which
-/// is what the engine's span tracer needs to lay jobs out on per-worker
-/// tracks.
-///
-/// # Panics
-///
-/// Propagates a panic from any item once all workers have drained.
-pub fn run_items_timed<T: Sync, R: Send>(
+pub fn run_items<T: Sync, R: Send>(
     items: &[T],
     workers: usize,
     run: impl Fn(&T) -> R + Sync,
@@ -158,6 +90,7 @@ pub fn run_items_timed<T: Sync, R: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobSpec;
     use crate::scale::ExpScale;
     use secpref_types::SystemConfig;
 
@@ -171,16 +104,13 @@ mod tests {
     #[test]
     fn results_are_in_job_order_for_any_worker_count() {
         let js = jobs(&["leela_like", "gcc_like", "leela_like"]);
-        let one = run_jobs(&js, 1, |_, _, _, _| {});
-        let four = run_jobs(&js, 4, |_, _, _, _| {});
+        let one = run_items(&js, 1, JobSpec::run, |_, _, _, _| {});
+        let four = run_items(&js, 4, JobSpec::run, |_, _, _, _| {});
         assert_eq!(one.len(), 3);
-        for (a, b) in one.iter().zip(&four) {
-            assert_eq!(a.report.label, b.report.label);
-            assert_eq!(
-                a.report.cores[0].instructions,
-                b.report.cores[0].instructions
-            );
-            assert_eq!(a.report.cores[0].cycles, b.report.cores[0].cycles);
+        for ((a, _), (b, _)) in one.iter().zip(&four) {
+            assert_eq!(a.label, b.label);
+            assert_eq!(a.cores[0].instructions, b.cores[0].instructions);
+            assert_eq!(a.cores[0].cycles, b.cores[0].cycles);
         }
     }
 
@@ -188,7 +118,8 @@ mod tests {
     fn callback_sees_every_job_once() {
         let js = jobs(&["leela_like", "gcc_like"]);
         let mut seen = Vec::new();
-        run_jobs(&js, 2, |idx, job, report, _| {
+        run_items(&js, 2, JobSpec::run, |idx, job, report, timing| {
+            assert!(timing.worker < 2);
             seen.push((idx, job.workload.describe(), report.ipc()));
         });
         seen.sort_by_key(|(idx, _, _)| *idx);
@@ -201,7 +132,7 @@ mod tests {
     #[test]
     fn generic_items_pool_preserves_order() {
         let items: Vec<u64> = (0..17).collect();
-        let out = run_items_with(&items, 4, |&x| x * x, |_, _, _, _| {});
+        let out = run_items(&items, 4, |&x| x * x, |_, _, _, _| {});
         assert_eq!(out.len(), 17);
         for (i, (r, _)) in out.iter().enumerate() {
             assert_eq!(*r, (i as u64) * (i as u64));
@@ -210,12 +141,12 @@ mod tests {
 
     #[test]
     fn empty_job_list_is_fine() {
-        assert!(run_jobs(&[], 8, |_, _, _, _| {}).is_empty());
+        assert!(run_items(&[], 8, JobSpec::run, |_, _, _, _| {}).is_empty());
     }
 
     #[test]
     fn oversized_worker_count_is_clamped() {
         let js = jobs(&["leela_like"]);
-        assert_eq!(run_jobs(&js, 64, |_, _, _, _| {}).len(), 1);
+        assert_eq!(run_items(&js, 64, JobSpec::run, |_, _, _, _| {}).len(), 1);
     }
 }

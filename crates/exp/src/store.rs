@@ -218,6 +218,28 @@ mod tests {
     }
 
     #[test]
+    fn pathologically_nested_line_is_skipped_not_fatal() {
+        // A 200 000-bracket line used to overflow the parser's stack and
+        // abort the process; `load` promises a malformed line is skipped.
+        let dir = tmp_dir("nested");
+        let store = ResultStore::open(&dir).unwrap();
+        store.append("before", "c", &report("a", 1)).unwrap();
+        let mut f = OpenOptions::new()
+            .append(true)
+            .open(store.results_path())
+            .unwrap();
+        f.write_all("[".repeat(200_000).as_bytes()).unwrap();
+        f.write_all(b"\n").unwrap();
+        drop(f);
+        store.append("after", "c", &report("b", 2)).unwrap();
+        let loaded = store.load();
+        assert_eq!(loaded.len(), 2);
+        assert_eq!(loaded["before"].report.label, "a");
+        assert_eq!(loaded["after"].report.label, "b");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn missing_file_loads_empty() {
         let dir = tmp_dir("empty");
         let store = ResultStore::open(&dir).unwrap();

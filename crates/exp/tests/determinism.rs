@@ -6,7 +6,7 @@
 //!    what the cold run produced, and its manifest proves nothing was
 //!    re-simulated.
 
-use secpref_exp::{codec, Engine, ExpScale, JobSpec};
+use secpref_exp::{codec, Engine, ExpScale, JobSpec, RunMode, RunSummary};
 use secpref_types::{PrefetchMode, PrefetcherKind, SecureMode, SystemConfig};
 use std::path::PathBuf;
 
@@ -119,107 +119,36 @@ fn resumed_run_matches_cold_run_without_resimulating() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-#[test]
-fn trace_artifacts_are_byte_identical_across_workers_and_resume() {
-    // Traced runs must satisfy the same contract as reports, but at the
-    // artifact-byte level: the events JSONL and epochs CSV are a pure
-    // function of (job, obs config) — worker count, completion
-    // interleaving, and whatever an earlier run left in the result store
-    // must all be invisible.
+/// The artifact-byte contract of a diagnostic sweep, checked the same way
+/// for both recorders. `mode` is the sweep under test; `subdir` and
+/// `suffixes` name the content-keyed artifact files it must leave under
+/// the store directory. Returns the serial run's summary for
+/// the mode-specific record checks.
+///
+/// Artifacts are a pure function of (job, recorder config): worker
+/// count, completion interleaving, and whatever an earlier run left in
+/// the result store must all be invisible. The span trace
+/// (`trace-<run_id>.json`) embeds wall-clock durations, so it is
+/// validated structurally instead of byte-compared.
+fn assert_artifact_contract(
+    tag: &str,
+    subdir: &str,
+    suffixes: &[&str],
+    mode: RunMode<'_>,
+) -> RunSummary {
     let jobs = sweep();
-    let obs = secpref_exp::ObsConfig::enabled().with_epoch_interval(500);
-    let dir1 = tmp_dir("obs-w1");
-    let dir4 = tmp_dir("obs-w4");
+    let dir1 = tmp_dir(&format!("{tag}-w1"));
+    let dir4 = tmp_dir(&format!("{tag}-w4"));
 
-    let serial = Engine::new(&dir1, 1).unwrap();
-    let (serial_reports, serial_summary) = serial.run_traced(&jobs, &obs);
-    let parallel = Engine::new(&dir4, 4).unwrap();
-    parallel.run_traced(&jobs, &obs);
+    // The store already holds every result of the sweep, so a diagnostic
+    // run that consulted it would simulate nothing — and one that wrote
+    // to it would change these bytes.
+    Engine::new(&dir1, 2).unwrap().run_all(&jobs);
+    let results = dir1.join("results.jsonl");
+    let store_before = std::fs::read(&results).unwrap();
 
-    let artifact = |dir: &PathBuf, key: &str, suffix: &str| {
-        std::fs::read(dir.join("obs").join(format!("{key}.{suffix}"))).unwrap()
-    };
-    let keys: Vec<String> = {
-        let mut seen = std::collections::HashSet::new();
-        jobs.iter()
-            .map(JobSpec::key)
-            .filter(|k| seen.insert(k.clone()))
-            .collect()
-    };
-    assert_eq!(keys.len(), serial_summary.jobs_unique);
-    for key in &keys {
-        let events = artifact(&dir1, key, "events.jsonl");
-        assert!(!events.is_empty());
-        assert_eq!(
-            events,
-            artifact(&dir4, key, "events.jsonl"),
-            "events JSONL for {key} must not depend on the worker count"
-        );
-        assert_eq!(events, artifact(&dir4, key, "events.jsonl"));
-        assert_eq!(
-            artifact(&dir1, key, "epochs.csv"),
-            artifact(&dir4, key, "epochs.csv"),
-            "epochs CSV for {key} must not depend on the worker count"
-        );
-    }
-
-    // Re-tracing over a store that already holds every result (a
-    // "resumed" diagnostic run) reproduces the artifacts bit for bit:
-    // traced runs bypass the store, so warm == cold.
-    let warm = Engine::new(&dir1, 4).unwrap();
-    let cold_bytes: Vec<Vec<u8>> = keys
-        .iter()
-        .map(|k| artifact(&dir1, k, "events.jsonl"))
-        .collect();
-    let (warm_reports, warm_summary) = warm.run_traced(&jobs, &obs);
-    assert_eq!(
-        warm_summary.executed, warm_summary.jobs_unique,
-        "traced runs always re-simulate"
-    );
-    for (key, cold) in keys.iter().zip(&cold_bytes) {
-        assert_eq!(
-            &artifact(&dir1, key, "events.jsonl"),
-            cold,
-            "resumed trace of {key} must be byte-identical to the cold one"
-        );
-    }
-    assert_eq!(serialize_all(&serial_reports), serialize_all(&warm_reports));
-
-    // Every traced job's manifest record carries an obs summary with a
-    // populated epoch series; the secure on-commit jobs also record
-    // commit/prefetch events.
-    for record in &serial_summary.jobs {
-        let obs = record.obs.expect("traced jobs must report an obs summary");
-        assert!(obs.epochs > 0, "{} produced no epochs", record.label);
-    }
-    assert!(
-        serial_summary
-            .jobs
-            .iter()
-            .any(|r| r.obs.is_some_and(|o| o.events_recorded > 0)),
-        "the sweep's secure jobs must record events"
-    );
-
-    let _ = std::fs::remove_dir_all(dir1);
-    let _ = std::fs::remove_dir_all(dir4);
-}
-
-#[test]
-fn telemetry_artifacts_are_byte_identical_across_workers_and_resume() {
-    // Telemetry runs inherit the artifact-byte contract: `<key>.hist.csv`
-    // is a pure function of the job — worker count, completion
-    // interleaving, and pre-existing store contents are invisible. The
-    // span trace (`trace-<run_id>.json`) embeds wall-clock durations, so
-    // it is validated structurally instead of byte-compared.
-    let jobs = sweep();
-    let tel = secpref_exp::TelConfig::enabled();
-    let dir1 = tmp_dir("tel-w1");
-    let dir4 = tmp_dir("tel-w4");
-
-    let serial = Engine::new(&dir1, 1).unwrap();
-    let (serial_reports, serial_summary) = serial.run_telemetry(&jobs, &tel);
-    let parallel = Engine::new(&dir4, 4).unwrap();
-    let (parallel_reports, parallel_summary) = parallel.run_telemetry(&jobs, &tel);
+    let (serial_reports, serial_summary) = Engine::new(&dir1, 1).unwrap().run_with(&jobs, mode);
+    let (parallel_reports, parallel_summary) = Engine::new(&dir4, 4).unwrap().run_with(&jobs, mode);
 
     // Reports are worker-count independent, as in plain sweeps.
     assert_eq!(
@@ -227,8 +156,8 @@ fn telemetry_artifacts_are_byte_identical_across_workers_and_resume() {
         serialize_all(&parallel_reports)
     );
 
-    let artifact = |dir: &PathBuf, key: &str| {
-        std::fs::read(dir.join("telemetry").join(format!("{key}.hist.csv"))).unwrap()
+    let artifact = |dir: &PathBuf, key: &str, suffix: &str| {
+        std::fs::read(dir.join(subdir).join(format!("{key}.{suffix}"))).unwrap()
     };
     let keys: Vec<String> = {
         let mut seen = std::collections::HashSet::new();
@@ -238,35 +167,55 @@ fn telemetry_artifacts_are_byte_identical_across_workers_and_resume() {
             .collect()
     };
     assert_eq!(keys.len(), serial_summary.jobs_unique);
+    assert_eq!(
+        serial_summary.executed, serial_summary.jobs_unique,
+        "{tag} runs always re-simulate, whatever the store holds"
+    );
+    assert_eq!(serial_summary.from_store + serial_summary.from_memory, 0);
     for key in &keys {
-        let hist = artifact(&dir1, key);
-        assert!(!hist.is_empty());
-        assert_eq!(
-            hist,
-            artifact(&dir4, key),
-            "hist CSV for {key} must not depend on the worker count"
-        );
+        for suffix in suffixes {
+            let bytes = artifact(&dir1, key, suffix);
+            assert!(!bytes.is_empty());
+            assert_eq!(
+                bytes,
+                artifact(&dir4, key, suffix),
+                "{suffix} for {key} must not depend on the worker count"
+            );
+        }
     }
 
-    // A "resumed" telemetry run (same store, fresh engine) reproduces the
-    // artifacts bit for bit: telemetry runs bypass the store.
-    let cold_bytes: Vec<Vec<u8>> = keys.iter().map(|k| artifact(&dir1, k)).collect();
-    let (_, warm_summary) = Engine::new(&dir1, 4).unwrap().run_telemetry(&jobs, &tel);
+    // Re-running on a fresh engine over the same store (a "resumed"
+    // diagnostic run) reproduces the artifacts bit for bit.
+    let cold_bytes: Vec<Vec<u8>> = keys
+        .iter()
+        .map(|k| artifact(&dir1, k, suffixes[0]))
+        .collect();
+    let (warm_reports, warm_summary) = Engine::new(&dir1, 4).unwrap().run_with(&jobs, mode);
     assert_eq!(
         warm_summary.executed, warm_summary.jobs_unique,
-        "telemetry runs always re-simulate"
+        "{tag} runs always re-simulate"
     );
     for (key, cold) in keys.iter().zip(&cold_bytes) {
         assert_eq!(
-            &artifact(&dir1, key),
+            &artifact(&dir1, key, suffixes[0]),
             cold,
-            "resumed telemetry of {key} must be byte-identical to the cold one"
+            "resumed {tag} run of {key} must be byte-identical to the cold one"
         );
     }
+    assert_eq!(serialize_all(&serial_reports), serialize_all(&warm_reports));
 
-    // Both runs exported a structurally valid span trace with one track
+    // Three diagnostic sweeps later the result store is byte for byte
+    // what the plain sweep left, and the other engine never created one.
+    assert_eq!(std::fs::read(&results).unwrap(), store_before);
+    assert!(!dir4.join("results.jsonl").exists());
+
+    // Every run exported a structurally valid span trace with one track
     // per active worker plus the engine track.
-    for (summary, min_tracks) in [(&serial_summary, 2), (&parallel_summary, 3)] {
+    for (summary, min_tracks) in [
+        (&serial_summary, 2),
+        (&parallel_summary, 3),
+        (&warm_summary, 3),
+    ] {
         let path = summary.trace_path.as_ref().expect("span trace written");
         let text = std::fs::read_to_string(path).unwrap();
         let stats = secpref_exp::validate_trace_json(&text)
@@ -279,15 +228,7 @@ fn telemetry_artifacts_are_byte_identical_across_workers_and_resume() {
         );
     }
 
-    // Every telemetry job's manifest record carries a sample total, and
-    // the manifest exposes the run's utilization and dedup hit rate.
-    for record in &serial_summary.jobs {
-        assert!(
-            record.tel_samples.is_some_and(|s| s > 0),
-            "{} recorded no samples",
-            record.label
-        );
-    }
+    // The manifest exposes the run's utilization and dedup hit rate.
     assert!(serial_summary.utilization > 0.0 && serial_summary.utilization <= 1.0);
     let manifest = std::fs::read_to_string(&serial_summary.manifest_path).unwrap();
     let json = secpref_exp::json::parse(manifest.trim()).unwrap();
@@ -299,6 +240,47 @@ fn telemetry_artifacts_are_byte_identical_across_workers_and_resume() {
 
     let _ = std::fs::remove_dir_all(dir1);
     let _ = std::fs::remove_dir_all(dir4);
+    serial_summary
+}
+
+#[test]
+fn trace_artifacts_are_byte_identical_across_workers_and_resume() {
+    let obs = secpref_exp::ObsConfig::enabled().with_epoch_interval(500);
+    let summary = assert_artifact_contract(
+        "obs",
+        "obs",
+        &["events.jsonl", "epochs.csv"],
+        RunMode::Traced(&obs),
+    );
+    // Every traced job's manifest record carries an obs summary with a
+    // populated epoch series; the secure on-commit jobs also record
+    // commit/prefetch events.
+    for record in &summary.jobs {
+        let obs = record.obs.expect("traced jobs must report an obs summary");
+        assert!(obs.epochs > 0, "{} produced no epochs", record.label);
+    }
+    assert!(
+        summary
+            .jobs
+            .iter()
+            .any(|r| r.obs.is_some_and(|o| o.events_recorded > 0)),
+        "the sweep's secure jobs must record events"
+    );
+}
+
+#[test]
+fn telemetry_artifacts_are_byte_identical_across_workers_and_resume() {
+    let tel = secpref_exp::TelConfig::enabled();
+    let summary =
+        assert_artifact_contract("tel", "telemetry", &["hist.csv"], RunMode::Telemetry(&tel));
+    // Every telemetry job's manifest record carries a sample total.
+    for record in &summary.jobs {
+        assert!(
+            record.tel_samples.is_some_and(|s| s > 0),
+            "{} recorded no samples",
+            record.label
+        );
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! high watermark (Table II, DRAM row).
 
 use secpref_types::config::DramConfig;
-use secpref_types::{Cycle, LineAddr};
+use secpref_types::{counters, Cycle, LineAddr};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -52,32 +52,29 @@ impl BankIndex {
     }
 }
 
-/// Aggregate DRAM statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DramStats {
-    /// Reads completed.
-    pub reads: u64,
-    /// Writes completed.
-    pub writes: u64,
-    /// Row-buffer hits among all serviced requests.
-    pub row_hits: u64,
-    /// Row-buffer misses (activate or precharge+activate needed).
-    pub row_misses: u64,
-    /// Reads served by write-queue forwarding.
-    pub wq_forwards: u64,
+counters! {
+    /// Aggregate DRAM statistics.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct DramStats {
+        /// Reads completed.
+        pub reads: u64,
+        /// Writes completed.
+        pub writes: u64,
+        /// Row-buffer hits among all serviced requests.
+        pub row_hits: u64,
+        /// Row-buffer misses (activate or precharge+activate needed).
+        pub row_misses: u64,
+        /// Reads served by write-queue forwarding.
+        pub wq_forwards: u64,
+    }
 }
 
 impl DramStats {
     /// Counter deltas since an `earlier` snapshot of the same channel
     /// (saturating, so a stale snapshot cannot wrap).
     pub fn delta(&self, earlier: &DramStats) -> DramStats {
-        DramStats {
-            reads: self.reads.saturating_sub(earlier.reads),
-            writes: self.writes.saturating_sub(earlier.writes),
-            row_hits: self.row_hits.saturating_sub(earlier.row_hits),
-            row_misses: self.row_misses.saturating_sub(earlier.row_misses),
-            wq_forwards: self.wq_forwards.saturating_sub(earlier.wq_forwards),
-        }
+        let (now, then) = (self.values(), earlier.values());
+        DramStats::from_values(std::array::from_fn(|i| now[i].saturating_sub(then[i])))
     }
 }
 
@@ -448,6 +445,13 @@ mod tests {
             token,
             arrival,
         }
+    }
+
+    #[test]
+    fn stats_delta_is_field_wise_and_saturating() {
+        let now = DramStats::from_values([10, 20, 30, 40, 50]);
+        let then = DramStats::from_values([1, 2, 3, 4, 99]);
+        assert_eq!(now.delta(&then).values(), [9, 18, 27, 36, 0]);
     }
 
     #[test]

@@ -288,11 +288,6 @@ impl Hierarchy {
         self.obs = obs;
     }
 
-    /// Whether an observability recorder is active.
-    pub fn obs_enabled(&self) -> bool {
-        self.obs.is_enabled()
-    }
-
     /// Arms event recording for `core` (its warm-up boundary passed).
     pub fn arm_obs(&mut self, core: CoreId) {
         self.obs.arm(core);

@@ -1,35 +1,37 @@
 //! Per-core, per-level simulation counters — the raw material for every
 //! figure in the paper.
 
-use secpref_types::{AccessKind, CacheLevel, Cycle};
+use secpref_types::{counters, AccessKind, CacheLevel, Cycle};
 
-/// Traffic and miss counters for one cache level of one core.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LevelMetrics {
-    /// Demand (load/store) accesses.
-    pub demand_accesses: u64,
-    /// Demand misses.
-    pub demand_misses: u64,
-    /// Prefetch accesses.
-    pub prefetch_accesses: u64,
-    /// GhostMinion commit-path accesses (commit writes + re-fetches +
-    /// clean-line propagation) — the "Commit Requests" of Fig. 3.
-    pub commit_accesses: u64,
-    /// Writeback accesses (dirty evictions arriving here).
-    pub writeback_accesses: u64,
-    /// Cycles×entries of MSHR occupancy (integral; divide by cycles for
-    /// mean occupancy).
-    pub mshr_occupancy_integral: u64,
-    /// Cycles the MSHR file was completely full.
-    pub mshr_full_cycles: u64,
-    /// Retries caused by a full MSHR file.
-    pub mshr_full_stalls: u64,
-    /// Retries caused by exhausted ports.
-    pub port_stalls: u64,
-    /// Sum of demand-load miss latencies observed at this level.
-    pub miss_latency_sum: u64,
-    /// Number of demand-load misses contributing to `miss_latency_sum`.
-    pub miss_latency_count: u64,
+counters! {
+    /// Traffic and miss counters for one cache level of one core.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct LevelMetrics {
+        /// Demand (load/store) accesses.
+        pub demand_accesses: u64,
+        /// Demand misses.
+        pub demand_misses: u64,
+        /// Prefetch accesses.
+        pub prefetch_accesses: u64,
+        /// GhostMinion commit-path accesses (commit writes + re-fetches +
+        /// clean-line propagation) — the "Commit Requests" of Fig. 3.
+        pub commit_accesses: u64,
+        /// Writeback accesses (dirty evictions arriving here).
+        pub writeback_accesses: u64,
+        /// Cycles×entries of MSHR occupancy (integral; divide by cycles for
+        /// mean occupancy).
+        pub mshr_occupancy_integral: u64,
+        /// Cycles the MSHR file was completely full.
+        pub mshr_full_cycles: u64,
+        /// Retries caused by a full MSHR file.
+        pub mshr_full_stalls: u64,
+        /// Retries caused by exhausted ports.
+        pub port_stalls: u64,
+        /// Sum of demand-load miss latencies observed at this level.
+        pub miss_latency_sum: u64,
+        /// Number of demand-load misses contributing to `miss_latency_sum`.
+        pub miss_latency_count: u64,
+    }
 }
 
 impl LevelMetrics {
@@ -51,21 +53,6 @@ impl LevelMetrics {
         }
     }
 
-    /// Field-wise accumulation (sampled-window aggregation).
-    pub fn accumulate(&mut self, o: &Self) {
-        self.demand_accesses += o.demand_accesses;
-        self.demand_misses += o.demand_misses;
-        self.prefetch_accesses += o.prefetch_accesses;
-        self.commit_accesses += o.commit_accesses;
-        self.writeback_accesses += o.writeback_accesses;
-        self.mshr_occupancy_integral += o.mshr_occupancy_integral;
-        self.mshr_full_cycles += o.mshr_full_cycles;
-        self.mshr_full_stalls += o.mshr_full_stalls;
-        self.port_stalls += o.port_stalls;
-        self.miss_latency_sum += o.miss_latency_sum;
-        self.miss_latency_count += o.miss_latency_count;
-    }
-
     /// Mean demand-load miss latency in cycles.
     pub fn avg_miss_latency(&self) -> f64 {
         if self.miss_latency_count == 0 {
@@ -76,38 +63,29 @@ impl LevelMetrics {
     }
 }
 
-/// Prefetcher effectiveness counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PrefetchMetrics {
-    /// Prefetch requests the prefetcher produced.
-    pub proposed: u64,
-    /// Requests actually injected into the hierarchy (post duplicate/
-    /// resource drops).
-    pub issued: u64,
-    /// Dropped because the line was already resident or in flight.
-    pub dropped_duplicate: u64,
-    /// Dropped for lack of MSHRs/queue space.
-    pub dropped_resources: u64,
-    /// Prefetched lines that were later demanded (useful).
-    pub useful: u64,
-    /// Demand merged onto an in-flight prefetch (late prefetch).
-    pub late: u64,
-    /// Prefetched lines evicted without use.
-    pub useless: u64,
+counters! {
+    /// Prefetcher effectiveness counters.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct PrefetchMetrics {
+        /// Prefetch requests the prefetcher produced.
+        pub proposed: u64,
+        /// Requests actually injected into the hierarchy (post duplicate/
+        /// resource drops).
+        pub issued: u64,
+        /// Dropped because the line was already resident or in flight.
+        pub dropped_duplicate: u64,
+        /// Dropped for lack of MSHRs/queue space.
+        pub dropped_resources: u64,
+        /// Prefetched lines that were later demanded (useful).
+        pub useful: u64,
+        /// Demand merged onto an in-flight prefetch (late prefetch).
+        pub late: u64,
+        /// Prefetched lines evicted without use.
+        pub useless: u64,
+    }
 }
 
 impl PrefetchMetrics {
-    /// Field-wise accumulation (sampled-window aggregation).
-    pub fn accumulate(&mut self, o: &Self) {
-        self.proposed += o.proposed;
-        self.issued += o.issued;
-        self.dropped_duplicate += o.dropped_duplicate;
-        self.dropped_resources += o.dropped_resources;
-        self.useful += o.useful;
-        self.late += o.late;
-        self.useless += o.useless;
-    }
-
     /// Prefetch accuracy: fraction of completed prefetches that were used
     /// (late prefetches are used too).
     pub fn accuracy(&self) -> f64 {
@@ -129,43 +107,32 @@ impl PrefetchMetrics {
     }
 }
 
-/// GhostMinion commit-path counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CommitMetrics {
-    /// On-commit writes issued (GM hit at commit).
-    pub commit_writes: u64,
-    /// Re-fetches issued (GM miss at commit).
-    pub refetches: u64,
-    /// Updates dropped by the SUF.
-    pub suf_dropped: u64,
-    /// SUF drop decisions that were correct (line still in L1D/GM).
-    pub suf_drop_correct: u64,
-    /// SUF drop decisions that were wrong (line had been evicted).
-    pub suf_drop_wrong: u64,
-    /// Clean-line propagations skipped thanks to a clear writeback bit.
-    pub propagation_skipped: u64,
-    /// Skipped propagations that were correct (next level held the line).
-    pub propagation_skip_correct: u64,
-    /// Skipped propagations that were wrong.
-    pub propagation_skip_wrong: u64,
-    /// Clean-line propagations performed.
-    pub propagations: u64,
+counters! {
+    /// GhostMinion commit-path counters.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct CommitMetrics {
+        /// On-commit writes issued (GM hit at commit).
+        pub commit_writes: u64,
+        /// Re-fetches issued (GM miss at commit).
+        pub refetches: u64,
+        /// Updates dropped by the SUF.
+        pub suf_dropped: u64,
+        /// SUF drop decisions that were correct (line still in L1D/GM).
+        pub suf_drop_correct: u64,
+        /// SUF drop decisions that were wrong (line had been evicted).
+        pub suf_drop_wrong: u64,
+        /// Clean-line propagations skipped thanks to a clear writeback bit.
+        pub propagation_skipped: u64,
+        /// Skipped propagations that were correct (next level held the line).
+        pub propagation_skip_correct: u64,
+        /// Skipped propagations that were wrong.
+        pub propagation_skip_wrong: u64,
+        /// Clean-line propagations performed.
+        pub propagations: u64,
+    }
 }
 
 impl CommitMetrics {
-    /// Field-wise accumulation (sampled-window aggregation).
-    pub fn accumulate(&mut self, o: &Self) {
-        self.commit_writes += o.commit_writes;
-        self.refetches += o.refetches;
-        self.suf_dropped += o.suf_dropped;
-        self.suf_drop_correct += o.suf_drop_correct;
-        self.suf_drop_wrong += o.suf_drop_wrong;
-        self.propagation_skipped += o.propagation_skipped;
-        self.propagation_skip_correct += o.propagation_skip_correct;
-        self.propagation_skip_wrong += o.propagation_skip_wrong;
-        self.propagations += o.propagations;
-    }
-
     /// SUF filtering accuracy over all filtering decisions.
     pub fn suf_accuracy(&self) -> f64 {
         let correct = self.suf_drop_correct + self.propagation_skip_correct;
@@ -178,32 +145,26 @@ impl CommitMetrics {
     }
 }
 
-/// Demand-miss classification at the prefetcher's level (Fig. 6).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MissClassCounts {
-    /// Classic late prefetch: demand merged onto an in-flight prefetch.
-    pub late: u64,
-    /// Commit-late: the on-access shadow had triggered the prefetch, the
-    /// on-commit prefetcher triggered it only after the miss.
-    pub commit_late: u64,
-    /// Missed opportunity: the shadow covered it, on-commit never did.
-    pub missed_opportunity: u64,
-    /// Neither prefetcher would have covered it.
-    pub uncovered: u64,
+counters! {
+    /// Demand-miss classification at the prefetcher's level (Fig. 6).
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct MissClassCounts {
+        /// Classic late prefetch: demand merged onto an in-flight prefetch.
+        pub late: u64,
+        /// Commit-late: the on-access shadow had triggered the prefetch, the
+        /// on-commit prefetcher triggered it only after the miss.
+        pub commit_late: u64,
+        /// Missed opportunity: the shadow covered it, on-commit never did.
+        pub missed_opportunity: u64,
+        /// Neither prefetcher would have covered it.
+        pub uncovered: u64,
+    }
 }
 
 impl MissClassCounts {
-    /// Field-wise accumulation (sampled-window aggregation).
-    pub fn accumulate(&mut self, o: &Self) {
-        self.late += o.late;
-        self.commit_late += o.commit_late;
-        self.missed_opportunity += o.missed_opportunity;
-        self.uncovered += o.uncovered;
-    }
-
     /// Total classified misses.
     pub fn total(&self) -> u64 {
-        self.late + self.commit_late + self.missed_opportunity + self.uncovered
+        self.values().iter().sum()
     }
 }
 

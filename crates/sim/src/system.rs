@@ -189,6 +189,12 @@ pub struct System {
     /// default; [`System::with_cycle_skip`] turns it off for
     /// differential testing, `SECPREF_NO_SKIP=1` for field debugging).
     allow_skip: bool,
+    /// The two debug escape hatches, read from the environment once, at
+    /// construction: `SECPREF_NO_SKIP` forces the cycle-by-cycle loop,
+    /// `SECPREF_TRACE_PROGRESS` does too and prints a state line every
+    /// 100 000 cycles.
+    env_no_skip: bool,
+    trace_progress: bool,
     /// Sampling summary filled in by [`System::run_sampled`] (`None`
     /// after a full-detail [`System::run`]).
     sampling: Option<SamplingSummary>,
@@ -285,6 +291,8 @@ impl System {
             now: 0,
             finished: false,
             allow_skip: true,
+            env_no_skip: std::env::var_os("SECPREF_NO_SKIP").is_some(),
+            trace_progress: std::env::var_os("SECPREF_TRACE_PROGRESS").is_some(),
             sampling: None,
         }
     }
@@ -420,15 +428,13 @@ impl System {
         }
         let start = self.now;
         let mut last_progress = (self.cores.iter().map(|s| s.total_retired()).sum(), start);
-        let trace_progress = std::env::var_os("SECPREF_TRACE_PROGRESS").is_some();
-        // The fast-forward stays off under observability (epoch sampling
-        // and squash polling are per-cycle) and under the debug escape
-        // hatches; those paths keep the original cycle-by-cycle loop.
-        let fast_forward = self.allow_skip
-            && !trace_progress
-            && !self.obs_on
-            && !self.hierarchy.obs_enabled()
-            && std::env::var_os("SECPREF_NO_SKIP").is_none();
+        // The fast-forward stays on under observability: squashes and
+        // epoch crossings happen only on cycles a core ticks, and
+        // `PortStall` events only while a non-parked waiter keeps
+        // `next_due == now + 1` — none of those cycles is skipped
+        // (`tests/skip_equiv.rs` diffs the captures). Only the debug
+        // escape hatches keep the original cycle-by-cycle loop.
+        let fast_forward = self.allow_skip && !self.trace_progress && !self.env_no_skip;
         // Scratch buffers reused across cycles (the tick loop allocates
         // nothing in steady state).
         let mut completions = Vec::new();
@@ -518,7 +524,7 @@ impl System {
             if all_done {
                 break;
             }
-            if trace_progress && self.now.is_multiple_of(100_000) {
+            if self.trace_progress && self.now.is_multiple_of(100_000) {
                 eprintln!(
                     "[sim] cycle={} retired={:?} state={:?} lq={}",
                     self.now,

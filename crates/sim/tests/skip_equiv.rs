@@ -3,8 +3,12 @@
 //! identical [`secpref_sim::System::report`] and finish on the identical
 //! cycle. Complements the pinned report digests (which run with the
 //! fast-forward on, against pins recorded before it existed).
+//!
+//! Observability runs fast-forward too, so the same differential is made
+//! on their captures: every stored event, the per-kind recorded and
+//! dropped totals, every epoch row and the MSHR high-water marks.
 
-use secpref_sim::{SimReport, System};
+use secpref_sim::{ObsCapture, ObsConfig, SimReport, System};
 use secpref_trace::{Instr, Trace};
 use secpref_types::{CorePolicy, PrefetchMode, PrefetcherKind, SecureMode, SystemConfig};
 use std::sync::Arc;
@@ -260,4 +264,84 @@ fn skip_matches_with_waiters_parked_eight_cores_mixed_prefetchers() {
     let (rep, cycles, ticked) = assert_equiv(label, &cfg, traces);
     assert!(ticked < cycles, "{label}: nothing was skipped");
     assert!(rep.cores.iter().all(|c| c.l1d.mshr_full_stalls > 0));
+}
+
+/// Runs `cfg` under an observability recorder, skipping or not.
+fn run_obs(
+    cfg: &SystemConfig,
+    traces: Vec<Arc<Trace>>,
+    skip: bool,
+) -> (SimReport, ObsCapture, u64) {
+    let n = traces[0].instrs.len() as u64;
+    let obs = ObsConfig::enabled().with_epoch_interval(700);
+    let mut sys = System::new(cfg.clone(), traces)
+        .with_window(n / 4, n)
+        .with_obs(&obs)
+        .with_cycle_skip(skip);
+    sys.run();
+    let capture = sys.take_obs().expect("recorder was on");
+    (sys.report(), capture, sys.driver_counts().ticked_cycles)
+}
+
+/// The observability differential: with the recorder on, a skipping run
+/// and a cycle-by-cycle run must capture the same thing — squashes and
+/// epoch crossings happen only on cycles a core ticks, `PortStall`
+/// events only while a waiter keeps the next cycle due, and none of
+/// those cycles may be skipped.
+fn assert_obs_equiv(label: &str, cfg: &SystemConfig, traces: Vec<Arc<Trace>>) {
+    let (rep_skip, cap_skip, ticked_skip) = run_obs(cfg, traces.clone(), true);
+    let (rep_step, cap_step, ticked_step) = run_obs(cfg, traces, false);
+    assert!(
+        ticked_skip < ticked_step,
+        "{label}: the recorder turned the fast-forward off ({ticked_skip} of {ticked_step} cycles ticked)"
+    );
+    assert_eq!(
+        format!("{rep_skip:?}"),
+        format!("{rep_step:?}"),
+        "{label}: report diverged"
+    );
+    assert!(!cap_skip.events.is_empty(), "{label}: no events recorded");
+    assert_eq!(cap_skip.events, cap_step.events, "{label}: events diverged");
+    assert_eq!(cap_skip.recorded, cap_step.recorded, "{label}: recorded");
+    assert_eq!(cap_skip.dropped, cap_step.dropped, "{label}: dropped");
+    assert!(!cap_skip.epochs.rows.is_empty(), "{label}: no epoch rows");
+    assert_eq!(
+        cap_skip.epochs.rows, cap_step.epochs.rows,
+        "{label}: epoch rows diverged"
+    );
+    assert_eq!(
+        cap_skip.mshr_high_water, cap_step.mshr_high_water,
+        "{label}: MSHR high-water marks diverged"
+    );
+}
+
+#[test]
+fn obs_capture_is_identical_with_and_without_skipping() {
+    let gm = SystemConfig::baseline(1).with_secure(SecureMode::GhostMinion);
+    let single = [
+        ("nonsecure/nopf", SystemConfig::baseline(1)),
+        ("gm/nopf", gm.clone()),
+        (
+            "gm+suf/berti-on-commit",
+            gm.with_suf(true)
+                .with_prefetcher(PrefetcherKind::Berti)
+                .with_mode(PrefetchMode::OnCommit),
+        ),
+    ];
+    for (i, (label, cfg)) in single.iter().enumerate() {
+        assert_obs_equiv(label, cfg, vec![mixed_trace(0xA1 + i as u64, 4000)]);
+        // Starved: port stalls and parked waiters across skipped spans.
+        assert_obs_equiv(
+            &format!("{label}, 2-mshr"),
+            &starved(cfg.clone()),
+            vec![scattered_trace(0x17 + i as u64, 4000)],
+        );
+    }
+    let policies = mixed_policies()[..4].to_vec();
+    let mc = SystemConfig::baseline(4).with_core_policies(policies);
+    mc.validate().expect("4-core mixed config must be valid");
+    let traces = (0..4u64)
+        .map(|c| mixed_trace(0xF6 + 0x11 * c, 2500))
+        .collect();
+    assert_obs_equiv("4core/mixed", &mc, traces);
 }

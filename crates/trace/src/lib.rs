@@ -29,7 +29,6 @@
 
 pub mod gen;
 pub mod instr;
-pub mod io;
 pub mod sink;
 pub mod suite;
 

@@ -39,7 +39,6 @@
 
 use crate::codec;
 use crate::fnv::{fnv1a64, FNV_OFFSET};
-use secpref_trace::io::{StraceReader, StraceWriter};
 use secpref_trace::sink::TraceSink;
 use secpref_trace::{Instr, InstrKind};
 use secpref_types::varint;
@@ -649,53 +648,6 @@ fn decode_chunk(raw: &[u8], n_records: usize) -> Result<Vec<Instr>, String> {
     Ok(out)
 }
 
-/// Imports a flat `.strace` stream (v1 or v2) into a chunk store,
-/// record-at-a-time (bounded memory).
-///
-/// # Errors
-///
-/// Propagates read/parse errors from the source and write errors to the
-/// destination.
-pub fn import_strace<R: Read, W: Write>(src: R, dst: W, chunk_size: u32) -> io::Result<StoreMeta> {
-    let mut r = StraceReader::open(src)?;
-    let mut w = TraceWriter::create(dst, r.name(), chunk_size)?;
-    while let Some(i) = r.next_instr()? {
-        w.push(&i)?;
-    }
-    for (idx, addrs) in r.read_wrong_path()? {
-        w.push_wrong_path(idx as u64, addrs);
-    }
-    let (meta, _) = w.finish()?;
-    Ok(meta)
-}
-
-/// Exports a chunk store to a flat v2 `.strace`, chunk-at-a-time
-/// (bounded memory).
-///
-/// # Errors
-///
-/// Propagates integrity errors from the store and write errors to the
-/// destination.
-pub fn export_strace<R: Read + Seek, W: Write + Seek>(
-    reader: &mut TraceReader<R>,
-    dst: W,
-) -> io::Result<()> {
-    let name = reader.meta().name.clone();
-    let mut w = StraceWriter::create(dst, &name)?;
-    for idx in 0..reader.meta().chunks.len() {
-        for i in reader.read_chunk(idx)? {
-            w.push(&i)?;
-        }
-    }
-    let wp = reader.meta().wrong_path.clone();
-    for (idx, addrs) in wp {
-        let idx = u32::try_from(idx).map_err(|_| bad("wrong-path index exceeds u32"))?;
-        w.push_wrong_path(idx, addrs);
-    }
-    w.finish()?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -826,35 +778,5 @@ mod tests {
         assert_eq!(sink.len(), 100);
         let (meta, _) = sink.finish().unwrap();
         assert_eq!(meta.n_instr, 100);
-    }
-
-    #[test]
-    fn strace_import_export_round_trip() {
-        use secpref_trace::io::{read_trace, write_trace};
-        use secpref_trace::Trace;
-        let instrs = sample_instrs(2_000);
-        let mut t = Trace::new("rt", instrs.clone());
-        t.attach_wrong_path(
-            instrs
-                .iter()
-                .position(|i| matches!(i.kind, InstrKind::Branch { .. }))
-                .unwrap() as u32,
-            vec![Addr::new(0x1234)],
-        );
-        let mut flat = Vec::new();
-        write_trace(&mut flat, &t).unwrap();
-        // Flat → chunked.
-        let mut store = Vec::new();
-        let meta = import_strace(flat.as_slice(), &mut store, 256).unwrap();
-        assert_eq!(meta.n_instr, 2_000);
-        assert_eq!(meta.content_digest, digest_instrs(&instrs));
-        // Chunked → flat → Trace.
-        let mut r = TraceReader::open(Cursor::new(store)).unwrap();
-        let mut out = Cursor::new(Vec::new());
-        export_strace(&mut r, &mut out).unwrap();
-        let back = read_trace(out.into_inner().as_slice()).unwrap();
-        assert_eq!(back.instrs[..], instrs[..]);
-        assert_eq!(back.name, "rt");
-        assert_eq!(back.wrong_path, t.wrong_path);
     }
 }

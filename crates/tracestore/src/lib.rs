@@ -13,7 +13,7 @@
 //! * [`codec`] — std-only LZ77 block compressor/decompressor.
 //! * [`format`] — the container: [`format::TraceWriter`] (streaming,
 //!   pure-append capture), [`format::TraceReader`] (random chunk
-//!   access, integrity verification), flat `.strace` import/export.
+//!   access, integrity verification).
 //! * [`feed`] — [`feed::StreamFeed`] sliding-window cursor and the
 //!   [`feed::TraceFeed`] enum (in-memory or streamed).
 //!

@@ -22,6 +22,7 @@
 
 pub mod addr;
 pub mod config;
+pub mod counters;
 pub mod hist;
 pub mod level;
 pub mod req;

@@ -1,12 +1,10 @@
-//! LEB128 variable-length integer encoding, shared by the flat `.strace`
-//! serializer (v2 records) and the chunked trace store codec.
+//! LEB128 variable-length integer encoding, used by the chunked trace
+//! store's record codec.
 //!
 //! Unsigned values are encoded 7 bits per byte, low bits first, with the
 //! high bit as a continuation flag (at most 10 bytes for a `u64`). Signed
 //! values go through the zigzag mapping first so small negative deltas
 //! stay short.
-
-use std::io::{self, Read, Write};
 
 /// Maximum encoded length of a `u64` varint.
 pub const MAX_VARINT_LEN: usize = 10;
@@ -38,43 +36,6 @@ pub fn decode_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
             return Some(v);
-        }
-        shift += 7;
-    }
-}
-
-/// Writes the LEB128 encoding of `v` to an [`io::Write`].
-///
-/// # Errors
-///
-/// Propagates writer errors.
-pub fn write_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(MAX_VARINT_LEN);
-    encode_u64(&mut buf, v);
-    w.write_all(&buf)
-}
-
-/// Reads a LEB128 `u64` from an [`io::Read`].
-///
-/// # Errors
-///
-/// Returns `InvalidData` on a malformed run and propagates reader errors
-/// (including `UnexpectedEof` on truncation).
-pub fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let mut b = [0u8; 1];
-        r.read_exact(&mut b)?;
-        if shift >= 64 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "varint too long",
-            ));
-        }
-        v |= u64::from(b[0] & 0x7f) << shift;
-        if b[0] & 0x80 == 0 {
-            return Ok(v);
         }
         shift += 7;
     }
@@ -114,11 +75,6 @@ mod tests {
             let mut pos = 0;
             assert_eq!(decode_u64(&buf, &mut pos), Some(v));
             assert_eq!(pos, buf.len());
-            // io path agrees with the slice path
-            let mut io_buf = Vec::new();
-            write_u64(&mut io_buf, v).unwrap();
-            assert_eq!(io_buf, buf);
-            assert_eq!(read_u64(&mut io_buf.as_slice()).unwrap(), v);
         }
     }
 
@@ -137,11 +93,9 @@ mod tests {
         let bad = [0xFFu8; 11];
         let mut pos = 0;
         assert_eq!(decode_u64(&bad, &mut pos), None);
-        assert!(read_u64(&mut bad.as_slice()).is_err());
         // Truncated continuation
         let trunc = [0x80u8];
         let mut pos = 0;
         assert_eq!(decode_u64(&trunc, &mut pos), None);
-        assert!(read_u64(&mut trunc.as_slice()).is_err());
     }
 }

@@ -56,20 +56,18 @@ fi
 ./target/release/examples/multicore_mixes >/dev/null
 rm -rf "$mc_dir"
 
-echo "== telemetry sweep: quiet stays silent, artifacts worker-invariant, trace valid"
-# Three telemetry contracts (DESIGN.md §12):
-#  1. a telemetry-enabled sweep under --quiet writes ZERO stderr bytes
-#     (the live progress line must be provably absent from result bytes);
-#  2. the content-keyed histogram CSVs are byte-identical across worker
-#     counts (they are pure functions of the job, never of the host);
-#  3. the span trace is structurally valid trace-event JSON (balanced
-#     B/E per track, monotone per-track timestamps) — wall-clock content
-#     makes byte comparison meaningless, so it is validated instead.
-tel_a="$(mktemp -d)"
-tel_b="$(mktemp -d)"
+echo "== telemetry sweep: quiet stays silent, trace valid"
+# The one telemetry contract no `cargo test` states (DESIGN.md §12): a
+# telemetry-enabled sweep under --quiet writes ZERO stderr bytes (the
+# live progress line must be provably absent from result bytes). Its
+# span trace must also pass `repro --validate-trace` (balanced B/E per
+# track, monotone per-track timestamps). That the histogram CSVs are
+# byte-identical across worker counts is asserted inside `cargo test`
+# (crates/exp/tests/determinism.rs), not here.
+tel_dir="$(mktemp -d)"
 sct_file=""
-trap 'rm -f "$stderr_file"; rm -rf "$tel_a" "$tel_b"; if [ -n "$sct_file" ]; then rm -f "$sct_file"; fi' EXIT
-SECPREF_EXP_DIR="$tel_a" SECPREF_EXP_WORKERS=1 \
+trap 'rm -f "$stderr_file"; rm -rf "$tel_dir"; if [ -n "$sct_file" ]; then rm -f "$sct_file"; fi' EXIT
+SECPREF_EXP_DIR="$tel_dir" SECPREF_EXP_WORKERS=1 \
     ./target/release/repro --quick --quiet --telemetry fig1 \
     >/dev/null 2>"$stderr_file"
 if [ -s "$stderr_file" ]; then
@@ -77,19 +75,8 @@ if [ -s "$stderr_file" ]; then
     cat "$stderr_file" >&2
     exit 1
 fi
-SECPREF_EXP_DIR="$tel_b" SECPREF_EXP_WORKERS=4 \
-    ./target/release/repro --quick --quiet --telemetry fig1 \
-    >/dev/null 2>"$stderr_file"
-if [ -s "$stderr_file" ]; then
-    echo "tier1: second --quiet --telemetry run wrote to stderr:" >&2
-    cat "$stderr_file" >&2
-    exit 1
-fi
-# Span-trace filenames embed the run id; everything else must byte-match.
-diff -r --exclude 'trace-*.json' "$tel_a/telemetry" "$tel_b/telemetry"
-ls "$tel_a"/telemetry/*.hist.csv >/dev/null  # the diff must not be vacuous
-./target/release/repro --validate-trace "$tel_a"/telemetry/trace-*.json
-./target/release/repro --validate-trace "$tel_b"/telemetry/trace-*.json
+ls "$tel_dir"/telemetry/*.hist.csv >/dev/null  # the sweep must have exported
+./target/release/repro --validate-trace "$tel_dir"/telemetry/trace-*.json
 
 echo "== simbench smoke (benchmark harness stays runnable)"
 # One tiny iteration per cell: validates that the benchmark matrix still
@@ -139,7 +126,7 @@ echo "== secpref-check fuzz (pinned seed, 2k-iteration budget)"
 # Deterministic fast check: differential golden models + invariant audit
 # over every (mode, prefetcher) cell. The seed is pinned inside the
 # fuzzer, so a failure here is reproducible bit-for-bit and drops a
-# replayable .trace artifact under target/check/.
+# replayable .sct artifact under target/check/.
 ./target/release/repro --quiet --check --check-iters 2000
 
 echo "tier1: all green"
