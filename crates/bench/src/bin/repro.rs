@@ -4,6 +4,7 @@
 //! repro [--quick] [--workers N] [--serial] [--quiet] [--timings]
 //!       [--trace TARGET] [--telemetry TARGET] [--validate-trace FILE]
 //!       [--check] [--check-iters N] [--check-replay FILE] [--sampled]
+//!       [--profile]
 //!       [all | table1 | table2 | table3 | fig1 | fig3 | fig4 | fig5 |
 //!        fig6 | fig10 | fig11 | fig12 | fig13 | fig14 | fig15 | fig16 |
 //!        stats | ablations]
@@ -36,8 +37,8 @@
 //! full-detail IPC must fall inside the sampled run's own reported 95%
 //! confidence interval, and the sampled report must pass the
 //! `audit_sampled` reconciliation rules. With `--quick` the matrix
-//! shrinks to 3 representative cells × 1 trace (the tier-1 smoke
-//! stage); the full run covers 18 cells × 3 traces. Exit status is
+//! shrinks to 3 representative cells × 1 trace (the slice `cargo test`
+//! runs); the full run covers 18 cells × 3 traces. Exit status is
 //! nonzero on any failure; skips the figure pipeline.
 //!
 //! `--sampled` *with* targets (e.g. `repro fig5 --sampled`) instead
@@ -70,13 +71,25 @@
 //! structural invariants Perfetto needs (balanced `B`/`E` spans,
 //! monotonic per-track timestamps), then exits; nonzero on violation.
 //!
+//! `--profile` runs the pinned 13-configuration × 3-trace matrix plus one
+//! sampled cell once with the built-in phase profiler and prints the
+//! ranked wall-time-per-phase table — and beside it the detailed
+//! driver's request walks per instruction, its share of cycles ticked
+//! rather than skipped, the wait list's high-water mark, and the request
+//! records read for blocked requests and load-queue slots examined per
+//! instruction (EXPERIMENTS.md, "Profiling the simulator"). The phase
+//! attribution is also written as Chrome trace-event JSON (loadable in
+//! Perfetto, same exporter as the sweep span traces) to
+//! `<store>/telemetry/profile-trace.json`, validated before it is
+//! written. Skips the figure pipeline.
+//!
 //! The run proceeds in two phases: the requested figures' job sweeps are
 //! pushed through the parallel, resumable experiment engine (progress and
 //! ETA on stderr; results persisted under `target/exp/` so a killed run
 //! resumes), then each figure renders from the warm cache.
 
 use secpref_bench::runner::ExpScale;
-use secpref_bench::{figures, runner, sweep};
+use secpref_bench::{figures, profile, runner, sweep};
 use secpref_exp::{ObsConfig, RunMode, TelConfig};
 use std::time::Instant;
 
@@ -94,6 +107,7 @@ fn main() {
     let mut timings = false;
     let mut check = false;
     let mut sampled = false;
+    let mut profile_run = false;
     let mut check_iters: u64 = 2_000;
     let mut check_replay: Option<String> = None;
     let mut targets: Vec<String> = Vec::new();
@@ -109,6 +123,7 @@ fn main() {
             "--timings" => timings = true,
             "--check" => check = true,
             "--sampled" => sampled = true,
+            "--profile" => profile_run = true,
             "--check-iters" => {
                 check_iters = it
                     .next()
@@ -193,6 +208,30 @@ fn main() {
             }
         }
         std::process::exit(i32::from(failed));
+    }
+
+    // So does the phase profile.
+    if profile_run {
+        let report =
+            profile::run_profile(&profile::config_matrix(), &profile::trace_matrix(), !quiet);
+        println!("repro: phase profile over the full matrix");
+        println!("{report}");
+        let json = profile::profile_trace_json(&report.phases);
+        if let Err(e) = secpref_exp::validate_trace_json(&json) {
+            die(&format!("profile trace failed validation: {e}"));
+        }
+        let dir = runner::engine().store_dir().join("telemetry");
+        let path = dir.join("profile-trace.json");
+        if let Err(e) =
+            std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json + "\n"))
+        {
+            die(&format!("writing {}: {e}", path.display()));
+        }
+        println!(
+            "repro: phase trace (Perfetto-compatible) -> {}",
+            path.display()
+        );
+        return;
     }
 
     // Correctness modes run instead of the figure pipeline. `--sampled`

@@ -21,7 +21,7 @@
 //! - `replay`: simulate the store streamed under the baseline config and
 //!   print the canonical report digest. With `--compare-mem` the same
 //!   workload is regenerated in memory and both reports are diffed;
-//!   exits non-zero if they are not bit-identical (the tier-1 stage).
+//!   exits non-zero if they are not bit-identical (`tests/cli.rs`).
 
 use secpref_sim::{run_single_with_window, run_stream_with_window};
 use secpref_trace::suite;

@@ -4,16 +4,15 @@
 //! The `repro` binary enumerates each requested figure's job sweep
 //! ([`sweep`]), pushes it through the parallel experiment engine
 //! ([`runner::prewarm`] → `secpref_exp::Engine`), then renders the
-//! tables from the warm cache. The std-only micro-benches under
-//! `benches/` ([`microbench`]) run scaled-down versions of each
-//! experiment so `cargo bench` exercises every figure end to end.
+//! tables from the warm cache. `repro --profile` ([`profile`]) says
+//! where the simulator's host time goes; how fast it is belongs to the
+//! repo's benchmark under `benchmark/`.
 
 pub mod ablations;
 pub mod configs;
 pub mod figures;
-pub mod microbench;
+pub mod profile;
 pub mod runner;
-pub mod simcore;
 pub mod sweep;
 pub mod table;
 pub mod traceinfo;

@@ -167,7 +167,7 @@ fn run_one(label: &str, cfg: &SystemConfig, trace_name: &str) -> SampledDiffCell
 /// Runs the sampled-vs-full differential over the pinned matrix.
 ///
 /// `quick` restricts the run to three representative cells × one trace
-/// (the tier-1 smoke stage); the full run covers all 18 cells × the
+/// (the slice `cargo test` runs); the full run covers all 18 cells × the
 /// three [`TRACES`]. Combinations fan out across `workers` pool
 /// threads; the result order is deterministic for any worker count.
 pub fn run_sampled_differential(quick: bool, workers: usize) -> SampledDiffSummary {

@@ -59,6 +59,7 @@ const PINNED_TS: [(&str, u64); 5] = [
 ];
 
 fn cell_digest(cfg: &secpref_types::SystemConfig) -> u64 {
+    cfg.validate().expect("pinned cell config must be valid");
     let mut hash = FNV_OFFSET;
     for seed in TRACE_SEEDS {
         let trace = Arc::new(gen_trace(seed));

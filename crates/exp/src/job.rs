@@ -11,11 +11,11 @@
 
 use crate::scale::ExpScale;
 use secpref_sim::{
-    ObsCapture, ObsConfig, SimReport, StreamFeed, System, TelCapture, TelConfig, TraceFeed,
+    system_for, ObsCapture, ObsConfig, SimReport, StreamFeed, TelCapture, TelConfig, TraceFeed,
 };
 use secpref_trace::suite;
 use secpref_tracestore::fnv::{fnv1a64, FNV_OFFSET};
-use secpref_types::{CacheConfig, SamplingConfig, SystemConfig};
+use secpref_types::{SamplingConfig, SystemConfig};
 use std::path::PathBuf;
 
 /// What a job runs with: nothing, or one of the two diagnostic recorders.
@@ -233,7 +233,7 @@ impl JobSpec {
     /// The system gets one feed per core (suite traces come from
     /// `secpref_trace::suite::cached_trace`, so repeated jobs over the
     /// same trace share one generated copy per process), the LLC scaled
-    /// to the core count, and the job's windows.
+    /// to the core count, and the job's windows ([`system_for`]).
     pub fn run_with(&self, mode: RunMode<'_>) -> (SimReport, Capture) {
         let (warmup, measure) = self.window();
         let mem = |n: &String| TraceFeed::Mem(suite::cached_trace(n, self.scale.trace_len()));
@@ -248,10 +248,7 @@ impl JobSpec {
                 vec![TraceFeed::Stream(Box::new(feed))]
             }
         };
-        let mut cfg = self.cfg.clone();
-        cfg.cores = feeds.len();
-        cfg.llc = CacheConfig::baseline_llc(cfg.cores);
-        let sys = System::from_feeds(cfg, feeds).with_window(warmup, measure);
+        let sys = system_for(&self.cfg, feeds, warmup, measure);
         let mut sys = match mode {
             RunMode::Plain => sys,
             RunMode::Traced(obs) => sys.with_obs(obs),

@@ -168,7 +168,7 @@ pub struct Hierarchy {
     /// event-driven, so telemetry runs keep the idle fast-forward.
     tel: Tel,
     /// Wall-time phase profiler; disabled (one branch per hook) unless
-    /// `simbench --profile` style runs request it.
+    /// `repro --profile` style runs request it.
     prof: Profiler,
     now: Cycle,
 }

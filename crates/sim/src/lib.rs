@@ -51,10 +51,29 @@ use secpref_trace::Trace;
 use secpref_types::SystemConfig;
 use std::sync::Arc;
 
-/// Runs a single-core simulation with the default warm-up/measurement
-/// windows.
-pub fn run_single(cfg: &SystemConfig, trace: &Arc<Trace>) -> SimReport {
-    run_single_with_window(cfg, trace, DEFAULT_WARMUP, DEFAULT_MEASURE)
+/// Builds the system every `run_*` helper and every experiment job
+/// runs: `feeds[i]` on core `i`, `cfg` with its core count set to the
+/// feed count and its LLC scaled to match
+/// ([`secpref_types::CacheConfig::baseline_llc`]), and the given
+/// warm-up / measurement windows (instructions).
+///
+/// # Panics
+///
+/// Panics if the resulting configuration is invalid.
+pub fn system_for(cfg: &SystemConfig, feeds: Vec<TraceFeed>, warmup: u64, measure: u64) -> System {
+    let mut cfg = cfg.clone();
+    cfg.cores = feeds.len();
+    cfg.llc = secpref_types::CacheConfig::baseline_llc(cfg.cores);
+    System::from_feeds(cfg, feeds).with_window(warmup, measure)
+}
+
+fn mem_feeds(traces: Vec<Arc<Trace>>) -> Vec<TraceFeed> {
+    traces.into_iter().map(TraceFeed::Mem).collect()
+}
+
+fn full_detail(mut sys: System) -> SimReport {
+    sys.run();
+    sys.report()
 }
 
 /// Runs a single-core simulation with explicit windows (instructions).
@@ -64,12 +83,7 @@ pub fn run_single_with_window(
     warmup: u64,
     measure: u64,
 ) -> SimReport {
-    let mut cfg = cfg.clone();
-    cfg.cores = 1;
-    cfg.llc = secpref_types::CacheConfig::baseline_llc(1);
-    let mut sys = System::new(cfg, vec![trace.clone()]).with_window(warmup, measure);
-    sys.run();
-    sys.report()
+    run_multi_with_window(cfg, vec![trace.clone()], warmup, measure)
 }
 
 /// Runs a single-core simulation streamed from an on-disk chunk store
@@ -88,14 +102,9 @@ pub fn run_stream_with_window(
     warmup: u64,
     measure: u64,
 ) -> std::io::Result<SimReport> {
-    let mut cfg = cfg.clone();
-    cfg.cores = 1;
-    cfg.llc = secpref_types::CacheConfig::baseline_llc(1);
     let feed = StreamFeed::open_for_core(path, cfg.core.rob_entries)?;
-    let mut sys = System::from_feeds(cfg, vec![TraceFeed::Stream(Box::new(feed))])
-        .with_window(warmup, measure);
-    sys.run();
-    Ok(sys.report())
+    let feeds = vec![TraceFeed::Stream(Box::new(feed))];
+    Ok(full_detail(system_for(cfg, feeds, warmup, measure)))
 }
 
 /// Runs a multi-core simulation (one trace per core) with explicit
@@ -106,12 +115,7 @@ pub fn run_multi_with_window(
     warmup: u64,
     measure: u64,
 ) -> SimReport {
-    let mut cfg = cfg.clone();
-    cfg.cores = traces.len();
-    cfg.llc = secpref_types::CacheConfig::baseline_llc(cfg.cores);
-    let mut sys = System::new(cfg, traces).with_window(warmup, measure);
-    sys.run();
-    sys.report()
+    full_detail(system_for(cfg, mem_feeds(traces), warmup, measure))
 }
 
 /// Like [`run_single_with_window`] in SMARTS-style sampled mode: the
@@ -124,35 +128,7 @@ pub fn run_single_sampled_with_window(
     measure: u64,
     sampling: &SamplingConfig,
 ) -> SimReport {
-    let mut cfg = cfg.clone();
-    cfg.cores = 1;
-    cfg.llc = secpref_types::CacheConfig::baseline_llc(1);
-    let mut sys = System::new(cfg, vec![trace.clone()]).with_window(warmup, measure);
-    sys.run_sampled(sampling);
-    sys.report()
-}
-
-/// Like [`run_stream_with_window`] in SMARTS-style sampled mode — the
-/// combination that earns the ≥10x effective sim rate on long traces.
-///
-/// # Errors
-///
-/// Propagates open/validation errors from the chunk-store reader.
-pub fn run_stream_sampled_with_window(
-    cfg: &SystemConfig,
-    path: &std::path::Path,
-    warmup: u64,
-    measure: u64,
-    sampling: &SamplingConfig,
-) -> std::io::Result<SimReport> {
-    let mut cfg = cfg.clone();
-    cfg.cores = 1;
-    cfg.llc = secpref_types::CacheConfig::baseline_llc(1);
-    let feed = StreamFeed::open_for_core(path, cfg.core.rob_entries)?;
-    let mut sys = System::from_feeds(cfg, vec![TraceFeed::Stream(Box::new(feed))])
-        .with_window(warmup, measure);
-    sys.run_sampled(sampling);
-    Ok(sys.report())
+    run_multi_sampled_with_window(cfg, vec![trace.clone()], warmup, measure, sampling)
 }
 
 /// Like [`run_multi_with_window`] in SMARTS-style sampled mode.
@@ -163,10 +139,7 @@ pub fn run_multi_sampled_with_window(
     measure: u64,
     sampling: &SamplingConfig,
 ) -> SimReport {
-    let mut cfg = cfg.clone();
-    cfg.cores = traces.len();
-    cfg.llc = secpref_types::CacheConfig::baseline_llc(cfg.cores);
-    let mut sys = System::new(cfg, traces).with_window(warmup, measure);
+    let mut sys = system_for(cfg, mem_feeds(traces), warmup, measure);
     sys.run_sampled(sampling);
     sys.report()
 }
@@ -181,12 +154,8 @@ pub fn run_single_with_window_obs(
     measure: u64,
     obs: &ObsConfig,
 ) -> (SimReport, Option<ObsCapture>) {
-    let mut cfg = cfg.clone();
-    cfg.cores = 1;
-    cfg.llc = secpref_types::CacheConfig::baseline_llc(1);
-    let mut sys = System::new(cfg, vec![trace.clone()])
-        .with_window(warmup, measure)
-        .with_obs(obs);
+    let feeds = vec![TraceFeed::Mem(trace.clone())];
+    let mut sys = system_for(cfg, feeds, warmup, measure).with_obs(obs);
     sys.run();
     let capture = sys.take_obs();
     (sys.report(), capture)
@@ -205,12 +174,8 @@ pub fn run_single_with_window_tel(
     measure: u64,
     tel: &TelConfig,
 ) -> (SimReport, Option<TelCapture>) {
-    let mut cfg = cfg.clone();
-    cfg.cores = 1;
-    cfg.llc = secpref_types::CacheConfig::baseline_llc(1);
-    let mut sys = System::new(cfg, vec![trace.clone()])
-        .with_window(warmup, measure)
-        .with_telemetry(tel);
+    let feeds = vec![TraceFeed::Mem(trace.clone())];
+    let mut sys = system_for(cfg, feeds, warmup, measure).with_telemetry(tel);
     sys.run();
     let capture = sys.take_telemetry();
     (sys.report(), capture)

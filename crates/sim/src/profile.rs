@@ -3,7 +3,7 @@
 //! Answers "where do the simulator's *wall-clock* seconds go?" by
 //! attributing elapsed host time to coarse simulation phases (core
 //! model, each cache level, GhostMinion, prefetcher, DRAM, classifier).
-//! `simbench --profile` drives it and prints the ranked table
+//! `repro --profile` drives it and prints the ranked table
 //! (EXPERIMENTS.md).
 //!
 //! Design:

@@ -187,14 +187,8 @@ pub struct System {
     finished: bool,
     /// Master switch for the run loop's idle-cycle fast-forward (on by
     /// default; [`System::with_cycle_skip`] turns it off for
-    /// differential testing, `SECPREF_NO_SKIP=1` for field debugging).
+    /// differential testing).
     allow_skip: bool,
-    /// The two debug escape hatches, read from the environment once, at
-    /// construction: `SECPREF_NO_SKIP` forces the cycle-by-cycle loop,
-    /// `SECPREF_TRACE_PROGRESS` does too and prints a state line every
-    /// 100 000 cycles.
-    env_no_skip: bool,
-    trace_progress: bool,
     /// Sampling summary filled in by [`System::run_sampled`] (`None`
     /// after a full-detail [`System::run`]).
     sampling: Option<SamplingSummary>,
@@ -291,8 +285,6 @@ impl System {
             now: 0,
             finished: false,
             allow_skip: true,
-            env_no_skip: std::env::var_os("SECPREF_NO_SKIP").is_some(),
-            trace_progress: std::env::var_os("SECPREF_TRACE_PROGRESS").is_some(),
             sampling: None,
         }
     }
@@ -342,7 +334,7 @@ impl System {
         self.hierarchy.take_tel_capture()
     }
 
-    /// Enables the built-in wall-time phase profiler (`simbench
+    /// Enables the built-in wall-time phase profiler (`repro
     /// --profile`). Never changes simulation outputs; fetch the result
     /// with [`System::profile_report`] after [`System::run`].
     pub fn with_profiling(mut self) -> Self {
@@ -359,7 +351,7 @@ impl System {
     /// Host-side work counts of the detailed driver so far (request
     /// walks, ticked cycles, wait-list high-water mark, request records
     /// read for blocked requests, load-queue slots examined) — what
-    /// `simbench --profile` prints beside the phase table. No part of
+    /// `repro --profile` prints beside the phase table. No part of
     /// the report.
     pub fn driver_counts(&self) -> DriverCounts {
         DriverCounts {
@@ -428,13 +420,6 @@ impl System {
         }
         let start = self.now;
         let mut last_progress = (self.cores.iter().map(|s| s.total_retired()).sum(), start);
-        // The fast-forward stays on under observability: squashes and
-        // epoch crossings happen only on cycles a core ticks, and
-        // `PortStall` events only while a non-parked waiter keeps
-        // `next_due == now + 1` — none of those cycles is skipped
-        // (`tests/skip_equiv.rs` diffs the captures). Only the debug
-        // escape hatches keep the original cycle-by-cycle loop.
-        let fast_forward = self.allow_skip && !self.trace_progress && !self.env_no_skip;
         // Scratch buffers reused across cycles (the tick loop allocates
         // nothing in steady state).
         let mut completions = Vec::new();
@@ -524,18 +509,6 @@ impl System {
             if all_done {
                 break;
             }
-            if self.trace_progress && self.now.is_multiple_of(100_000) {
-                eprintln!(
-                    "[sim] cycle={} retired={:?} state={:?} lq={}",
-                    self.now,
-                    self.cores
-                        .iter()
-                        .map(|s| s.total_retired())
-                        .collect::<Vec<_>>(),
-                    self.hierarchy.debug_state(0),
-                    self.cores[0].core.lq_occupancy(),
-                );
-            }
             // Watchdog.
             let retired_now: u64 = self.cores.iter().map(|s| s.total_retired()).sum();
             let progressed = retired_now > last_progress.0;
@@ -544,8 +517,16 @@ impl System {
             } else {
                 assert!(
                     now - last_progress.1 < WATCHDOG_CYCLES,
-                    "simulator livelock: no retirement since cycle {} (now {now})",
-                    last_progress.1
+                    "simulator livelock: no retirement since cycle {} (now {now}); \
+                     retired per core {:?}, core 0 (queued events, live requests, \
+                     L1D MSHRs, L1D in flight) {:?}, core 0 LQ occupancy {}",
+                    last_progress.1,
+                    self.cores
+                        .iter()
+                        .map(CoreCtx::total_retired)
+                        .collect::<Vec<_>>(),
+                    self.hierarchy.debug_state(0),
+                    self.cores[0].core.lq_occupancy(),
                 );
             }
             let mut next_cycle = now + 1;
@@ -554,8 +535,13 @@ impl System {
             // the crossing retirement — that cycle must be processed.
             // With no retirement this cycle, the boundary checks, the
             // replay check, and the watchdog are all no-ops until the
-            // next wake, so skipping to it is exact.
-            if fast_forward && !progressed {
+            // next wake, so skipping to it is exact. It stays on under
+            // observability: squashes and epoch crossings happen only on
+            // cycles a core ticks, and `PortStall` events only while a
+            // non-parked waiter keeps `next_due == now + 1` — none of
+            // those cycles is skipped (`tests/skip_equiv.rs` diffs the
+            // captures).
+            if self.allow_skip && !progressed {
                 let mut wake = self.hierarchy.next_due(now);
                 if wake > next_cycle {
                     for st in &mut self.cores {
@@ -654,9 +640,17 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if not even one `gap + warm + window` period fits into
-    /// the measurement span, or on simulator livelock.
+    /// Panics, before anything is warmed, if not even one `gap + warm +
+    /// window` period fits into the measurement span; or on simulator
+    /// livelock.
     pub fn run_sampled(&mut self, s: &SamplingConfig) {
+        let first_period = s.gap + s.jitter(0) + s.warm + s.window;
+        assert!(
+            first_period <= self.measure,
+            "sampling config does not fit one window into the measurement \
+             span (measure={}, first period needs {first_period})",
+            self.measure
+        );
         let mut functional_instructions = self.run_functional(self.warmup);
         let mut measured_instructions = 0u64;
         let mut consumed = 0u64;
@@ -701,13 +695,6 @@ impl System {
             consumed += gap + s.warm + s.window;
             widx += 1;
         }
-        assert!(
-            windows > 0,
-            "sampling config does not fit one window into the measurement \
-             span (measure={}, first period needs {})",
-            self.measure,
-            s.gap + s.jitter(0) + s.warm + s.window
-        );
         // Functional tail: finish the nominal span so prefetcher/cache
         // state at exit matches a full-length run's footprint.
         if consumed < self.measure {

@@ -120,3 +120,18 @@ fn multicore_sampled_runs_and_reconciles() {
         assert!(c.ipc() > 0.0, "every core must measure");
     }
 }
+
+#[test]
+fn plan_that_does_not_fit_fails_before_warming() {
+    // One period needs 8 000 instructions; the span has 5 000. The run
+    // must refuse up front, not after functionally warming 10 000
+    // instructions (which would have advanced the clock).
+    let trace = suite::cached_trace("leela_like", 20_000);
+    let mut sys = secpref_sim::System::new(secure_cfg(), vec![trace]).with_window(10_000, 5_000);
+    let s = SamplingConfig::new(2_000, 1_000, 5_000);
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sys.run_sampled(&s)))
+        .expect_err("plan does not fit");
+    let msg = err.downcast_ref::<String>().expect("formatted panic");
+    assert!(msg.contains("first period needs 8000"), "{msg}");
+    assert_eq!(sys.cycles(), 0, "nothing may be warmed first");
+}

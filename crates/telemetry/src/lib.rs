@@ -16,7 +16,7 @@
 //!   (`secpref-check` has the audit rule).
 //! - [`trace_event`] — a Chrome trace-event JSON builder (`ph: B/E/X/C`
 //!   records) whose output loads in Perfetto / `chrome://tracing`; used
-//!   by `secpref-exp`'s engine spans and `simbench --profile`.
+//!   by `secpref-exp`'s engine spans and `repro --profile`.
 //! - [`progress`] — a rate-limited stderr progress line for sweeps,
 //!   disabled under `--quiet` and on non-TTY stderr, and structurally
 //!   unable to reach result bytes (it only ever renders to a string the

@@ -487,11 +487,33 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Returns a human-readable message when a parameter combination is
-    /// meaningless (zero-sized structures, SUF without GhostMinion,
-    /// timely-secure with on-access mode, non-power-of-two sets).
+    /// meaningless (zero-sized structures or queues, SUF without
+    /// GhostMinion, timely-secure with on-access mode, non-power-of-two
+    /// cache or enabled-TLB sets).
     pub fn validate(&self) -> Result<(), String> {
         if self.cores == 0 {
             return Err("cores must be >= 1".into());
+        }
+        // A zero here stalls the core forever (the watchdog's livelock
+        // panic) or divides by zero; each message names its field.
+        for (field, value) in [
+            ("core.fetch_width", self.core.fetch_width),
+            ("core.retire_width", self.core.retire_width),
+            ("core.rob_entries", self.core.rob_entries),
+            ("core.lq_entries", self.core.lq_entries),
+            ("l1d.queue_depth", self.l1d.queue_depth),
+            ("l2.queue_depth", self.l2.queue_depth),
+            ("llc.queue_depth", self.llc.queue_depth),
+            ("gm.queue_depth", self.gm.queue_depth),
+            ("dram.queue_depth", self.dram.queue_depth),
+            (
+                "dram.write_watermark denominator",
+                self.dram.write_watermark.1,
+            ),
+        ] {
+            if value == 0 {
+                return Err(format!("{field} must be nonzero"));
+            }
         }
         for (name, c) in [
             ("l1d", &self.l1d),
@@ -499,11 +521,26 @@ impl SystemConfig {
             ("llc", &self.llc),
             ("gm", &self.gm),
         ] {
+            if c.ways == 0 || c.mshrs == 0 || c.ports_per_cycle == 0 {
+                return Err(format!("{name}: ways/mshrs/ports must be nonzero"));
+            }
             if c.sets() == 0 || !c.sets().is_power_of_two() {
                 return Err(format!("{name}: set count must be a power of two"));
             }
-            if c.ways == 0 || c.mshrs == 0 || c.ports_per_cycle == 0 {
-                return Err(format!("{name}: ways/mshrs/ports must be nonzero"));
+        }
+        if self.tlb.enabled {
+            for (level, entries, ways) in [
+                ("l1", self.tlb.l1_entries, self.tlb.l1_ways),
+                ("stlb", self.tlb.stlb_entries, self.tlb.stlb_ways),
+            ] {
+                if ways == 0 {
+                    return Err(format!("tlb.{level}_ways must be nonzero"));
+                }
+                if !(entries / ways).max(1).is_power_of_two() {
+                    return Err(format!(
+                        "tlb.{level}_entries / tlb.{level}_ways must be a power of two"
+                    ));
+                }
             }
         }
         CorePolicy::of(self).validate()?;
@@ -578,6 +615,40 @@ mod tests {
         let mut c = SystemConfig::baseline(1);
         c.cores = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_configs_that_would_hang_or_panic() {
+        // Before these checks each one spun into the livelock watchdog,
+        // divided by zero, or tripped a constructor assert mid-build.
+        type Edit = fn(&mut SystemConfig);
+        let cases: [(&str, Edit); 15] = [
+            ("core.lq_entries", |c| c.core.lq_entries = 0),
+            ("core.rob_entries", |c| c.core.rob_entries = 0),
+            ("core.fetch_width", |c| c.core.fetch_width = 0),
+            ("core.retire_width", |c| c.core.retire_width = 0),
+            ("l1d.queue_depth", |c| c.l1d.queue_depth = 0),
+            ("l2.queue_depth", |c| c.l2.queue_depth = 0),
+            ("llc.queue_depth", |c| c.llc.queue_depth = 0),
+            ("gm.queue_depth", |c| c.gm.queue_depth = 0),
+            ("dram.queue_depth", |c| c.dram.queue_depth = 0),
+            ("dram.write_watermark", |c| c.dram.write_watermark = (7, 0)),
+            ("tlb.l1_ways", |c| c.tlb.l1_ways = 0),
+            ("tlb.l1_entries", |c| c.tlb.l1_entries = 48),
+            ("tlb.stlb_ways", |c| c.tlb.stlb_ways = 0),
+            ("tlb.stlb_entries", |c| c.tlb.stlb_entries = 1000),
+            ("l1d", |c| c.l1d.ways = 0),
+        ];
+        for (field, edit) in cases {
+            let mut c = SystemConfig::baseline(1).with_tlb(true);
+            edit(&mut c);
+            let err = c.validate().expect_err(field);
+            assert!(err.contains(field), "{field}: {err}");
+            // TLB geometry matters only when the TLB is modelled.
+            c.tlb.enabled = false;
+            assert_eq!(c.validate().is_ok(), field.starts_with("tlb."), "{field}");
+        }
+        assert!(SystemConfig::baseline(1).with_tlb(true).validate().is_ok());
     }
 
     #[test]
