@@ -52,9 +52,7 @@ pub fn gm_size(cx: &Cx) -> Table {
     );
     for entries in [16usize, 32, 64, 128] {
         let mut cfg = secure_nopref();
-        // The GM is fully associative: ways = entries, one set.
         cfg.gm.size_bytes = entries * 64;
-        cfg.gm.ways = entries;
         let s = cx.geomean_speedup(&cfg, &quick_suite());
         t.row(vec![
             entries.to_string(),

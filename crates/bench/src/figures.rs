@@ -527,39 +527,28 @@ pub fn table2() -> Table {
     ]);
     t.row(vec![
         "TLBs".into(),
-        format!(
-            "L1 dTLB {} entries/{}-way/{} cy; STLB {} entries/{}-way/{} cy; walk {} cy ({})",
-            cfg.tlb.l1_entries,
-            cfg.tlb.l1_ways,
-            cfg.tlb.l1_latency,
-            cfg.tlb.stlb_entries,
-            cfg.tlb.stlb_ways,
-            cfg.tlb.stlb_latency,
-            cfg.tlb.walk_latency,
-            if cfg.tlb.enabled {
-                "modelled"
-            } else {
-                "latency off in headline runs"
-            },
-        ),
+        "flat translation (not modelled)".into(),
     ]);
-    for (name, c) in [
-        ("L1D", &cfg.l1d),
-        ("L2", &cfg.l2),
-        ("LLC", &cfg.llc),
-        ("GM", &cfg.gm),
-    ] {
+    for (name, c) in [("L1D", &cfg.l1d), ("L2", &cfg.l2), ("LLC", &cfg.llc)] {
         t.row(vec![
             name.into(),
             format!(
-                "{} KB, {}-way, {} cycles, {} MSHRs, LRU",
+                "{} KB, {}-way, {} cycles, {} MSHRs, {}",
                 c.size_bytes / 1024,
                 c.ways,
                 c.latency,
-                c.mshrs
+                c.mshrs,
+                format!("{:?}", c.replacement).to_uppercase()
             ),
         ]);
     }
+    t.row(vec![
+        "GM".into(),
+        format!(
+            "{} KB, fully associative, 1 cycle (fixed)",
+            cfg.gm.size_bytes / 1024
+        ),
+    ]);
     t.row(vec![
         "DRAM".into(),
         format!(

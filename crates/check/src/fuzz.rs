@@ -4,7 +4,7 @@
 //! adversarial instruction stream (wrong-path gadget bursts, alias-heavy
 //! strides, branch storms, or a mixed soup), and pushes it through one
 //! (SecureMode × PrefetcherKind) cell of the full simulator with the
-//! differential [`CheckedFilter`](crate::CheckedFilter) installed, the
+//! differential [`CheckedFilter`] installed, the
 //! invariant auditor armed, and a post-run secret-footprint containment
 //! probe. The same seed also drives a timing-free component differential:
 //! identical op streams through `SetAssocCache` vs [`GoldenCache`] and

@@ -1,13 +1,13 @@
 //! Sampled-vs-full differential validation (`repro --sampled`).
 //!
-//! Every pinned cell of the fuzz matrix — the 13 [`cells`](crate::cells)
+//! Every pinned cell of the fuzz matrix — the 13 [`cells`]
 //! labels plus the five timely-secure GhostMinion+SUF configurations —
 //! runs the same pinned trace twice: once in full detail and once in
 //! SMARTS sampled mode, both with a warmed reference window. The sampled
 //! IPC must land within 2% of the full-detail IPC *and* the full-detail
 //! IPC must fall inside the sampled run's own reported 95% confidence
 //! interval; the sampled report must additionally pass the
-//! [`audit_sampled`](crate::audit_sampled) reconciliation rules.
+//! [`audit_sampled`] reconciliation rules.
 //!
 //! The trace axis comes from the workload suite, not the fuzzer: the
 //! fuzz traces loop a footprint that fits in the L1, so in steady state

@@ -211,7 +211,7 @@ fn timely_secure_report_digests_are_pinned() {
 /// Generated on parent commit c8865bb (PR 12), i.e. by the `functional_*`
 /// copy of the walk, before ISSUE 13 replaced it with the policy/driver
 /// split — the split reproduces them unchanged.
-const PINNED_SAMPLED: [(&str, u64); 12] = [
+const PINNED_SAMPLED: [(&str, u64); 11] = [
     ("nonsecure/nopf", 0x1345AA8B08E1A056),
     ("nonsecure/ip-stride on access", 0xD195FFC7D4DDECD6),
     ("nonsecure/bingo on access", 0xCF96BEA1A74A89D2),
@@ -223,10 +223,6 @@ const PINNED_SAMPLED: [(&str, u64); 12] = [
     ("tsb+suf/berti", 0x4279B3F7A57432D3),
     ("ts+suf/ipcp", 0x63DE0D87715077DA),
     (
-        "ghostminion+suf/ip-stride on commit, TLBs on",
-        0x7948058565DE9FC3,
-    ),
-    (
         "2-core nonsecure bingo + ghostminion+suf berti",
         0x22A98891D48D2FE6,
     ),
@@ -234,7 +230,7 @@ const PINNED_SAMPLED: [(&str, u64); 12] = [
 
 /// The configurations behind [`PINNED_SAMPLED`], in order: L1 and L2
 /// prefetchers on access and on commit, always-update and SUF commit
-/// engines, the timely-secure wrappers, TLB warming, and a heterogeneous 2-core mix.
+/// engines, the timely-secure wrappers, and a heterogeneous 2-core mix.
 fn sampled_cells() -> Vec<secpref_types::SystemConfig> {
     use secpref_types::{CorePolicy, PrefetchMode, PrefetcherKind, SecureMode, SystemConfig};
     let base = || SystemConfig::baseline(1);
@@ -271,7 +267,6 @@ fn sampled_cells() -> Vec<secpref_types::SystemConfig> {
         oc_suf(PrefetcherKind::Bingo),
         oc_suf(PrefetcherKind::Berti).with_timely_secure(true),
         oc_suf(PrefetcherKind::Ipcp).with_timely_secure(true),
-        oc_suf(PrefetcherKind::IpStride).with_tlb(true),
         mix,
     ]
 }

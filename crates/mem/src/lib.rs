@@ -26,10 +26,8 @@ pub mod cache;
 pub mod dram;
 pub mod mshr;
 pub mod port;
-pub mod tlb;
 
 pub use cache::{EvictedLine, FillAttrs, LineMeta, ReplacementKind, SetAssocCache};
 pub use dram::{DramCompletion, DramModel, DramRequest};
 pub use mshr::{AllocError, MshrEntry, MshrFile, MshrToken};
 pub use port::PortScheduler;
-pub use tlb::{Tlb, TlbOutcome};

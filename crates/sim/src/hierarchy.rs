@@ -3,7 +3,8 @@
 //! Every *what-happens* decision — GhostMinion's GM-only speculative
 //! fills, SUF's commit actions and writeback bits, clean-line
 //! propagation, prefetcher training, feedback and admission — lives in
-//! [`crate::policy`] and exists once. This module decides *when*:
+//! the crate's `policy` module and exists once. This module decides
+//! *when*:
 //!
 //! **The detailed driver** ([`Hierarchy::issue_load`], [`Hierarchy::tick`],
 //! [`Hierarchy::commit_load`]) walks a request level by level on a
@@ -11,13 +12,13 @@
 //! merging MSHRs, queueing at DRAM, and filling on the response unwind.
 //! A request that is denied a port, finds the MSHR file full or is
 //! refused by the DRAM queue leaves the wheel for the ordered wait list
-//! ([`crate::wheel`]) and is woken there, never polled through the wheel.
-//! It alone keeps metrics and feeds the recorder, the profiler and the
-//! Fig. 6 classifier shadow.
+//! (the crate's `wheel` module) and is woken there, never polled through
+//! the wheel. It alone keeps metrics and feeds the recorder, the profiler
+//! and the Fig. 6 classifier shadow.
 //!
 //! **The instant driver** ([`Hierarchy::functional_load`],
 //! [`Hierarchy::functional_store`]; SMARTS functional warming, DESIGN.md
-//! §14) runs the same steps back to back: one [`Hierarchy::instant_walk`]
+//! §14) runs the same steps back to back: one `Hierarchy::instant_walk`
 //! per access, evictions cascading on the spot, issue and commit at the
 //! same instant. It allocates nothing and touches no counter.
 
@@ -46,6 +47,9 @@ const DENY: u8 = 2;
 /// Maximum in-flight prefetch requests per core (prefetch queue depth);
 /// excess proposals are dropped at injection.
 const PF_QUEUE_DEPTH: usize = 48;
+/// Maximum in-flight loads per core in the L1D's input queue; a load
+/// issued beyond it is refused (backpressure on the core).
+const L1D_QUEUE_DEPTH: usize = 32;
 /// Nominal DRAM portion of an instant-driver fetch latency (cycles).
 /// Warming needs only a plausible constant for GhostMinion timestamps
 /// and prefetcher latency hints; detailed windows use the real
@@ -430,7 +434,7 @@ impl Hierarchy {
     /// Core-facing load issue (the [`secpref_cpu::LoadPort`] entry point).
     /// Returns `false` when the L1D input queue is full (backpressure).
     pub fn issue_load(&mut self, now: Cycle, issue: LoadIssue) -> bool {
-        if self.l1_inflight[issue.core] >= self.cfg.l1d.queue_depth {
+        if self.l1_inflight[issue.core] >= L1D_QUEUE_DEPTH {
             return false;
         }
         self.l1_inflight[issue.core] += 1;
@@ -444,16 +448,8 @@ impl Hierarchy {
             self.metrics[issue.core].wrong_path_loads += 1;
         }
         let rid = self.alloc_req(req);
-        // Address translation happens before the cache access: the TLB
-        // adds latency (1 cycle when it hits the dTLB).
-        let at = now + self.st.translate(issue.core, issue.addr);
-        self.schedule(at, rid, EV_ACCESS);
+        self.schedule(now, rid, EV_ACCESS);
         true
-    }
-
-    /// TLB statistics for `core`, if TLB modelling is enabled.
-    pub fn tlb_stats(&self, core: CoreId) -> Option<secpref_mem::tlb::TlbStats> {
-        self.st.tlb_stats(core)
     }
 
     /// Issues the non-speculative write of a retired store.
@@ -570,7 +566,7 @@ impl Hierarchy {
     /// system is fully idle. Waiters parked on a full MSHR file or DRAM
     /// queue are no wake source of their own: what frees the resource is
     /// a wheel event or a DRAM action, and a waiter passed over before
-    /// the resource freed marks the list due ([`WaitList::wake_parked`]).
+    /// the resource freed marks the list due (`WaitList::wake_parked`).
     pub fn next_due(&self, now: Cycle) -> Cycle {
         if self.waits.due_next_cycle() {
             return now + 1;
@@ -1284,7 +1280,6 @@ impl Hierarchy {
     /// at one instant.
     pub fn functional_load(&mut self, now: Cycle, core: CoreId, ip: Ip, addr: Addr, ts: u64) {
         self.now = now;
-        let _ = self.st.translate(core, addr); // dTLB/STLB stay warm
         let line = addr.line();
         let (hit_level, lk, mut gm_visible) = self.instant_walk(
             core,

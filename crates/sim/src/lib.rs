@@ -73,8 +73,8 @@ pub fn system_for(cfg: &SystemConfig, feeds: Vec<TraceFeed>, warmup: u64, measur
     System::from_feeds(cfg, feeds).with_window(warmup, measure)
 }
 
-/// `llc`, sized for `from` cores, resized for `to` cores: size, MSHRs,
-/// ports and queue depth scale by the ratio of the two power-of-two
+/// `llc`, sized for `from` cores, resized for `to` cores: size, MSHRs
+/// and ports scale by the ratio of the two power-of-two
 /// core factors of [`CacheConfig::baseline_llc`].
 fn rescale_llc(llc: &CacheConfig, from: usize, to: usize) -> CacheConfig {
     let factor = |cores: usize| cores.max(1).next_power_of_two();
@@ -83,7 +83,6 @@ fn rescale_llc(llc: &CacheConfig, from: usize, to: usize) -> CacheConfig {
         size_bytes: scale(llc.size_bytes),
         mshrs: scale(llc.mshrs),
         ports_per_cycle: scale(llc.ports_per_cycle),
-        queue_depth: scale(llc.queue_depth),
         ..llc.clone()
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! [`MemState`] owns every piece of state the paper's security and
 //! prefetching claims are about — cache arrays, GhostMinions, SUF commit
-//! filters, prefetchers, TLBs, the injection dedup ring — and the
+//! filters, prefetchers, the injection dedup ring — and the
 //! functions below are the only code that decides how an access changes
 //! it: who probes replacement-neutrally, what a hit or miss tells the
 //! prefetcher, which event trains it, what attributes a fill carries,
@@ -18,10 +18,10 @@
 //! decision → function → what each driver does with the outcome.
 
 use secpref_ghostminion::{CommitAction, GmCache, GmInsertOutcome, UpdateFilter, WbBits};
-use secpref_mem::{FillAttrs, SetAssocCache, Tlb};
+use secpref_mem::{FillAttrs, SetAssocCache};
 use secpref_prefetch::{AccessEvent, Feedback, FillEvent, PfBuf, Prefetcher};
 use secpref_types::{
-    Addr, CacheConfig, CacheLevel, CoreId, Cycle, FillInfo, HitLevel, Ip, LineAddr, PrefetchMode,
+    CacheConfig, CacheLevel, CoreId, Cycle, FillInfo, HitLevel, Ip, LineAddr, PrefetchMode,
     PrefetchRequest, PrefetcherKind, SystemConfig,
 };
 
@@ -231,7 +231,6 @@ pub(crate) struct MemState {
     pub(crate) caches: PerLevel<SetAssocCache>,
     pub(crate) filters: Vec<Box<dyn UpdateFilter>>,
     pub(crate) prefetchers: Vec<Box<dyn Prefetcher>>,
-    tlbs: Vec<Option<Tlb>>,
     commit_count: Vec<u64>,
     /// Candidates of the latest [`MemState::train`] call.
     pub(crate) pf_scratch: PfBuf,
@@ -261,28 +260,12 @@ impl MemState {
                 suf: p.suf,
             }
         };
-        let t = &cfg.tlb;
         MemState {
             pol: (0..cores).map(bits).collect(),
             gm: (0..cores).map(|_| GmCache::new(cfg.gm.lines())).collect(),
             caches: PerLevel::new(cfg, cache_of),
             filters,
             prefetchers,
-            tlbs: (0..cores)
-                .map(|_| {
-                    t.enabled.then(|| {
-                        Tlb::new(
-                            t.l1_entries,
-                            t.l1_ways,
-                            t.l1_latency,
-                            t.stlb_entries,
-                            t.stlb_ways,
-                            t.stlb_latency,
-                            t.walk_latency,
-                        )
-                    })
-                })
-                .collect(),
             commit_count: vec![0; cores],
             pf_scratch: PfBuf::new(),
             pf_recent: vec![[LineAddr::new(u64::MAX); PF_RECENT]; cores],
@@ -297,20 +280,6 @@ impl MemState {
             CacheLevel::L2 => self.caches.l2[core].probe(line).is_some(),
             CacheLevel::Llc => self.caches.llc.probe(line).is_some(),
             CacheLevel::Dram => true,
-        }
-    }
-
-    /// TLB statistics for `core`, if TLB modelling is enabled.
-    pub(crate) fn tlb_stats(&self, core: CoreId) -> Option<secpref_mem::tlb::TlbStats> {
-        self.tlbs[core].as_ref().map(|t| t.stats())
-    }
-
-    /// Translates `addr`, warming the TLBs; returns the latency (0 when
-    /// TLBs are off).
-    pub(crate) fn translate(&mut self, core: CoreId, addr: Addr) -> Cycle {
-        match &mut self.tlbs[core] {
-            Some(tlb) => tlb.translate(addr).1,
-            None => 0,
         }
     }
 

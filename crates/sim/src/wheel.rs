@@ -4,23 +4,18 @@
 //!
 //! # The wheel
 //!
-//! The memory system schedules almost every timed event a small, bounded
-//! number of cycles ahead (cache latencies, TLB walks), so a ring of
-//! per-cycle FIFO buckets gives O(1) push/pop where the `BinaryHeap` it
-//! replaced paid an O(log n) sift on every event. Events beyond the wheel
-//! horizon (rare: long TLB walks or deeply backed-up DRAM) fall back to a
-//! small heap; events scheduled *behind* the drain point (the post-drain
-//! core phase pushing at the cycle just drained) go to the `late` FIFO.
+//! The memory system schedules every timed event at most one cache
+//! latency ahead, and `SystemConfig::validate` caps that at
+//! [`MAX_CACHE_LATENCY`]; DRAM completions never enter the wheel (they
+//! are scheduled at the cycle DRAM reports them). So a ring of per-cycle
+//! FIFO buckets wider than that cap holds every event, with O(1)
+//! push/pop where the `BinaryHeap` it replaced paid an O(log n) sift on
+//! every event. Events scheduled *behind* the drain point (the
+//! post-drain core phase pushing at the cycle just drained) go to the
+//! `late` FIFO.
 //!
-//! Drain order is `(cycle, push sequence)`:
-//!
-//! - buckets preserve insertion order per cycle, and insertion order *is*
-//!   sequence order;
-//! - an overflow entry due at cycle `t` was pushed while the wheel's
-//!   drain point was at least [`WHEEL_SLOTS`] cycles before `t`, i.e.
-//!   strictly earlier than every bucket entry for `t` (which is pushed
-//!   within the horizon), so draining overflow first per cycle
-//!   reproduces the global sequence order exactly.
+//! Drain order is `(cycle, push sequence)`: buckets preserve insertion
+//! order per cycle, and insertion order *is* sequence order.
 //!
 //! # The wait list
 //!
@@ -44,30 +39,31 @@
 //! hierarchy then processes, in this order — which is exactly the order
 //! one wheel used to give:
 //!
-//! 1. the wheel: `late`, then overflow and bucket entries for `t` (all
-//!    pushed before the drain of `t − 1` began);
+//! 1. the wheel: `late`, then the bucket entries for `t` (all pushed
+//!    before the drain of `t − 1` began);
 //! 2. the list built for `t`: everything pushed for `t` during the drain
 //!    of `t − 1`, *in the order its parent was processed* — so a request
 //!    first blocked by a step-1 event precedes every older waiter,
 //!    surviving waiters keep their relative order, and a `now + 1` child
 //!    (a GM-hit response, a writeback) sits where its parent sat — then
-//!    the `now + 1` pushes of the core phase of `t − 1` (1-cycle-TLB
-//!    loads);
+//!    the `now + 1` pushes of the core phase of `t − 1`;
 //! 3. the same-cycle FIFO: DRAM completions of `t`, then what steps 1–3
 //!    push for `t` itself (MSHR-waiter responses, prefetch injections).
 
-use secpref_types::Cycle;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use secpref_types::{Cycle, MAX_CACHE_LATENCY};
+use std::collections::VecDeque;
 
-/// Wheel horizon in cycles (power of two). Events scheduled further out
-/// than this land in the overflow heap.
+/// Wheel horizon in cycles (power of two): no event is scheduled further
+/// out than this.
 pub(crate) const WHEEL_SLOTS: usize = 2048;
+// A cache hit or miss schedules its next step one latency ahead of the
+// cycle being drained; that must land inside the horizon.
+const _: () = assert!(MAX_CACHE_LATENCY < WHEEL_SLOTS as Cycle);
 const MASK: usize = WHEEL_SLOTS - 1;
 /// Words in the slot-occupancy bitmap (one bit per wheel slot).
 const WORDS: usize = WHEEL_SLOTS / 64;
 
-/// FIFO-per-cycle event queue with an overflow heap for the far future.
+/// FIFO-per-cycle event queue over a fixed horizon.
 ///
 /// Entries are `(rid, kind)` pairs — a request id and an event tag —
 /// matching what [`crate::hierarchy::Hierarchy`] schedules.
@@ -78,7 +74,7 @@ pub(crate) struct EventWheel {
     /// drains its events at the *start* of each system cycle; the core,
     /// store, and commit paths then schedule follow-up events at that
     /// same (now past) cycle. They all share one cycle, strictly before
-    /// every pending bucket/overflow cycle, so a FIFO drained first
+    /// every pending bucket cycle, so a FIFO drained first
     /// reproduces `(cycle, sequence)` order exactly.
     late: VecDeque<(u32, u8)>,
     /// One bit per slot, set while that slot's bucket is non-empty.
@@ -86,10 +82,6 @@ pub(crate) struct EventWheel {
     /// [`EventWheel::next_due`] answer "when is the next event?" without
     /// walking empty buckets cycle by cycle.
     occupied: [u64; WORDS],
-    overflow: BinaryHeap<Reverse<(Cycle, u64, u32, u8)>>,
-    /// Sequence counter ordering overflow entries pushed for the same
-    /// due cycle.
-    seq: u64,
     /// First cycle not yet fully drained; the bucket at `next` may be
     /// partially consumed up to `cursor`.
     next: Cycle,
@@ -103,8 +95,6 @@ impl EventWheel {
             buckets: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
             late: VecDeque::new(),
             occupied: [0; WORDS],
-            overflow: BinaryHeap::new(),
-            seq: 0,
             next: 0,
             cursor: 0,
             len: 0,
@@ -117,18 +107,25 @@ impl EventWheel {
     }
 
     /// Queues `(rid, kind)` to fire at cycle `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` lies beyond the wheel's horizon.
     #[inline]
     pub fn push(&mut self, at: Cycle, rid: u32, kind: u8) {
         self.len += 1;
         if at < self.next {
             self.late.push_back((rid, kind));
-        } else if at - self.next < WHEEL_SLOTS as Cycle {
+        } else {
+            assert!(
+                at - self.next < WHEEL_SLOTS as Cycle,
+                "event at cycle {at} lies beyond the wheel's {WHEEL_SLOTS}-cycle horizon \
+                 from cycle {}",
+                self.next
+            );
             let slot = at as usize & MASK;
             self.buckets[slot].push((rid, kind));
             self.occupied[slot >> 6] |= 1 << (slot & 63);
-        } else {
-            self.seq += 1;
-            self.overflow.push(Reverse((at, self.seq, rid, kind)));
         }
     }
 
@@ -167,12 +164,9 @@ impl EventWheel {
         if !self.late.is_empty() {
             return Some(now + 1);
         }
-        let mut due = self
+        let due = self
             .next_occupied_cycle(self.next.max(now + 1))
             .unwrap_or(Cycle::MAX);
-        if let Some(&Reverse((at, ..))) = self.overflow.peek() {
-            due = due.min(at);
-        }
         Some(due.max(now + 1))
     }
 
@@ -187,13 +181,6 @@ impl EventWheel {
         }
         while self.next <= now {
             let t = self.next;
-            if let Some(&Reverse((at, _, rid, kind))) = self.overflow.peek() {
-                if at <= t {
-                    self.overflow.pop();
-                    self.len -= 1;
-                    return Some((rid, kind));
-                }
-            }
             let slot = t as usize & MASK;
             let bucket = &mut self.buckets[slot];
             if self.cursor < bucket.len() {
@@ -217,10 +204,7 @@ impl EventWheel {
             // of walking empty buckets one at a time. `next` must never
             // pass `now + 1`: a push at a later cycle would otherwise be
             // misfiled as `late` and fire too early.
-            let mut jump = self.next_occupied_cycle(t + 1).unwrap_or(Cycle::MAX);
-            if let Some(&Reverse((at, ..))) = self.overflow.peek() {
-                jump = jump.min(at);
-            }
+            let jump = self.next_occupied_cycle(t + 1).unwrap_or(Cycle::MAX);
             self.next = jump.min(now + 1);
         }
         None
@@ -438,17 +422,20 @@ mod tests {
     }
 
     #[test]
-    fn overflow_precedes_bucket_entries_for_same_cycle() {
+    fn the_last_slot_of_the_horizon_holds_its_event() {
         let mut w = EventWheel::new();
-        let far = WHEEL_SLOTS as Cycle + 100;
-        w.push(far, 1, 0); // beyond horizon: overflow
+        assert_eq!(drain(&mut w, 99), vec![]); // drain point at 100
+        let last = 100 + WHEEL_SLOTS as Cycle - 1;
+        w.push(last, 1, 0);
+        assert_eq!(w.next_due(99), Some(last));
+        assert_eq!(drain(&mut w, last - 1), vec![]);
+        assert_eq!(drain(&mut w, last), vec![(1, 0)]);
+    }
 
-        // Advance the wheel so `far` is now within the horizon.
-        assert_eq!(drain(&mut w, 200), vec![]);
-        w.push(far, 2, 0); // lands in a bucket
-        let got = drain(&mut w, far);
-        // The overflow entry was pushed first, so it drains first.
-        assert_eq!(got, vec![(1, 0), (2, 0)]);
+    #[test]
+    #[should_panic(expected = "beyond the wheel's 2048-cycle horizon")]
+    fn a_push_past_the_horizon_panics() {
+        EventWheel::new().push(WHEEL_SLOTS as Cycle, 1, 0);
     }
 
     #[test]
@@ -584,7 +571,7 @@ mod tests {
     fn core_phase_pushes_follow_the_tick_and_same_cycle_pushes_go_last() {
         let mut l = WaitList::default();
         tick(&mut l, &[(1, 0), (2, 0)], |_, _| Do::Wait(false));
-        // After the tick, the core phase issues a 1-cycle-TLB load.
+        // After the tick, the core phase pushes for the next cycle.
         l.push_next(Waiter::event(7, 0));
         assert!(l.due_next_cycle());
         // Next cycle: a DRAM completion (8) is queued before anything is

@@ -246,53 +246,3 @@ fn replay_covers_short_traces() {
     let m = sys.report().cores[0].clone();
     assert!(m.instructions >= 500);
 }
-
-#[test]
-fn tlb_latency_slows_page_sweeps() {
-    // A page-per-load sweep walks the page table constantly when TLBs are
-    // modelled; the same trace with TLBs off runs faster.
-    let instrs: Vec<Instr> = (0..400u64)
-        .flat_map(|i| {
-            [
-                Instr::load(0x100, i * 4096),
-                Instr::alu(0x200),
-                Instr::alu(0x201),
-            ]
-        })
-        .collect();
-    let n = instrs.len() as u64;
-    let trace = Arc::new(Trace::new("pages", instrs));
-    let run = |tlb: bool| {
-        let cfg = SystemConfig::baseline(1).with_tlb(tlb);
-        let mut sys = System::new(cfg, vec![trace.clone()]).with_window(0, n);
-        sys.run();
-        sys.report().ipc()
-    };
-    let with_tlb = run(true);
-    let without = run(false);
-    assert!(
-        with_tlb < without,
-        "page walks must cost time: {with_tlb:.3} vs {without:.3}"
-    );
-}
-
-#[test]
-fn tlb_is_transparent_for_hot_pages() {
-    // A single-page hot loop is barely affected by TLB modelling.
-    let instrs: Vec<Instr> = (0..1200u64)
-        .map(|i| Instr::load(0x100, 0x5000 + (i % 8) * 64))
-        .collect();
-    let trace = Arc::new(Trace::new("hot", instrs));
-    let run = |tlb: bool| {
-        let cfg = SystemConfig::baseline(1).with_tlb(tlb);
-        let mut sys = System::new(cfg, vec![trace.clone()]).with_window(200, 900);
-        sys.run();
-        sys.report().ipc()
-    };
-    let with_tlb = run(true);
-    let without = run(false);
-    assert!(
-        (with_tlb / without) > 0.95,
-        "dTLB hits are ~free: {with_tlb:.3} vs {without:.3}"
-    );
-}

@@ -10,7 +10,9 @@
 
 use secpref_sim::{ObsCapture, ObsConfig, SimReport, System};
 use secpref_trace::{Instr, Trace};
-use secpref_types::{CorePolicy, PrefetchMode, PrefetcherKind, SecureMode, SystemConfig};
+use secpref_types::{
+    CorePolicy, PrefetchMode, PrefetcherKind, SecureMode, SystemConfig, MAX_CACHE_LATENCY,
+};
 use std::sync::Arc;
 
 /// Deterministic mixed trace: strided and scattered loads (cache misses
@@ -248,6 +250,40 @@ fn skip_matches_with_waiters_parked_across_skipped_spans() {
         l1d.mshr_full_cycles + (cycles - ticked) > cycles,
         "{label}: no MSHR-full cycle was skipped ({} full, {ticked} ticked of {cycles})",
         l1d.mshr_full_cycles
+    );
+}
+
+#[test]
+fn skip_matches_at_the_maximum_cache_latency() {
+    // Every LLC access schedules its next step MAX_CACHE_LATENCY cycles
+    // ahead: the farthest any event reaches into the wheel.
+    let label = "llc latency at the maximum";
+    let mut cfg = SystemConfig::baseline(1);
+    cfg.llc.latency = MAX_CACHE_LATENCY;
+    cfg.validate().expect("the maximum latency is valid");
+    let (rep, ..) = assert_equiv(label, &cfg, vec![mixed_trace(0xB3, 1500)]);
+    assert!(
+        rep.cores[0].llc.demand_accesses > 0,
+        "{label}: no LLC access"
+    );
+}
+
+#[test]
+fn skip_matches_with_a_load_parked_longer_than_the_wheel_horizon() {
+    // One L1D MSHR and a 3 000-cycle column access: every miss holds the
+    // MSHR file full for longer than the wheel's 2 048 slots while the
+    // next load waits parked behind it. DRAM timing never passes through
+    // the wheel; the wait only has to survive the skipped spans.
+    let label = "1-mshr, 3000-cycle tCAS";
+    let mut cfg = SystemConfig::baseline(1);
+    cfg.l1d.mshrs = 1;
+    cfg.dram.t_cas = 3_000;
+    let (rep, ..) = assert_equiv(label, &cfg, vec![scattered_trace(0x29, 300)]);
+    let l1d = &rep.cores[0].l1d;
+    assert!(l1d.mshr_full_stalls > 0, "{label}: nothing ever parked");
+    assert!(
+        l1d.mshr_full_cycles / l1d.demand_misses.max(1) > 2_048,
+        "{label}: a miss held the MSHR file for less than the horizon"
     );
 }
 

@@ -204,9 +204,9 @@ fn trace_cache_len() -> usize {
 /// distinct traces concurrently without serializing on this map, and
 /// concurrent requests for the same trace still build it exactly once.
 ///
-/// The cache holds at most [`TRACE_CACHE_CAP`] entries; the least
-/// recently used entry is dropped on overflow (outstanding `Arc`s held
-/// by running simulations keep evicted traces alive until released).
+/// The cache holds at most 32 entries (`TRACE_CACHE_CAP`); when it is
+/// full the least recently used entry is dropped (outstanding `Arc`s
+/// held by running simulations keep evicted traces alive until released).
 ///
 /// # Panics
 ///

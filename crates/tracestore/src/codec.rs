@@ -11,7 +11,7 @@
 //! offset   := u16 LE, 1..=65535, distance back into the output
 //! ```
 //!
-//! Match lengths are stored minus [`MIN_MATCH`]. The final sequence of a
+//! Match lengths are stored minus `MIN_MATCH` (4). The final sequence of a
 //! block is literals-only (no offset). Compression is greedy with a
 //! 4-byte hash table; decompression is bounds-checked everywhere and
 //! never reads or writes out of range on corrupt input.

@@ -11,7 +11,7 @@
 //! resident.
 //!
 //! * [`codec`] — std-only LZ77 block compressor/decompressor.
-//! * [`format`] — the container: [`format::TraceWriter`] (streaming,
+//! * [`format`](mod@format) — the container: [`format::TraceWriter`] (streaming,
 //!   pure-append capture), [`format::TraceReader`] (random chunk
 //!   access, integrity verification).
 //! * [`feed`] — [`feed::StreamFeed`] sliding-window cursor and the

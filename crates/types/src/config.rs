@@ -3,6 +3,11 @@
 
 use crate::Cycle;
 
+/// Largest hit latency `validate` accepts for the L1D, L2 or LLC: every
+/// timed step the hierarchy schedules is at most one cache latency ahead,
+/// and the simulator's event wheel must reach that far.
+pub const MAX_CACHE_LATENCY: Cycle = 1024;
+
 /// Out-of-order core parameters (Table II, "Core" row).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CoreConfig {
@@ -65,8 +70,6 @@ pub struct CacheConfig {
     /// prefetches, commit writes, and re-fetches all compete for these slots
     /// — the contention mechanism behind Fig. 4/5 of the paper.
     pub ports_per_cycle: usize,
-    /// Maximum queued requests waiting for a port (read-queue depth).
-    pub queue_depth: usize,
     /// Replacement policy (LRU in the Table II baseline).
     pub replacement: ReplacementChoice,
 }
@@ -90,7 +93,6 @@ impl CacheConfig {
             latency: 5,
             mshrs: 16,
             ports_per_cycle: 2,
-            queue_depth: 32,
             replacement: ReplacementChoice::Lru,
         }
     }
@@ -103,7 +105,6 @@ impl CacheConfig {
             latency: 15,
             mshrs: 32,
             ports_per_cycle: 2,
-            queue_depth: 48,
             replacement: ReplacementChoice::Lru,
         }
     }
@@ -121,59 +122,31 @@ impl CacheConfig {
             latency: 35,
             mshrs: 64 * scale,
             ports_per_cycle: 2 * scale,
-            queue_depth: 64 * scale,
-            replacement: ReplacementChoice::Lru,
-        }
-    }
-
-    /// The 2 KB, fully-associative, 1-cycle GhostMinion GM cache.
-    pub fn ghostminion_gm() -> Self {
-        CacheConfig {
-            size_bytes: 2 * 1024,
-            ways: 32,
-            latency: 1,
-            mshrs: 16,
-            ports_per_cycle: 4,
-            queue_depth: 32,
             replacement: ReplacementChoice::Lru,
         }
     }
 }
 
-/// Two-level data-TLB parameters (Table II, TLBs row). Disabled by
-/// default so headline results keep the flat-translation calibration;
-/// enable to model translation latency.
+/// The GhostMinion GM (Table II, "GM" row): a fully associative
+/// speculative-fill cache probed beside the L1D. Its 1-cycle hit is fixed
+/// in the hierarchy; capacity is the one parameter the model reads.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct TlbConfig {
-    /// Model translation latency at all.
-    pub enabled: bool,
-    /// L1 dTLB entries (64 in the baseline).
-    pub l1_entries: usize,
-    /// L1 dTLB associativity.
-    pub l1_ways: usize,
-    /// L1 dTLB latency, cycles.
-    pub l1_latency: Cycle,
-    /// STLB entries (1536 in the baseline).
-    pub stlb_entries: usize,
-    /// STLB associativity.
-    pub stlb_ways: usize,
-    /// STLB latency, cycles.
-    pub stlb_latency: Cycle,
-    /// Page-table walk latency on a full miss, cycles.
-    pub walk_latency: Cycle,
+pub struct GmConfig {
+    /// Total capacity in bytes (2 KB in the baseline).
+    pub size_bytes: usize,
 }
 
-impl Default for TlbConfig {
+impl GmConfig {
+    /// Number of GM entries (64 B lines).
+    pub fn lines(&self) -> usize {
+        self.size_bytes / crate::LINE_SIZE as usize
+    }
+}
+
+impl Default for GmConfig {
     fn default() -> Self {
-        TlbConfig {
-            enabled: false,
-            l1_entries: 64,
-            l1_ways: 4,
-            l1_latency: 1,
-            stlb_entries: 1536,
-            stlb_ways: 12,
-            stlb_latency: 8,
-            walk_latency: 120,
+        GmConfig {
+            size_bytes: 2 * 1024,
         }
     }
 }
@@ -371,10 +344,8 @@ pub struct SystemConfig {
     pub l2: CacheConfig,
     /// LLC parameters (shared in multi-core).
     pub llc: CacheConfig,
-    /// GM cache parameters (used only under GhostMinion).
-    pub gm: CacheConfig,
-    /// Data-TLB parameters (disabled by default).
-    pub tlb: TlbConfig,
+    /// GM parameters (used only under GhostMinion).
+    pub gm: GmConfig,
     /// DRAM parameters (shared in multi-core).
     pub dram: DramConfig,
     /// Secure or non-secure cache system.
@@ -412,8 +383,7 @@ impl SystemConfig {
             l1d: CacheConfig::baseline_l1d(),
             l2: CacheConfig::baseline_l2(),
             llc: CacheConfig::baseline_llc(cores),
-            gm: CacheConfig::ghostminion_gm(),
-            tlb: TlbConfig::default(),
+            gm: GmConfig::default(),
             dram: DramConfig::default(),
             secure: SecureMode::NonSecure,
             prefetcher: PrefetcherKind::None,
@@ -476,20 +446,14 @@ impl SystemConfig {
         self
     }
 
-    /// Enables/disables TLB latency modelling (builder style).
-    pub fn with_tlb(mut self, on: bool) -> Self {
-        self.tlb.enabled = on;
-        self
-    }
-
     /// Validates internal consistency.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message when a parameter combination is
-    /// meaningless (zero-sized structures or queues, SUF without
+    /// meaningless (zero-sized structures, widths or queues, SUF without
     /// GhostMinion, timely-secure with on-access mode, non-power-of-two
-    /// cache or enabled-TLB sets).
+    /// cache sets, a cache latency above [`MAX_CACHE_LATENCY`]).
     pub fn validate(&self) -> Result<(), String> {
         if self.cores == 0 {
             return Err("cores must be >= 1".into());
@@ -501,10 +465,7 @@ impl SystemConfig {
             ("core.retire_width", self.core.retire_width),
             ("core.rob_entries", self.core.rob_entries),
             ("core.lq_entries", self.core.lq_entries),
-            ("l1d.queue_depth", self.l1d.queue_depth),
-            ("l2.queue_depth", self.l2.queue_depth),
-            ("llc.queue_depth", self.llc.queue_depth),
-            ("gm.queue_depth", self.gm.queue_depth),
+            ("core.load_issue_width", self.core.load_issue_width),
             ("dram.queue_depth", self.dram.queue_depth),
             (
                 "dram.write_watermark denominator",
@@ -515,32 +476,21 @@ impl SystemConfig {
                 return Err(format!("{field} must be nonzero"));
             }
         }
-        for (name, c) in [
-            ("l1d", &self.l1d),
-            ("l2", &self.l2),
-            ("llc", &self.llc),
-            ("gm", &self.gm),
-        ] {
+        let gm_bytes = self.gm.size_bytes;
+        if gm_bytes == 0 || !gm_bytes.is_multiple_of(crate::LINE_SIZE as usize) {
+            return Err("gm.size_bytes must be a nonzero whole number of 64 B lines".into());
+        }
+        for (name, c) in [("l1d", &self.l1d), ("l2", &self.l2), ("llc", &self.llc)] {
             if c.ways == 0 || c.mshrs == 0 || c.ports_per_cycle == 0 {
                 return Err(format!("{name}: ways/mshrs/ports must be nonzero"));
             }
             if c.sets() == 0 || !c.sets().is_power_of_two() {
                 return Err(format!("{name}: set count must be a power of two"));
             }
-        }
-        if self.tlb.enabled {
-            for (level, entries, ways) in [
-                ("l1", self.tlb.l1_entries, self.tlb.l1_ways),
-                ("stlb", self.tlb.stlb_entries, self.tlb.stlb_ways),
-            ] {
-                if ways == 0 {
-                    return Err(format!("tlb.{level}_ways must be nonzero"));
-                }
-                if !(entries / ways).max(1).is_power_of_two() {
-                    return Err(format!(
-                        "tlb.{level}_entries / tlb.{level}_ways must be a power of two"
-                    ));
-                }
+            if c.latency > MAX_CACHE_LATENCY {
+                return Err(format!(
+                    "{name}.latency must be at most {MAX_CACHE_LATENCY} cycles"
+                ));
             }
         }
         CorePolicy::of(self).validate()?;
@@ -622,33 +572,50 @@ mod tests {
         // Before these checks each one spun into the livelock watchdog,
         // divided by zero, or tripped a constructor assert mid-build.
         type Edit = fn(&mut SystemConfig);
-        let cases: [(&str, Edit); 15] = [
+        let cases: [(&str, Edit); 9] = [
             ("core.lq_entries", |c| c.core.lq_entries = 0),
             ("core.rob_entries", |c| c.core.rob_entries = 0),
             ("core.fetch_width", |c| c.core.fetch_width = 0),
             ("core.retire_width", |c| c.core.retire_width = 0),
-            ("l1d.queue_depth", |c| c.l1d.queue_depth = 0),
-            ("l2.queue_depth", |c| c.l2.queue_depth = 0),
-            ("llc.queue_depth", |c| c.llc.queue_depth = 0),
-            ("gm.queue_depth", |c| c.gm.queue_depth = 0),
+            ("core.load_issue_width", |c| c.core.load_issue_width = 0),
             ("dram.queue_depth", |c| c.dram.queue_depth = 0),
             ("dram.write_watermark", |c| c.dram.write_watermark = (7, 0)),
-            ("tlb.l1_ways", |c| c.tlb.l1_ways = 0),
-            ("tlb.l1_entries", |c| c.tlb.l1_entries = 48),
-            ("tlb.stlb_ways", |c| c.tlb.stlb_ways = 0),
-            ("tlb.stlb_entries", |c| c.tlb.stlb_entries = 1000),
+            ("gm.size_bytes", |c| c.gm.size_bytes = 0),
             ("l1d", |c| c.l1d.ways = 0),
         ];
         for (field, edit) in cases {
-            let mut c = SystemConfig::baseline(1).with_tlb(true);
+            let mut c = SystemConfig::baseline(1);
             edit(&mut c);
             let err = c.validate().expect_err(field);
             assert!(err.contains(field), "{field}: {err}");
-            // TLB geometry matters only when the TLB is modelled.
-            c.tlb.enabled = false;
-            assert_eq!(c.validate().is_ok(), field.starts_with("tlb."), "{field}");
         }
-        assert!(SystemConfig::baseline(1).with_tlb(true).validate().is_ok());
+    }
+
+    #[test]
+    fn validate_accepts_max_cache_latency_and_rejects_one_cycle_more() {
+        type Field = fn(&mut SystemConfig) -> &mut Cycle;
+        let fields: [(&str, Field); 3] = [
+            ("l1d", |c| &mut c.l1d.latency),
+            ("l2", |c| &mut c.l2.latency),
+            ("llc", |c| &mut c.llc.latency),
+        ];
+        for (name, field) in fields {
+            let mut c = SystemConfig::baseline(1);
+            *field(&mut c) = MAX_CACHE_LATENCY;
+            assert!(c.validate().is_ok(), "{name} at the maximum");
+            *field(&mut c) += 1;
+            let err = c.validate().expect_err(name);
+            assert!(err.contains(&format!("{name}.latency")), "{err}");
+        }
+    }
+
+    #[test]
+    fn gm_size_must_be_whole_lines() {
+        let mut c = SystemConfig::baseline(1);
+        c.gm.size_bytes = 64 * 48; // not a power of two: the GM is fully associative
+        assert!(c.validate().is_ok());
+        c.gm.size_bytes = 2 * 1024 + 32;
+        assert!(c.validate().is_err());
     }
 
     #[test]

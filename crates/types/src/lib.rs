@@ -32,8 +32,8 @@ pub mod varint;
 
 pub use addr::{Addr, Ip, LineAddr, LINE_SIZE, OFFSET_BITS};
 pub use config::{
-    CacheConfig, CoreConfig, CorePolicy, DramConfig, PrefetchMode, PrefetcherKind, SecureMode,
-    SystemConfig, TlbConfig,
+    CacheConfig, CoreConfig, CorePolicy, DramConfig, GmConfig, PrefetchMode, PrefetcherKind,
+    SecureMode, SystemConfig, MAX_CACHE_LATENCY,
 };
 pub use hist::Hist;
 pub use level::{CacheLevel, HitLevel};

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: formatting, lints, release build, the full test suite in
+# Tier-1 gate: formatting, lints, rustdoc, release build, the full test suite in
 # debug and its release-only tail, the cross-core litmus, and the
 # benchmark's smoke run. Run from anywhere; operates on the repo root.
 # Fails fast on the first broken step so CI output points straight at
@@ -18,6 +18,11 @@ cargo fmt --check
 
 echo "== cargo clippy (deny warnings, incl. perf lints)"
 cargo clippy --offline --workspace --all-targets -- -D warnings -D clippy::perf
+
+echo "== cargo doc (deny warnings)"
+# Broken and private intra-doc links: a deletion leaves them behind, and
+# neither clippy nor the tests look at doc comments.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 echo "== cargo build --release (with examples)"
 cargo build --release
