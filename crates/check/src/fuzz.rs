@@ -20,7 +20,7 @@
 use crate::golden::{CheckedFilter, GoldenCache, GoldenGm, GoldenLine};
 use crate::invariants::audit_run;
 use secpref_core::SecureUpdateFilter;
-use secpref_ghostminion::{AlwaysUpdate, GmCache};
+use secpref_ghostminion::{AlwaysUpdate, GmCache, UpdateFilter};
 use secpref_mem::{FillAttrs, SetAssocCache};
 use secpref_sim::{ObsConfig, System};
 use secpref_trace::{Instr, Trace};
@@ -46,25 +46,12 @@ pub const SECRET_LINES: u64 = 16;
 /// Upper bound on re-runs the shrinker may spend per failure.
 const SHRINK_BUDGET: u32 = 250;
 
-/// Which update filter a cell installs (always wrapped in the
-/// differential checker).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FilterChoice {
-    /// Non-secure cell: the hierarchy has no commit path.
-    None,
-    /// GhostMinion baseline (`AlwaysUpdate`).
-    AlwaysUpdate,
-    /// GhostMinion + Secure Update Filter.
-    Suf,
-}
-
 /// One fuzzing cell of the (SecureMode × PrefetcherKind) matrix.
 #[derive(Clone, Debug)]
 pub struct FuzzCell {
-    /// Full system configuration for this cell.
+    /// Full system configuration for this cell; it alone decides the
+    /// commit-path filter [`check_run`] installs.
     pub cfg: SystemConfig,
-    /// Commit-path filter the cell installs.
-    pub filter: FilterChoice,
     /// Stable label (used in failure reports and artifact names).
     pub label: String,
 }
@@ -88,7 +75,6 @@ pub fn cells() -> Vec<FuzzCell> {
             cfg: SystemConfig::baseline(1)
                 .with_prefetcher(kind)
                 .with_mode(PrefetchMode::OnAccess),
-            filter: FilterChoice::None,
             label: format!("nonsecure/{}", kind.name()),
         });
     }
@@ -99,13 +85,11 @@ pub fn cells() -> Vec<FuzzCell> {
                 .with_suf(true)
                 .with_prefetcher(kind)
                 .with_mode(PrefetchMode::OnCommit),
-            filter: FilterChoice::Suf,
             label: format!("ghostminion+suf/{}", kind.name()),
         });
     }
     out.push(FuzzCell {
         cfg: SystemConfig::baseline(1).with_secure(SecureMode::GhostMinion),
-        filter: FilterChoice::AlwaysUpdate,
         label: "ghostminion/always-update".into(),
     });
     out
@@ -424,25 +408,23 @@ pub fn check_run(cell: &FuzzCell, trace: &Arc<Trace>) -> Result<RunStats, String
     }
     let loads = trace.load_count() as u64;
     let cfg = cell.cfg.clone();
-    let filter = cell.filter;
     let trace = Arc::clone(trace);
     let outcome = catch_unwind(AssertUnwindSafe(move || {
         let mut sys = System::new(cfg.clone(), vec![trace])
             .with_window(0, n)
             .with_obs(&ObsConfig::enabled());
+        // A secure cell's filter, wrapped in the differential checker; a
+        // non-secure hierarchy has no commit path to check.
         let mut checks = None;
-        match filter {
-            FilterChoice::None => {}
-            FilterChoice::AlwaysUpdate => {
-                let f = CheckedFilter::new(Box::new(AlwaysUpdate));
-                checks = Some(f.checks_handle());
-                sys = sys.with_update_filter(Box::new(f));
-            }
-            FilterChoice::Suf => {
-                let f = CheckedFilter::new(Box::new(SecureUpdateFilter::new()));
-                checks = Some(f.checks_handle());
-                sys = sys.with_update_filter(Box::new(f));
-            }
+        if cfg.secure.is_secure() {
+            let inner: Box<dyn UpdateFilter> = if cfg.suf {
+                Box::new(SecureUpdateFilter::new())
+            } else {
+                Box::new(AlwaysUpdate)
+            };
+            let f = CheckedFilter::new(inner);
+            checks = Some(f.checks_handle());
+            sys = sys.with_update_filter(Box::new(f));
         }
         sys.run();
         let capture = sys.take_obs().expect("obs enabled");

@@ -30,6 +30,12 @@
 //!    counters, the recorder's demand mirror equals the L1D
 //!    demand-access counter, and that mirror equals the load-latency
 //!    samples plus the demand accesses still in flight at capture.
+//! 8. **Epoch partition** (`epoch-partition`): the finish boundary closes
+//!    the last epoch, so the rows split the measured window and every
+//!    epoch column sums to its report counter — the core's and, with the
+//!    recorder armed from cycle 0, the DRAM channel's. `class_*` is
+//!    exempt: the classifier spans warm-up and drains its pending misses
+//!    at finalize (DESIGN.md §5).
 
 use secpref_obs::EventKind;
 use secpref_sim::{ObsCapture, SimReport};
@@ -308,6 +314,20 @@ pub fn audit_run(
         m.l1d.demand_accesses
     );
 
+    // (8) The epoch rows partition the run.
+    let ep = &capture.epochs;
+    let counters: Vec<u64> = m.values().into_iter().chain(report.dram.values()).collect();
+    check_eq!(out, "epoch-partition", ep.columns.len(), counters.len());
+    for (i, (name, &want)) in ep.columns.iter().zip(&counters).enumerate() {
+        let got: u64 = ep.rows.iter().map(|r| r.values[i]).sum();
+        if got != want && !name.starts_with("class_") {
+            out.push(Violation {
+                invariant: "epoch-partition",
+                detail: format!("epoch column {name} sums to {got} but the report has {want}"),
+            });
+        }
+    }
+
     out
 }
 
@@ -541,5 +561,40 @@ mod tests {
             .collect();
         assert!(names.contains(&"tel-useful-count"), "{names:?}");
         assert!(names.contains(&"tel-demand-mirror"), "{names:?}");
+    }
+
+    #[test]
+    fn epoch_partition_passes_and_flags_injected_skew() {
+        let cfg = SystemConfig::baseline(1)
+            .with_secure(SecureMode::GhostMinion)
+            .with_suf(true)
+            .with_prefetcher(PrefetcherKind::IpStride)
+            .with_mode(PrefetchMode::OnCommit);
+        let trace = small_trace();
+        let n = trace.instrs.len() as u64;
+        let loads = trace.load_count() as u64;
+        // Epochs shorter than the run, so the partition has several rows.
+        let mut sys = System::new(cfg.clone(), vec![trace])
+            .with_window(0, n)
+            .with_obs(&ObsConfig::enabled().with_epoch_interval(n / 3));
+        sys.run();
+        let mut cap = sys.take_obs().expect("obs enabled");
+        let mut report = sys.report();
+        assert!(cap.epochs.rows.len() >= 3, "vacuous meta-test");
+        assert!(audit_run(&cfg, &report, &cap, loads).is_empty());
+        let names = |report: &SimReport, cap: &ObsCapture| -> Vec<&'static str> {
+            audit_run(&cfg, report, cap, loads)
+                .iter()
+                .map(|v| v.invariant)
+                .collect()
+        };
+        // A counter bumped outside every epoch breaks the partition...
+        report.cores[0].l1d.port_stalls += 1;
+        assert_eq!(names(&report, &cap), ["epoch-partition"]);
+        report.cores[0].l1d.port_stalls -= 1;
+        // ...and so does a row that lost part of its delta, DRAM included.
+        let col = cap.epochs.columns.iter().position(|c| c == "dram_reads");
+        cap.epochs.rows[1].values[col.expect("dram_reads column")] += 1;
+        assert_eq!(names(&report, &cap), ["epoch-partition"]);
     }
 }

@@ -34,8 +34,8 @@ pub mod invariants;
 pub mod sampling;
 
 pub use fuzz::{
-    cells, replay_artifact, run_fuzz, CellFailure, CellSummary, FilterChoice, FuzzCell, FuzzPlan,
-    FuzzSummary, PINNED_SEED,
+    cells, replay_artifact, run_fuzz, CellFailure, CellSummary, FuzzCell, FuzzPlan, FuzzSummary,
+    PINNED_SEED,
 };
 pub use golden::{
     golden_commit_action, golden_wb_bits, CheckedFilter, GoldenCache, GoldenGm, GoldenLine,

@@ -1,11 +1,12 @@
 //! JSON encoding/decoding of [`SimReport`] for the result store.
 //!
-//! The five flat counter records (`LevelMetrics`, `PrefetchMetrics`,
-//! `CommitMetrics`, `MissClassCounts`, `DramStats`) are declared through
-//! `secpref_types::counters!` and go through one generic loop each way
-//! over their `NAMES` table — this file names none of their fields, so a
-//! new counter needs no edit here. The four mixed records (`SimReport`,
-//! `CoreMetrics`, `SamplingSummary`, `MetricStats`) are written out:
+//! The counter records (`CoreMetrics` and the records it nests,
+//! `DramStats`) are declared through `secpref_types::counters!` and go
+//! through one generic `encode` and one `decode` over that
+//! declaration's walk: a nested record is a nested object, and
+//! declaration order is byte order. This file names none of their
+//! fields, so a new counter needs no edit here. The other records
+//! (`SimReport`, `SamplingSummary`, `MetricStats`) are written out:
 //! encoders destructure them exhaustively and decoders build them with
 //! full literals, so a new field there is a compile error rather than a
 //! silent data loss. Counters stay `u64` end to end; every `f64`
@@ -13,10 +14,8 @@
 //! in [`crate::json`].
 
 use crate::json::{obj, parse, Json};
-use secpref_sim::{
-    CommitMetrics, CoreMetrics, DramStats, LevelMetrics, MetricStats, MissClassCounts,
-    PrefetchMetrics, SamplingSummary, SimReport,
-};
+use secpref_sim::{MetricStats, SamplingSummary, SimReport};
+use secpref_types::counters::Counter;
 
 /// Encodes a report as a compact JSON object. The `sampling` block is
 /// emitted only for sampled runs, so full-detail reports keep their
@@ -32,8 +31,8 @@ pub fn encode_report(report: &SimReport) -> Json {
     let mut fields = vec![
         ("label", Json::Str(label.clone())),
         ("energy_nj", Json::Float(*energy_nj)),
-        ("dram", encode_counters(&DramStats::NAMES, dram.values())),
-        ("cores", Json::Arr(cores.iter().map(encode_core).collect())),
+        ("dram", encode(dram)),
+        ("cores", Json::Arr(cores.iter().map(encode).collect())),
     ];
     if let Some(s) = sampling {
         fields.push(("sampling", encode_sampling(s)));
@@ -50,12 +49,12 @@ pub fn decode_report(json: &Json) -> Result<SimReport, String> {
     Ok(SimReport {
         label: str_field(json, "label")?,
         energy_nj: f64_field(json, "energy_nj")?,
-        dram: DramStats::from_values(decode_counters(json, "dram", &DramStats::NAMES)?),
+        dram: decode(field(json, "dram")?)?,
         cores: field(json, "cores")?
             .as_arr()
             .ok_or("cores: not an array")?
             .iter()
-            .map(decode_core)
+            .map(decode)
             .collect::<Result<_, _>>()?,
         sampling: match json.get("sampling") {
             Some(s) => Some(decode_sampling(s)?),
@@ -78,94 +77,46 @@ pub fn report_from_str(s: &str) -> Result<SimReport, String> {
     decode_report(&parse(s)?)
 }
 
-/// Encodes one `counters!` record: its names against its values.
-fn encode_counters<const N: usize>(names: &[&str; N], values: [u64; N]) -> Json {
-    Json::Obj(
-        names
-            .iter()
-            .zip(values)
-            .map(|(name, v)| (name.to_string(), Json::UInt(v)))
-            .collect(),
-    )
+/// Encodes a `counters!` record as an object of its fields in
+/// declaration order, a nested record as a nested object.
+fn encode<C: Counter>(record: &C) -> Json {
+    let mut fields = Vec::new();
+    record.clone().walk(&mut Vec::new(), &mut |path, v| {
+        let (leaf, parents) = path.split_last().expect("a leaf has a name");
+        let mut obj = &mut fields;
+        for &p in parents {
+            // Leaves of one nested record are contiguous: a field name
+            // differing from the last one opens that record's object.
+            if obj.last().is_none_or(|(k, _)| k != p) {
+                obj.push((p.to_string(), Json::Obj(Vec::new())));
+            }
+            let Some((_, Json::Obj(inner))) = obj.last_mut() else {
+                unreachable!("just pushed an object")
+            };
+            obj = inner;
+        }
+        obj.push((leaf.to_string(), Json::UInt(*v)));
+    });
+    Json::Obj(fields)
 }
 
-/// Decodes the `counters!` record stored under `key`, in `names` order.
-fn decode_counters<const N: usize>(
-    json: &Json,
-    key: &str,
-    names: &[&str; N],
-) -> Result<[u64; N], String> {
-    let record = field(json, key)?;
-    let mut values = [0; N];
-    for (v, name) in values.iter_mut().zip(names) {
-        *v = u64_field(record, name)?;
-    }
-    Ok(values)
-}
-
-fn encode_core(c: &CoreMetrics) -> Json {
-    let CoreMetrics {
-        instructions,
-        cycles,
-        l1d,
-        l2,
-        llc,
-        dram_accesses,
-        gm_accesses,
-        prefetch,
-        commit,
-        class,
-        wrong_path_loads,
-    } = c;
-    let level = |l: &LevelMetrics| encode_counters(&LevelMetrics::NAMES, l.values());
-    obj(vec![
-        ("instructions", Json::UInt(*instructions)),
-        ("cycles", Json::UInt(*cycles)),
-        ("l1d", level(l1d)),
-        ("l2", level(l2)),
-        ("llc", level(llc)),
-        ("dram_accesses", Json::UInt(*dram_accesses)),
-        ("gm_accesses", Json::UInt(*gm_accesses)),
-        (
-            "prefetch",
-            encode_counters(&PrefetchMetrics::NAMES, prefetch.values()),
-        ),
-        (
-            "commit",
-            encode_counters(&CommitMetrics::NAMES, commit.values()),
-        ),
-        (
-            "class",
-            encode_counters(&MissClassCounts::NAMES, class.values()),
-        ),
-        ("wrong_path_loads", Json::UInt(*wrong_path_loads)),
-    ])
-}
-
-fn decode_core(json: &Json) -> Result<CoreMetrics, String> {
-    let level =
-        |key| decode_counters(json, key, &LevelMetrics::NAMES).map(LevelMetrics::from_values);
-    Ok(CoreMetrics {
-        instructions: u64_field(json, "instructions")?,
-        cycles: u64_field(json, "cycles")?,
-        l1d: level("l1d")?,
-        l2: level("l2")?,
-        llc: level("llc")?,
-        dram_accesses: u64_field(json, "dram_accesses")?,
-        gm_accesses: u64_field(json, "gm_accesses")?,
-        prefetch: PrefetchMetrics::from_values(decode_counters(
-            json,
-            "prefetch",
-            &PrefetchMetrics::NAMES,
-        )?),
-        commit: CommitMetrics::from_values(decode_counters(json, "commit", &CommitMetrics::NAMES)?),
-        class: MissClassCounts::from_values(decode_counters(
-            json,
-            "class",
-            &MissClassCounts::NAMES,
-        )?),
-        wrong_path_loads: u64_field(json, "wrong_path_loads")?,
-    })
+/// Decodes a `counters!` record produced by [`encode`]. An error names
+/// the first missing or mistyped leaf by its path (`l1d.port_stalls`).
+fn decode<C: Counter>(json: &Json) -> Result<C, String> {
+    let mut record = C::default();
+    let mut err = None;
+    record.walk(&mut Vec::new(), &mut |path, v| {
+        if err.is_some() {
+            return;
+        }
+        let leaf = path.iter().try_fold(json, |j, k| j.get(k));
+        match leaf.map(Json::as_u64) {
+            Some(Some(x)) => *v = x,
+            Some(None) => err = Some(format!("field `{}` is not a u64", path.join("."))),
+            None => err = Some(format!("missing field `{}`", path.join("."))),
+        }
+    });
+    err.map_or(Ok(record), Err)
 }
 
 fn encode_sampling(s: &SamplingSummary) -> Json {
@@ -257,7 +208,7 @@ mod tests {
     use super::*;
 
     fn sample_report() -> SimReport {
-        let mut core = CoreMetrics {
+        let mut core = secpref_sim::CoreMetrics {
             instructions: 40_000,
             cycles: 55_321,
             dram_accesses: 1_234,
@@ -281,7 +232,7 @@ mod tests {
         SimReport {
             label: "Berti/on-commit/GhostMinion+SUF".to_string(),
             cores: vec![core.clone(), core],
-            dram: DramStats {
+            dram: secpref_sim::DramStats {
                 reads: 1_000,
                 writes: 200,
                 row_hits: 700,
@@ -347,6 +298,14 @@ mod tests {
     fn decode_reports_missing_fields() {
         let err = report_from_str(r#"{"label":"x"}"#).unwrap_err();
         assert!(err.contains("energy_nj"), "{err}");
+    }
+
+    #[test]
+    fn decode_names_a_missing_counter_by_its_path() {
+        let s = report_to_string(&sample_report());
+        let s = s.replacen("\"port_stalls\":0,", "", 1);
+        let err = report_from_str(&s).unwrap_err();
+        assert_eq!(err, "missing field `l1d.port_stalls`");
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! 4. runs the remaining jobs on the worker pool, appending each result
 //!    to the store the moment it completes — a killed run resumes from
 //!    exactly the jobs it finished,
-//! 5. writes a run manifest (JSON), a per-job timing table (CSV) and the
-//!    run's span trace (`telemetry/trace-<run_id>.json`, Chrome
-//!    trace-event format), and
+//! 5. writes a run manifest (JSON, one record per job with its wall
+//!    time) and the run's span trace (`telemetry/trace-<run_id>.json`,
+//!    Chrome trace-event format), and
 //! 6. returns reports in the order of the *request*, independent of
 //!    worker count.
 //!
@@ -53,7 +53,7 @@ use secpref_trace::suite;
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -78,7 +78,7 @@ impl ResultSource {
     }
 }
 
-/// Per-job record in a run's manifest and timing export.
+/// Per-job record in a run's manifest.
 #[derive(Clone, Debug)]
 pub struct JobRecord {
     /// Content key.
@@ -96,7 +96,7 @@ pub struct JobRecord {
 /// Summary of one [`Engine::run_all`] invocation.
 #[derive(Clone, Debug)]
 pub struct RunSummary {
-    /// Unique id of this run (also names the manifest/timing files).
+    /// Unique id of this run (also names the manifest and span trace).
     pub run_id: String,
     /// Jobs requested (before dedupe).
     pub jobs_requested: usize,
@@ -112,8 +112,6 @@ pub struct RunSummary {
     pub wall: Duration,
     /// Path of the manifest written for this run.
     pub manifest_path: PathBuf,
-    /// Path of the per-job timing CSV.
-    pub timings_path: PathBuf,
     /// Worker utilization over the execute phase: simulated wall-clock
     /// divided by `workers × phase duration` (0 when nothing ran).
     pub utilization: f64,
@@ -204,7 +202,7 @@ impl Engine {
     }
 
     /// Runs a plain sweep, returning the reports plus the run's summary
-    /// (job provenance counts, manifest path, timings).
+    /// (job provenance counts, manifest path, per-job wall times).
     pub fn run_all_with_summary(&self, jobs: &[JobSpec]) -> (Vec<SimReport>, RunSummary) {
         self.run_with(jobs, RunMode::Plain)
     }
@@ -403,7 +401,7 @@ impl Engine {
         }
         drop(mem);
 
-        // Phase 5: manifest + timings + span trace, then assemble
+        // Phase 5: manifest + span trace, then assemble
         // request-order output (duplicates share the unique job's report).
         let wall = t0.elapsed();
         let trace_path = self.write_span_trace(&run_id, tb);
@@ -416,7 +414,6 @@ impl Engine {
             executed: total,
             wall,
             manifest_path: PathBuf::new(),
-            timings_path: PathBuf::new(),
             utilization: utilization(sim_wall, exec_wall, self.workers, total),
             dedup_hit_rate: dedup_hit_rate(jobs.len(), total),
             trace_path,
@@ -489,35 +486,24 @@ impl Engine {
             needed.len(),
             self.workers,
         ));
-        let cursor = AtomicUsize::new(0);
-        let threads = self.workers.clamp(1, needed.len());
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let cursor = &cursor;
-                let needed = &needed;
-                scope.spawn(move || loop {
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some((name, len)) = needed.get(idx) else {
-                        break;
-                    };
-                    let _ = suite::cached_trace(name, *len);
-                });
-            }
-        });
+        pool::run_items(
+            &needed,
+            self.workers,
+            |(name, len)| {
+                suite::cached_trace(name, *len);
+            },
+            |_, _, _, _| {},
+        );
     }
 
-    /// Writes the run manifest (JSON) and timing table (CSV); fills in
-    /// their paths on the summary. I/O failures degrade to a warning —
-    /// observability must never kill a finished run.
+    /// Writes the run manifest (JSON) and fills in its path on the
+    /// summary. I/O failures degrade to a warning — observability must
+    /// never kill a finished run.
     fn write_observability(&self, mut summary: RunSummary) -> RunSummary {
         let manifest_path = self
             .store
             .dir()
             .join(format!("manifest-{}.json", summary.run_id));
-        let timings_path = self
-            .store
-            .dir()
-            .join(format!("timings-{}.csv", summary.run_id));
 
         let jobs_json: Vec<Json> = summary
             .jobs
@@ -576,23 +562,7 @@ impl Engine {
         if let Err(e) = std::fs::write(&manifest_path, manifest.to_string() + "\n") {
             self.say(&format!("[exp] warning: manifest write failed: {e}"));
         }
-
-        let mut csv = String::from("key,label,source,wall_ms\n");
-        for r in &summary.jobs {
-            csv.push_str(&format!(
-                "{},\"{}\",{},{:.3}\n",
-                r.key,
-                r.label.replace('"', "\"\""),
-                r.source.name(),
-                r.wall.as_secs_f64() * 1e3,
-            ));
-        }
-        if let Err(e) = std::fs::write(&timings_path, csv) {
-            self.say(&format!("[exp] warning: timings write failed: {e}"));
-        }
-
         summary.manifest_path = manifest_path;
-        summary.timings_path = timings_path;
         summary
     }
 
@@ -756,9 +726,12 @@ mod tests {
         assert_eq!(json.get("jobs_unique").unwrap().as_u64(), Some(2));
         assert_eq!(json.get("jobs_executed").unwrap().as_u64(), Some(2));
         assert_eq!(json.get("jobs").unwrap().as_arr().unwrap().len(), 2);
-        let csv = std::fs::read_to_string(&summary.timings_path).unwrap();
-        assert!(csv.starts_with("key,label,source,wall_ms\n"));
-        assert_eq!(csv.lines().count(), 3);
+        // Per-job timings live in the manifest's job records.
+        for job in json.get("jobs").unwrap().as_arr().unwrap() {
+            assert!(job.get("key").unwrap().as_str().is_some());
+            assert_eq!(job.get("source").unwrap().as_str(), Some("ran"));
+            assert!(job.get("wall_ms").unwrap().as_f64().unwrap() > 0.0);
+        }
         cleanup(&dir);
     }
 }

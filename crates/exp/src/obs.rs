@@ -8,7 +8,7 @@
 //!   per-kind recorded/dropped totals, the MSHR high-water marks, each
 //!   core's update filter, and the epoch interval.
 //! - `<key>.epochs.csv` — the epoch time-series
-//!   ([`secpref_obs::EPOCH_CSV_HEADER`] schema).
+//!   ([`secpref_obs::EpochSeries::to_csv`]: one column per counter).
 //! - `<key>.hist.csv` — every histogram's non-empty buckets
 //!   (`hist,lo,hi,count` rows), each histogram's exact `total`/`sum`/
 //!   `min`/`max` summary rows, and the demand-conservation scalars
@@ -180,7 +180,7 @@ mod tests {
             ],
             recorded,
             dropped: [0; KIND_COUNT],
-            epochs: EpochSeries::new(1000),
+            epochs: EpochSeries::new(1000, vec!["instructions".to_string()]),
             hists,
             mshr_high_water: vec![("l1d[0]".to_string(), 7)],
             filters: vec!["always-update".to_string(), "suf".to_string()],

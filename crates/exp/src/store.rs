@@ -5,7 +5,6 @@
 //! ```text
 //! <dir>/results.jsonl      one line per completed job
 //! <dir>/manifest-<id>.json one per engine run (written by the engine)
-//! <dir>/timings-<id>.csv   per-job wall-clock for the run
 //! ```
 //!
 //! Each result line is a self-contained object:

@@ -69,15 +69,6 @@ counters! {
     }
 }
 
-impl DramStats {
-    /// Counter deltas since an `earlier` snapshot of the same channel
-    /// (saturating, so a stale snapshot cannot wrap).
-    pub fn delta(&self, earlier: &DramStats) -> DramStats {
-        let (now, then) = (self.values(), earlier.values());
-        DramStats::from_values(std::array::from_fn(|i| now[i].saturating_sub(then[i])))
-    }
-}
-
 /// The single-channel memory controller.
 ///
 /// Call [`DramModel::enqueue`] to submit requests and [`DramModel::tick`]

@@ -1,31 +1,21 @@
 //! Epoch time-series: periodic deltas of the simulator's counters.
 //!
 //! Every `interval` committed instructions (per core, after its warm-up
-//! boundary) the simulator snapshots the *delta* of its metrics since the
-//! previous epoch into an [`EpochRow`]. The series turns end-of-run
-//! aggregates into a within-run timeline: IPC dips, commit-request
-//! bursts, and MSHR-pressure phases become visible without a debugger.
+//! boundary) the simulator snapshots the *delta* of its counters since the
+//! previous epoch into an [`EpochRow`], and a core's finish boundary
+//! closes its last, partial epoch — so a core's rows partition its
+//! measured window. The series turns end-of-run aggregates into a
+//! within-run timeline: IPC dips, commit-request bursts, and MSHR-pressure
+//! phases become visible without a debugger.
+//!
+//! The counters are named by the simulator, which sets
+//! [`EpochSeries::columns`] when it installs the recorder; this crate
+//! knows none of them.
 
 use secpref_types::Cycle;
 
-/// Per-cache-level traffic deltas for one epoch.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LevelEpoch {
-    /// Demand (load/store) accesses this epoch.
-    pub demand: u64,
-    /// Demand misses this epoch.
-    pub demand_misses: u64,
-    /// Prefetch accesses this epoch.
-    pub prefetch: u64,
-    /// Commit-path accesses (commit writes + re-fetches + propagation)
-    /// this epoch.
-    pub commit: u64,
-    /// Cycles the MSHR file was completely full this epoch.
-    pub mshr_full_cycles: u64,
-}
-
 /// One epoch sample: deltas since the previous sample of the same core.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EpochRow {
     /// Epoch index (0-based, per core).
     pub epoch: u64,
@@ -33,45 +23,10 @@ pub struct EpochRow {
     pub core: u16,
     /// Cycle the epoch ended at.
     pub end_cycle: Cycle,
-    /// Instructions retired this epoch.
-    pub instructions: u64,
-    /// Cycles elapsed this epoch.
-    pub cycles: u64,
-    /// L1D traffic deltas.
-    pub l1d: LevelEpoch,
-    /// L2 traffic deltas.
-    pub l2: LevelEpoch,
-    /// LLC traffic deltas (this core's contribution).
-    pub llc: LevelEpoch,
-    /// DRAM reads completed this epoch (shared channel, global delta).
-    pub dram_reads: u64,
-    /// DRAM writes completed this epoch (shared channel, global delta).
-    pub dram_writes: u64,
     /// GM lines resident at the sample point (a gauge, not a delta).
     pub gm_occupancy: u64,
-    /// Prefetches issued this epoch.
-    pub pf_issued: u64,
-    /// Useful prefetches this epoch.
-    pub pf_useful: u64,
-    /// Late prefetches this epoch.
-    pub pf_late: u64,
-    /// On-commit writes this epoch.
-    pub commit_writes: u64,
-    /// Commit re-fetches this epoch.
-    pub refetches: u64,
-    /// SUF drops this epoch.
-    pub suf_drops: u64,
-}
-
-impl EpochRow {
-    /// Instructions per cycle over this epoch.
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / self.cycles as f64
-        }
-    }
+    /// Counter deltas this epoch, one per [`EpochSeries::columns`] entry.
+    pub values: Vec<u64>,
 }
 
 /// The collected epoch samples of one run.
@@ -79,69 +34,45 @@ impl EpochRow {
 pub struct EpochSeries {
     /// Sampling interval in committed instructions.
     pub interval: u64,
+    /// Names of the counter columns, in [`EpochRow::values`] order.
+    pub columns: Vec<String>,
     /// Samples in record order (per-core interleaved by completion).
     pub rows: Vec<EpochRow>,
 }
 
-/// Column order of [`EpochSeries::to_csv`], kept in one place so the
-/// header and the row writer cannot drift apart.
-pub const EPOCH_CSV_HEADER: &str = "epoch,core,end_cycle,instructions,cycles,ipc,\
-l1d_demand,l1d_miss,l1d_prefetch,l1d_commit,l1d_mshr_full,\
-l2_demand,l2_miss,l2_prefetch,l2_commit,l2_mshr_full,\
-llc_demand,llc_miss,llc_prefetch,llc_commit,llc_mshr_full,\
-dram_reads,dram_writes,gm_occupancy,pf_issued,pf_useful,pf_late,\
-commit_writes,refetches,suf_drops";
-
 impl EpochSeries {
-    /// Creates an empty series with the given sampling interval.
-    pub fn new(interval: u64) -> Self {
+    /// Creates an empty series with the given sampling interval and
+    /// counter columns.
+    pub fn new(interval: u64, columns: Vec<String>) -> Self {
         EpochSeries {
             interval,
+            columns,
             rows: Vec::new(),
         }
     }
 
-    /// Renders the series as a deterministic CSV document (header +
-    /// one line per sample; IPC with fixed 6-digit precision).
+    /// Renders the series as a deterministic CSV document: a header
+    /// (`epoch,core,end_cycle,gm_occupancy`, then the counter columns)
+    /// and one line per sample.
     pub fn to_csv(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::with_capacity(64 + self.rows.len() * 128);
-        out.push_str(EPOCH_CSV_HEADER);
+        let mut out = String::with_capacity(64 + (self.rows.len() + 1) * 8 * self.columns.len());
+        out.push_str("epoch,core,end_cycle,gm_occupancy");
+        for c in &self.columns {
+            out.push(',');
+            out.push_str(c);
+        }
         out.push('\n');
         for r in &self.rows {
-            let lvl = |out: &mut String, l: &LevelEpoch| {
-                let _ = write!(
-                    out,
-                    "{},{},{},{},{},",
-                    l.demand, l.demand_misses, l.prefetch, l.commit, l.mshr_full_cycles
-                );
-            };
             let _ = write!(
                 out,
-                "{},{},{},{},{},{:.6},",
-                r.epoch,
-                r.core,
-                r.end_cycle,
-                r.instructions,
-                r.cycles,
-                r.ipc()
+                "{},{},{},{}",
+                r.epoch, r.core, r.end_cycle, r.gm_occupancy
             );
-            lvl(&mut out, &r.l1d);
-            lvl(&mut out, &r.l2);
-            lvl(&mut out, &r.llc);
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{}",
-                r.dram_reads,
-                r.dram_writes,
-                r.gm_occupancy,
-                r.pf_issued,
-                r.pf_useful,
-                r.pf_late,
-                r.commit_writes,
-                r.refetches,
-                r.suf_drops
-            );
+            for v in &r.values {
+                let _ = write!(out, ",{v}");
+            }
+            out.push('\n');
         }
         out
     }
@@ -151,52 +82,43 @@ impl EpochSeries {
 mod tests {
     use super::*;
 
-    #[test]
-    fn ipc_handles_zero_cycles() {
-        assert_eq!(EpochRow::default().ipc(), 0.0);
-        let r = EpochRow {
-            instructions: 300,
-            cycles: 100,
-            ..Default::default()
-        };
-        assert!((r.ipc() - 3.0).abs() < 1e-12);
+    fn series(rows: u64) -> EpochSeries {
+        let mut s = EpochSeries::new(1000, vec!["instructions".into(), "cycles".into()]);
+        for i in 0..rows {
+            s.rows.push(EpochRow {
+                epoch: i,
+                core: 1,
+                end_cycle: 123 + i,
+                gm_occupancy: 4,
+                values: vec![1000, 500 + i],
+            });
+        }
+        s
     }
 
     #[test]
     fn csv_has_header_and_matching_column_counts() {
-        let mut s = EpochSeries::new(1000);
-        s.rows.push(EpochRow {
-            epoch: 0,
-            core: 1,
-            end_cycle: 123,
-            instructions: 1000,
-            cycles: 500,
-            ..Default::default()
-        });
-        let csv = s.to_csv();
+        let csv = series(1).to_csv();
         let mut lines = csv.lines();
         let header = lines.next().unwrap();
         let row = lines.next().unwrap();
+        assert_eq!(
+            header,
+            "epoch,core,end_cycle,gm_occupancy,instructions,cycles"
+        );
         assert_eq!(
             header.split(',').count(),
             row.split(',').count(),
             "header and rows must have the same arity"
         );
-        assert!(row.starts_with("0,1,123,1000,500,2.000000,"));
+        assert_eq!(row, "0,1,123,4,1000,500");
         assert!(lines.next().is_none());
     }
 
     #[test]
     fn csv_is_deterministic() {
-        let mut s = EpochSeries::new(10);
-        for i in 0..3 {
-            s.rows.push(EpochRow {
-                epoch: i,
-                instructions: 10,
-                cycles: 7 + i,
-                ..Default::default()
-            });
-        }
+        let s = series(3);
         assert_eq!(s.to_csv(), s.to_csv());
+        assert_eq!(s.to_csv().lines().count(), 4);
     }
 }

@@ -12,7 +12,8 @@
 //!   recorded into an [`EventRing`] whose memory is fixed (per-kind drop
 //!   counters account for overflow exactly).
 //! - [`EpochRow`]/[`EpochSeries`] — every N committed instructions, the
-//!   simulator snapshots metric *deltas* into a time-series.
+//!   simulator snapshots counter *deltas* into a time-series whose
+//!   columns it names.
 //! - [`Hists`] — log2-bucketed distributions (load-to-use latency per
 //!   serving level, DRAM queue delay, MSHR residency, prefetch
 //!   timeliness, GhostMinion occupancy).
@@ -57,7 +58,7 @@ pub mod event;
 pub mod hists;
 pub mod ring;
 
-pub use epoch::{EpochRow, EpochSeries, LevelEpoch, EPOCH_CSV_HEADER};
+pub use epoch::{EpochRow, EpochSeries};
 pub use event::{Event, EventKind, KIND_COUNT};
 pub use hists::{Hists, LoadLevel, LOAD_LEVELS, LOAD_LEVEL_NAMES, MSHR_LEVELS, MSHR_LEVEL_NAMES};
 pub use ring::EventRing;
@@ -137,12 +138,21 @@ impl Obs {
         Obs {
             inner: Some(Box::new(ObsInner {
                 ring: EventRing::new(EVENT_CAPACITY),
-                epochs: EpochSeries::new(cfg.epoch_interval.max(1)),
+                epochs: EpochSeries::new(cfg.epoch_interval.max(1), Vec::new()),
                 hists: Hists::default(),
                 armed: vec![false; cores],
                 pf_fill_at: HashMap::new(),
             })),
         }
+    }
+
+    /// Names the epoch series' counter columns, the order every
+    /// [`EpochRow::values`] pushed later follows (builder style).
+    pub fn with_epoch_columns(mut self, columns: Vec<String>) -> Self {
+        if let Some(inner) = &mut self.inner {
+            inner.epochs.columns = columns;
+        }
+        self
     }
 
     /// Whether recording is active at all.

@@ -168,51 +168,38 @@ impl MissClassCounts {
     }
 }
 
-/// All metrics for one core.
-#[derive(Clone, Debug, Default)]
-pub struct CoreMetrics {
-    /// Instructions counted in the measurement window.
-    pub instructions: u64,
-    /// Cycles in the measurement window.
-    pub cycles: Cycle,
-    /// Per-level traffic/miss counters.
-    pub l1d: LevelMetrics,
-    /// L2 counters.
-    pub l2: LevelMetrics,
-    /// LLC counters (this core's contribution).
-    pub llc: LevelMetrics,
-    /// DRAM reads+writes attributed to this core.
-    pub dram_accesses: u64,
-    /// GM accesses (every speculative load probes the GM).
-    pub gm_accesses: u64,
-    /// Prefetcher effectiveness.
-    pub prefetch: PrefetchMetrics,
-    /// Commit-path activity.
-    pub commit: CommitMetrics,
-    /// Fig. 6 classification.
-    pub class: MissClassCounts,
-    /// Wrong-path (transient) loads injected.
-    pub wrong_path_loads: u64,
+counters! {
+    /// All metrics for one core. `instructions` and `cycles` are filled in
+    /// at the core's finish boundary and `class` at finalize; every other
+    /// counter counts as it happens.
+    #[derive(Clone, Debug, Default)]
+    pub struct CoreMetrics {
+        /// Instructions counted in the measurement window.
+        pub instructions: u64,
+        /// Cycles in the measurement window.
+        pub cycles: Cycle,
+        /// Per-level traffic/miss counters.
+        pub l1d: LevelMetrics,
+        /// L2 counters.
+        pub l2: LevelMetrics,
+        /// LLC counters (this core's contribution).
+        pub llc: LevelMetrics,
+        /// DRAM reads+writes attributed to this core.
+        pub dram_accesses: u64,
+        /// GM accesses (every speculative load probes the GM).
+        pub gm_accesses: u64,
+        /// Prefetcher effectiveness.
+        pub prefetch: PrefetchMetrics,
+        /// Commit-path activity.
+        pub commit: CommitMetrics,
+        /// Fig. 6 classification.
+        pub class: MissClassCounts,
+        /// Wrong-path (transient) loads injected.
+        pub wrong_path_loads: u64,
+    }
 }
 
 impl CoreMetrics {
-    /// Field-wise accumulation over measured sampling windows. Cycles
-    /// and instructions add too: the aggregate IPC is the
-    /// window-population mean weighted by window cycles.
-    pub fn accumulate(&mut self, o: &Self) {
-        self.instructions += o.instructions;
-        self.cycles += o.cycles;
-        self.l1d.accumulate(&o.l1d);
-        self.l2.accumulate(&o.l2);
-        self.llc.accumulate(&o.llc);
-        self.dram_accesses += o.dram_accesses;
-        self.gm_accesses += o.gm_accesses;
-        self.prefetch.accumulate(&o.prefetch);
-        self.commit.accumulate(&o.commit);
-        self.class.accumulate(&o.class);
-        self.wrong_path_loads += o.wrong_path_loads;
-    }
-
     /// Instructions per cycle over the measurement window.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {

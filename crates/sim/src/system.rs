@@ -3,20 +3,21 @@
 
 use crate::classify::Classifier;
 use crate::hierarchy::{DriverCounts, Hierarchy};
-use crate::metrics::{CoreMetrics, LevelMetrics};
+use crate::metrics::CoreMetrics;
 use crate::report::SimReport;
 use secpref_core::SecureUpdateFilter;
 use secpref_cpu::{Core, CoreEvent, FunctionalPort, LoadIssue, LoadPort};
 use secpref_ghostminion::{AlwaysUpdate, UpdateFilter};
 use secpref_mem::dram::DramStats;
-use secpref_obs::{EpochRow, Event, EventKind, LevelEpoch, Obs, ObsCapture, ObsConfig};
+use secpref_obs::{EpochRow, Event, EventKind, Obs, ObsCapture, ObsConfig};
 use secpref_prefetch::Prefetcher;
 use secpref_telemetry::{Phase, ProfileReport};
 use secpref_trace::Trace;
 use secpref_tracestore::TraceFeed;
+use secpref_types::counters::Counter;
 use secpref_types::{
-    Addr, CoreId, Cycle, Ip, LineAddr, MetricStats, PrefetchMode, PrefetcherKind, SamplingConfig,
-    SamplingSummary, SystemConfig,
+    Addr, CacheLevel, CoreId, Cycle, Ip, LineAddr, MetricStats, PrefetchMode, PrefetcherKind,
+    SamplingConfig, SamplingSummary, SystemConfig,
 };
 use std::sync::Arc;
 
@@ -71,6 +72,36 @@ fn build_classifier_for(cfg: &SystemConfig, c: usize) -> Option<Classifier> {
     }
 }
 
+/// What an epoch sample differences: one core's counters, with
+/// `instructions` and `cycles` read as the retire count and the cycle and
+/// `class` from the live classifier, beside the shared DRAM channel's.
+type Snapshot = (CoreMetrics, DramStats);
+
+/// Core `c`'s [`Snapshot`] at `now`, `retired` standing in for its
+/// instruction count.
+fn snapshot(h: &Hierarchy, c: usize, now: Cycle, retired: u64) -> Snapshot {
+    let mut m = CoreMetrics {
+        instructions: retired,
+        cycles: now,
+        ..h.metrics[c].clone()
+    };
+    if let Some(class) = h.classification(c) {
+        m.class = class;
+    }
+    (m, h.dram_stats())
+}
+
+/// The epoch series' counter columns, in [`Snapshot`] order: every
+/// [`CoreMetrics`] counter, then the DRAM channel's, named by their paths
+/// (`l1d_port_stalls`, `dram_row_hits`).
+fn epoch_columns() -> Vec<String> {
+    let mut cols = Vec::new();
+    let mut name = |path: &[&str], _: &mut u64| cols.push(path.join("_"));
+    CoreMetrics::default().walk(&mut Vec::new(), &mut name);
+    DramStats::default().walk(&mut vec!["dram"], &mut name);
+    cols
+}
+
 /// Per-core epoch-sampling and squash-polling state (present only while
 /// an observability recorder is installed).
 #[derive(Debug)]
@@ -79,10 +110,8 @@ struct ObsTrack {
     /// Retired-instruction threshold that triggers the next sample.
     next_at: u64,
     epoch_idx: u64,
-    prev_cycle: Cycle,
-    prev_instr: u64,
-    prev: CoreMetrics,
-    prev_dram: DramStats,
+    /// The counters at the previous sample, or at the arm point.
+    prev: Snapshot,
     prev_squashed: u64,
 }
 
@@ -92,32 +121,16 @@ impl ObsTrack {
             interval,
             next_at: u64::MAX,
             epoch_idx: 0,
-            prev_cycle: 0,
-            prev_instr: 0,
-            prev: CoreMetrics::default(),
-            prev_dram: DramStats::default(),
+            prev: Snapshot::default(),
             prev_squashed: 0,
         }
     }
 
     /// (Re)starts epoch sampling at a warm-up boundary — the run's, or
     /// each sampled window's; epochs number on across windows.
-    fn begin(&mut self, now: Cycle, warmup: u64, dram: DramStats) {
-        self.next_at = warmup + self.interval;
-        self.prev_cycle = now;
-        self.prev_instr = warmup;
-        self.prev = CoreMetrics::default(); // metrics were just reset
-        self.prev_dram = dram;
-    }
-}
-
-fn level_delta(cur: &LevelMetrics, prev: &LevelMetrics) -> LevelEpoch {
-    LevelEpoch {
-        demand: cur.demand_accesses - prev.demand_accesses,
-        demand_misses: cur.demand_misses - prev.demand_misses,
-        prefetch: cur.prefetch_accesses - prev.prefetch_accesses,
-        commit: cur.commit_accesses - prev.commit_accesses,
-        mshr_full_cycles: cur.mshr_full_cycles - prev.mshr_full_cycles,
+    fn begin(&mut self, warm_target: u64, base: Snapshot) {
+        self.next_at = warm_target + self.interval;
+        self.prev = base;
     }
 }
 
@@ -302,7 +315,7 @@ impl System {
     /// idle fast-forward stays on and the report is bit-identical to an
     /// unrecorded run's.
     pub fn with_obs(mut self, obs: &ObsConfig) -> Self {
-        self.hierarchy.obs = Obs::new(obs, self.cfg.cores);
+        self.hierarchy.obs = Obs::new(obs, self.cfg.cores).with_epoch_columns(epoch_columns());
         for ctx in &mut self.cores {
             ctx.obs = Some(ObsTrack::new(obs.epoch_interval.max(1)));
         }
@@ -439,12 +452,17 @@ impl System {
                         self.hierarchy.metrics[c].cycles = now - warm_start;
                         self.hierarchy.metrics[c].instructions =
                             st.total_retired() - st.warm_target;
-                        // Flush any epoch completed in the final stretch.
-                        self.obs_sample_epochs(c, now);
+                        self.obs_sample_epochs(c, now, true);
                     }
                     continue;
                 }
                 all_done = false;
+                // Epoch boundary: like the warm-up and finish boundaries,
+                // recorded on the cycle after the crossing retirement.
+                if self.obs_on {
+                    self.obs_sample_epochs(c, now, false);
+                }
+                let st = &mut self.cores[c];
                 // Warm-up boundary: reset this core's metrics.
                 if st.warmup_cycle.is_none() && st.total_retired() >= st.warm_target {
                     st.warmup_cycle = Some(now);
@@ -453,7 +471,10 @@ impl System {
                     // reconcile with the measurement window.
                     self.hierarchy.obs.arm(c);
                     if let Some(t) = st.obs.as_mut() {
-                        t.begin(now, st.warm_target, self.hierarchy.dram_stats());
+                        t.begin(
+                            st.warm_target,
+                            snapshot(&self.hierarchy, c, now, st.warm_target),
+                        );
                     }
                 }
                 if st.core.is_done() {
@@ -480,8 +501,8 @@ impl System {
                     }
                 }
                 self.hierarchy.prof_exit();
-                // Observability: poll the squash counter and close any
-                // completed epoch. `obs_on == false` keeps this free.
+                // Observability: poll the squash counter. `obs_on ==
+                // false` keeps this free.
                 if self.obs_on {
                     let squashed = self.cores[c].core.squashed();
                     let t = self.cores[c].obs.as_mut().expect("obs_on implies trackers");
@@ -496,7 +517,6 @@ impl System {
                             kind: EventKind::Squash,
                         });
                     }
-                    self.obs_sample_epochs(c, now);
                 }
             }
             if all_done {
@@ -523,14 +543,15 @@ impl System {
                 );
             }
             let mut next_cycle = now + 1;
-            // Idle fast-forward. Gated on `!progressed` because warm-up
-            // and finish boundaries are recorded on the cycle *after*
-            // the crossing retirement — that cycle must be processed.
+            // Idle fast-forward. Gated on `!progressed` because warm-up,
+            // epoch and finish boundaries are recorded on the cycle
+            // *after* the crossing retirement — that cycle must be
+            // processed.
             // With no retirement this cycle, the boundary checks, the
             // replay check, and the watchdog are all no-ops until the
             // next wake, so skipping to it is exact. It stays on under
-            // observability: squashes and epoch crossings happen only on
-            // cycles a core ticks, and `PortStall` events only while a
+            // observability: squashes happen only on cycles a core
+            // ticks, and `PortStall` events only while a
             // non-parked waiter keeps `next_due == now + 1` — none of
             // those cycles is skipped (`tests/skip_equiv.rs` diffs the
             // captures).
@@ -566,52 +587,33 @@ impl System {
         }
     }
 
-    /// Emits one epoch sample for `c` when its retired-instruction count
-    /// crossed the next threshold: deltas of the per-level, prefetch,
-    /// commit, and DRAM counters since the previous sample. A single row
-    /// is emitted per crossing even when several thresholds were passed
-    /// in one cycle (rows then cover more than one nominal interval).
-    fn obs_sample_epochs(&mut self, c: usize, now: Cycle) {
-        if !self.obs_on || self.cores[c].warmup_cycle.is_none() {
+    /// Emits one epoch sample for `c` — the deltas of every counter in
+    /// its [`Snapshot`] since the previous sample — when its retired
+    /// count crossed the next threshold, and at its finish boundary
+    /// (`close`), which closes the open epoch: a core's rows partition
+    /// its measured window. A single row is emitted per crossing even
+    /// when several thresholds were passed in one cycle (rows then cover
+    /// more than one nominal interval).
+    fn obs_sample_epochs(&mut self, c: usize, now: Cycle, close: bool) {
+        let st = &mut self.cores[c];
+        let retired = st.total_retired();
+        let (Some(t), Some(_)) = (st.obs.as_mut(), st.warmup_cycle) else {
             return;
-        }
-        let retired = self.cores[c].total_retired();
-        let next_at = match self.cores[c].obs.as_ref() {
-            Some(t) => t.next_at,
-            None => return,
         };
-        if retired < next_at {
+        if !close && retired < t.next_at {
             return;
         }
-        let cur = self.hierarchy.metrics[c].clone();
-        let dram = self.hierarchy.dram_stats();
-        let gm_occupancy = self.hierarchy.gm_occupancy(c);
-        let t = self.cores[c].obs.as_mut().expect("checked above");
-        let dd = dram.delta(&t.prev_dram);
+        let cur = snapshot(&self.hierarchy, c, now, retired);
+        let (core, dram) = (cur.0.delta(&t.prev.0), cur.1.delta(&t.prev.1));
         let row = EpochRow {
             epoch: t.epoch_idx,
             core: c as u16,
             end_cycle: now,
-            instructions: retired - t.prev_instr,
-            cycles: now - t.prev_cycle,
-            l1d: level_delta(&cur.l1d, &t.prev.l1d),
-            l2: level_delta(&cur.l2, &t.prev.l2),
-            llc: level_delta(&cur.llc, &t.prev.llc),
-            dram_reads: dd.reads,
-            dram_writes: dd.writes,
-            gm_occupancy,
-            pf_issued: cur.prefetch.issued - t.prev.prefetch.issued,
-            pf_useful: cur.prefetch.useful - t.prev.prefetch.useful,
-            pf_late: cur.prefetch.late - t.prev.prefetch.late,
-            commit_writes: cur.commit.commit_writes - t.prev.commit.commit_writes,
-            refetches: cur.commit.refetches - t.prev.commit.refetches,
-            suf_drops: cur.commit.suf_dropped - t.prev.commit.suf_dropped,
+            gm_occupancy: self.hierarchy.gm_occupancy(c),
+            values: core.values().into_iter().chain(dram.values()).collect(),
         };
         t.epoch_idx += 1;
-        t.prev_instr = retired;
-        t.prev_cycle = now;
         t.prev = cur;
-        t.prev_dram = dram;
         while t.next_at <= retired {
             t.next_at += t.interval;
         }
@@ -660,29 +662,17 @@ impl System {
             }
             functional_instructions += self.run_functional(gap);
             self.run_window(s.warm, s.window);
-            // Capture this window's sample and fold its counters into
-            // the aggregate (measured windows only).
-            let mut wi = 0u64;
-            let mut wc = 0u64;
-            let mut wm = 0u64;
-            let mut wu = 0u64;
-            let mut wiss = 0u64;
+            // Capture this window's sample (its cores summed) and fold
+            // its counters into the aggregate (measured windows only).
+            let mut window = CoreMetrics::default();
             for (a, m) in agg.iter_mut().zip(&self.hierarchy.metrics) {
-                wi += m.instructions;
-                wc += m.cycles;
-                wm += m.l1d.demand_misses;
-                wu += m.prefetch.useful + m.prefetch.late;
-                wiss += m.prefetch.issued;
+                window.accumulate(m);
                 a.accumulate(m);
             }
-            measured_instructions += wi;
-            samples_ipc.push(wi as f64 / wc.max(1) as f64);
-            samples_mpki.push(wm as f64 * 1000.0 / wi.max(1) as f64);
-            samples_pfacc.push(if wiss == 0 {
-                0.0
-            } else {
-                wu as f64 / wiss as f64
-            });
+            measured_instructions += window.instructions;
+            samples_ipc.push(window.ipc());
+            samples_mpki.push(window.mpki(CacheLevel::L1d));
+            samples_pfacc.push(window.prefetch.accuracy());
             windows += 1;
             self.drain_to_functional();
             consumed += gap + s.warm + s.window;

@@ -180,26 +180,55 @@ fn latency_histograms_are_plausible() {
 #[test]
 fn epochs_cover_the_measurement_window() {
     let (report, cap) = traced();
+    let (ep, m) = (&cap.epochs, &report.cores[0]);
     let interval = ObsConfig::enabled().epoch_interval;
     assert!(
-        !cap.epochs.rows.is_empty(),
+        !ep.rows.is_empty(),
         "a {MEASURE}-instruction window must produce epochs at interval {interval}"
     );
-    assert!(cap.epochs.rows.len() as u64 <= MEASURE / interval + 1);
-    // Per-core epoch indices are consecutive from zero and instruction
-    // deltas sum to no more than the measured total.
-    let mut sum = 0;
-    for (i, row) in cap.epochs.rows.iter().enumerate() {
+    assert!(ep.rows.len() as u64 <= MEASURE / interval + 1);
+    // One column per counter: every core counter, then the DRAM channel's.
+    let report_values: Vec<u64> = m.values().into_iter().chain(report.dram.values()).collect();
+    assert_eq!(ep.columns.len(), report_values.len());
+    for name in [
+        "instructions",
+        "l1d_port_stalls",
+        "llc_mshr_full_stalls",
+        "dram_row_hits",
+    ] {
+        assert!(ep.columns.iter().any(|c| c == name), "no column {name}");
+    }
+    let col = |name: &str| ep.columns.iter().position(|c| c == name).unwrap();
+    let (instructions, cycles) = (col("instructions"), col("cycles"));
+    // Per-core epoch indices are consecutive from zero; every epoch but
+    // the last, which the finish boundary closes, spans an interval.
+    for (i, row) in ep.rows.iter().enumerate() {
         assert_eq!(row.epoch, i as u64);
         assert_eq!(row.core, 0);
-        assert!(row.instructions >= interval);
-        assert!(row.cycles > 0);
-        sum += row.instructions;
+        assert_eq!(row.values.len(), ep.columns.len());
+        assert!(row.values[cycles] > 0);
+        if i + 1 < ep.rows.len() {
+            assert!(row.values[instructions] >= interval);
+        }
     }
-    assert!(sum <= report.cores[0].instructions);
-    // The CSV export round-trips every row.
-    let csv = cap.epochs.to_csv();
-    assert_eq!(csv.lines().count(), cap.epochs.rows.len() + 1);
+    // The rows partition the measured window, so every core counter sums
+    // to its report value. Exempt: `class_*`, whose classifier spans
+    // warm-up, and the DRAM channel, whose report counters span warm-up
+    // too (DESIGN.md §5) — its rows sum to no more than the report.
+    for (i, name) in ep.columns.iter().enumerate() {
+        let sum: u64 = ep.rows.iter().map(|r| r.values[i]).sum();
+        if i >= m.values().len() {
+            assert!(sum <= report_values[i], "{name}: {sum} > report");
+        } else if !name.starts_with("class_") {
+            assert_eq!(sum, report_values[i], "column {name}");
+        }
+    }
+    // The CSV export carries every row and column.
+    let csv = ep.to_csv();
+    assert_eq!(csv.lines().count(), ep.rows.len() + 1);
+    assert!(csv
+        .lines()
+        .all(|l| l.split(',').count() == 4 + ep.columns.len()));
 }
 
 #[test]

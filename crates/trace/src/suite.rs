@@ -18,29 +18,9 @@ pub trait TraceGenerator: Send + Sync {
     /// Generates exactly `n` instructions.
     fn generate(&self, n: usize) -> Trace;
     /// Streams instructions into `sink` until it is full, without
-    /// materializing the trace. The default materializes and replays
-    /// (correct for any generator); the suite generators override it
-    /// with truly streaming emission.
-    fn generate_into(&self, sink: &mut dyn TraceSink) {
-        // Fallback: generate in chunks until the sink stops accepting.
-        // Only correct for prefix-stable generators, which all suite
-        // generators are (see crate::sink docs).
-        let mut want = 1 << 16;
-        while !sink.full() {
-            let t = self.generate(want);
-            let produced = t.instrs.len();
-            for &i in t.instrs.iter().skip(sink.len()) {
-                if sink.full() {
-                    return;
-                }
-                sink.push(i);
-            }
-            if produced < want {
-                return; // generator can't produce more than this
-            }
-            want *= 2;
-        }
-    }
+    /// materializing the trace — the same sequence [`Self::generate`]
+    /// produces (see crate::sink docs on prefix stability).
+    fn generate_into(&self, sink: &mut dyn TraceSink);
 }
 
 impl TraceGenerator for SpecKernel {

@@ -40,14 +40,18 @@ echo "== release-only tests (--ignored)"
 # (crates/bench/tests/cli.rs).
 cargo test --release -q -p secpref-check -p secpref-bench -- --ignored
 
-echo "== cross-core attack litmus (release) + many-core smoke"
+echo "== cross-core attack litmus (release) + examples"
 # The cross-core covert-channel suite (DESIGN.md §13) in release mode:
 # LLC prime+probe and DRAM row-buffer channels must decode the pinned
 # pattern exactly under the insecure baselines and transmit zero bits
-# under on-commit + SUF. Then the 8-core heterogeneous per-core-policy
-# example.
+# under on-commit + SUF. Then the examples that finish in about a second
+# or less: the 8-core heterogeneous per-core-policy mix, the quickstart
+# and the Spectre covert channel (prefetcher_shootout runs a sweep and
+# is left out).
 cargo test --release -q --test security -- llc_prime_probe dram_row_buffer
-./target/release/examples/multicore_mixes >/dev/null
+for example in multicore_mixes quickstart spectre_covert_channel; do
+    ./target/release/examples/"$example" >/dev/null
+done
 
 echo "== benchmark crate graph (cargo metadata --locked)"
 # benchmark/ is its own workspace and may change only in a benchmark PR.
