@@ -139,6 +139,12 @@ pub struct Hierarchy {
     /// in a contended level's list by the dozen, each ticked cycle: this
     /// turns the gate into one table read for all but the first of a kind.
     verdicts: Vec<u8>,
+    /// Every gate `admit` moved off `ASK` since the last walk began (a
+    /// gate reset by `on_response` may be listed twice): the only
+    /// entries of `verdicts` to reset and of `denials` to book, so a
+    /// walk's bookkeeping grows with the gates that acted in it, not
+    /// with `cores × Gate::KINDS`.
+    settled: Vec<Gate>,
     /// Port denials handed out from `verdicts`, by [`Gate::index`],
     /// booked when the walk ends.
     denials: Vec<u32>,
@@ -244,6 +250,7 @@ impl Hierarchy {
             events: EventWheel::new(),
             waits: WaitList::default(),
             verdicts: vec![ASK; cores * Gate::KINDS],
+            settled: Vec::new(),
             denials: vec![0; cores * Gate::KINDS],
             ticking: false,
             walks: 0,
@@ -501,7 +508,9 @@ impl Hierarchy {
     /// phase, where [`Hierarchy::dispatch`] would put each) instead of
     /// paying two clock reads per waiter passed over.
     fn walk_waiters(&mut self, now: Cycle) {
-        self.verdicts.fill(ASK);
+        for gate in self.settled.drain(..) {
+            self.verdicts[gate.index()] = ASK;
+        }
         let mut scope = None;
         while let Some(w) = self.waits.pop_cur() {
             if let Some(gate) = w.gate() {
@@ -531,10 +540,13 @@ impl Hierarchy {
         if scope.is_some() {
             self.prof.exit();
         }
-        for index in 0..self.denials.len() {
-            let n = std::mem::take(&mut self.denials[index]) as u64;
+        // Denials come only from settled gates; the booking is a sum, so
+        // order and repeats do not matter.
+        for i in 0..self.settled.len() {
+            let gate = self.settled[i];
+            let n = std::mem::take(&mut self.denials[gate.index()]) as u64;
             if n > 0 {
-                let (core, lvl) = (Gate::at(index).core(), Gate::at(index).lvl());
+                let (core, lvl) = (gate.core(), gate.lvl());
                 self.timing.at(core, lvl).ports.refuse(n);
                 self.level_metrics(core, lvl).port_stalls += n;
             }
@@ -660,7 +672,11 @@ impl Hierarchy {
             let line = self.reqs[rid as usize].line;
             self.obs_ev(now, core, EventKind::PortStall, line, lvl as u32);
         } else {
-            self.verdicts[gate.index()] = if parked { PARK } else { DENY };
+            let verdict = &mut self.verdicts[gate.index()];
+            if *verdict == ASK {
+                self.settled.push(gate);
+            }
+            *verdict = if parked { PARK } else { DENY };
         }
         self.blocked_reads += (carried.is_none() || traced) as u64;
         self.waits.push_blocked(Waiter::blocked(rid, gate), parked);
@@ -1478,20 +1494,23 @@ mod tests {
     use secpref_prefetch::NullPrefetcher;
 
     const NOW: Cycle = 7;
+    /// Cores in [`crowded`]: two pairs, so that gates of the second pair
+    /// sit at indices from `2 × Gate::KINDS` on.
+    const CORES: usize = 4;
 
     /// `walk_waiters` without its table — the gate applied entry by
     /// entry, nothing ever settled for the next waiter — kept as the
     /// reference the table is checked against.
-    fn walk_entry_by_entry(h: &mut Hierarchy) {
+    fn walk_entry_by_entry(h: &mut Hierarchy, now: Cycle) {
         while let Some(w) = h.waits.pop_cur() {
             h.verdicts.fill(ASK);
             match w.gate() {
                 Some(gate) => {
-                    if h.admit(NOW, w.rid, Some(gate)) {
-                        h.access_level(NOW, w.rid);
+                    if h.admit(now, w.rid, Some(gate)) {
+                        h.access_level(now, w.rid);
                     }
                 }
-                None => h.dispatch(NOW, w.rid, w.kind()),
+                None => h.dispatch(now, w.rid, w.kind()),
             }
         }
         assert!(
@@ -1500,37 +1519,58 @@ mod tests {
         );
     }
 
-    /// A two-core hierarchy one cycle before a crowded walk: core 0's
-    /// L1D and core 1's L2 MSHR files full and the DRAM read queue full;
-    /// in the list, in mixed order, waiters parked at those two levels,
-    /// port waiters of both priorities at four levels of both cores, the
-    /// response that frees one of core 0's L1D MSHRs half-way, and a
-    /// DRAM-parked read.
+    /// One ticked cycle's steps 2 and 3 of the order law, the list
+    /// walked by `walk`.
+    fn tick_with(h: &mut Hierarchy, now: Cycle, walk: fn(&mut Hierarchy, Cycle)) {
+        h.now = now;
+        h.waits.begin_cycle();
+        walk(h, now);
+        while let Some((rid, kind)) = h.waits.pop_same() {
+            h.dispatch(now, rid, kind);
+        }
+    }
+
+    /// A four-core hierarchy before a crowded walk, its cores two pairs
+    /// set up alike and the pairs' list entries interleaved: the first
+    /// core's L1D and the second's L2 MSHR files full and the DRAM read
+    /// queue full; in the list, in mixed order, waiters parked at those
+    /// two levels, port waiters of both priorities at every level of both
+    /// cores, the response that frees one of the first core's L1D MSHRs
+    /// half-way, and a DRAM-parked read.
     fn crowded(obs: bool) -> Hierarchy {
-        let mut cfg = SystemConfig::baseline(2);
+        let mut cfg = SystemConfig::baseline(CORES);
         cfg.dram.queue_depth = 2;
         let boxed = |_| Box::new(NullPrefetcher) as Box<dyn Prefetcher>;
         let mut h = Hierarchy::new(
             cfg,
-            (0..2).map(boxed).collect(),
-            (0..2).map(|_| Box::new(AlwaysUpdate) as _).collect(),
-            vec![None, None],
+            (0..CORES).map(boxed).collect(),
+            (0..CORES).map(|_| Box::new(AlwaysUpdate) as _).collect(),
+            (0..CORES).map(|_| None).collect(),
         );
         if obs {
-            h.obs = Obs::new(&ObsConfig::enabled(), 2);
-            h.obs.arm(0);
-            h.obs.arm(1);
+            h.obs = Obs::new(&ObsConfig::enabled(), CORES);
+            for core in 0..CORES {
+                h.obs.arm(core);
+            }
         }
         let mut line = 0x4_0000u64;
         let mut fresh = || {
             line += 97;
             LineAddr::new(line)
         };
-        let mut tokens = Vec::new();
-        for (level, ts) in [(&mut h.timing.l1d[0], 1), (&mut h.timing.l2[1], 2)] {
-            while !level.mshr.is_full() {
-                tokens.push(level.mshr.alloc(fresh(), false, 0, ts).expect("room"));
+        // By pair: the L1D MSHR its response frees.
+        let mut freed = Vec::new();
+        for first in [0, 2] {
+            let mut tokens = Vec::new();
+            for (level, ts) in [
+                (&mut h.timing.l1d[first], 1),
+                (&mut h.timing.l2[first + 1], 2),
+            ] {
+                while !level.mshr.is_full() {
+                    tokens.push(level.mshr.alloc(fresh(), false, 0, ts).expect("room"));
+                }
             }
+            freed.push(tokens[3]);
         }
         for token in 0..2 {
             let read = DramRequest {
@@ -1541,7 +1581,7 @@ mod tests {
             };
             h.dram.enqueue(read).expect("room");
         }
-        // (core, level, kind, parked on the MSHR file)
+        // (core within the pair, level, kind, parked on the MSHR file)
         let demand = ReqKind::Load;
         let pf = ReqKind::Prefetch;
         let response = ReqKind::Store; // stands for the response below
@@ -1575,39 +1615,43 @@ mod tests {
             (0, 2, demand, false),
             (1, 2, pf, false),
             (0, 0, demand, false),
+            (1, 2, pf, false), // the walk's last settled gate, again
         ];
         for (core, lvl, kind, parked) in list {
-            let mut req = Hierarchy::blank_req(core, fresh(), Ip::new(0x40), kind, 0);
-            req.cur_level = lvl;
-            if kind == response {
-                req.kind = ReqKind::Load;
-                req.wrong_path = true;
-                req.cur_level = 1;
-                req.hit_level = HitLevel::L2;
-                req.path[0] = Some(tokens[3]);
+            for first in [0, 2] {
+                let mut req = Hierarchy::blank_req(first + core, fresh(), Ip::new(0x40), kind, 0);
+                req.cur_level = lvl;
+                if kind == response {
+                    req.kind = ReqKind::Load;
+                    req.wrong_path = true;
+                    req.cur_level = 1;
+                    req.hit_level = HitLevel::L2;
+                    req.path[0] = Some(freed[first / 2]);
+                    let rid = h.alloc_req(req);
+                    h.waits.push_next(Waiter::event(rid, EV_RESPONSE));
+                    continue;
+                }
+                let gate = Hierarchy::gate_of(&req, parked);
                 let rid = h.alloc_req(req);
-                h.waits.push_next(Waiter::event(rid, EV_RESPONSE));
-                continue;
-            }
-            let gate = Hierarchy::gate_of(&req, parked);
-            let rid = h.alloc_req(req);
-            match (lvl, parked) {
-                (3, _) => h.waits.park(Waiter::event(rid, EV_ACCESS)),
-                (_, true) => h.waits.park(Waiter::blocked(rid, gate)),
-                (_, false) => h.waits.push_next(Waiter::blocked(rid, gate)),
+                match (lvl, parked) {
+                    (3, _) => h.waits.park(Waiter::event(rid, EV_ACCESS)),
+                    (_, true) => h.waits.park(Waiter::blocked(rid, gate)),
+                    (_, false) => h.waits.push_next(Waiter::blocked(rid, gate)),
+                }
             }
         }
-        h.now = NOW;
         h.ticking = true;
-        h.waits.begin_cycle();
         h
     }
 
     /// Everything a walk may leave behind.
     fn aftermath(h: &mut Hierarchy) -> String {
-        let rejected: Vec<u64> = [&h.timing.l1d[0], &h.timing.l1d[1]]
-            .into_iter()
-            .chain([&h.timing.l2[0], &h.timing.l2[1], &h.timing.llc])
+        let rejected: Vec<u64> = h
+            .timing
+            .l1d
+            .iter()
+            .chain(&h.timing.l2)
+            .chain([&h.timing.llc])
             .map(|level| level.ports.total_rejected())
             .collect();
         let events = h.take_capture().map(|cap| cap.events);
@@ -1625,9 +1669,11 @@ mod tests {
     fn table_walk_equals_the_gate_applied_entry_by_entry() {
         for obs in [false, true] {
             let (mut fast, mut slow) = (crowded(obs), crowded(obs));
-            fast.walk_waiters(NOW);
-            walk_entry_by_entry(&mut slow);
-            // Anti-vacuity: the scene is what `crowded` says it is.
+            tick_with(&mut fast, NOW, Hierarchy::walk_waiters);
+            tick_with(&mut slow, NOW, walk_entry_by_entry);
+            // Anti-vacuity: the scene is what `crowded` says it is, in
+            // both pairs (each has its own L1Ds and L2s; the eight LLC
+            // ports deny the last six of fourteen LLC waiters).
             let m = &fast.metrics;
             let denials = |c: usize| {
                 [
@@ -1636,14 +1682,26 @@ mod tests {
                     m[c].llc.port_stalls,
                 ]
             };
-            assert_eq!((denials(0), denials(1)), ([5, 0, 1], [1, 2, 1]));
-            assert_eq!(
-                (m[0].l1d.mshr_full_stalls, m[1].l2.mshr_full_stalls),
-                (1, 2)
-            );
-            // One record read for the DRAM refusal; under obs one more
-            // per denial, for the event's line.
-            assert_eq!(fast.driver_counts().blocked_req_reads, 1 + 10 * obs as u64);
+            for first in [0, 2] {
+                let pair = (denials(first), denials(first + 1));
+                assert_eq!(pair, ([5, 0, 1], [1, 2, 2]), "pair of core {first}");
+                let parks = (
+                    m[first].l1d.mshr_full_stalls,
+                    m[first + 1].l2.mshr_full_stalls,
+                );
+                assert_eq!(parks, (1, 2), "pair of core {first}");
+            }
+            // Without obs, denials at the first core's L1D and the
+            // second's LLC come from the table, at gates of both pairs.
+            let far = fast.settled.iter().any(|g| g.index() >= 2 * Gate::KINDS);
+            assert!(obs || far, "the second pair's gates were settled");
+            // One record read per DRAM refusal; under obs one more per
+            // denial, for the event's line.
+            assert_eq!(fast.driver_counts().blocked_req_reads, 2 + 22 * obs as u64);
+            // A second cycle, walked from what the first left behind:
+            // a verdict not reset would still deny.
+            tick_with(&mut fast, NOW + 1, Hierarchy::walk_waiters);
+            tick_with(&mut slow, NOW + 1, walk_entry_by_entry);
             assert_eq!(aftermath(&mut fast), aftermath(&mut slow), "obs {obs}");
         }
     }

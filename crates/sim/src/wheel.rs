@@ -234,9 +234,6 @@ impl Gate {
     pub fn new(core: usize, lvl: u8, prefetch: bool, for_mshr: bool) -> Self {
         Gate(((core as u32 * 4 + lvl as u32) * 2 + prefetch as u32) * 2 + for_mshr as u32)
     }
-    pub fn at(index: usize) -> Self {
-        Gate(index as u32)
-    }
     pub fn index(self) -> usize {
         self.0 as usize
     }
