@@ -122,6 +122,75 @@ fn sectrace_capture_verify_replay_agrees_with_memory() {
     assert!(stdout(&out).contains("IDENTICAL"), "{}", stdout(&out));
 }
 
+/// Chunk sizes a user can type but no store may have are refused with
+/// exit code 2, not an allocation abort or a panic.
+#[test]
+fn sectrace_capture_refuses_chunk_sizes_outside_the_cap() {
+    let s = Scratch::new("chunk");
+    let sct = s.0.join("t.sct");
+    let sct = sct.to_str().expect("utf-8 temp path");
+    for chunk in ["0", "4294967295"] {
+        let out = sectrace(&[
+            "capture",
+            "--trace",
+            "mcf_like_a",
+            "--n",
+            "1000",
+            "--out",
+            sct,
+            "--chunk",
+            chunk,
+        ]);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--chunk {chunk}: {}",
+            stderr(&out)
+        );
+        assert!(stderr(&out).contains("chunk size"), "{}", stderr(&out));
+    }
+}
+
+/// A store whose footer claims a dependency distance no load can have
+/// (it would size the replay's lookback and completion ring) is refused
+/// at open, by `verify` and `replay` alike, with exit code 2.
+#[test]
+fn sectrace_refuses_a_crafted_footer_max_dep_dist() {
+    use secpref_tracestore::fnv::{fnv1a64, FNV_OFFSET};
+    let s = Scratch::new("maxdep");
+    let sct = s.0.join("t.sct");
+    let sct = sct.to_str().expect("utf-8 temp path");
+    let out = sectrace(&[
+        "capture",
+        "--trace",
+        "mcf_like_a",
+        "--n",
+        "1000",
+        "--out",
+        sct,
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let intact = std::fs::read(sct).expect("store");
+    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let trailer = intact.len() - 24;
+    let footer = u64_at(&intact, trailer) as usize;
+    let footer_end = footer + u64_at(&intact, trailer + 8) as usize - 8;
+    // Footer: n_chunks, 28 bytes per chunk, n_instr, then max_dep_dist.
+    let at = footer + 8 + 28 * u64_at(&intact, footer) as usize + 8;
+    for max_dep in [1u64 << 40, u64::MAX] {
+        let mut crafted = intact.clone();
+        crafted[at..at + 8].copy_from_slice(&max_dep.to_le_bytes());
+        let ck = fnv1a64(&crafted[footer..footer_end], FNV_OFFSET);
+        crafted[footer_end..footer_end + 8].copy_from_slice(&ck.to_le_bytes());
+        std::fs::write(sct, &crafted).expect("write crafted store");
+        for args in [&["verify", sct][..], &["replay", sct, "--measure", "500"]] {
+            let out = sectrace(args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+            assert!(stderr(&out).contains("exceeds u16"), "{}", stderr(&out));
+        }
+    }
+}
+
 #[test]
 #[ignore = "release-only: profiles the 39-cell matrix"]
 fn profile_prints_table_and_writes_valid_trace() {

@@ -14,7 +14,7 @@
 
 use crate::gen::graph::CsrGraph;
 use crate::instr::{Instr, Trace};
-use crate::sink::{TraceSink, VecSink};
+use crate::sink::TraceSink;
 use secpref_types::rng::Xoshiro256ss;
 
 const OFFSETS_BASE: u64 = 0x10_0000_0000;
@@ -55,15 +55,15 @@ impl GapKernel {
 }
 
 /// Trace emitter that walks a graph kernel and records its memory stream
-/// into a [`TraceSink`] (a `Vec`, a chunked on-disk writer, …).
-struct Emitter<'a> {
-    sink: &'a mut dyn TraceSink,
+/// into a [`TraceSink`] (a trace being built, a chunked on-disk writer, …).
+struct Emitter<'a, S: TraceSink + ?Sized> {
+    sink: &'a mut S,
     ip_base: u64,
     queue_pos: u64,
 }
 
-impl Emitter<'_> {
-    fn new(sink: &mut dyn TraceSink, ip_base: u64) -> Emitter<'_> {
+impl<'a, S: TraceSink + ?Sized> Emitter<'a, S> {
+    fn new(sink: &'a mut S, ip_base: u64) -> Self {
         Emitter {
             sink,
             ip_base,
@@ -146,18 +146,19 @@ impl Emitter<'_> {
 
 /// Generates a GAP kernel trace of exactly `n` instructions.
 pub fn generate(kernel: GapKernel, graph: &CsrGraph, seed: u64, n: usize) -> Trace {
-    let mut sink = VecSink::new(n);
-    generate_into(kernel, graph, seed, &mut sink);
-    Trace::new(
-        format!("{}_{}", kernel.name(), graph.vertex_count()),
-        sink.instrs,
-    )
+    let name = format!("{}_{}", kernel.name(), graph.vertex_count());
+    Trace::build(name, n, |sink| generate_into(kernel, graph, seed, sink))
 }
 
 /// Streams a GAP kernel trace into `sink` until it is full, without
 /// materializing the instruction vector. Emission is prefix-stable: the
 /// first `k` instructions are identical whatever the sink capacity.
-pub fn generate_into(kernel: GapKernel, graph: &CsrGraph, seed: u64, sink: &mut dyn TraceSink) {
+pub fn generate_into<S: TraceSink + ?Sized>(
+    kernel: GapKernel,
+    graph: &CsrGraph,
+    seed: u64,
+    sink: &mut S,
+) {
     let mut e = Emitter::new(sink, 0x70_0000 + (kernel as u64) * 0x10_000);
     let mut rng = Xoshiro256ss::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
     while !e.full() {
@@ -172,7 +173,7 @@ pub fn generate_into(kernel: GapKernel, graph: &CsrGraph, seed: u64, sink: &mut 
     }
 }
 
-fn run_bfs(e: &mut Emitter<'_>, g: &CsrGraph, rng: &mut Xoshiro256ss) {
+fn run_bfs<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph, rng: &mut Xoshiro256ss) {
     let v_count = g.vertex_count();
     let mut visited = vec![false; v_count];
     let source = rng.gen_u32(v_count as u32);
@@ -209,7 +210,7 @@ fn run_bfs(e: &mut Emitter<'_>, g: &CsrGraph, rng: &mut Xoshiro256ss) {
     }
 }
 
-fn run_pr(e: &mut Emitter<'_>, g: &CsrGraph) {
+fn run_pr<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph) {
     for v in 0..g.vertex_count() as u32 {
         if e.full() {
             return;
@@ -231,7 +232,7 @@ fn run_pr(e: &mut Emitter<'_>, g: &CsrGraph) {
     }
 }
 
-fn run_cc(e: &mut Emitter<'_>, g: &CsrGraph) {
+fn run_cc<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph) {
     for v in 0..g.vertex_count() as u32 {
         if e.full() {
             return;
@@ -255,7 +256,7 @@ fn run_cc(e: &mut Emitter<'_>, g: &CsrGraph) {
     }
 }
 
-fn run_sssp(e: &mut Emitter<'_>, g: &CsrGraph, rng: &mut Xoshiro256ss) {
+fn run_sssp<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph, rng: &mut Xoshiro256ss) {
     // Bellman-Ford over a frontier with re-relaxations: like BFS but
     // vertices can re-enter the frontier, matching sssp's larger traffic.
     let v_count = g.vertex_count();
@@ -298,7 +299,7 @@ fn run_sssp(e: &mut Emitter<'_>, g: &CsrGraph, rng: &mut Xoshiro256ss) {
     }
 }
 
-fn run_bc(e: &mut Emitter<'_>, g: &CsrGraph, rng: &mut Xoshiro256ss) {
+fn run_bc<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph, rng: &mut Xoshiro256ss) {
     // Forward BFS accumulating path counts, then a backward sweep over the
     // visit order accumulating dependencies.
     let v_count = g.vertex_count();
@@ -353,7 +354,7 @@ fn run_bc(e: &mut Emitter<'_>, g: &CsrGraph, rng: &mut Xoshiro256ss) {
     }
 }
 
-fn run_tc(e: &mut Emitter<'_>, g: &CsrGraph) {
+fn run_tc<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph) {
     for v in 0..g.vertex_count() as u32 {
         if e.full() {
             return;
@@ -399,6 +400,7 @@ fn run_tc(e: &mut Emitter<'_>, g: &CsrGraph) {
 mod tests {
     use super::*;
     use crate::instr::InstrKind;
+    use crate::sink::VecSink;
 
     fn graph() -> CsrGraph {
         CsrGraph::power_law(2000, 8, 42)
@@ -418,6 +420,27 @@ mod tests {
             let t = generate(k, &g, 1, 5000);
             assert_eq!(t.instrs.len(), 5000, "{}", k.name());
             assert!(t.load_count() > 1000, "{} is memory-bound", k.name());
+        }
+    }
+
+    #[test]
+    fn in_place_generation_equals_a_vec_sink() {
+        let g = graph();
+        for k in [
+            GapKernel::Bfs,
+            GapKernel::Pr,
+            GapKernel::Cc,
+            GapKernel::Sssp,
+            GapKernel::Bc,
+            GapKernel::Tc,
+        ] {
+            for n in [0, 1, 700, 4097] {
+                let t = generate(k, &g, 1, n);
+                let mut sink = VecSink::new(n);
+                generate_into(k, &g, 1, &mut sink);
+                assert_eq!(t.name, format!("{}_2000", k.name()));
+                assert_eq!(t.instrs[..], sink.instrs[..], "{} at n = {n}", k.name());
+            }
         }
     }
 

@@ -16,7 +16,7 @@
 //! * [`Component::StoreStream`] — streaming stores (lbm).
 
 use crate::instr::{Instr, Trace};
-use crate::sink::{TraceSink, VecSink};
+use crate::sink::TraceSink;
 use secpref_types::rng::Xoshiro256ss;
 use secpref_types::LINE_SIZE;
 
@@ -190,9 +190,7 @@ impl SpecKernel {
     ///
     /// Panics if the kernel has no components or all weights are zero.
     pub fn generate(&self, n: usize) -> Trace {
-        let mut sink = VecSink::new(n);
-        self.generate_into(&mut sink);
-        Trace::new(self.name.clone(), sink.instrs)
+        Trace::build(self.name.clone(), n, |sink| self.generate_into(sink))
     }
 
     /// Streams this kernel into `sink` until the sink is full, without
@@ -202,7 +200,7 @@ impl SpecKernel {
     /// # Panics
     ///
     /// Panics if the kernel has no components or all weights are zero.
-    pub fn generate_into(&self, sink: &mut dyn TraceSink) {
+    pub fn generate_into<S: TraceSink + ?Sized>(&self, sink: &mut S) {
         assert!(!self.components.is_empty(), "kernel needs components");
         let total_weight: u32 = self.components.iter().map(|(_, w)| *w).sum();
         assert!(total_weight > 0, "kernel needs nonzero weights");

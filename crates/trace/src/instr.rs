@@ -1,7 +1,9 @@
 //! The instruction/trace format consumed by the out-of-order core.
 
+use crate::sink::{SliceSink, TraceSink};
 use secpref_types::{Addr, Ip};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One traced instruction.
 ///
@@ -108,7 +110,7 @@ pub struct Trace {
     /// Human-readable trace name (e.g. `mcf_like_a`).
     pub name: String,
     /// The committed instruction stream (shared, immutable once built).
-    pub instrs: std::sync::Arc<[Instr]>,
+    pub instrs: Arc<[Instr]>,
     /// Wrong-path loads: if the branch at index `i` *mispredicts* during
     /// simulation, the core transiently executes loads of these addresses
     /// and squashes them at branch resolve. Used by the Spectre security
@@ -118,11 +120,36 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Creates a named trace from an instruction vector.
+    /// Creates a named trace from an instruction vector (one copy into
+    /// the shared buffer; generators use [`Trace::build`] instead).
     pub fn new(name: impl Into<String>, instrs: Vec<Instr>) -> Self {
         Trace {
             name: name.into(),
             instrs: instrs.into(),
+            wrong_path: BTreeMap::new(),
+        }
+    }
+
+    /// Builds a named trace of exactly `n` instructions in place: the
+    /// shared buffer is allocated once and `fill` writes every
+    /// instruction straight into it through a [`SliceSink`], which drops
+    /// pushes past `n`. No `Vec` is built and nothing is copied, so
+    /// generating a trace peaks at one copy of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fill` returns before the sink is full.
+    pub fn build(name: impl Into<String>, n: usize, fill: impl FnOnce(&mut SliceSink<'_>)) -> Self {
+        // A `TrustedLen` iterator: std writes it straight into the
+        // `Arc`'s own allocation.
+        let mut instrs: Arc<[Instr]> = (0..n).map(|_| Instr::alu(0)).collect();
+        let slots = Arc::get_mut(&mut instrs).expect("a just-collected Arc is unique");
+        let mut sink = SliceSink { slots, len: 0 };
+        fill(&mut sink);
+        assert!(sink.full(), "fill wrote {} of {n} instructions", sink.len());
+        Trace {
+            name: name.into(),
+            instrs,
             wrong_path: BTreeMap::new(),
         }
     }
@@ -214,6 +241,27 @@ mod tests {
         );
         assert_eq!(t.load_count(), 2);
         assert_eq!(t.branch_count(), 1);
+    }
+
+    #[test]
+    fn build_writes_into_the_buffer_the_trace_holds() {
+        let mut written = std::ptr::null();
+        let t = Trace::build("t", 3, |sink| {
+            written = sink.slots.as_ptr();
+            for ip in 1..=5 {
+                sink.push(Instr::alu(ip));
+            }
+        });
+        assert_eq!(t.name, "t");
+        assert_eq!(t.instrs[..], [Instr::alu(1), Instr::alu(2), Instr::alu(3)]);
+        assert_eq!(t.instrs.as_ptr(), written, "the trace holds a copy");
+        assert!(Trace::build("e", 0, |_| {}).instrs.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "fill wrote 1 of 2 instructions")]
+    fn build_rejects_a_short_fill() {
+        Trace::build("t", 2, |sink| sink.push(Instr::alu(1)));
     }
 
     #[test]

@@ -33,5 +33,5 @@ pub mod sink;
 pub mod suite;
 
 pub use instr::{Instr, InstrKind, Trace};
-pub use sink::{TraceSink, VecSink};
+pub use sink::{SliceSink, TraceSink};
 pub use suite::TraceGenerator;

@@ -71,9 +71,9 @@ impl TraceGenerator for GapGenerator {
     fn generate(&self, n: usize) -> Trace {
         // Graphs are cached: several kernels share the same topology.
         let graph = cached_graph(self.vertices, self.avg_degree, self.seed);
-        let mut t = gap::generate(self.kernel, &graph, self.seed, n);
-        t.name = self.name.clone();
-        t
+        Trace::build(self.name.clone(), n, |sink| {
+            gap::generate_into(self.kernel, &graph, self.seed, sink)
+        })
     }
     fn generate_into(&self, sink: &mut dyn TraceSink) {
         let graph = cached_graph(self.vertices, self.avg_degree, self.seed);
@@ -316,21 +316,23 @@ mod tests {
     #[test]
     fn generate_into_matches_generate_for_all_generators() {
         // Prefix-stability: streaming emission into a sink must produce
-        // the exact instruction sequence the materializing path produces.
+        // the exact instruction sequence the in-place path writes.
         for g in all_traces() {
             if g.name().contains("large") {
                 continue; // skip slow big-graph builds in unit tests
             }
-            let n = 700;
-            let t = g.generate(n);
-            let mut sink = VecSink::new(n);
-            g.generate_into(&mut sink);
-            assert_eq!(
-                t.instrs[..],
-                sink.instrs[..],
-                "streamed != materialized for {}",
-                g.name()
-            );
+            for n in [0, 1, 700, 4097] {
+                let t = g.generate(n);
+                let mut sink = VecSink::new(n);
+                g.generate_into(&mut sink);
+                assert_eq!(t.name, g.name());
+                assert_eq!(
+                    t.instrs[..],
+                    sink.instrs[..],
+                    "streamed != in place for {} at n = {n}",
+                    g.name()
+                );
+            }
         }
     }
 }

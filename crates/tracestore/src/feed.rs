@@ -102,9 +102,14 @@ pub struct StreamFeed {
     hi: usize,
     /// Record indexes `>= hi - lookback` are kept decodable.
     lookback: usize,
-    /// Instructions per chunk (copied out of the store metadata so the
-    /// per-instruction fast path never touches the reader).
+    /// Instructions per chunk (copied out of the store metadata).
     chunk_size: usize,
+    /// The chunk the last `get` read: its position in `window`, its
+    /// first record index and its length. The per-instruction fast path
+    /// is a subtract and a compare against these, with no division.
+    cur_pos: usize,
+    cur_start: usize,
+    cur_len: usize,
     /// Decoded chunks evicted from the window, kept for replays. LRU by
     /// insertion order, capped at `cache_cap` instructions; `0` disables.
     cache: HashMap<usize, Vec<Instr>>,
@@ -143,6 +148,9 @@ impl StreamFeed {
             hi: 0,
             lookback,
             chunk_size,
+            cur_pos: 0,
+            cur_start: 0,
+            cur_len: 0,
             cache: HashMap::new(),
             cache_lru: VecDeque::new(),
             cache_resident: 0,
@@ -230,26 +238,41 @@ impl StreamFeed {
     /// a bug, not an input condition).
     #[inline]
     pub fn get(&mut self, idx: usize) -> Instr {
-        let chunk = idx / self.chunk_size;
-        // Fast path: the chunk is already resident in the window. Window
-        // maintenance (decode-ahead, eviction) happens only on the slow
-        // path, which runs at most once per chunk of forward progress —
-        // between slow-path calls `hi` advances by less than one chunk,
-        // so the residency bound is unchanged.
-        if chunk >= self.win_first_chunk && chunk - self.win_first_chunk < self.window.len() {
+        // Fast path: `idx` is in the chunk the last call read. Any other
+        // chunk takes the slow path, and window maintenance (decode-ahead,
+        // eviction) happens there only for a chunk not yet resident — at
+        // most once per chunk of forward progress: between such calls
+        // `hi` advances by less than one chunk, so the residency bound is
+        // unchanged.
+        let off = idx.wrapping_sub(self.cur_start);
+        if off < self.cur_len {
             if idx > self.hi {
                 self.hi = idx;
             }
-            return self.window[chunk - self.win_first_chunk][idx % self.chunk_size];
+            return self.window[self.cur_pos][off];
         }
-        self.get_slow(idx, chunk)
+        self.get_slow(idx)
     }
 
     #[cold]
-    fn get_slow(&mut self, idx: usize, chunk: usize) -> Instr {
+    fn get_slow(&mut self, idx: usize) -> Instr {
         if idx > self.hi {
             self.hi = idx;
         }
+        let chunk = idx / self.chunk_size;
+        if chunk < self.win_first_chunk || chunk - self.win_first_chunk >= self.window.len() {
+            self.bring_in(idx, chunk);
+        }
+        self.cur_pos = chunk - self.win_first_chunk;
+        self.cur_start = chunk * self.chunk_size;
+        self.cur_len = self.window[self.cur_pos].len();
+        self.window[self.cur_pos][idx - self.cur_start]
+    }
+
+    /// Makes non-resident `chunk` (holding record `idx`) part of the
+    /// window: evicts behind the lookback, then serves forward chunks
+    /// from the replay cache or the decoder.
+    fn bring_in(&mut self, idx: usize, chunk: usize) {
         let chunk_size = self.chunk_size;
         assert!(
             chunk >= self.win_first_chunk || self.window.is_empty(),
@@ -299,8 +322,6 @@ impl StreamFeed {
         self.stats
             .peak_resident
             .fetch_max(self.resident, Ordering::Relaxed);
-        let rec = &self.window[chunk - self.win_first_chunk];
-        rec[idx % chunk_size]
     }
 
     /// Removes chunk `idx` from the replay cache, if cached.
@@ -356,6 +377,7 @@ impl StreamFeed {
             self.cache_put(first + i, chunk);
         }
         self.win_first_chunk = 0;
+        self.cur_len = 0;
         self.resident = 0;
         self.hi = 0;
     }
@@ -574,6 +596,52 @@ mod tests {
         // The replay pass walks front-to-back while the cache held only
         // the tail, so most chunks re-decode; the results still match.
         assert!(stats.decodes() >= 8, "front chunks had to re-decode");
+    }
+
+    /// Every record read through a stream over `chunk`-record chunks
+    /// equals the in-memory read, forward, on backward peeks anywhere
+    /// inside the lookback, and across rewinds (one mid-pass), with the
+    /// replay cache off and on.
+    #[test]
+    fn stream_equals_mem_at_any_chunk_size() {
+        let n = 2 * 4097 + 300;
+        let instrs: Vec<Instr> = (0..n as u64)
+            .map(|i| match i % 4 {
+                0 => Instr::alu(0x1000 + i),
+                1 => Instr::load_dep(0x2000 + i % 13, 0x10_0000 + i * 24, (i % 50) as u16),
+                2 => Instr::store(0x3000, 0x20_0000 + i * 8),
+                _ => Instr::branch(0x4000 + i % 5, i % 3 == 0),
+            })
+            .collect();
+        let lookback = 200;
+        for chunk in [1, 3, 4096, 4097] {
+            for cache in [0, DEFAULT_CHUNK_CACHE_INSTRS] {
+                let mut w = TraceWriter::create(Vec::new(), "feed", chunk).unwrap();
+                for i in &instrs {
+                    w.push(i).unwrap();
+                }
+                let (_, bytes) = w.finish().unwrap();
+                let reader =
+                    TraceReader::open(Box::new(Cursor::new(bytes)) as Box<dyn ReadSeek>).unwrap();
+                let feed = StreamFeed::new(reader, lookback).with_chunk_cache(cache);
+                let mut stream = TraceFeed::Stream(Box::new(feed));
+                let mut mem = TraceFeed::Mem(Arc::new(Trace::new("feed", instrs.clone())));
+                for end in [n / 2, n, n] {
+                    let mut i = 0;
+                    while i < end {
+                        assert_eq!(stream.get(i), mem.get(i), "chunk {chunk}: record {i}");
+                        for back in [1, 2, 3, 61, lookback - 1, lookback] {
+                            if let Some(j) = i.checked_sub(back) {
+                                assert_eq!(stream.get(j), mem.get(j), "chunk {chunk}: peek {j}");
+                            }
+                        }
+                        i += if i % 5 == 0 { 3 } else { 1 };
+                    }
+                    stream.rewind();
+                    mem.rewind();
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! chunked trace").
 //!
 //! ```text
-//! header   16 B   magic "SPTRCHK\0", version u32 (1), chunk_size u32
+//! header   16 B   magic "SPTRCHK\0", version u32 (1), chunk_size u32 (≤ 2^20)
 //! chunks   …      back-to-back compressed chunks (codec block each)
 //! footer   …      chunk index + metadata (layout below), FNV checksum
 //! trailer  24 B   footer offset u64, footer len u64, magic "SPTRIDX\0"
@@ -18,8 +18,9 @@
 //! ```text
 //! n_chunks u64
 //! per chunk: offset u64 (absolute), n_records u32, raw_len u32,
-//!            comp_len u32, checksum u64 (FNV-1a of raw chunk bytes)
-//! n_instr u64, max_dep_dist u64, content_digest u64
+//!            comp_len u32, checksum u64 (FNV-1a of raw chunk bytes);
+//!            raw_len ≤ n_records × the longest record encoding (24 B)
+//! n_instr u64, max_dep_dist u64 (≤ u16::MAX), content_digest u64
 //! name u32 len + UTF-8
 //! wrong-path: u64 count, then (idx u64, count u32, count × addr u64)
 //! footer checksum u64 (FNV-1a of all preceding footer bytes)
@@ -54,6 +55,16 @@ const TRAILER_LEN: u64 = 24;
 
 /// Default records per chunk (64k instructions ≈ 1–1.5 MB decoded).
 pub const DEFAULT_CHUNK_SIZE: u32 = 64 * 1024;
+
+/// Largest records per chunk a store may declare (2^20: a decoded chunk
+/// stays within 24 MiB). [`TraceWriter::create`] refuses a larger chunk
+/// size and [`TraceReader::open`] a store that declares one, so no size
+/// read from a file can ask for an unbounded allocation.
+pub const MAX_CHUNK_SIZE: u32 = 1 << 20;
+
+/// Longest encoding of one record: head byte, IP and address deltas of
+/// up to ten varint bytes each, and a `u16` dependency distance (three).
+const MAX_RECORD_LEN: u64 = 1 + 2 * varint::MAX_VARINT_LEN as u64 + 3;
 
 const TAG_ALU: u8 = 0;
 const TAG_LOAD: u8 = 1;
@@ -157,13 +168,15 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// Propagates writer errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size` is zero.
+    /// Returns `InvalidInput` for a `chunk_size` of zero or above
+    /// [`MAX_CHUNK_SIZE`]; propagates writer errors.
     pub fn create(mut w: W, name: &str, chunk_size: u32) -> io::Result<Self> {
-        assert!(chunk_size > 0, "chunk_size must be positive");
+        if chunk_size == 0 || chunk_size > MAX_CHUNK_SIZE {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("chunk size {chunk_size} is outside 1..={MAX_CHUNK_SIZE} records"),
+            ));
+        }
         w.write_all(MAGIC)?;
         w.write_all(&VERSION.to_le_bytes())?;
         w.write_all(&chunk_size.to_le_bytes())?;
@@ -411,8 +424,10 @@ impl<R: Read + Seek> TraceReader<R> {
             return Err(bad(format!("unsupported chunk store version {version}")));
         }
         let chunk_size = u32::from_le_bytes(header[12..16].try_into().expect("4"));
-        if chunk_size == 0 {
-            return Err(bad("zero chunk size"));
+        if chunk_size == 0 || chunk_size > MAX_CHUNK_SIZE {
+            return Err(bad(format!(
+                "chunk size {chunk_size} is outside 1..={MAX_CHUNK_SIZE} records"
+            )));
         }
         // Footer.
         r.seek(SeekFrom::Start(footer_off))?;
@@ -452,12 +467,13 @@ impl<R: Read + Seek> TraceReader<R> {
         if fnv1a64(&raw, FNV_OFFSET) != info.checksum {
             return Err(bad(format!("chunk {idx}: checksum mismatch")));
         }
-        decode_chunk(&raw, info.n_records as usize).map_err(|e| bad(format!("chunk {idx}: {e}")))
+        decode_chunk(&raw, info.n_records as usize, self.meta.max_dep_dist)
+            .map_err(|e| bad(format!("chunk {idx}: {e}")))
     }
 
     /// Fully verifies the store: every chunk decodes and checksums, the
-    /// record count matches, and the recomputed content digest equals
-    /// the footer's.
+    /// record count matches, and the recomputed content digest and
+    /// largest dependency distance equal the footer's.
     ///
     /// # Errors
     ///
@@ -465,12 +481,22 @@ impl<R: Read + Seek> TraceReader<R> {
     pub fn verify(&mut self) -> io::Result<()> {
         let mut digest = FNV_OFFSET;
         let mut count = 0u64;
+        let mut max_dep = 0u64;
         for idx in 0..self.meta.chunks.len() {
             let instrs = self.read_chunk(idx)?;
             count += instrs.len() as u64;
             for i in &instrs {
                 digest = digest_record(digest, i);
+                if let InstrKind::Load { dep_dist, .. } = i.kind {
+                    max_dep = max_dep.max(dep_dist as u64);
+                }
             }
+        }
+        if max_dep != self.meta.max_dep_dist {
+            return Err(bad(format!(
+                "largest dependency distance is {max_dep}, footer says {}",
+                self.meta.max_dep_dist
+            )));
         }
         if count != self.meta.n_instr {
             return Err(bad(format!(
@@ -537,6 +563,9 @@ fn parse_footer(f: &[u8], chunk_size: u32, footer_off: u64) -> io::Result<StoreM
         if info.n_records == 0 || info.n_records > chunk_size {
             return Err(bad(format!("chunk {i}: bad record count")));
         }
+        if info.raw_len as u64 > info.n_records as u64 * MAX_RECORD_LEN {
+            return Err(bad(format!("chunk {i}: raw length exceeds its records")));
+        }
         // All chunks but the last must be exactly chunk_size records
         // (random access relies on uniform chunking).
         if i + 1 < n_chunks && info.n_records != chunk_size {
@@ -553,6 +582,13 @@ fn parse_footer(f: &[u8], chunk_size: u32, footer_off: u64) -> io::Result<StoreM
         return Err(bad("n_instr disagrees with the chunk index"));
     }
     let max_dep_dist = c.u64()?;
+    // A load's distance is a `u16`; a larger value would size the
+    // reader's lookback (and the core's completion ring) from the file.
+    if max_dep_dist > u16::MAX as u64 {
+        return Err(bad(format!(
+            "max dependency distance {max_dep_dist} exceeds u16"
+        )));
+    }
     let content_digest = c.u64()?;
     let name_len = c.u32()? as usize;
     if name_len > 4096 {
@@ -587,7 +623,9 @@ fn parse_footer(f: &[u8], chunk_size: u32, footer_off: u64) -> io::Result<StoreM
     })
 }
 
-fn decode_chunk(raw: &[u8], n_records: usize) -> Result<Vec<Instr>, String> {
+/// Decodes one chunk's `n_records` records; a load reaching further back
+/// than the footer's `max_dep` is refused.
+fn decode_chunk(raw: &[u8], n_records: usize, max_dep: u64) -> Result<Vec<Instr>, String> {
     let mut out = Vec::with_capacity(n_records);
     let mut pos = 0usize;
     let mut prev_ip = 0u64;
@@ -614,6 +652,11 @@ fn decode_chunk(raw: &[u8], n_records: usize) -> Result<Vec<Instr>, String> {
                 let dep_dist = if head & HEAD_HAS_DEP != 0 {
                     let d = varint::decode_u64(raw, &mut pos)
                         .ok_or_else(|| format!("record {rec}: bad dep"))?;
+                    if d > max_dep {
+                        return Err(format!(
+                            "record {rec}: dependency distance {d} exceeds the footer's {max_dep}"
+                        ));
+                    }
                     u16::try_from(d).map_err(|_| format!("record {rec}: dep exceeds u16"))?
                 } else {
                     0
@@ -765,6 +808,84 @@ mod tests {
             vec![Addr::new(0xAA), Addr::new(0xBB)]
         );
         assert_eq!(r.meta().wrong_path[&200], vec![Addr::new(0xCC)]);
+    }
+
+    /// Rewrites the footer body of `bytes` with `edit` and re-seals its
+    /// checksum, as a crafted (not a corrupted) store would be.
+    fn reseal_footer(bytes: &mut [u8], edit: impl FnOnce(&mut [u8])) {
+        let n = bytes.len();
+        let trailer = &bytes[n - TRAILER_LEN as usize..];
+        let off = u64::from_le_bytes(trailer[0..8].try_into().unwrap()) as usize;
+        let len = u64::from_le_bytes(trailer[8..16].try_into().unwrap()) as usize;
+        let body = off..off + len - 8;
+        edit(&mut bytes[body.clone()]);
+        let ck = fnv1a64(&bytes[body.clone()], FNV_OFFSET);
+        bytes[body.end..body.end + 8].copy_from_slice(&ck.to_le_bytes());
+    }
+
+    /// Byte offset of `max_dep_dist` in a footer body of `n_chunks`.
+    fn max_dep_at(n_chunks: usize) -> usize {
+        8 + 28 * n_chunks + 8
+    }
+
+    #[test]
+    fn create_refuses_chunk_sizes_outside_the_cap() {
+        for chunk in [0, MAX_CHUNK_SIZE + 1, u32::MAX] {
+            let err = TraceWriter::create(Vec::new(), "c", chunk).expect_err("refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{chunk}");
+        }
+        assert!(TraceWriter::create(Vec::new(), "c", MAX_CHUNK_SIZE).is_ok());
+    }
+
+    #[test]
+    fn open_refuses_a_header_chunk_size_past_the_cap() {
+        let (_, mut bytes) = write_store(&sample_instrs(100), 64);
+        bytes[12..16].copy_from_slice(&(MAX_CHUNK_SIZE + 1).to_le_bytes());
+        let err = TraceReader::open(Cursor::new(bytes)).expect_err("refused");
+        assert!(err.to_string().contains("chunk size"), "{err}");
+    }
+
+    #[test]
+    fn open_refuses_a_raw_length_its_records_cannot_fill() {
+        let (_, mut bytes) = write_store(&sample_instrs(100), 64);
+        // Chunk 0's raw_len sits after n_chunks, offset and n_records.
+        reseal_footer(&mut bytes, |f| {
+            f[8 + 12..8 + 16].copy_from_slice(&(64 * MAX_RECORD_LEN as u32 + 1).to_le_bytes())
+        });
+        let err = TraceReader::open(Cursor::new(bytes)).expect_err("refused");
+        assert!(err.to_string().contains("raw length"), "{err}");
+    }
+
+    #[test]
+    fn footer_max_dep_dist_is_checked_not_trusted() {
+        let (meta, bytes) = write_store(&sample_instrs(1_000), 512);
+        let max_dep = meta.max_dep_dist;
+        assert_eq!(max_dep, 38);
+        let at = max_dep_at(meta.chunks.len());
+        let crafted = |max_dep: u64| {
+            let mut b = bytes.clone();
+            reseal_footer(&mut b, |f| {
+                f[at..at + 8].copy_from_slice(&max_dep.to_le_bytes())
+            });
+            TraceReader::open(Cursor::new(b))
+        };
+        for huge in [1 << 40, u64::MAX, u16::MAX as u64 + 1] {
+            let err = crafted(huge).expect_err("refused at open");
+            assert!(err.to_string().contains("exceeds u16"), "{err}");
+        }
+        // Too large but plausible: chunks decode, verify names the lie.
+        let mut r = crafted(max_dep + 1).expect("opens");
+        assert!(r.read_chunk(0).is_ok());
+        let err = r.verify().expect_err("mismatch");
+        assert!(
+            err.to_string().contains("largest dependency distance"),
+            "{err}"
+        );
+        // Too small: a record reaching past it is refused at decode.
+        let mut r = crafted(max_dep - 1).expect("opens");
+        let err = r.read_chunk(0).expect_err("refused at decode");
+        assert!(err.to_string().contains("exceeds the footer's 37"), "{err}");
+        assert!(r.verify().is_err());
     }
 
     #[test]

@@ -37,8 +37,10 @@ echo "== release-only tests (--ignored)"
 # .sct under target/check/). secpref-bench: the CLI end to end — repro
 # --profile, a quiet traced sweep with its artifacts and a valid span
 # trace, fig16's 32-core row, the ablations cold and resumed
-# (crates/bench/tests/cli.rs).
-cargo test --release -q -p secpref-check -p secpref-bench -- --ignored
+# (crates/bench/tests/cli.rs). secpref-tracestore: prefix stability at
+# paper scale, `lbm_like` built in place to 10^7 instructions against
+# its streamed capture, at one copy's peak memory.
+cargo test --release -q -p secpref-check -p secpref-bench -p secpref-tracestore -- --ignored
 
 echo "== cross-core attack litmus (release) + examples"
 # The cross-core covert-channel suite (DESIGN.md §13) in release mode:
