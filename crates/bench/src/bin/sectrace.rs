@@ -18,8 +18,9 @@
 //!   compression-ratio histogram summary.
 //! - `verify`: full integrity pass — every chunk checksum plus the
 //!   whole-file content digest. Exits non-zero on corruption.
-//! - `replay`: simulate the store streamed under the baseline config and
-//!   print the canonical report digest. With `--compare-mem` the same
+//! - `replay`: verify the store as `verify` does (a corrupt one exits 2
+//!   before anything simulates), then simulate it streamed under the
+//!   baseline config and print the canonical report digest. With `--compare-mem` the same
 //!   workload is regenerated in memory and both reports are diffed;
 //!   exits non-zero if they are not bit-identical (`tests/cli.rs`).
 
@@ -172,8 +173,11 @@ fn cmd_replay(path: &str, args: &[String]) -> ExitCode {
             other => die(&format!("replay: unknown flag `{other}`")),
         }
     }
+    // The stream feed turns a decode error into a panic mid-run, so a
+    // corrupt store is refused here, whole, before anything simulates.
     let (name, n_instr) = {
-        let r = open_reader(path);
+        let mut r = open_reader(path);
+        r.verify().unwrap_or_else(|e| die(&format!("{path}: {e}")));
         (r.meta().name.clone(), r.meta().n_instr as usize)
     };
     let cfg = secpref_types::SystemConfig::baseline(1);

@@ -153,7 +153,10 @@ fn sectrace_capture_refuses_chunk_sizes_outside_the_cap() {
 
 /// A store whose footer claims a dependency distance no load can have
 /// (it would size the replay's lookback and completion ring) is refused
-/// at open, by `verify` and `replay` alike, with exit code 2.
+/// at open, by `verify` and `replay` alike, with exit code 2. One that
+/// claims a plausible but too small distance fails `verify`, and
+/// `replay` refuses it before simulating, with exit code 2, not a panic
+/// mid-run.
 #[test]
 fn sectrace_refuses_a_crafted_footer_max_dep_dist() {
     use secpref_tracestore::fnv::{fnv1a64, FNV_OFFSET};
@@ -189,6 +192,20 @@ fn sectrace_refuses_a_crafted_footer_max_dep_dist() {
             assert!(stderr(&out).contains("exceeds u16"), "{}", stderr(&out));
         }
     }
+    let too_small = 1u64;
+    let mut crafted = intact.clone();
+    crafted[at..at + 8].copy_from_slice(&too_small.to_le_bytes());
+    let ck = fnv1a64(&crafted[footer..footer_end], FNV_OFFSET);
+    crafted[footer_end..footer_end + 8].copy_from_slice(&ck.to_le_bytes());
+    std::fs::write(sct, &crafted).expect("write crafted store");
+    let out = sectrace(&["verify", sct]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let out = sectrace(&["replay", sct, "--measure", "500"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(err.contains("exceeds the footer's 1"), "{err}");
+    assert_eq!(err.matches("chunk 0:").count(), 1, "{err}");
 }
 
 #[test]

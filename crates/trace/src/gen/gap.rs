@@ -12,10 +12,11 @@
 //! | `prop2` (next rank / delta)    | `0x40_0000_0000` | 8 B |
 //! | frontier queue                 | `0x50_0000_0000` | 4 B |
 
-use crate::gen::graph::CsrGraph;
+use crate::gen::graph::{CsrGraph, CsrPrefix};
 use crate::instr::{Instr, Trace};
 use crate::sink::TraceSink;
 use secpref_types::rng::Xoshiro256ss;
+use std::ops::Range;
 
 const OFFSETS_BASE: u64 = 0x10_0000_0000;
 const NEIGHBORS_BASE: u64 = 0x20_0000_0000;
@@ -153,9 +154,21 @@ pub fn generate(kernel: GapKernel, graph: &CsrGraph, seed: u64, n: usize) -> Tra
 /// Streams a GAP kernel trace into `sink` until it is full, without
 /// materializing the instruction vector. Emission is prefix-stable: the
 /// first `k` instructions are identical whatever the sink capacity.
+/// The graph is built only as far as the kernel reads it, in a prefix
+/// of this call's own.
 pub fn generate_into<S: TraceSink + ?Sized>(
     kernel: GapKernel,
     graph: &CsrGraph,
+    seed: u64,
+    sink: &mut S,
+) {
+    emit(kernel, &mut graph.prefix(), seed, sink);
+}
+
+/// [`generate_into`] over a given prefix, which it grows as it reads.
+pub(crate) fn emit<S: TraceSink + ?Sized>(
+    kernel: GapKernel,
+    graph: &mut CsrPrefix,
     seed: u64,
     sink: &mut S,
 ) {
@@ -173,7 +186,11 @@ pub fn generate_into<S: TraceSink + ?Sized>(
     }
 }
 
-fn run_bfs<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph, rng: &mut Xoshiro256ss) {
+fn run_bfs<S: TraceSink + ?Sized>(
+    e: &mut Emitter<'_, S>,
+    g: &mut CsrPrefix,
+    rng: &mut Xoshiro256ss,
+) {
     let v_count = g.vertex_count();
     let mut visited = vec![false; v_count];
     let source = rng.gen_u32(v_count as u32);
@@ -187,10 +204,9 @@ fn run_bfs<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph, rng: &mu
             }
             e.load_queue();
             e.load_offsets(v);
-            let (s, t) = (g.offsets[v as usize], g.offsets[v as usize + 1]);
-            for i in s..t {
+            for i in g.edges(v) {
                 let dep = e.load_edge(i as u64, 0);
-                let u = g.neighbors[i as usize];
+                let u = g.neighbor(i);
                 e.load_prop(u, dep, 0); // parent[u] check
                 let fresh = !visited[u as usize];
                 e.branch(0, fresh);
@@ -210,16 +226,16 @@ fn run_bfs<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph, rng: &mu
     }
 }
 
-fn run_pr<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph) {
+fn run_pr<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &mut CsrPrefix) {
     for v in 0..g.vertex_count() as u32 {
         if e.full() {
             return;
         }
         e.load_offsets(v);
-        let (s, t) = (g.offsets[v as usize], g.offsets[v as usize + 1]);
+        let Range { start: s, end: t } = g.edges(v);
         for i in s..t {
             let dep = e.load_edge(i as u64, 1);
-            let u = g.neighbors[i as usize];
+            let u = g.neighbor(i);
             e.load_prop(u, dep, 1); // rank[u]
             e.alu(1);
             e.branch(1, i + 1 != t);
@@ -232,17 +248,16 @@ fn run_pr<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph) {
     }
 }
 
-fn run_cc<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph) {
+fn run_cc<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &mut CsrPrefix) {
     for v in 0..g.vertex_count() as u32 {
         if e.full() {
             return;
         }
         e.load_offsets(v);
         e.load_prop2(v, 2); // comp[v] (streaming index)
-        let (s, t) = (g.offsets[v as usize], g.offsets[v as usize + 1]);
-        for i in s..t {
+        for i in g.edges(v) {
             let dep = e.load_edge(i as u64, 2);
-            let u = g.neighbors[i as usize];
+            let u = g.neighbor(i);
             e.load_prop(u, dep, 2); // comp[u]
             let update = u < v; // deterministic label-propagation direction
             e.branch(2, update);
@@ -256,7 +271,11 @@ fn run_cc<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph) {
     }
 }
 
-fn run_sssp<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph, rng: &mut Xoshiro256ss) {
+fn run_sssp<S: TraceSink + ?Sized>(
+    e: &mut Emitter<'_, S>,
+    g: &mut CsrPrefix,
+    rng: &mut Xoshiro256ss,
+) {
     // Bellman-Ford over a frontier with re-relaxations: like BFS but
     // vertices can re-enter the frontier, matching sssp's larger traffic.
     let v_count = g.vertex_count();
@@ -275,10 +294,9 @@ fn run_sssp<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph, rng: &m
             e.load_queue();
             e.load_offsets(v);
             e.load_prop2(v, 3); // dist[v]
-            let (s, t) = (g.offsets[v as usize], g.offsets[v as usize + 1]);
-            for i in s..t {
+            for i in g.edges(v) {
                 let dep = e.load_edge(i as u64, 3);
-                let u = g.neighbors[i as usize];
+                let u = g.neighbor(i);
                 e.load_prop(u, dep, 3); // dist[u]
                 let w = 1 + (u % 7); // synthetic edge weight
                 let nd = dist[v as usize].saturating_add(w);
@@ -299,7 +317,11 @@ fn run_sssp<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph, rng: &m
     }
 }
 
-fn run_bc<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph, rng: &mut Xoshiro256ss) {
+fn run_bc<S: TraceSink + ?Sized>(
+    e: &mut Emitter<'_, S>,
+    g: &mut CsrPrefix,
+    rng: &mut Xoshiro256ss,
+) {
     // Forward BFS accumulating path counts, then a backward sweep over the
     // visit order accumulating dependencies.
     let v_count = g.vertex_count();
@@ -313,10 +335,9 @@ fn run_bc<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph, rng: &mut
         for &v in &frontier {
             e.load_queue();
             e.load_offsets(v);
-            let (s, t) = (g.offsets[v as usize], g.offsets[v as usize + 1]);
-            for i in s..t {
+            for i in g.edges(v) {
                 let dep = e.load_edge(i as u64, 4);
-                let u = g.neighbors[i as usize];
+                let u = g.neighbor(i);
                 e.load_prop(u, dep, 4); // sigma[u]
                 let fresh = depth[u as usize] == u32::MAX;
                 e.branch(4, fresh);
@@ -340,10 +361,9 @@ fn run_bc<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph, rng: &mut
         }
         e.load_offsets(v);
         e.load_prop2(v, 5); // delta[v]
-        let (s, t) = (g.offsets[v as usize], g.offsets[v as usize + 1]);
-        for i in s..t {
+        for i in g.edges(v) {
             let dep = e.load_edge(i as u64, 5);
-            let u = g.neighbors[i as usize];
+            let u = g.neighbor(i);
             e.load_prop(u, dep, 5); // delta[u]
             e.alu(1);
             if e.full() {
@@ -354,16 +374,16 @@ fn run_bc<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph, rng: &mut
     }
 }
 
-fn run_tc<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph) {
+fn run_tc<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &mut CsrPrefix) {
     for v in 0..g.vertex_count() as u32 {
         if e.full() {
             return;
         }
         e.load_offsets(v);
-        let (vs, vt) = (g.offsets[v as usize], g.offsets[v as usize + 1]);
+        let Range { start: vs, end: vt } = g.edges(v);
         for i in vs..vt {
             let dep = e.load_edge(i as u64, 6);
-            let u = g.neighbors[i as usize];
+            let u = g.neighbor(i);
             if u >= v {
                 e.branch(6, false);
                 break;
@@ -372,12 +392,12 @@ fn run_tc<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph) {
             let _ = dep;
             e.load_offsets(u);
             // Sorted intersection of adj(v) and adj(u): two stream pointers.
-            let (us, ut) = (g.offsets[u as usize], g.offsets[u as usize + 1]);
+            let Range { start: us, end: ut } = g.edges(u);
             let (mut a, mut b) = (vs, us);
             while a < vt && b < ut && !e.full() {
                 e.load_edge(a as u64, 7);
                 e.load_edge(b as u64, 8);
-                let (x, y) = (g.neighbors[a as usize], g.neighbors[b as usize]);
+                let (x, y) = (g.neighbor(a), g.neighbor(b));
                 e.branch(7, x < y);
                 if x < y {
                     a += 1;
@@ -399,6 +419,7 @@ fn run_tc<S: TraceSink + ?Sized>(e: &mut Emitter<'_, S>, g: &CsrGraph) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen::graph::power_law_by_lists;
     use crate::instr::InstrKind;
     use crate::sink::VecSink;
 
@@ -425,7 +446,10 @@ mod tests {
 
     #[test]
     fn in_place_generation_equals_a_vec_sink() {
+        // Both grow the graph lazily as the kernel reads it; the oracle
+        // run reads the same graph built whole before the kernel starts.
         let g = graph();
+        let oracle = power_law_by_lists(2000, 8, 42);
         for k in [
             GapKernel::Bfs,
             GapKernel::Pr,
@@ -438,8 +462,11 @@ mod tests {
                 let t = generate(k, &g, 1, n);
                 let mut sink = VecSink::new(n);
                 generate_into(k, &g, 1, &mut sink);
+                let mut whole = VecSink::new(n);
+                emit(k, &mut oracle.clone(), 1, &mut whole);
                 assert_eq!(t.name, format!("{}_2000", k.name()));
                 assert_eq!(t.instrs[..], sink.instrs[..], "{} at n = {n}", k.name());
+                assert_eq!(sink.instrs, whole.instrs, "{} at n = {n}", k.name());
             }
         }
     }

@@ -36,12 +36,13 @@ impl TraceGenerator for SpecKernel {
 }
 
 /// Generator wrapper for a GAP kernel over a synthetic power-law graph.
+/// Each generation builds the graph afresh, only as far as the kernel
+/// reads it (see [`CsrGraph`]).
 #[derive(Clone, Debug)]
 pub struct GapGenerator {
     name: String,
     kernel: GapKernel,
-    vertices: usize,
-    avg_degree: usize,
+    graph: CsrGraph,
     seed: u64,
 }
 
@@ -57,8 +58,7 @@ impl GapGenerator {
         GapGenerator {
             name: name.to_string(),
             kernel,
-            vertices,
-            avg_degree,
+            graph: CsrGraph::power_law(vertices, avg_degree, seed),
             seed,
         }
     }
@@ -69,36 +69,13 @@ impl TraceGenerator for GapGenerator {
         &self.name
     }
     fn generate(&self, n: usize) -> Trace {
-        // Graphs are cached: several kernels share the same topology.
-        let graph = cached_graph(self.vertices, self.avg_degree, self.seed);
         Trace::build(self.name.clone(), n, |sink| {
-            gap::generate_into(self.kernel, &graph, self.seed, sink)
+            gap::generate_into(self.kernel, &self.graph, self.seed, sink)
         })
     }
     fn generate_into(&self, sink: &mut dyn TraceSink) {
-        let graph = cached_graph(self.vertices, self.avg_degree, self.seed);
-        gap::generate_into(self.kernel, &graph, self.seed, sink);
+        gap::generate_into(self.kernel, &self.graph, self.seed, sink);
     }
-}
-
-/// Cache key for graphs: (vertices, avg_degree, seed).
-type GraphCache = Mutex<HashMap<(usize, usize, u64), Arc<OnceLock<Arc<CsrGraph>>>>>;
-
-fn cached_graph(vertices: usize, avg_degree: usize, seed: u64) -> Arc<CsrGraph> {
-    static GRAPHS: OnceLock<GraphCache> = OnceLock::new();
-    let lock = GRAPHS.get_or_init(|| Mutex::new(HashMap::new()));
-    // Two-level scheme (map lock → per-key cell): the map lock is held
-    // only for the lookup, so parallel experiment workers can build
-    // *different* graphs concurrently, while requesters of the *same*
-    // graph block on its cell instead of duplicating the build.
-    let cell = {
-        let mut map = lock.lock().expect("graph cache poisoned");
-        map.entry((vertices, avg_degree, seed))
-            .or_insert_with(|| Arc::new(OnceLock::new()))
-            .clone()
-    };
-    cell.get_or_init(|| Arc::new(CsrGraph::power_law(vertices, avg_degree, seed)))
-        .clone()
 }
 
 /// Vertex count of the "large" GAP graphs: property arrays (8 B/vertex)
@@ -179,10 +156,10 @@ fn trace_cache_len() -> usize {
 /// Generates (or fetches from the process-wide cache) the trace `name`
 /// truncated/extended to exactly `n` instructions.
 ///
-/// Generation happens *outside* the cache lock (same two-level scheme as
-/// the graph cache), so the parallel experiment engine can generate
-/// distinct traces concurrently without serializing on this map, and
-/// concurrent requests for the same trace still build it exactly once.
+/// Generation happens *outside* the cache lock (map lock → per-key
+/// cell), so the parallel experiment engine can generate distinct
+/// traces concurrently without serializing on this map, and concurrent
+/// requests for the same trace still build it exactly once.
 ///
 /// The cache holds at most 32 entries (`TRACE_CACHE_CAP`); when it is
 /// full the least recently used entry is dropped (outstanding `Arc`s
@@ -311,6 +288,25 @@ mod tests {
             let again = cached_trace("bwaves_like", 7777);
             assert!(Arc::ptr_eq(&hot, &again), "hot entry must not be evicted");
         }
+    }
+
+    #[test]
+    fn cc_large_builds_only_the_lists_its_trace_reads() {
+        // Laziness tripwire: CC walks vertices in order, so a full-scale
+        // trace reads about 1.4 % of the 360 000 lists. A graph built
+        // eagerly again would fail here instead of silently losing the
+        // set-up time.
+        let cc = gap_suite()
+            .into_iter()
+            .find(|g| g.name == "cc_large")
+            .expect("cc_large is in the suite");
+        let mut prefix = cc.graph.prefix();
+        gap::emit(cc.kernel, &mut prefix, cc.seed, &mut VecSink::new(200_000));
+        let (built, all) = (prefix.built(), prefix.vertex_count());
+        assert!(
+            built > 0 && built * 50 <= all,
+            "built {built} of {all} lists"
+        );
     }
 
     #[test]

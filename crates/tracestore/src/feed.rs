@@ -313,7 +313,7 @@ impl StreamFeed {
                     self.stats.chunks_decoded.fetch_add(1, Ordering::Relaxed);
                     self.reader
                         .read_chunk(next)
-                        .unwrap_or_else(|e| panic!("chunk {next}: {e}"))
+                        .unwrap_or_else(|e| panic!("{e}"))
                 }
             };
             self.resident += decoded.len();

@@ -452,16 +452,18 @@ impl<R: Read + Seek> TraceReader<R> {
     /// # Errors
     ///
     /// Returns `InvalidData` on a checksum mismatch or malformed chunk
-    /// body; propagates reader errors.
+    /// body; propagates reader errors. Every error names the chunk.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
     pub fn read_chunk(&mut self, idx: usize) -> io::Result<Vec<Instr>> {
         let info = self.meta.chunks[idx];
-        self.r.seek(SeekFrom::Start(info.offset))?;
         let mut comp = vec![0u8; info.comp_len as usize];
-        self.r.read_exact(&mut comp)?;
+        self.r
+            .seek(SeekFrom::Start(info.offset))
+            .and_then(|_| self.r.read_exact(&mut comp))
+            .map_err(|e| io::Error::new(e.kind(), format!("chunk {idx}: {e}")))?;
         let raw = codec::decompress(&comp, info.raw_len as usize)
             .map_err(|_| bad(format!("chunk {idx}: corrupt compressed block")))?;
         if fnv1a64(&raw, FNV_OFFSET) != info.checksum {

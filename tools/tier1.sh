@@ -39,8 +39,9 @@ echo "== release-only tests (--ignored)"
 # trace, fig16's 32-core row, the ablations cold and resumed
 # (crates/bench/tests/cli.rs). secpref-tracestore: prefix stability at
 # paper scale, `lbm_like` built in place to 10^7 instructions against
-# its streamed capture, at one copy's peak memory.
-cargo test --release -q -p secpref-check -p secpref-bench -p secpref-tracestore -- --ignored
+# its streamed capture, at one copy's peak memory. secpref-trace: the
+# byte digests of all 22 suite traces at 200 000 instructions.
+cargo test --release -q -p secpref-check -p secpref-bench -p secpref-tracestore -p secpref-trace -- --ignored
 
 echo "== cross-core attack litmus (release) + examples"
 # The cross-core covert-channel suite (DESIGN.md §13) in release mode:
