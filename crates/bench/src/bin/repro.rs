@@ -45,7 +45,8 @@
 //! `--trace TARGET` (repeatable; a target with simulation jobs)
 //! re-simulates the target's jobs with the in-run recorder on, bypassing
 //! the result store, and writes three artifacts per job under
-//! `<store>/obs/` — events `<key>.events.jsonl`, epochs `<key>.epochs.csv`
+//! `<store>/obs/` — the summary `<key>.summary.json` (per-kind event
+//! totals, MSHR high-water marks, filters), epochs `<key>.epochs.csv`
 //! and latency/timeliness histograms `<key>.hist.csv` — byte-identical
 //! whatever `--workers` or the store hold. Like every sweep it also
 //! writes the engine span trace (`telemetry/trace-<run_id>.json`, Chrome

@@ -226,7 +226,7 @@ fn profile_prints_table_and_writes_valid_trace() {
 
 /// The contracts of a traced sweep no library test states (DESIGN.md §8,
 /// §12): under `--quiet` it writes zero stderr bytes, it leaves one
-/// events/epochs/histogram triple per job under `obs/`, and its span
+/// summary/epochs/histogram triple per job under `obs/`, and its span
 /// trace passes `repro --validate-trace`.
 #[test]
 #[ignore = "release-only: simulates fig1 at quick scale"]
@@ -245,9 +245,16 @@ fn quiet_trace_sweep_is_silent_and_its_trace_validates() {
         .expect("jobs_executed");
     assert!(jobs > 0);
     let obs = s.0.join("obs");
-    for suffix in [".events.jsonl", ".epochs.csv", ".hist.csv"] {
+    for suffix in [".summary.json", ".epochs.csv", ".hist.csv"] {
         let n = files_named(&obs, "", suffix).len() as u64;
         assert_eq!(n, jobs, "{suffix}: one per job");
+    }
+    for path in files_named(&obs, "", ".summary.json") {
+        let text = std::fs::read_to_string(&path).expect("summary");
+        let summary = secpref_exp::json::parse(text.trim()).expect("summary is JSON");
+        for field in ["filters", "mshr_high_water"] {
+            assert!(summary.get(field).is_some(), "{path:?}: no {field}");
+        }
     }
     // `telemetry/` holds host-side files only: here, the span trace.
     let tel = std::fs::read_dir(s.0.join("telemetry")).expect("telemetry dir");

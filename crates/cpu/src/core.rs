@@ -323,13 +323,6 @@ impl Core {
         self.stats
     }
 
-    /// Instructions squashed by mispredictions so far (cheap accessor for
-    /// per-cycle delta polling by observability hooks).
-    #[inline]
-    pub fn squashed(&self) -> u64 {
-        self.stats.squashed
-    }
-
     /// True when the whole trace has been dispatched and retired.
     pub fn is_done(&self) -> bool {
         self.cursor >= self.feed.len() && self.rob.is_empty()

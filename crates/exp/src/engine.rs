@@ -211,7 +211,7 @@ impl Engine {
     /// every job runs with and, by that alone, whether this is a
     /// diagnostic sweep (see the module docs for what that bypasses).
     ///
-    /// [`RunMode::Traced`] exports `<key>.events.jsonl`,
+    /// [`RunMode::Traced`] exports `<key>.summary.json`,
     /// `<key>.epochs.csv` and `<key>.hist.csv` under `<store_dir>/obs/`
     /// and gives each job's manifest record an `obs` object.
     pub fn run_with(&self, jobs: &[JobSpec], mode: RunMode<'_>) -> (Vec<SimReport>, RunSummary) {
@@ -352,7 +352,7 @@ impl Engine {
                 let written = match capture {
                     None => self.store.append(key, canonical, report).map(|()| None),
                     Some(cap) => crate::obs::write_trace_artifacts(&out_dir, key, cap)
-                        .map(|[events, ..]| Some(events)),
+                        .map(|[summary, ..]| Some(summary)),
                 };
                 match written {
                     Ok(Some(path)) => self.say(&format!("[exp] wrote {}", path.display())),
@@ -520,8 +520,6 @@ impl Engine {
                         "obs",
                         obj(vec![
                             ("events_recorded", Json::UInt(obs.events_recorded)),
-                            ("events_stored", Json::UInt(obs.events_stored)),
-                            ("events_dropped", Json::UInt(obs.events_dropped)),
                             ("epochs", Json::UInt(obs.epochs)),
                             ("hist_samples", Json::UInt(obs.hist_samples)),
                         ]),

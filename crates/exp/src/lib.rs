@@ -24,7 +24,7 @@
 //! - [`engine`] — [`Engine`]: dedupe → resume → pre-generate traces →
 //!   execute → persist → manifest; one loop ([`Engine::run_with`]) whose
 //!   [`RunMode`] makes it a plain or a traced sweep.
-//! - [`obs`] — deterministic trace-artifact exporters (events JSONL,
+//! - [`obs`] — deterministic trace-artifact exporters (summary JSON,
 //!   epochs CSV, histogram CSV) for [`RunMode::Traced`] diagnostic
 //!   sweeps.
 //! - [`telemetry`] — the span-trace file writer and the structural

@@ -1,12 +1,11 @@
-//! Trace-artifact exporters: events JSONL, epochs CSV and histogram CSV.
+//! Trace-artifact exporters: summary JSON, epochs CSV and histogram CSV.
 //!
 //! A traced run's [`ObsCapture`] is exported as three flat files under
 //! the store's `obs/` directory, named by the job's content key:
 //!
-//! - `<key>.events.jsonl` — one JSON object per stored event, in
-//!   simulation order, followed by a single `"summary"` line carrying the
-//!   per-kind recorded/dropped totals, the MSHR high-water marks, each
-//!   core's update filter, and the epoch interval.
+//! - `<key>.summary.json` — one JSON object: each core's update filter,
+//!   the epoch interval and row count, the per-kind event totals and the
+//!   MSHR high-water marks.
 //! - `<key>.epochs.csv` — the epoch time-series
 //!   ([`secpref_obs::EpochSeries::to_csv`]: one column per counter).
 //! - `<key>.hist.csv` — every histogram's non-empty buckets
@@ -21,39 +20,20 @@
 //! values and resume-vs-cold) hold trivially.
 
 use crate::json::{obj, Json};
-use secpref_obs::{Event, EventKind, Hists, ObsCapture};
+use secpref_obs::{EventKind, Hists, ObsCapture};
 use secpref_types::Hist;
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Renders one event as a compact single-line JSON object.
-///
-/// Hand-formatted rather than going through [`Json`]: every field is a
-/// plain integer or a fixed identifier (no escaping needed), and a traced
-/// run can store a million events — building a `Json` tree per event
-/// would dominate export time.
-fn event_line(out: &mut String, ev: &Event) {
-    let _ = writeln!(
-        out,
-        "{{\"cycle\":{},\"core\":{},\"kind\":\"{}\",\"line\":{},\"arg\":{}}}",
-        ev.cycle,
-        ev.core,
-        ev.kind.name(),
-        ev.line.raw(),
-        ev.arg,
-    );
-}
-
-/// The trailing summary line of an events JSONL artifact.
-fn summary_line(cap: &ObsCapture) -> Json {
+/// Renders the `<key>.summary.json` artifact: one line, one object.
+pub fn summary_json(cap: &ObsCapture) -> String {
     let per_kind: Vec<Json> = EventKind::ALL
         .iter()
         .map(|&kind| {
             obj(vec![
                 ("kind", Json::Str(kind.name().to_string())),
                 ("recorded", Json::UInt(cap.recorded(kind))),
-                ("dropped", Json::UInt(cap.dropped(kind))),
             ])
         })
         .collect();
@@ -67,33 +47,17 @@ fn summary_line(cap: &ObsCapture) -> Json {
             ])
         })
         .collect();
-    let s = cap.summary();
-    obj(vec![
-        ("summary", Json::Bool(true)),
+    let summary = obj(vec![
         (
             "filters",
             Json::Arr(cap.filters.iter().cloned().map(Json::Str).collect()),
         ),
         ("epoch_interval", Json::UInt(cap.epochs.interval)),
-        ("events_recorded", Json::UInt(s.events_recorded)),
-        ("events_stored", Json::UInt(s.events_stored)),
-        ("events_dropped", Json::UInt(s.events_dropped)),
-        ("epochs", Json::UInt(s.epochs)),
+        ("epochs", Json::UInt(cap.epochs.rows.len() as u64)),
         ("kinds", Json::Arr(per_kind)),
         ("mshr_high_water", Json::Arr(high_water)),
-    ])
-}
-
-/// Renders the full events JSONL artifact (events + summary line).
-pub fn events_jsonl(cap: &ObsCapture) -> String {
-    // ~80 bytes per line is a good pre-size for compact integer events.
-    let mut out = String::with_capacity(cap.events.len() * 80 + 1024);
-    for ev in &cap.events {
-        event_line(&mut out, ev);
-    }
-    out.push_str(&summary_line(cap).to_string());
-    out.push('\n');
-    out
+    ]);
+    format!("{summary}\n")
 }
 
 /// Renders one histogram's rows: non-empty buckets, then exact summary
@@ -129,7 +93,7 @@ pub fn hist_csv(hists: &Hists) -> String {
     out
 }
 
-/// Writes `<key>.events.jsonl`, `<key>.epochs.csv` and `<key>.hist.csv`
+/// Writes `<key>.summary.json`, `<key>.epochs.csv` and `<key>.hist.csv`
 /// under `dir`, creating it if needed. Returns the three paths in that
 /// order.
 ///
@@ -138,8 +102,8 @@ pub fn hist_csv(hists: &Hists) -> String {
 /// Propagates directory-creation and file-write failures.
 pub fn write_trace_artifacts(dir: &Path, key: &str, cap: &ObsCapture) -> io::Result<[PathBuf; 3]> {
     std::fs::create_dir_all(dir)?;
-    let paths = ["events.jsonl", "epochs.csv", "hist.csv"].map(|s| dir.join(format!("{key}.{s}")));
-    std::fs::write(&paths[0], events_jsonl(cap))?;
+    let paths = ["summary.json", "epochs.csv", "hist.csv"].map(|s| dir.join(format!("{key}.{s}")));
+    std::fs::write(&paths[0], summary_json(cap))?;
     std::fs::write(&paths[1], cap.epochs.to_csv())?;
     std::fs::write(&paths[2], hist_csv(&cap.hists))?;
     Ok(paths)
@@ -149,12 +113,11 @@ pub fn write_trace_artifacts(dir: &Path, key: &str, cap: &ObsCapture) -> io::Res
 mod tests {
     use super::*;
     use secpref_obs::{EpochSeries, KIND_COUNT};
-    use secpref_types::LineAddr;
 
     fn capture() -> ObsCapture {
         let mut recorded = [0u64; KIND_COUNT];
-        recorded[EventKind::Refetch.index()] = 2;
-        recorded[EventKind::SufDrop.index()] = 1;
+        recorded[EventKind::PrefetchFill.index()] = 2;
+        recorded[EventKind::GmSpecFill.index()] = 1;
         let mut hists = Hists::default();
         hists.load_latency[1].record(4);
         hists.load_latency[1].record(900);
@@ -162,24 +125,7 @@ mod tests {
         hists.demand_accesses = 3;
         hists.unfinished_demands = 1;
         ObsCapture {
-            events: vec![
-                Event {
-                    cycle: 10,
-                    line: LineAddr::new(0x40),
-                    arg: 0,
-                    core: 0,
-                    kind: EventKind::Refetch,
-                },
-                Event {
-                    cycle: 12,
-                    line: LineAddr::new(0x41),
-                    arg: 1,
-                    core: 0,
-                    kind: EventKind::SufDrop,
-                },
-            ],
             recorded,
-            dropped: [0; KIND_COUNT],
             epochs: EpochSeries::new(1000, vec!["instructions".to_string()]),
             hists,
             mshr_high_water: vec![("l1d[0]".to_string(), 7)],
@@ -188,15 +134,10 @@ mod tests {
     }
 
     #[test]
-    fn events_jsonl_is_parseable_line_by_line() {
-        let text = events_jsonl(&capture());
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3); // two events + summary
-        let first = crate::json::parse(lines[0]).unwrap();
-        assert_eq!(first.get("cycle").unwrap().as_u64(), Some(10));
-        assert_eq!(first.get("kind").unwrap().as_str(), Some("refetch"));
-        assert_eq!(first.get("line").unwrap().as_u64(), Some(0x40));
-        let last = crate::json::parse(lines[2]).unwrap();
+    fn summary_json_is_one_parseable_object() {
+        let text = summary_json(&capture());
+        assert_eq!(text.lines().count(), 1);
+        let last = crate::json::parse(text.trim()).unwrap();
         let filters: Vec<_> = last
             .get("filters")
             .unwrap()
@@ -206,9 +147,14 @@ mod tests {
             .map(|f| f.as_str().unwrap())
             .collect();
         assert_eq!(filters, ["always-update", "suf"]);
-        assert_eq!(last.get("events_stored").unwrap().as_u64(), Some(2));
+        assert_eq!(last.get("epoch_interval").unwrap().as_u64(), Some(1000));
         let kinds = last.get("kinds").unwrap().as_arr().unwrap();
         assert_eq!(kinds.len(), KIND_COUNT);
+        let fills = &kinds[EventKind::PrefetchFill.index()];
+        assert_eq!(fills.get("kind").unwrap().as_str(), Some("prefetch_fill"));
+        assert_eq!(fills.get("recorded").unwrap().as_u64(), Some(2));
+        let high_water = last.get("mshr_high_water").unwrap().as_arr().unwrap();
+        assert_eq!(high_water[0].get("high_water").unwrap().as_u64(), Some(7));
     }
 
     #[test]
@@ -232,16 +178,16 @@ mod tests {
     fn artifacts_land_under_the_requested_dir() {
         let dir = std::env::temp_dir().join(format!("secpref-obs-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let [events, epochs, hists] = write_trace_artifacts(&dir, "deadbeef", &capture()).unwrap();
-        assert!(events.ends_with("deadbeef.events.jsonl"));
+        let [summary, epochs, hists] = write_trace_artifacts(&dir, "deadbeef", &capture()).unwrap();
+        assert!(summary.ends_with("deadbeef.summary.json"));
         assert!(epochs.ends_with("deadbeef.epochs.csv"));
         assert!(hists.ends_with("deadbeef.hist.csv"));
         let csv = std::fs::read_to_string(&epochs).unwrap();
         assert!(csv.starts_with("epoch,core,"));
         // Byte-stable: re-exporting the same capture is identical.
         assert_eq!(
-            std::fs::read_to_string(&events).unwrap(),
-            events_jsonl(&capture())
+            std::fs::read_to_string(&summary).unwrap(),
+            summary_json(&capture())
         );
         assert_eq!(
             std::fs::read_to_string(&hists).unwrap(),

@@ -237,13 +237,15 @@ fn assert_artifact_contract(
 #[test]
 fn trace_artifacts_are_byte_identical_across_workers_and_resume() {
     let obs = secpref_exp::ObsConfig::enabled().with_epoch_interval(500);
-    let summary = assert_artifact_contract("obs", &obs, &["events.jsonl", "epochs.csv"]);
+    let suffixes = ["summary.json", "epochs.csv", "hist.csv"];
+    let summary = assert_artifact_contract("obs", &obs, &suffixes);
     // Every traced job's manifest record carries a recorder summary with
-    // a populated epoch series; the secure on-commit jobs also record
-    // commit/prefetch events.
+    // a populated epoch series and histogram samples; the secure jobs
+    // also record events.
     for record in &summary.jobs {
         let obs = record.obs.expect("traced jobs must report an obs summary");
         assert!(obs.epochs > 0, "{} produced no epochs", record.label);
+        assert!(obs.hist_samples > 0, "{} recorded no samples", record.label);
     }
     assert!(
         summary

@@ -1,121 +1,71 @@
-//! The event taxonomy: every within-run phenomenon the paper's figures
-//! explain, as a compact fixed-size record.
+//! The sampled moments: the within-run events whose timing the
+//! recorder's histograms and the audit's flow rules need and no report
+//! counter already carries.
 //!
-//! Events mirror the end-of-run counters in `secpref-sim`'s metrics one
-//! to one: an event is recorded at exactly the program point that
-//! increments the corresponding counter, so per-kind event totals
-//! reconcile with the final `SimReport` (the contract the trace
-//! determinism tests check).
+//! Each kind is recorded at exactly the program point that bumps its
+//! counter in `secpref-sim`'s metrics (the prefetch-fill count excepted:
+//! no counter keeps it), so per-kind totals reconcile with the final
+//! `SimReport`.
 
 use secpref_types::{Cycle, LineAddr};
 
 /// What happened. Each variant corresponds to one instrumentation hook in
-/// the simulator; the discriminant doubles as an index into per-kind
-/// counter arrays.
+/// the simulator; the discriminant doubles as an index into the per-kind
+/// totals.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
-    /// A prefetch allocated an MSHR at its origin level (counted as
-    /// `PrefetchMetrics::issued`).
-    PrefetchIssue = 0,
-    /// A prefetch completed and filled its target level; `arg` is the
-    /// fetch latency in cycles.
-    PrefetchFill = 1,
+    /// A prefetch completed and filled its target level; starts the
+    /// line's fill-to-use clock.
+    PrefetchFill = 0,
     /// A demand hit a prefetched resident line (`PrefetchMetrics::useful`).
-    PrefetchUseful = 2,
+    PrefetchUseful = 1,
     /// A demand merged onto an in-flight prefetch (`PrefetchMetrics::late`).
-    PrefetchLate = 3,
+    PrefetchLate = 2,
     /// A prefetched line was evicted unused (`PrefetchMetrics::useless`).
-    PrefetchUseless = 4,
-    /// A speculative load filled the GhostMinion GM; `arg` is the fetch
-    /// latency in cycles.
-    GmSpecFill = 5,
-    /// The commit engine wrote a GM line into the L1D
-    /// (`CommitMetrics::commit_writes`).
-    CommitWrite = 6,
-    /// The commit engine re-fetched a line the GM had lost
-    /// (`CommitMetrics::refetches`).
-    Refetch = 7,
-    /// The SUF dropped a commit update (`CommitMetrics::suf_dropped`);
-    /// `arg` is 1 when the drop was correct (line still resident).
-    SufDrop = 8,
-    /// A clean line propagated outward on eviction
-    /// (`CommitMetrics::propagations`).
-    CleanProp = 9,
-    /// A clean-line propagation was skipped thanks to a clear writeback
-    /// bit (`CommitMetrics::propagation_skipped`); `arg` is 1 when the
-    /// skip was correct.
-    PropagationSkip = 10,
-    /// A request stalled on a full MSHR file
-    /// (`LevelMetrics::mshr_full_stalls`); `arg` is the level
-    /// (0 = L1D, 1 = L2, 2 = LLC).
-    MshrFull = 11,
-    /// A request lost port arbitration (`LevelMetrics::port_stalls`);
-    /// `arg` is the level.
-    PortStall = 12,
-    /// A branch misprediction squashed younger instructions; `arg` is the
-    /// number of instructions squashed by this flush.
-    Squash = 13,
+    PrefetchUseless = 3,
+    /// A speculative load filled the GhostMinion GM.
+    GmSpecFill = 4,
 }
 
-/// Number of event kinds (the length of per-kind counter arrays).
-pub const KIND_COUNT: usize = 14;
+/// Number of event kinds (the length of the per-kind totals).
+pub const KIND_COUNT: usize = 5;
 
 impl EventKind {
     /// All kinds, in discriminant order.
     pub const ALL: [EventKind; KIND_COUNT] = [
-        EventKind::PrefetchIssue,
         EventKind::PrefetchFill,
         EventKind::PrefetchUseful,
         EventKind::PrefetchLate,
         EventKind::PrefetchUseless,
         EventKind::GmSpecFill,
-        EventKind::CommitWrite,
-        EventKind::Refetch,
-        EventKind::SufDrop,
-        EventKind::CleanProp,
-        EventKind::PropagationSkip,
-        EventKind::MshrFull,
-        EventKind::PortStall,
-        EventKind::Squash,
     ];
 
-    /// Index into per-kind counter arrays.
+    /// Index into the per-kind totals.
     #[inline]
     pub const fn index(self) -> usize {
         self as usize
     }
 
-    /// Stable snake_case name used in the events JSONL.
+    /// Stable snake_case name used in the summary artifact.
     pub const fn name(self) -> &'static str {
         match self {
-            EventKind::PrefetchIssue => "prefetch_issue",
             EventKind::PrefetchFill => "prefetch_fill",
             EventKind::PrefetchUseful => "prefetch_useful",
             EventKind::PrefetchLate => "prefetch_late",
             EventKind::PrefetchUseless => "prefetch_useless",
             EventKind::GmSpecFill => "gm_spec_fill",
-            EventKind::CommitWrite => "commit_write",
-            EventKind::Refetch => "refetch",
-            EventKind::SufDrop => "suf_drop",
-            EventKind::CleanProp => "clean_prop",
-            EventKind::PropagationSkip => "propagation_skip",
-            EventKind::MshrFull => "mshr_full",
-            EventKind::PortStall => "port_stall",
-            EventKind::Squash => "squash",
         }
     }
 }
 
-/// One recorded event: 24 bytes, `Copy`, no heap.
+/// One sampled moment: `Copy`, no heap, never stored.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Event {
     /// Cycle the event happened at.
     pub cycle: Cycle,
-    /// Cache line involved (zero-line for stall/squash events).
+    /// Cache line involved.
     pub line: LineAddr,
-    /// Kind-specific argument (latency, level, correctness flag, count).
-    pub arg: u32,
     /// Originating core.
     pub core: u16,
     /// What happened.

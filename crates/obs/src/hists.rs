@@ -39,7 +39,7 @@ pub const MSHR_LEVEL_NAMES: [&str; MSHR_LEVELS] = ["l1d", "l2", "llc"];
 
 /// Every histogram one run captured, plus the two demand-conservation
 /// scalars.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Hists {
     /// Load-to-use latency (issue to data return, cycles) per serving
     /// level, indexed by [`LoadLevel`]. Includes demand stores and

@@ -1,16 +1,17 @@
-//! The simulated machine's one in-run recorder: a structured event bus, a
-//! bounded event ring, an epoch time-series and latency/timeliness
+//! The simulated machine's one in-run recorder: per-kind counts of the
+//! sampled moments, an epoch time-series and latency/timeliness
 //! histograms — std-only, zero dependencies beyond `secpref-types`, and
 //! one `None` check per hook when off.
 //!
 //! Every phenomenon the paper explains — prefetch lateness under
 //! on-commit issue, commit-request traffic on the GhostMinion path, MSHR
 //! pressure from re-fetches, the load-latency tail — is a *within-run*
-//! timing story. This crate gives the simulator a lens on it:
+//! timing story, and a distribution rather than a count. This crate
+//! gives the simulator a lens on it; it keeps no per-access log:
 //!
-//! - [`EventKind`]/[`Event`] — the taxonomy of instrumented moments,
-//!   recorded into an [`EventRing`] whose memory is fixed (per-kind drop
-//!   counters account for overflow exactly).
+//! - [`EventKind`]/[`Event`] — the five sampled moments (prefetch fill,
+//!   useful, late and useless; GhostMinion speculative fill). Each is
+//!   counted per kind and feeds a histogram; none is stored.
 //! - [`EpochRow`]/[`EpochSeries`] — every N committed instructions, the
 //!   simulator snapshots counter *deltas* into a time-series whose
 //!   columns it names.
@@ -19,11 +20,11 @@
 //!   timeliness, GhostMinion occupancy).
 //! - [`Obs`] — the recorder handed to the simulator. Disabled it is a
 //!   `None` behind one predictable branch per hook; enabled it records
-//!   only for cores past their warm-up boundary, so event and sample
+//!   only for cores past their warm-up boundary, so counts and sample
 //!   totals reconcile with the measurement-window counters of the final
 //!   report.
 //!
-//! Exporters (events JSONL, epochs CSV, histogram CSV) live in
+//! Exporters (summary JSON, epochs CSV, histogram CSV) live in
 //! `secpref-exp`, which owns the workspace's hand-rolled JSON, so this
 //! crate stays dependency-free. Three crates link it: `secpref-sim`,
 //! which holds the recorder, and `secpref-exp` and `secpref-check`, which
@@ -40,14 +41,13 @@
 //! obs.record(Event {
 //!     cycle: 42,
 //!     line: LineAddr::new(7),
-//!     arg: 0,
 //!     core: 0,
-//!     kind: EventKind::CommitWrite,
+//!     kind: EventKind::PrefetchFill,
 //! });
 //! assert!(obs.demand_access(0));
 //! obs.load_complete(0, LoadLevel::Dram, 180);
 //! let capture = obs.finish().unwrap();
-//! assert_eq!(capture.recorded(EventKind::CommitWrite), 1);
+//! assert_eq!(capture.recorded(EventKind::PrefetchFill), 1);
 //! assert_eq!(capture.hists.load_latency[LoadLevel::Dram as usize].count(), 1);
 //! ```
 
@@ -56,19 +56,13 @@
 pub mod epoch;
 pub mod event;
 pub mod hists;
-pub mod ring;
 
 pub use epoch::{EpochRow, EpochSeries};
 pub use event::{Event, EventKind, KIND_COUNT};
 pub use hists::{Hists, LoadLevel, LOAD_LEVELS, LOAD_LEVEL_NAMES, MSHR_LEVELS, MSHR_LEVEL_NAMES};
-pub use ring::EventRing;
 
 use secpref_types::Cycle;
 use std::collections::HashMap;
-
-/// Events the ring stores before it only counts (memory stays fixed; the
-/// ring reserves at most 2^16 entries up front, so short runs stay small).
-pub const EVENT_CAPACITY: usize = 1 << 20;
 
 /// Recorder configuration. Installing a recorder is what turns recording
 /// on; this only shapes what an installed one samples.
@@ -97,7 +91,8 @@ impl ObsConfig {
 /// Live recorder state (present only when a recorder is installed).
 #[derive(Clone, Debug)]
 struct ObsInner {
-    ring: EventRing,
+    /// Per-kind event totals, by [`EventKind::index`].
+    recorded: [u64; KIND_COUNT],
     epochs: EpochSeries,
     hists: Hists,
     /// Per-core: record only once the core passed warm-up, so event and
@@ -137,7 +132,7 @@ impl Obs {
     pub fn new(cfg: &ObsConfig, cores: usize) -> Self {
         Obs {
             inner: Some(Box::new(ObsInner {
-                ring: EventRing::new(EVENT_CAPACITY),
+                recorded: [0; KIND_COUNT],
                 epochs: EpochSeries::new(cfg.epoch_interval.max(1), Vec::new()),
                 hists: Hists::default(),
                 armed: vec![false; cores],
@@ -153,12 +148,6 @@ impl Obs {
             inner.epochs.columns = columns;
         }
         self
-    }
-
-    /// Whether recording is active at all.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Marks `core` as past its warm-up boundary; its events and samples
@@ -180,17 +169,17 @@ impl Obs {
         }
     }
 
-    /// Records an event if its core is armed; see [`Obs::record_with`]
-    /// for the kinds that also feed a histogram.
+    /// Counts an event if its core is armed; see [`Obs::record_with`]
+    /// for the histogram each kind feeds.
     #[inline]
     pub fn record(&mut self, ev: Event) {
         self.record_with(ev, 0);
     }
 
-    /// Records an event and the histogram sample its kind carries: a
-    /// prefetch fill starts the line's fill-to-use clock, a useful or
-    /// useless prefetch stops it into its timeliness histogram, and
-    /// `sample` is the in-flight age of a late prefetch or the
+    /// Counts an event and records the histogram sample its kind
+    /// carries: a prefetch fill starts the line's fill-to-use clock, a
+    /// useful or useless prefetch stops it into its timeliness histogram,
+    /// and `sample` is the in-flight age of a late prefetch or the
     /// GhostMinion occupancy at a speculative fill. Other kinds ignore
     /// `sample`.
     #[inline]
@@ -198,7 +187,7 @@ impl Obs {
         let Some(inner) = self.armed(ev.core as usize) else {
             return;
         };
-        inner.ring.push(ev);
+        inner.recorded[ev.kind.index()] += 1;
         match ev.kind {
             EventKind::PrefetchFill => {
                 inner.pf_fill_at.insert((ev.core, ev.line.raw()), ev.cycle);
@@ -213,7 +202,6 @@ impl Obs {
             }
             EventKind::PrefetchLate => inner.hists.pf_late.record(sample),
             EventKind::GmSpecFill => inner.hists.gm_occupancy.record(sample),
-            _ => {}
         }
     }
 
@@ -271,9 +259,7 @@ impl Obs {
     /// Consumes the recorder into its capture (None when disabled).
     pub fn finish(self) -> Option<ObsCapture> {
         self.inner.map(|inner| ObsCapture {
-            events: inner.ring.events().to_vec(),
-            recorded: *inner.ring.recorded_counts(),
-            dropped: *inner.ring.dropped_counts(),
+            recorded: inner.recorded,
             epochs: inner.epochs,
             hists: inner.hists,
             mshr_high_water: Vec::new(),
@@ -285,12 +271,8 @@ impl Obs {
 /// Everything one recorded run produced, ready for export.
 #[derive(Clone, Debug)]
 pub struct ObsCapture {
-    /// Stored events, in simulation order.
-    pub events: Vec<Event>,
-    /// Per-kind recorded totals (stored + dropped), by [`EventKind::index`].
+    /// Per-kind event totals, by [`EventKind::index`].
     pub recorded: [u64; KIND_COUNT],
-    /// Per-kind drop counters, by [`EventKind::index`].
-    pub dropped: [u64; KIND_COUNT],
     /// The epoch time-series.
     pub epochs: EpochSeries,
     /// The latency/timeliness histograms.
@@ -309,17 +291,10 @@ impl ObsCapture {
         self.recorded[kind.index()]
     }
 
-    /// Total dropped events of `kind`.
-    pub fn dropped(&self, kind: EventKind) -> u64 {
-        self.dropped[kind.index()]
-    }
-
     /// Aggregate summary for manifests.
     pub fn summary(&self) -> ObsSummary {
         ObsSummary {
             events_recorded: self.recorded.iter().sum(),
-            events_stored: self.events.len() as u64,
-            events_dropped: self.dropped.iter().sum(),
             epochs: self.epochs.rows.len() as u64,
             hist_samples: self.hists.total_samples(),
         }
@@ -329,12 +304,8 @@ impl ObsCapture {
 /// Compact per-run recorder summary (what lands in run manifests).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ObsSummary {
-    /// Events recorded (stored + dropped).
+    /// Events recorded, all kinds.
     pub events_recorded: u64,
-    /// Events actually stored in the ring.
-    pub events_stored: u64,
-    /// Events dropped because the ring was full.
-    pub events_dropped: u64,
     /// Epoch samples taken.
     pub epochs: u64,
     /// Samples across all histograms.
@@ -354,7 +325,6 @@ mod tests {
         Event {
             cycle,
             line: LineAddr::new(line),
-            arg: 0,
             core,
             kind,
         }
@@ -363,9 +333,8 @@ mod tests {
     #[test]
     fn disabled_recorder_is_inert() {
         let mut obs = Obs::disabled();
-        assert!(!obs.is_enabled());
         obs.arm(0);
-        obs.record(ev(0, EventKind::Refetch));
+        obs.record(ev(0, EventKind::PrefetchLate));
         obs.push_epoch(EpochRow::default());
         assert!(!obs.demand_access(0));
         obs.load_complete(0, LoadLevel::L1d, 3);
@@ -377,40 +346,37 @@ mod tests {
     #[test]
     fn default_config_is_off() {
         // Off is the default recorder; installing one is what enables it.
-        assert!(!Obs::default().is_enabled());
-        assert!(Obs::new(&ObsConfig::enabled(), 2).is_enabled());
+        assert!(Obs::default().finish().is_none());
+        assert!(Obs::new(&ObsConfig::enabled(), 2).finish().is_some());
     }
 
     #[test]
     fn unarmed_cores_are_not_recorded() {
         let mut obs = Obs::new(&ObsConfig::enabled(), 2);
-        obs.record(ev(0, EventKind::CommitWrite)); // warm-up: ignored
+        obs.record(ev(0, EventKind::PrefetchFill)); // warm-up: ignored
         assert!(!obs.demand_access(0));
         obs.arm(0);
-        obs.record(ev(0, EventKind::CommitWrite));
+        obs.record(ev(0, EventKind::PrefetchFill));
         assert!(obs.demand_access(0));
-        obs.record(ev(1, EventKind::CommitWrite)); // core 1 still warming
+        obs.record_with(ev(1, EventKind::GmSpecFill), 3); // core 1 still warming
         assert!(!obs.demand_access(1));
         let cap = obs.finish().unwrap();
-        assert_eq!(cap.recorded(EventKind::CommitWrite), 1);
-        assert_eq!(cap.events.len(), 1);
-        assert_eq!(cap.events[0].core, 0);
+        assert_eq!(cap.recorded(EventKind::PrefetchFill), 1);
+        assert_eq!(cap.recorded(EventKind::GmSpecFill), 0);
+        assert_eq!(cap.hists.gm_occupancy.count(), 0);
         assert_eq!(cap.hists.demand_accesses, 1);
     }
 
     #[test]
     fn summary_counts_add_up() {
         let mut obs = Obs::new(&ObsConfig::enabled(), 1);
-        obs.inner.as_mut().unwrap().ring = EventRing::new(1);
         obs.arm(0);
-        obs.record(ev(0, EventKind::PortStall));
-        obs.record(ev(0, EventKind::PortStall));
+        obs.record(ev(0, EventKind::PrefetchFill));
+        obs.record(ev(0, EventKind::PrefetchFill));
         obs.record_with(ev(0, EventKind::GmSpecFill), 9);
         obs.push_epoch(EpochRow::default());
         let s = obs.finish().unwrap().summary();
         assert_eq!(s.events_recorded, 3);
-        assert_eq!(s.events_stored, 1);
-        assert_eq!(s.events_dropped, 2);
         assert_eq!(s.epochs, 1);
         assert_eq!(s.hist_samples, 1);
     }

@@ -170,11 +170,13 @@ pub struct Hierarchy {
     /// Per-core `("l1d[c]", "l2[c]")` labels, built once at construction
     /// so the capture path never formats strings.
     mshr_labels: Vec<(String, String)>,
-    /// The in-run recorder (events, epochs, histograms);
+    /// The in-run recorder (event counts, epochs, histograms);
     /// `Obs::disabled()` unless the system installed one, in which case
     /// every hook below feeds it. The system arms it per core at the
-    /// warm-up boundary and records squashes and epochs into it. Every
-    /// hook is event-driven, so recorded runs keep the idle fast-forward.
+    /// warm-up boundary and records epochs into it. Every hook is
+    /// event-driven and none changes what the driver does, so a recorded
+    /// run walks the same path as a plain one and keeps the idle
+    /// fast-forward.
     pub(crate) obs: Obs,
     /// Wall-time phase profiler; disabled (one branch per hook) unless
     /// `repro --profile` style runs request it.
@@ -329,29 +331,15 @@ impl Hierarchy {
         Some(cap)
     }
 
-    /// Records an event at exactly the site that bumped the matching
-    /// counter, keeping event totals reconcilable with the final report.
+    /// Records an event and its histogram sample ([`Obs::record_with`])
+    /// at exactly the site that bumps the matching counter (a prefetch
+    /// fill has none), keeping event totals reconcilable with the final
+    /// report.
     #[inline]
-    fn obs_ev(&mut self, at: Cycle, core: CoreId, kind: EventKind, line: LineAddr, arg: u32) {
-        self.obs_sample(at, core, kind, line, arg, 0);
-    }
-
-    /// [`Hierarchy::obs_ev`] for a kind that carries a histogram sample
-    /// beside its event ([`Obs::record_with`]).
-    #[inline]
-    fn obs_sample(
-        &mut self,
-        at: Cycle,
-        core: CoreId,
-        kind: EventKind,
-        line: LineAddr,
-        arg: u32,
-        sample: u64,
-    ) {
+    fn obs_ev(&mut self, at: Cycle, core: CoreId, kind: EventKind, line: LineAddr, sample: u64) {
         let ev = Event {
             cycle: at,
             line,
-            arg,
             core: core as u16,
             kind,
         };
@@ -641,10 +629,9 @@ impl Hierarchy {
     /// The gate of a cache-level access: `false` when the request is
     /// still blocked and went (back) to the wait list. A waiter brings
     /// its gate in `carried`; the request record is read only for a
-    /// request that arrives for the first time (or, under obs, for the
-    /// line of a `PortStall` event). Nothing counts how long a waiter
-    /// waits; a request that is never admitted stops retirement and
-    /// trips `WATCHDOG_CYCLES` in the run loop.
+    /// request that arrives for the first time. Nothing counts how long
+    /// a waiter waits; a request that is never admitted stops retirement
+    /// and trips `WATCHDOG_CYCLES` in the run loop.
     fn admit(&mut self, now: Cycle, rid: u32, carried: Option<Gate>) -> bool {
         let gate = carried.unwrap_or_else(|| Self::gate_of(&self.reqs[rid as usize], false));
         let (core, lvl) = (gate.core(), gate.lvl());
@@ -665,20 +652,12 @@ impl Hierarchy {
             }
             self.level_metrics(core, lvl).port_stalls += 1;
         }
-        // Under obs every denial is an event carrying the request's
-        // line, so denials are never handed out from the table.
-        let traced = !parked && self.obs.is_enabled();
-        if traced {
-            let line = self.reqs[rid as usize].line;
-            self.obs_ev(now, core, EventKind::PortStall, line, lvl as u32);
-        } else {
-            let verdict = &mut self.verdicts[gate.index()];
-            if *verdict == ASK {
-                self.settled.push(gate);
-            }
-            *verdict = if parked { PARK } else { DENY };
+        let verdict = &mut self.verdicts[gate.index()];
+        if *verdict == ASK {
+            self.settled.push(gate);
         }
-        self.blocked_reads += (carried.is_none() || traced) as u64;
+        *verdict = if parked { PARK } else { DENY };
+        self.blocked_reads += carried.is_none() as u64;
         self.waits.push_blocked(Waiter::blocked(rid, gate), parked);
         false
     }
@@ -766,13 +745,7 @@ impl Hierarchy {
         }
         if lk.useful {
             self.metrics[core].prefetch.useful += 1;
-            self.obs_ev(
-                now,
-                core,
-                EventKind::PrefetchUseful,
-                req.line,
-                lk.pf_latency,
-            );
+            self.obs_ev(now, core, EventKind::PrefetchUseful, req.line, 0);
         }
         if is_demand {
             self.observe_demand(now, &req, &lk);
@@ -827,7 +800,7 @@ impl Hierarchy {
                 if pf_here {
                     self.metrics[core].prefetch.late += 1;
                     let age = now - in_flight_since;
-                    self.obs_sample(now, core, EventKind::PrefetchLate, req.line, 0, age);
+                    self.obs_ev(now, core, EventKind::PrefetchLate, req.line, age);
                     self.reqs[rid as usize].merged_prefetch = true;
                     self.prof.enter(Phase::Prefetcher);
                     self.st.prefetchers[core].feedback(Feedback::Late { line: req.line });
@@ -838,7 +811,6 @@ impl Hierarchy {
         }
         if self.timing.at(core, lvl).mshr.is_full() {
             self.level_metrics(core, lvl).mshr_full_stalls += 1;
-            self.obs_ev(now, core, EventKind::MshrFull, req.line, lvl as u32);
             if droppable {
                 self.metrics[core].prefetch.dropped_resources += 1;
                 self.free_req(rid);
@@ -863,7 +835,6 @@ impl Hierarchy {
         // allocating deeper MSHRs as it descends is still one request.
         if droppable {
             self.metrics[core].prefetch.issued += 1;
-            self.obs_ev(now, core, EventKind::PrefetchIssue, req.line, lvl as u32);
         }
         let r = &mut self.reqs[rid as usize];
         r.path[lvl as usize] = Some(token);
@@ -990,7 +961,6 @@ impl Hierarchy {
                 if kind == ReqKind::CleanProp {
                     // GhostMinion clean-line commit propagation.
                     self.metrics[core].commit.propagations += 1;
-                    self.obs_ev(now, core, EventKind::CleanProp, ev.line, lvl as u32);
                 }
                 let mut req = Self::blank_req(core, ev.line, Ip::new(0), kind, now);
                 req.cur_level = lvl + 1;
@@ -1009,13 +979,6 @@ impl Hierarchy {
                 } else {
                     m.propagation_skip_wrong += 1;
                 }
-                self.obs_ev(
-                    now,
-                    core,
-                    EventKind::PropagationSkip,
-                    ev.line,
-                    present as u32,
-                );
             }
         }
     }
@@ -1077,7 +1040,7 @@ impl Hierarchy {
                     self.prof.exit();
                     if filled.is_some() {
                         let occ = self.st.gm[core].occupancy() as u64;
-                        self.obs_sample(now, core, EventKind::GmSpecFill, req.line, latency, occ);
+                        self.obs_ev(now, core, EventKind::GmSpecFill, req.line, occ);
                     }
                     let m = &mut self.metrics[core].l1d;
                     m.miss_latency_sum += latency as u64;
@@ -1112,7 +1075,7 @@ impl Hierarchy {
             // The event also starts the fill-to-first-demand-use clock of
             // the timeliness histograms.
             ReqKind::Prefetch => {
-                self.obs_ev(now, core, EventKind::PrefetchFill, req.line, latency);
+                self.obs_ev(now, core, EventKind::PrefetchFill, req.line, 0);
             }
             _ => {}
         }
@@ -1157,18 +1120,14 @@ impl Hierarchy {
                 } else {
                     m.suf_drop_wrong += 1;
                 }
-                self.obs_ev(now, core, EventKind::SufDrop, line, present as u32);
             }
             Some(Commit::Update { kind, wb }) => {
                 let m = &mut self.metrics[core].commit;
-                let event = if kind == ReqKind::CommitWrite {
+                if kind == ReqKind::CommitWrite {
                     m.commit_writes += 1;
-                    EventKind::CommitWrite
                 } else {
                     m.refetches += 1;
-                    EventKind::Refetch
-                };
-                self.obs_ev(now, core, event, line, 0);
+                }
                 let mut req = Self::blank_req(core, line, ip, kind, now);
                 req.ts = ts;
                 req.wb = wb;
@@ -1654,9 +1613,9 @@ mod tests {
             .chain([&h.timing.llc])
             .map(|level| level.ports.total_rejected())
             .collect();
-        let events = h.take_capture().map(|cap| cap.events);
+        let recorded = h.take_capture().map(|cap| (cap.recorded, cap.hists));
         format!(
-            "{:?}\n{rejected:?}\n{:?}\n{:?}\n{events:?}\n{:?}\n{}",
+            "{:?}\n{rejected:?}\n{:?}\n{:?}\n{recorded:?}\n{:?}\n{}",
             h.waits,
             h.metrics,
             h.reqs,
@@ -1691,13 +1650,13 @@ mod tests {
                 );
                 assert_eq!(parks, (1, 2), "pair of core {first}");
             }
-            // Without obs, denials at the first core's L1D and the
-            // second's LLC come from the table, at gates of both pairs.
+            // Denials at the first core's L1D and the second's LLC come
+            // from the table, at gates of both pairs, with the recorder
+            // installed or not.
             let far = fast.settled.iter().any(|g| g.index() >= 2 * Gate::KINDS);
-            assert!(obs || far, "the second pair's gates were settled");
-            // One record read per DRAM refusal; under obs one more per
-            // denial, for the event's line.
-            assert_eq!(fast.driver_counts().blocked_req_reads, 2 + 22 * obs as u64);
+            assert!(far, "the second pair's gates were settled");
+            // One record read per DRAM refusal.
+            assert_eq!(fast.driver_counts().blocked_req_reads, 2);
             // A second cycle, walked from what the first left behind:
             // a verdict not reset would still deny.
             tick_with(&mut fast, NOW + 1, Hierarchy::walk_waiters);

@@ -49,7 +49,7 @@ use std::sync::Arc;
 
 /// The recorder configuration under its old name: a forward kept because
 /// `benchmark/` pins it, to retire with that crate's next edit (ROADMAP
-/// item 3).
+/// item 4).
 pub type TelConfig = ObsConfig;
 
 /// Builds the system every `run_*` helper and every experiment job

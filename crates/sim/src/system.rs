@@ -9,15 +9,15 @@ use secpref_core::SecureUpdateFilter;
 use secpref_cpu::{Core, CoreEvent, FunctionalPort, LoadIssue, LoadPort};
 use secpref_ghostminion::{AlwaysUpdate, UpdateFilter};
 use secpref_mem::dram::DramStats;
-use secpref_obs::{EpochRow, Event, EventKind, Obs, ObsCapture, ObsConfig};
+use secpref_obs::{EpochRow, Obs, ObsCapture, ObsConfig};
 use secpref_prefetch::Prefetcher;
 use secpref_telemetry::{Phase, ProfileReport};
 use secpref_trace::Trace;
 use secpref_tracestore::TraceFeed;
 use secpref_types::counters::Counter;
 use secpref_types::{
-    Addr, CacheLevel, CoreId, Cycle, Ip, LineAddr, MetricStats, PrefetchMode, PrefetcherKind,
-    SamplingConfig, SamplingSummary, SystemConfig,
+    Addr, CacheLevel, CoreId, Cycle, Ip, MetricStats, PrefetchMode, PrefetcherKind, SamplingConfig,
+    SamplingSummary, SystemConfig,
 };
 use std::sync::Arc;
 
@@ -102,8 +102,8 @@ fn epoch_columns() -> Vec<String> {
     cols
 }
 
-/// Per-core epoch-sampling and squash-polling state (present only while
-/// an observability recorder is installed).
+/// Per-core epoch-sampling state (present only while an observability
+/// recorder is installed).
 #[derive(Debug)]
 struct ObsTrack {
     interval: u64,
@@ -112,7 +112,6 @@ struct ObsTrack {
     epoch_idx: u64,
     /// The counters at the previous sample, or at the arm point.
     prev: Snapshot,
-    prev_squashed: u64,
 }
 
 impl ObsTrack {
@@ -122,7 +121,6 @@ impl ObsTrack {
             next_at: u64::MAX,
             epoch_idx: 0,
             prev: Snapshot::default(),
-            prev_squashed: 0,
         }
     }
 
@@ -149,8 +147,8 @@ struct CoreCtx {
     warm_target: u64,
     warmup_cycle: Option<Cycle>,
     finished_cycle: Option<Cycle>,
-    /// Epoch-sampling / squash-polling state, present only while an
-    /// observability recorder is installed.
+    /// Epoch-sampling state, present only while an observability
+    /// recorder is installed.
     obs: Option<ObsTrack>,
 }
 
@@ -163,9 +161,6 @@ impl CoreCtx {
     fn replay(&mut self) {
         self.retired_base += self.core.retired();
         self.core.replay();
-        if let Some(t) = self.obs.as_mut() {
-            t.prev_squashed = 0; // fresh core, fresh counter
-        }
     }
 }
 
@@ -501,23 +496,6 @@ impl System {
                     }
                 }
                 self.hierarchy.prof_exit();
-                // Observability: poll the squash counter. `obs_on ==
-                // false` keeps this free.
-                if self.obs_on {
-                    let squashed = self.cores[c].core.squashed();
-                    let t = self.cores[c].obs.as_mut().expect("obs_on implies trackers");
-                    if squashed > t.prev_squashed {
-                        let delta = (squashed - t.prev_squashed) as u32;
-                        t.prev_squashed = squashed;
-                        self.hierarchy.obs.record(Event {
-                            cycle: now,
-                            line: LineAddr::new(0),
-                            arg: delta,
-                            core: c as u16,
-                            kind: EventKind::Squash,
-                        });
-                    }
-                }
             }
             if all_done {
                 break;
@@ -550,11 +528,10 @@ impl System {
             // With no retirement this cycle, the boundary checks, the
             // replay check, and the watchdog are all no-ops until the
             // next wake, so skipping to it is exact. It stays on under
-            // observability: squashes happen only on cycles a core
-            // ticks, and `PortStall` events only while a
-            // non-parked waiter keeps `next_due == now + 1` — none of
-            // those cycles is skipped (`tests/skip_equiv.rs` diffs the
-            // captures).
+            // observability: every recorder hook fires inside an event
+            // or a core tick, and epochs close on the cycle after a
+            // retirement — none of those cycles is skipped
+            // (`tests/skip_equiv.rs` diffs the captures).
             if self.allow_skip && !progressed {
                 let mut wake = self.hierarchy.next_due(now);
                 if wake > next_cycle {

@@ -42,7 +42,7 @@ pub const N_BUCKETS: usize = SUB_BUCKETS + GROUPS * SUB_BUCKETS + 1;
 /// A fixed-size log2-bucketed histogram of `u64` samples.
 ///
 /// See the [module docs](self) for the bucket math.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Hist {
     counts: [u64; N_BUCKETS],
     count: u64,
