@@ -208,6 +208,63 @@ fn sectrace_refuses_a_crafted_footer_max_dep_dist() {
     assert_eq!(err.matches("chunk 0:").count(), 1, "{err}");
 }
 
+/// A one-chunk store whose second record's IP delta of +1 lands on 2^32
+/// is refused by `verify` and `replay` with a typed error and exit code
+/// 2, not a panic: a trace IP is 32 bits.
+#[test]
+fn sectrace_refuses_an_ip_past_32_bits() {
+    use secpref_tracestore::codec::compress;
+    use secpref_tracestore::fnv::{fnv1a64, FNV_OFFSET};
+    let s = Scratch::new("ip32");
+    let sct = s.0.join("t.sct");
+    let sct = sct.to_str().expect("utf-8 temp path");
+    // Two ALU records (head byte 0): IP deltas zigzag(u32::MAX), zigzag(1).
+    let raw = [0x00, 0xFE, 0xFF, 0xFF, 0xFF, 0x1F, 0x00, 0x02];
+    let comp = compress(&raw);
+    let mut store = b"SPTRCHK\0".to_vec();
+    store.extend_from_slice(&1u32.to_le_bytes()); // version
+    store.extend_from_slice(&64u32.to_le_bytes()); // chunk size
+    store.extend_from_slice(&comp);
+    let mut footer = 1u64.to_le_bytes().to_vec(); // one chunk
+    footer.extend_from_slice(&16u64.to_le_bytes()); // its offset
+    footer.extend_from_slice(&2u32.to_le_bytes()); // its records
+    footer.extend_from_slice(&(raw.len() as u32).to_le_bytes());
+    footer.extend_from_slice(&(comp.len() as u32).to_le_bytes());
+    footer.extend_from_slice(&fnv1a64(&raw, FNV_OFFSET).to_le_bytes());
+    footer.extend_from_slice(&2u64.to_le_bytes()); // n_instr
+    footer.extend_from_slice(&0u64.to_le_bytes()); // max_dep_dist
+    footer.extend_from_slice(&0u64.to_le_bytes()); // content digest
+    footer.extend_from_slice(&1u32.to_le_bytes());
+    footer.push(b'x'); // name
+    footer.extend_from_slice(&0u64.to_le_bytes()); // no wrong-path loads
+    footer.extend_from_slice(&fnv1a64(&footer, FNV_OFFSET).to_le_bytes());
+    let footer_off = store.len() as u64;
+    store.extend_from_slice(&footer);
+    store.extend_from_slice(&footer_off.to_le_bytes());
+    store.extend_from_slice(&(footer.len() as u64).to_le_bytes());
+    store.extend_from_slice(b"SPTRIDX\0");
+    std::fs::write(sct, &store).expect("write crafted store");
+    let out = sectrace(&["info", sct]);
+    assert!(
+        out.status.success(),
+        "the footer is sound: {}",
+        stderr(&out)
+    );
+    for (args, code) in [
+        (&["verify", sct][..], 1),
+        (&["replay", sct, "--measure", "1"], 2),
+    ] {
+        let out = sectrace(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{err}");
+        assert!(
+            err.contains("record 1: ip 0x100000000 exceeds 32 bits"),
+            "{err}"
+        );
+    }
+}
+
 #[test]
 #[ignore = "release-only: profiles the 39-cell matrix"]
 fn profile_prints_table_and_writes_valid_trace() {

@@ -30,12 +30,26 @@ const TRACK_SLOTS: usize = 2 * TRACK_CAP;
 
 const _: () = assert!(TRACK_SLOTS.is_power_of_two());
 
-/// One open-addressed slot: a line, its issue cycle, and a live bit.
-#[derive(Clone, Copy, Debug, Default)]
+/// One open-addressed slot: a line and its issue cycle. A free slot
+/// has `at == Cycle::MAX`, a cycle no issue ever reaches.
+#[derive(Clone, Copy, Debug)]
 struct TrackSlot {
     line: u64,
     at: Cycle,
-    live: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<TrackSlot>() == 16);
+
+impl TrackSlot {
+    const FREE: TrackSlot = TrackSlot {
+        line: 0,
+        at: Cycle::MAX,
+    };
+
+    #[inline]
+    fn live(&self) -> bool {
+        self.at != Cycle::MAX
+    }
 }
 
 /// A bounded line → cycle map with FIFO aging.
@@ -55,7 +69,7 @@ struct IssueTracker {
 impl Default for IssueTracker {
     fn default() -> Self {
         IssueTracker {
-            slots: vec![TrackSlot::default(); TRACK_SLOTS],
+            slots: vec![TrackSlot::FREE; TRACK_SLOTS],
             order: VecDeque::with_capacity(TRACK_CAP + 1),
         }
     }
@@ -75,7 +89,7 @@ impl IssueTracker {
         let mut i = Self::home(line);
         loop {
             let s = &self.slots[i];
-            if !s.live {
+            if !s.live() {
                 return None;
             }
             if s.line == line {
@@ -86,16 +100,13 @@ impl IssueTracker {
     }
 
     fn insert(&mut self, line: LineAddr, at: Cycle) {
+        debug_assert!(at != Cycle::MAX, "Cycle::MAX marks a free slot");
         let raw = line.raw();
         let mut i = Self::home(raw);
         loop {
             let s = &mut self.slots[i];
-            if !s.live {
-                *s = TrackSlot {
-                    line: raw,
-                    at,
-                    live: true,
-                };
+            if !s.live() {
+                *s = TrackSlot { line: raw, at };
                 break;
             }
             if s.line == raw {
@@ -123,7 +134,7 @@ impl IssueTracker {
         let mut j = i;
         loop {
             j = (j + 1) & mask;
-            if !self.slots[j].live {
+            if !self.slots[j].live() {
                 break;
             }
             let k = Self::home(self.slots[j].line);
@@ -140,7 +151,7 @@ impl IssueTracker {
             self.slots[i] = self.slots[j];
             i = j;
         }
-        self.slots[i].live = false;
+        self.slots[i] = TrackSlot::FREE;
     }
 
     fn get(&self, line: LineAddr) -> Option<Cycle> {

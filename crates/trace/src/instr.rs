@@ -44,8 +44,14 @@ pub struct Instr {
     pub kind: InstrKind,
 }
 
+// A trace is an array of these: a 32-bit `Ip` and a 4-byte-aligned
+// `Addr` keep the record at 16 bytes with no padding.
+const _: () = assert!(std::mem::size_of::<InstrKind>() == 12);
+const _: () = assert!(std::mem::size_of::<Instr>() == 16);
+
 impl Instr {
     /// Shorthand for an ALU instruction.
+    #[inline]
     pub fn alu(ip: u64) -> Self {
         Instr {
             ip: Ip::new(ip),
@@ -54,6 +60,7 @@ impl Instr {
     }
 
     /// Shorthand for an independent load.
+    #[inline]
     pub fn load(ip: u64, addr: u64) -> Self {
         Instr {
             ip: Ip::new(ip),
@@ -65,6 +72,7 @@ impl Instr {
     }
 
     /// Shorthand for a dependent load (pointer chase).
+    #[inline]
     pub fn load_dep(ip: u64, addr: u64, dep_dist: u16) -> Self {
         Instr {
             ip: Ip::new(ip),
@@ -76,6 +84,7 @@ impl Instr {
     }
 
     /// Shorthand for a store.
+    #[inline]
     pub fn store(ip: u64, addr: u64) -> Self {
         Instr {
             ip: Ip::new(ip),
@@ -86,6 +95,7 @@ impl Instr {
     }
 
     /// Shorthand for a branch.
+    #[inline]
     pub fn branch(ip: u64, taken: bool) -> Self {
         Instr {
             ip: Ip::new(ip),

@@ -30,7 +30,9 @@
 //! `tag | taken << 2 | has_dep << 3`, a zigzag-varint IP delta, then for
 //! memory ops a zigzag-varint address delta and for dependent loads a
 //! varint dependency distance. Both deltas reset to base 0 at each chunk
-//! boundary, so chunks decode independently (random access).
+//! boundary, so chunks decode independently (random access). An IP is
+//! 32 bits: decode refuses a record whose IP lands outside `0..2^32`
+//! with a typed error naming the chunk and record.
 //!
 //! **Content digest.** The digest is FNV-1a over a canonical fixed-width
 //! expansion of every record (head byte, 8-byte IP, 8-byte payload,
@@ -57,9 +59,10 @@ const TRAILER_LEN: u64 = 24;
 pub const DEFAULT_CHUNK_SIZE: u32 = 64 * 1024;
 
 /// Largest records per chunk a store may declare (2^20: a decoded chunk
-/// stays within 24 MiB). [`TraceWriter::create`] refuses a larger chunk
-/// size and [`TraceReader::open`] a store that declares one, so no size
-/// read from a file can ask for an unbounded allocation.
+/// of 16-byte records stays within 16 MiB). [`TraceWriter::create`]
+/// refuses a larger chunk size and [`TraceReader::open`] a store that
+/// declares one, so no size read from a file can ask for an unbounded
+/// allocation.
 pub const MAX_CHUNK_SIZE: u32 = 1 << 20;
 
 /// Longest encoding of one record: head byte, IP and address deltas of
@@ -642,8 +645,9 @@ fn decode_chunk(raw: &[u8], n_records: usize, max_dep: u64) -> Result<Vec<Instr>
         }
         let dip = varint::decode_u64(raw, &mut pos)
             .ok_or_else(|| format!("record {rec}: bad ip delta"))?;
-        let ip = prev_ip.wrapping_add(varint::unzigzag(dip) as u64);
-        prev_ip = ip;
+        prev_ip = prev_ip.wrapping_add(varint::unzigzag(dip) as u64);
+        let ip = Ip::try_new(prev_ip)
+            .ok_or_else(|| format!("record {rec}: ip {prev_ip:#x} exceeds 32 bits"))?;
         let kind = match head & 0b11 {
             TAG_ALU => InstrKind::Alu,
             TAG_LOAD => {
@@ -682,10 +686,7 @@ fn decode_chunk(raw: &[u8], n_records: usize, max_dep: u64) -> Result<Vec<Instr>
             },
             _ => unreachable!("tag is 2 bits"),
         };
-        out.push(Instr {
-            ip: Ip::new(ip),
-            kind,
-        });
+        out.push(Instr { ip, kind });
     }
     if pos != raw.len() {
         return Err("trailing bytes after last record".to_string());
@@ -698,10 +699,18 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
+    /// Every 61 records the IP jumps between `0x40_0000` and
+    /// `0xFFFF_F000`, so IP deltas take five varint bytes in both
+    /// directions while every IP stays inside 32 bits.
     fn sample_instrs(n: usize) -> Vec<Instr> {
         (0..n)
             .map(|i| {
-                let ip = 0x40_0000 + (i as u64 % 61) * 4 + ((i as u64 / 61) << 33);
+                let base = if (i / 61) % 2 == 0 {
+                    0x40_0000
+                } else {
+                    0xFFFF_F000
+                };
+                let ip = base + (i as u64 % 61) * 4;
                 match i % 5 {
                     0 => Instr::alu(ip),
                     1 => Instr::load(ip, 0x1000_0000 + (i as u64 * 64) % (1 << 30)),
@@ -888,6 +897,54 @@ mod tests {
         let err = r.read_chunk(0).expect_err("refused at decode");
         assert!(err.to_string().contains("exceeds the footer's 37"), "{err}");
         assert!(r.verify().is_err());
+    }
+
+    #[test]
+    fn sample_ip_deltas_take_five_varint_bytes_both_ways() {
+        let instrs = sample_instrs(200);
+        let mut widths = Vec::new();
+        for w in instrs.windows(2) {
+            let d = w[1].ip.raw().wrapping_sub(w[0].ip.raw()) as i64;
+            let mut buf = Vec::new();
+            varint::encode_u64(&mut buf, varint::zigzag(d));
+            if buf.len() == 5 {
+                widths.push(d.signum());
+            }
+        }
+        assert!(widths.contains(&1) && widths.contains(&-1), "{widths:?}");
+    }
+
+    /// A chunk store of `raw` as one chunk of `n_records`, written as the
+    /// writer would but with a body no `Instr` can encode.
+    fn crafted_store(raw: &[u8], n_records: u32) -> Vec<u8> {
+        let mut w = TraceWriter::create(Vec::new(), "crafted", 64).unwrap();
+        w.raw.extend_from_slice(raw);
+        w.in_chunk = n_records;
+        w.n_instr = n_records as u64;
+        w.finish().unwrap().1
+    }
+
+    #[test]
+    fn decode_refuses_an_ip_past_32_bits() {
+        // An ALU at `u32::MAX`, then one whose IP delta of +1 lands on 2^32.
+        let mut raw = vec![TAG_ALU];
+        varint::encode_u64(&mut raw, varint::zigzag(u32::MAX as i64));
+        raw.push(TAG_ALU);
+        varint::encode_u64(&mut raw, varint::zigzag(1));
+        let mut r = TraceReader::open(Cursor::new(crafted_store(&raw, 2))).expect("opens");
+        let err = r.read_chunk(0).expect_err("refused at decode");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains("chunk 0: record 1: ip 0x100000000 exceeds 32 bits"),
+            "{err}"
+        );
+        assert!(r.verify().is_err());
+        // The same bytes one IP lower decode.
+        raw.truncate(raw.len() - 1);
+        varint::encode_u64(&mut raw, varint::zigzag(0));
+        let mut r = TraceReader::open(Cursor::new(crafted_store(&raw, 2))).expect("opens");
+        assert_eq!(r.read_chunk(0).unwrap(), [Instr::alu(u32::MAX as u64); 2]);
     }
 
     #[test]

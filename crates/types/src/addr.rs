@@ -18,8 +18,15 @@ pub const OFFSET_BITS: u32 = 6;
 /// assert_eq!(a.raw(), 0x1000);
 /// assert_eq!((a + 64).line(), a.line().next());
 /// ```
+///
+/// Packed to 4-byte alignment so that a trace record holding a 32-bit
+/// [`Ip`] beside an address is 16 bytes with no padding. It is still one
+/// `u64`; read it through [`Addr::raw`], never by reference.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[repr(C, packed(4))]
 pub struct Addr(u64);
+
+const _: () = assert!(std::mem::size_of::<Addr>() == 8 && std::mem::align_of::<Addr>() == 4);
 
 impl Addr {
     /// Creates an address from a raw byte address.
@@ -45,19 +52,19 @@ impl Addr {
 
 impl fmt::Debug for Addr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Addr({:#x})", self.0)
+        write!(f, "Addr({:#x})", self.raw())
     }
 }
 
 impl fmt::Display for Addr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:#x}", self.0)
+        write!(f, "{:#x}", self.raw())
     }
 }
 
 impl fmt::LowerHex for Addr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::LowerHex::fmt(&self.0, f)
+        fmt::LowerHex::fmt(&self.raw(), f)
     }
 }
 
@@ -173,7 +180,10 @@ impl From<Addr> for LineAddr {
 /// The instruction pointer (program counter) of a load or store.
 ///
 /// Prefetchers key their tables on the IP; it needs no arithmetic beyond
-/// hashing, so it is a plain opaque newtype.
+/// hashing, so it is a plain opaque newtype. It holds 32 bits: every
+/// generator's IPs lie below 2^23, the modelled tables index low IP bits,
+/// and a 4-byte IP keeps a trace record at 16 bytes. The API still speaks
+/// `u64`: [`Ip::new`] panics past `u32::MAX` and [`Ip::try_new`] refuses.
 ///
 /// # Examples
 ///
@@ -181,25 +191,49 @@ impl From<Addr> for LineAddr {
 /// use secpref_types::Ip;
 /// let ip = Ip::new(0x40_1000);
 /// assert_eq!(ip.raw(), 0x40_1000);
+/// assert_eq!(Ip::try_new(1 << 32), None);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Ip(u64);
+pub struct Ip(u32);
+
+const _: () = assert!(std::mem::size_of::<Ip>() == 4);
 
 impl Ip {
     /// Creates an instruction pointer from its raw value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `raw` does not fit in 32 bits.
+    // Inlined by hand: the panic path keeps it out of the compiler's
+    // cross-crate inlining, and generators call it once per instruction.
+    #[inline]
     pub const fn new(raw: u64) -> Self {
-        Ip(raw)
+        match Ip::try_new(raw) {
+            Some(ip) => ip,
+            None => panic!("instruction pointer exceeds 32 bits"),
+        }
+    }
+
+    /// Creates an instruction pointer from an untrusted raw value, or
+    /// `None` if it does not fit in 32 bits.
+    #[inline]
+    pub const fn try_new(raw: u64) -> Option<Self> {
+        if raw > u32::MAX as u64 {
+            None
+        } else {
+            Some(Ip(raw as u32))
+        }
     }
 
     /// Returns the raw value.
     pub const fn raw(self) -> u64 {
-        self.0
+        self.0 as u64
     }
 
     /// Returns the low `bits` bits — the common table-index hash
     /// used by IP-indexed prefetcher tables.
     pub const fn index_bits(self, bits: u32) -> usize {
-        (self.0 & ((1u64 << bits) - 1)) as usize
+        (self.raw() & ((1u64 << bits) - 1)) as usize
     }
 }
 
@@ -212,12 +246,6 @@ impl fmt::Debug for Ip {
 impl fmt::Display for Ip {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:#x}", self.0)
-    }
-}
-
-impl From<u64> for Ip {
-    fn from(raw: u64) -> Self {
-        Ip(raw)
     }
 }
 
@@ -261,6 +289,10 @@ mod tests {
         assert_eq!(format!("{}", Addr::new(255)), "0xff");
         assert_eq!(format!("{}", LineAddr::new(255)), "0xff");
         assert_eq!(format!("{:x}", Addr::new(255)), "ff");
+        assert_eq!(
+            format!("{:?}", Addr::new(u64::MAX)),
+            "Addr(0xffffffffffffffff)"
+        );
     }
 
     #[test]
@@ -268,5 +300,22 @@ mod tests {
         let ip = Ip::new(0xABCD);
         assert_eq!(ip.index_bits(8), 0xCD);
         assert_eq!(ip.index_bits(4), 0xD);
+    }
+
+    #[test]
+    fn ip_holds_exactly_32_bits() {
+        assert_eq!(Ip::new(u32::MAX as u64).raw(), u32::MAX as u64);
+        assert_eq!(
+            Ip::try_new(u32::MAX as u64).map(Ip::raw),
+            Some(u32::MAX as u64)
+        );
+        assert_eq!(Ip::try_new(u32::MAX as u64 + 1), None);
+        assert_eq!(Ip::try_new(u64::MAX), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "instruction pointer exceeds 32 bits")]
+    fn ip_new_panics_past_32_bits() {
+        Ip::new(1 << 32);
     }
 }

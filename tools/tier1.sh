@@ -39,8 +39,10 @@ echo "== release-only tests (--ignored)"
 # trace, fig16's 32-core row, the ablations cold and resumed
 # (crates/bench/tests/cli.rs). secpref-tracestore: prefix stability at
 # paper scale, `lbm_like` built in place to 10^7 instructions against
-# its streamed capture, at one copy's peak memory. secpref-trace: the
-# byte digests of all 22 suite traces at 200 000 instructions.
+# its streamed capture, at one copy's peak memory of 16-byte records
+# (a record padded back to 24 B fails it, naming the record size).
+# secpref-trace: the byte digests of all 22 suite traces at 200 000
+# instructions.
 cargo test --release -q -p secpref-check -p secpref-bench -p secpref-tracestore -p secpref-trace -- --ignored
 
 echo "== cross-core attack litmus (release) + examples"
