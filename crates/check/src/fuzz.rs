@@ -482,20 +482,32 @@ fn panic_text(panic: &(dyn std::any::Any + Send)) -> String {
 // ---------------------------------------------------------------------------
 
 /// Replays `ops` random operations through the real `SetAssocCache` and
-/// the golden model, asserting identical outcomes and identical tag state
-/// after every operation.
+/// the golden model on a `sets` × `ways` geometry, asserting identical
+/// outcomes and identical tag state after every operation. Returns, per
+/// set, how many ops moved a line to MRU (every fill, and every touch
+/// that hit): each took a stamp from that set's LRU clock.
+///
+/// One line in eight is drawn from the set of `LineAddr::new(u64::MAX)`,
+/// that line included: its raw address is the cache's invalid-way tag,
+/// so only the valid flag finds it.
 ///
 /// # Panics
 ///
-/// Panics on the first divergence.
-pub fn differential_cache_ops(seed: u64, ops: usize) {
+/// Panics on the first divergence, or if `sets` is not a power of two.
+pub fn differential_cache_ops(seed: u64, sets: usize, ways: usize, ops: usize) -> Vec<u64> {
     let mut rng = Xoshiro256ss::seed_from_u64(seed);
-    let (sets, ways) = (8usize, 4usize);
     let mut real = SetAssocCache::new(sets, ways);
     let mut gold = GoldenCache::new(sets, ways);
+    let mut promoted = vec![0u64; sets];
     let pool = (sets * ways * 3) as u64;
     for op in 0..ops {
-        let line = secpref_types::LineAddr::new(rng.gen_u64(pool));
+        let raw = if rng.gen_index(8) == 0 {
+            u64::MAX - sets as u64 * rng.gen_u64(ways as u64 * 3)
+        } else {
+            rng.gen_u64(pool)
+        };
+        let line = secpref_types::LineAddr::new(raw);
+        let set = raw as usize & (sets - 1);
         match rng.gen_index(8) {
             0..=2 => {
                 let attrs = FillAttrs {
@@ -515,11 +527,13 @@ pub fn differential_cache_ops(seed: u64, ops: usize) {
                     fetch_latency: attrs.fetch_latency,
                 });
                 assert_eq!(ev_r, ev_g, "fill eviction diverged at op {op}");
+                promoted[set] += 1;
             }
             3 => {
                 let r = real.touch(line).map(|l| l.line);
                 let g = gold.touch(line).map(|l| l.line);
                 assert_eq!(r, g, "touch diverged at op {op}");
+                promoted[set] += r.is_some() as u64;
             }
             4 => {
                 assert_eq!(
@@ -551,16 +565,23 @@ pub fn differential_cache_ops(seed: u64, ops: usize) {
         );
         let mut r_state: Vec<_> = real
             .iter()
-            .map(|l| (l.line, l.dirty, l.prefetched, l.wb_bit, l.wb_next))
+            .map(|l| {
+                let s = (l.line, l.dirty, l.prefetched, l.wb_bit, l.wb_next);
+                (s, l.fetch_latency)
+            })
             .collect();
         let mut g_state: Vec<_> = gold
             .iter()
-            .map(|l| (l.line, l.dirty, l.prefetched, l.wb_bit, l.wb_next))
+            .map(|l| {
+                let s = (l.line, l.dirty, l.prefetched, l.wb_bit, l.wb_next);
+                (s, l.fetch_latency)
+            })
             .collect();
         r_state.sort();
         g_state.sort();
         assert_eq!(r_state, g_state, "tag state diverged at op {op}");
     }
+    promoted
 }
 
 /// Replays `ops` random operations through the real `GmCache` and the
@@ -700,7 +721,7 @@ fn fuzz_cell(plan: &FuzzPlan, cell: &FuzzCell, cell_idx: usize, iters: u64) -> C
         let seed = splitmix(cell_seed ^ iter);
         // Timing-free component differential on the same seed stream.
         let component = catch_unwind(AssertUnwindSafe(|| {
-            differential_cache_ops(seed, 64);
+            differential_cache_ops(seed, 8, 4, 64);
             differential_gm_ops(seed.rotate_left(17), 48);
         }));
         if let Err(panic) = component {
@@ -847,10 +868,29 @@ mod tests {
         }
     }
 
+    /// A set's LRU clock has 65 534 stamps; past them the set renumbers
+    /// its lines. No benchmark cell or pinned digest runs a set that far,
+    /// so this replays op streams on 1- and 2-set caches until every set
+    /// has gone through at least three renumberings, comparing each
+    /// victim with the golden model's.
+    #[test]
+    fn cache_differential_spans_lru_renumbering() {
+        const CLOCK_RANGE: u64 = 65_534;
+        for sets in [1, 2] {
+            let promoted = differential_cache_ops(0x5e7_c10c, sets, 4, sets * 10 * 65_536);
+            for (set, &n) in promoted.iter().enumerate() {
+                assert!(
+                    n >= 3 * CLOCK_RANGE,
+                    "{sets} sets: set {set} took only {n} stamps"
+                );
+            }
+        }
+    }
+
     #[test]
     fn component_differentials_hold() {
         for seed in 0..24u64 {
-            differential_cache_ops(seed, 150);
+            differential_cache_ops(seed, 8, 4, 150);
             differential_gm_ops(seed, 120);
         }
     }

@@ -11,8 +11,12 @@
 //! * `wb_bit` — the GhostMinion *writeback bit* (at L2) or the SUF
 //!   *L2 writeback bit* (at L1D): whether a clean line must be propagated
 //!   outward when evicted (Section IV, Fig. 7 of the paper).
+//!
+//! A way costs 16 host bytes: its tag, the only copy of the line address,
+//! and an 8-byte way record of fetch latency, LRU stamp, status flags
+//! and RRPV. LRU stamps are 16-bit and drawn from a per-set clock.
 
-use secpref_types::LineAddr;
+use secpref_types::{LineAddr, MAX_CACHE_WAYS};
 
 /// Replacement policy for a [`SetAssocCache`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -44,7 +48,9 @@ pub struct FillAttrs {
     pub fetch_latency: u32,
 }
 
-/// Metadata for one resident cache line.
+/// A resident cache line's metadata, by value: what [`SetAssocCache::probe`],
+/// [`SetAssocCache::touch`] and [`SetAssocCache::iter`] return. The cache
+/// stores it packed (a tag and an 8-byte way record), not as this struct.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LineMeta {
     /// The resident line address.
@@ -59,24 +65,55 @@ pub struct LineMeta {
     pub wb_next: bool,
     /// Fetch latency recorded at fill time (see [`FillAttrs`]).
     pub fetch_latency: u32,
-    lru: u64,
-    /// SRRIP re-reference prediction value (0 = imminent, 3 = distant).
-    rrpv: u8,
-    valid: bool,
 }
 
-impl LineMeta {
-    const INVALID: LineMeta = LineMeta {
-        line: LineAddr::new(0),
-        dirty: false,
-        prefetched: false,
-        wb_bit: false,
-        wb_next: false,
+/// One way's state beside its tag.
+///
+/// `lru` is a stamp from the way's set clock: only ever compared within
+/// one set, and always in `1..=LRU_TOP` for a valid way.
+#[derive(Clone, Copy, Debug)]
+struct Way {
+    fetch_latency: u32,
+    lru: u16,
+    flags: u8,
+    /// SRRIP re-reference prediction value (0 = imminent, 3 = distant).
+    rrpv: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Way>() == 8);
+
+impl Way {
+    const DIRTY: u8 = 1;
+    const PREFETCHED: u8 = 1 << 1;
+    const WB: u8 = 1 << 2;
+    const WB_NEXT: u8 = 1 << 3;
+    const VALID: u8 = 1 << 4;
+
+    const INVALID: Way = Way {
         fetch_latency: 0,
         lru: 0,
+        flags: 0,
         rrpv: 3,
-        valid: false,
     };
+
+    #[inline]
+    fn has(self, flag: u8) -> bool {
+        self.flags & flag != 0
+    }
+
+    #[inline]
+    fn valid(self) -> bool {
+        self.has(Way::VALID)
+    }
+
+    /// The status flags `attrs` asks for (without [`Way::VALID`]).
+    #[inline]
+    fn flags_of(attrs: FillAttrs) -> u8 {
+        (attrs.dirty as u8 * Way::DIRTY)
+            | (attrs.prefetched as u8 * Way::PREFETCHED)
+            | (attrs.wb_bit as u8 * Way::WB)
+            | (attrs.wb_next as u8 * Way::WB_NEXT)
+    }
 }
 
 /// A line pushed out of the cache by a fill or invalidation.
@@ -100,6 +137,11 @@ pub struct EvictedLine {
 /// speculative accesses must not update LRU bits); `touch` performs the
 /// conventional LRU update for non-speculative accesses.
 ///
+/// Each set has its own 16-bit LRU clock. When a set's clock reaches
+/// `LRU_TOP`, the set renumbers its valid ways `1..=n` in stamp order
+/// before it hands out the next stamp, so every victim is the one an
+/// unbounded clock would pick.
+///
 /// # Examples
 ///
 /// ```
@@ -116,27 +158,37 @@ pub struct EvictedLine {
 pub struct SetAssocCache {
     sets: usize,
     ways: usize,
-    lines: Vec<LineMeta>,
-    /// Flat packed tag array: `tags[i] == lines[i].line.raw()` when
-    /// `lines[i].valid`, else [`TAG_INVALID`]. Lookups scan this dense
-    /// word array per set instead of walking the full `LineMeta` structs.
+    /// Per-way tags, the only copy of each resident line address:
+    /// [`TAG_INVALID`] for an invalid way. Lookups scan this dense word
+    /// array per set.
     tags: Vec<u64>,
-    lru_clock: u64,
+    /// Per-way state, parallel to `tags`.
+    state: Vec<Way>,
+    /// Per-set LRU clock: the last stamp handed out in the set.
+    clocks: Vec<u16>,
     valid_count: usize,
     policy: ReplacementKind,
     rng: u64,
 }
 
-/// Sentinel tag for an invalid way. A real line with this raw address
-/// cannot be cached through the packed path (see [`SetAssocCache::find`]).
+/// Tag of an invalid way. A valid way may hold the one line whose raw
+/// address equals it; its valid flag tells the two apart, and lookups of
+/// that line take a slow path (see [`SetAssocCache::find`]).
 const TAG_INVALID: u64 = u64::MAX;
+
+/// Largest LRU stamp. The fill scan starts its minimum at `u16::MAX`,
+/// out of reach of every stamp.
+const LRU_TOP: u16 = u16::MAX - 1;
+
+const _: () = assert!(MAX_CACHE_WAYS < LRU_TOP as usize);
 
 impl SetAssocCache {
     /// Creates an empty cache with `sets` sets of `ways` ways.
     ///
     /// # Panics
     ///
-    /// Panics if `sets` is not a power of two or either argument is zero.
+    /// Panics if `sets` is not a power of two, either argument is zero,
+    /// or `ways` exceeds [`MAX_CACHE_WAYS`].
     pub fn new(sets: usize, ways: usize) -> Self {
         Self::with_policy(sets, ways, ReplacementKind::Lru)
     }
@@ -145,19 +197,24 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` is not a power of two or either argument is zero.
+    /// Panics if `sets` is not a power of two, either argument is zero,
+    /// or `ways` exceeds [`MAX_CACHE_WAYS`].
     pub fn with_policy(sets: usize, ways: usize, policy: ReplacementKind) -> Self {
         assert!(
             sets > 0 && sets.is_power_of_two(),
             "sets must be a power of two"
         );
         assert!(ways > 0, "ways must be nonzero");
+        assert!(
+            ways <= MAX_CACHE_WAYS,
+            "ways must be at most {MAX_CACHE_WAYS}"
+        );
         SetAssocCache {
             sets,
             ways,
-            lines: vec![LineMeta::INVALID; sets * ways],
             tags: vec![TAG_INVALID; sets * ways],
-            lru_clock: 0,
+            state: vec![Way::INVALID; sets * ways],
+            clocks: vec![0; sets],
             valid_count: 0,
             policy,
             rng: 0x243F_6A88_85A3_08D3,
@@ -183,23 +240,26 @@ impl SetAssocCache {
         (line.raw() as usize) & (self.sets - 1)
     }
 
-    fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
-        let s = self.set_index(line);
-        s * self.ways..(s + 1) * self.ways
+    fn set_range(&self, set: usize) -> std::ops::Range<usize> {
+        set * self.ways..(set + 1) * self.ways
+    }
+
+    /// The valid way of `range` holding the sentinel-aliasing line.
+    fn find_sentinel(&self, range: std::ops::Range<usize>) -> Option<usize> {
+        range
+            .into_iter()
+            .find(|&i| self.state[i].valid() && self.tags[i] == TAG_INVALID)
     }
 
     #[inline]
     fn find(&self, line: LineAddr) -> Option<usize> {
         let raw = line.raw();
+        let range = self.set_range(self.set_index(line));
         if raw == TAG_INVALID {
-            // A line whose raw address equals the sentinel cannot use the
-            // packed path (it would match empty ways); fall back to the
-            // full metadata scan.
-            return self
-                .set_range(line)
-                .find(|&i| self.lines[i].valid && self.lines[i].line == line);
+            // A line whose raw address equals the sentinel would match
+            // every empty way; only the valid flag finds it.
+            return self.find_sentinel(range);
         }
-        let range = self.set_range(line);
         let start = range.start;
         self.tags[range]
             .iter()
@@ -207,11 +267,72 @@ impl SetAssocCache {
             .map(|p| start + p)
     }
 
+    /// The by-value view of way `i`.
+    fn view(&self, i: usize) -> LineMeta {
+        let w = self.state[i];
+        LineMeta {
+            line: LineAddr::new(self.tags[i]),
+            dirty: w.has(Way::DIRTY),
+            prefetched: w.has(Way::PREFETCHED),
+            wb_bit: w.has(Way::WB),
+            wb_next: w.has(Way::WB_NEXT),
+            fetch_latency: w.fetch_latency,
+        }
+    }
+
+    fn evicted(&self, i: usize) -> EvictedLine {
+        let v = self.view(i);
+        EvictedLine {
+            line: v.line,
+            dirty: v.dirty,
+            wb_bit: v.wb_bit,
+            wb_next: v.wb_next,
+            prefetched: v.prefetched,
+        }
+    }
+
+    /// The next LRU stamp of `set`, renumbering the set first if its
+    /// clock is at the top.
+    #[inline]
+    fn stamp(&mut self, set: usize) -> u16 {
+        if self.clocks[set] == LRU_TOP {
+            self.renumber(set);
+        }
+        self.clocks[set] += 1;
+        self.clocks[set]
+    }
+
+    /// Gives the valid ways of `set` the stamps `1..=n` in their current
+    /// stamp order (stamps within a set are distinct) and restarts the
+    /// set's clock at `n`.
+    #[cold]
+    fn renumber(&mut self, set: usize) {
+        let mut valid: Vec<usize> = self
+            .set_range(set)
+            .filter(|&i| self.state[i].valid())
+            .collect();
+        valid.sort_unstable_by_key(|&i| self.state[i].lru);
+        for (n, &i) in valid.iter().enumerate() {
+            self.state[i].lru = n as u16 + 1;
+        }
+        self.clocks[set] = valid.len() as u16;
+    }
+
+    /// Moves way `i`, which holds `line`, to MRU on a reuse.
+    #[inline]
+    fn promote(&mut self, line: LineAddr, i: usize) -> &mut Way {
+        let lru = self.stamp(self.set_index(line));
+        let w = &mut self.state[i];
+        w.lru = lru;
+        w.rrpv = 0; // SRRIP: promote to imminent on reuse
+        w
+    }
+
     /// Looks up a line **without** updating replacement state
     /// (a GhostMinion speculative access).
     #[inline]
-    pub fn probe(&self, line: LineAddr) -> Option<&LineMeta> {
-        self.find(line).map(|i| &self.lines[i])
+    pub fn probe(&self, line: LineAddr) -> Option<LineMeta> {
+        self.find(line).map(|i| self.view(i))
     }
 
     /// Looks up a line and, on a hit, promotes it per the replacement
@@ -220,10 +341,8 @@ impl SetAssocCache {
     #[inline]
     pub fn touch(&mut self, line: LineAddr) -> Option<LineMeta> {
         let i = self.find(line)?;
-        self.lru_clock += 1;
-        self.lines[i].lru = self.lru_clock;
-        self.lines[i].rrpv = 0; // SRRIP: promote to imminent on reuse
-        Some(self.lines[i])
+        self.promote(line, i);
+        Some(self.view(i))
     }
 
     /// Non-speculative access in one tag lookup: [`touch`](Self::touch) +
@@ -234,14 +353,10 @@ impl SetAssocCache {
     #[inline]
     pub fn touch_demand(&mut self, line: LineAddr, store: bool) -> Option<(bool, u32)> {
         let i = self.find(line)?;
-        self.lru_clock += 1;
-        let l = &mut self.lines[i];
-        l.lru = self.lru_clock;
-        l.rrpv = 0; // SRRIP: promote to imminent on reuse
-        let was = l.prefetched;
-        l.prefetched = false;
-        l.dirty |= store;
-        Some((was, l.fetch_latency))
+        let w = self.promote(line, i);
+        let was = w.has(Way::PREFETCHED);
+        w.flags = (w.flags & !Way::PREFETCHED) | (store as u8 * Way::DIRTY);
+        Some((was, w.fetch_latency))
     }
 
     /// Marks a resident line's first demand use: clears the `prefetched`
@@ -249,16 +364,17 @@ impl SetAssocCache {
     #[inline]
     pub fn mark_demand_use(&mut self, line: LineAddr) -> Option<(bool, u32)> {
         let i = self.find(line)?;
-        let was = self.lines[i].prefetched;
-        self.lines[i].prefetched = false;
-        Some((was, self.lines[i].fetch_latency))
+        let w = &mut self.state[i];
+        let was = w.has(Way::PREFETCHED);
+        w.flags &= !Way::PREFETCHED;
+        Some((was, w.fetch_latency))
     }
 
     /// Sets the dirty bit of a resident line. Returns `false` on miss.
     pub fn set_dirty(&mut self, line: LineAddr) -> bool {
         match self.find(line) {
             Some(i) => {
-                self.lines[i].dirty = true;
+                self.state[i].flags |= Way::DIRTY;
                 true
             }
             None => false,
@@ -269,7 +385,8 @@ impl SetAssocCache {
     pub fn set_wb_bit(&mut self, line: LineAddr, wb: bool) -> bool {
         match self.find(line) {
             Some(i) => {
-                self.lines[i].wb_bit = wb;
+                let w = &mut self.state[i];
+                w.flags = (w.flags & !Way::WB) | (wb as u8 * Way::WB);
                 true
             }
             None => false,
@@ -281,9 +398,9 @@ impl SetAssocCache {
     /// resident refreshes its attributes (ORs `dirty`, keeps it MRU) and
     /// evicts nothing.
     pub fn fill(&mut self, line: LineAddr, attrs: FillAttrs) -> Option<EvictedLine> {
-        self.lru_clock += 1;
         let raw = line.raw();
-        let range = self.set_range(line);
+        let set = self.set_index(line);
+        let range = self.set_range(set);
         // One pass over the set computes everything a fill can need: the
         // resident way (refresh), the first invalid way, and the LRU
         // victim — instead of three separate set scans. Tie-breaks match
@@ -292,15 +409,13 @@ impl SetAssocCache {
         let mut hit = None;
         let mut invalid = None;
         let mut lru_idx = range.start;
-        let mut lru_min = u64::MAX;
+        let mut lru_min = u16::MAX;
         if raw == TAG_INVALID {
-            // Sentinel-aliasing line: tags cannot disambiguate, so fall
-            // back to the full metadata scan (rare path).
-            hit = range
-                .clone()
-                .find(|&i| self.lines[i].valid && self.lines[i].line == line);
+            // Sentinel-aliasing line: tags cannot disambiguate, so the
+            // valid flags decide (rare path).
+            hit = self.find_sentinel(range.clone());
             if hit.is_none() {
-                invalid = range.clone().find(|&i| !self.lines[i].valid);
+                invalid = range.clone().find(|&i| !self.state[i].valid());
             }
         } else {
             for i in range.clone() {
@@ -308,24 +423,25 @@ impl SetAssocCache {
                     hit = Some(i);
                     break;
                 }
-                let l = &self.lines[i];
-                if !l.valid {
+                let w = self.state[i];
+                if !w.valid() {
                     if invalid.is_none() {
                         invalid = Some(i);
                     }
-                } else if l.lru < lru_min {
-                    lru_min = l.lru;
+                } else if w.lru < lru_min {
+                    lru_min = w.lru;
                     lru_idx = i;
                 }
             }
         }
         if let Some(i) = hit {
-            let l = &mut self.lines[i];
-            l.lru = self.lru_clock;
-            l.dirty |= attrs.dirty;
-            l.prefetched &= attrs.prefetched;
-            l.wb_bit |= attrs.wb_bit;
-            l.wb_next |= attrs.wb_next;
+            let lru = self.stamp(set);
+            let w = &mut self.state[i];
+            w.lru = lru;
+            w.flags |= Way::flags_of(attrs) & !Way::PREFETCHED;
+            if !attrs.prefetched {
+                w.flags &= !Way::PREFETCHED;
+            }
             return None;
         }
         // Prefer an invalid way; otherwise the policy picks the victim
@@ -334,42 +450,29 @@ impl SetAssocCache {
             ReplacementKind::Lru if raw != TAG_INVALID => lru_idx,
             _ => self.pick_victim(range),
         });
-        let evicted = if self.lines[victim].valid {
-            let v = self.lines[victim];
-            Some(EvictedLine {
-                line: v.line,
-                dirty: v.dirty,
-                wb_bit: v.wb_bit,
-                wb_next: v.wb_next,
-                prefetched: v.prefetched,
-            })
+        let evicted = if self.state[victim].valid() {
+            Some(self.evicted(victim))
         } else {
             self.valid_count += 1;
             None
         };
-        self.lines[victim] = LineMeta {
-            line,
-            dirty: attrs.dirty,
-            prefetched: attrs.prefetched,
-            wb_bit: attrs.wb_bit,
-            wb_next: attrs.wb_next,
+        let lru = self.stamp(set);
+        self.state[victim] = Way {
             fetch_latency: attrs.fetch_latency,
-            lru: self.lru_clock,
+            lru,
+            flags: Way::flags_of(attrs) | Way::VALID,
             rrpv: 2, // SRRIP: inserted with a "long" re-reference interval
-            valid: true,
         };
-        self.tags[victim] = if line.raw() == TAG_INVALID {
-            TAG_INVALID // slow-path line: findable only via the full scan
-        } else {
-            line.raw()
-        };
+        // The sentinel-aliasing line keeps the sentinel tag; its valid
+        // flag is what finds it.
+        self.tags[victim] = raw;
         evicted
     }
 
     fn pick_victim(&mut self, range: std::ops::Range<usize>) -> usize {
         match self.policy {
             ReplacementKind::Lru => range
-                .min_by_key(|&i| self.lines[i].lru)
+                .min_by_key(|&i| self.state[i].lru)
                 .expect("set has at least one way"),
             ReplacementKind::Random => {
                 // xorshift64*: deterministic, seeded at construction.
@@ -382,11 +485,11 @@ impl SetAssocCache {
                 // Find a distant (RRPV==3) line, aging the set until one
                 // appears — bounded by 3 aging rounds.
                 loop {
-                    if let Some(i) = range.clone().find(|&i| self.lines[i].rrpv >= 3) {
+                    if let Some(i) = range.clone().find(|&i| self.state[i].rrpv >= 3) {
                         return i;
                     }
                     for i in range.clone() {
-                        self.lines[i].rrpv = self.lines[i].rrpv.saturating_add(1);
+                        self.state[i].rrpv = self.state[i].rrpv.saturating_add(1);
                     }
                 }
             }
@@ -396,22 +499,18 @@ impl SetAssocCache {
     /// Removes a line if resident, returning its eviction record.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<EvictedLine> {
         let i = self.find(line)?;
-        let v = self.lines[i];
-        self.lines[i] = LineMeta::INVALID;
+        let evicted = self.evicted(i);
+        self.state[i] = Way::INVALID;
         self.tags[i] = TAG_INVALID;
         self.valid_count -= 1;
-        Some(EvictedLine {
-            line: v.line,
-            dirty: v.dirty,
-            wb_bit: v.wb_bit,
-            wb_next: v.wb_next,
-            prefetched: v.prefetched,
-        })
+        Some(evicted)
     }
 
     /// Iterates over all valid lines (for assertions and property tests).
-    pub fn iter(&self) -> impl Iterator<Item = &LineMeta> {
-        self.lines.iter().filter(|l| l.valid)
+    pub fn iter(&self) -> impl Iterator<Item = LineMeta> + '_ {
+        (0..self.tags.len())
+            .filter(|&i| self.state[i].valid())
+            .map(|i| self.view(i))
     }
 }
 
@@ -635,9 +734,9 @@ mod tests {
                     assert_eq!(resident.line, la(a));
                 }
                 // Every resident line maps to the set it sits in.
-                for (i, l) in c.lines.iter().enumerate() {
-                    if l.valid {
-                        assert_eq!(i / c.ways, (l.line.raw() as usize) & (c.sets - 1));
+                for (i, &tag) in c.tags.iter().enumerate() {
+                    if c.state[i].valid() {
+                        assert_eq!(i / c.ways, (tag as usize) & (c.sets - 1));
                     }
                 }
             }

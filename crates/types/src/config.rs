@@ -8,6 +8,11 @@ use crate::Cycle;
 /// and the simulator's event wheel must reach that far.
 pub const MAX_CACHE_LATENCY: Cycle = 1024;
 
+/// Largest associativity `validate` accepts for the L1D, L2 or LLC: a
+/// cache set keeps 16-bit LRU stamps, and renumbering a full set must
+/// leave most of them free to hand out.
+pub const MAX_CACHE_WAYS: usize = 1 << 15;
+
 /// Out-of-order core parameters (Table II, "Core" row).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CoreConfig {
@@ -453,7 +458,8 @@ impl SystemConfig {
     /// Returns a human-readable message when a parameter combination is
     /// meaningless (zero-sized structures, widths or queues, SUF without
     /// GhostMinion, timely-secure with on-access mode, non-power-of-two
-    /// cache sets, a cache latency above [`MAX_CACHE_LATENCY`]).
+    /// cache sets, a cache latency above [`MAX_CACHE_LATENCY`] or an
+    /// associativity above [`MAX_CACHE_WAYS`]).
     pub fn validate(&self) -> Result<(), String> {
         if self.cores == 0 {
             return Err("cores must be >= 1".into());
@@ -483,6 +489,9 @@ impl SystemConfig {
         for (name, c) in [("l1d", &self.l1d), ("l2", &self.l2), ("llc", &self.llc)] {
             if c.ways == 0 || c.mshrs == 0 || c.ports_per_cycle == 0 {
                 return Err(format!("{name}: ways/mshrs/ports must be nonzero"));
+            }
+            if c.ways > MAX_CACHE_WAYS {
+                return Err(format!("{name}.ways must be at most {MAX_CACHE_WAYS}"));
             }
             if c.sets() == 0 || !c.sets().is_power_of_two() {
                 return Err(format!("{name}: set count must be a power of two"));
@@ -572,7 +581,7 @@ mod tests {
         // Before these checks each one spun into the livelock watchdog,
         // divided by zero, or tripped a constructor assert mid-build.
         type Edit = fn(&mut SystemConfig);
-        let cases: [(&str, Edit); 9] = [
+        let cases: [(&str, Edit); 10] = [
             ("core.lq_entries", |c| c.core.lq_entries = 0),
             ("core.rob_entries", |c| c.core.rob_entries = 0),
             ("core.fetch_width", |c| c.core.fetch_width = 0),
@@ -582,6 +591,7 @@ mod tests {
             ("dram.write_watermark", |c| c.dram.write_watermark = (7, 0)),
             ("gm.size_bytes", |c| c.gm.size_bytes = 0),
             ("l1d", |c| c.l1d.ways = 0),
+            ("llc.ways", |c| c.llc.ways = MAX_CACHE_WAYS + 1),
         ];
         for (field, edit) in cases {
             let mut c = SystemConfig::baseline(1);

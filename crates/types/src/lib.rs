@@ -33,7 +33,7 @@ pub mod varint;
 pub use addr::{Addr, Ip, LineAddr, LINE_SIZE, OFFSET_BITS};
 pub use config::{
     CacheConfig, CoreConfig, CorePolicy, DramConfig, GmConfig, PrefetchMode, PrefetcherKind,
-    SecureMode, SystemConfig, MAX_CACHE_LATENCY,
+    SecureMode, SystemConfig, MAX_CACHE_LATENCY, MAX_CACHE_WAYS,
 };
 pub use hist::Hist;
 pub use level::{CacheLevel, HitLevel};

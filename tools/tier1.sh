@@ -42,8 +42,12 @@ echo "== release-only tests (--ignored)"
 # its streamed capture, at one copy's peak memory of 16-byte records
 # (a record padded back to 24 B fails it, naming the record size).
 # secpref-trace: the byte digests of all 22 suite traces at 200 000
-# instructions.
+# instructions. secpref-sim: Fig. 16's 32-core baseline system built and
+# run briefly at 16 host bytes per cache way (40 B a way fails it, naming
+# the bytes per way); only that file, since stream.rs's ignored 1e9 run
+# takes hours.
 cargo test --release -q -p secpref-check -p secpref-bench -p secpref-tracestore -p secpref-trace -- --ignored
+cargo test --release -q -p secpref-sim --test cache_bytes -- --ignored
 
 echo "== cross-core attack litmus (release) + examples"
 # The cross-core covert-channel suite (DESIGN.md §13) in release mode:
