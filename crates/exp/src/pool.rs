@@ -34,6 +34,9 @@ pub struct ItemTiming {
 /// single-threaded without extra locks. The returned vector is in item
 /// order, each result beside the wall-clock its item took.
 ///
+/// Every worker thread has ended, not just finished its last item, when
+/// this returns.
+///
 /// # Panics
 ///
 /// Propagates a panic from any item once all workers have drained.
@@ -55,10 +58,11 @@ pub fn run_items<T: Sync, R: Send>(
     slots.resize_with(items.len(), || None);
     std::thread::scope(|scope| {
         let run = &run;
+        let mut handles = Vec::with_capacity(workers);
         for worker in 0..workers {
             let tx = tx.clone();
             let cursor = &cursor;
-            scope.spawn(move || loop {
+            handles.push(scope.spawn(move || loop {
                 let idx = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(item) = items.get(idx) else { break };
                 let start = Instant::now();
@@ -71,14 +75,24 @@ pub fn run_items<T: Sync, R: Send>(
                 if tx.send((idx, result, timing)).is_err() {
                     break;
                 }
-            });
+            }));
         }
         drop(tx);
         // `rx` closes when every worker exits; if one panicked mid-item we
-        // fall out of the loop early and `scope` re-raises the panic.
+        // fall out of the loop early and the join below re-raises it.
         for (idx, result, timing) in rx {
             on_done(idx, &items[idx], &result, timing);
             slots[idx] = Some((result, timing.wall));
+        }
+        // The scope alone waits only for each closure to return. Joining
+        // waits for the thread itself to end, which is when glibc puts its
+        // malloc arena back on the free list: a pool started before that
+        // (the next sweep) gets a fresh arena instead, and the process
+        // keeps one more heap, several MiB deep, for good.
+        for h in handles {
+            if let Err(panic) = h.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     slots
@@ -127,6 +141,32 @@ mod tests {
         assert_eq!(seen[0].1, "leela_like");
         assert_eq!(seen[1].1, "gcc_like");
         assert!(seen.iter().all(|(_, _, ipc)| *ipc > 0.0));
+    }
+
+    #[test]
+    fn every_worker_thread_has_ended_when_it_returns() {
+        // A thread-local's destructor runs as its thread ends, after the
+        // closure the scope waits for, in the step where glibc releases
+        // the thread's malloc arena. The sleep holds that step open.
+        static STARTED: AtomicUsize = AtomicUsize::new(0);
+        static ENDED: AtomicUsize = AtomicUsize::new(0);
+        struct OnExit;
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                std::thread::sleep(Duration::from_millis(2));
+                ENDED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local!(static ON_EXIT: OnExit = {
+            STARTED.fetch_add(1, Ordering::SeqCst);
+            OnExit
+        });
+        let items: Vec<u64> = (0..8).collect();
+        for _ in 0..20 {
+            run_items(&items, 4, |&x| ON_EXIT.with(|_| x), |_, _, _, _| {});
+            assert_eq!(ENDED.load(Ordering::SeqCst), STARTED.load(Ordering::SeqCst));
+        }
+        assert!(STARTED.load(Ordering::SeqCst) >= 20);
     }
 
     #[test]

@@ -310,6 +310,31 @@ mod tests {
     }
 
     #[test]
+    fn bfs_small_sorts_only_the_lists_its_trace_reads() {
+        // BFS starts at a random vertex, so it builds nearly every list,
+        // but a full-scale trace reads about 7.7 % of them. A list
+        // sorted as it is built again would fail here instead of
+        // silently losing the set-up time.
+        let bfs = gap_suite()
+            .into_iter()
+            .find(|g| g.name == "bfs_small")
+            .expect("bfs_small is in the suite");
+        let mut prefix = bfs.graph.prefix();
+        gap::emit(
+            bfs.kernel,
+            &mut prefix,
+            bfs.seed,
+            &mut VecSink::new(200_000),
+        );
+        let (built, sorted, all) = (prefix.built(), prefix.sorted(), prefix.vertex_count());
+        assert!(built * 100 >= all * 99, "built {built} of {all} lists");
+        assert!(
+            sorted > 0 && sorted * 10 <= all,
+            "sorted {sorted} of {all} lists"
+        );
+    }
+
+    #[test]
     fn generate_into_matches_generate_for_all_generators() {
         // Prefix-stability: streaming emission into a sink must produce
         // the exact instruction sequence the in-place path writes.

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: formatting, lints, rustdoc, release build, the full test suite in
 # debug and its release-only tail, the cross-core litmus, and the
-# benchmark's smoke run. Run from anywhere; operates on the repo root.
+# benchmark workspace's lints, unit tests and smoke run. Run from
+# anywhere; operates on the repo root.
 # Fails fast on the first broken step so CI output points straight at
 # the problem.
 #
@@ -68,6 +69,14 @@ echo "== benchmark crate graph (cargo metadata --locked)"
 # between the crates it links) would make the next benchmark run rewrite
 # benchmark/Cargo.lock; this stage fails such a change by name instead.
 cargo metadata --locked --offline --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null
+
+echo "== benchmark workspace: clippy and unit tests"
+# The root workspace's stages above do not build benchmark/'s own
+# targets. Its unit tests check the compare rule (better, worse,
+# unresolved), the metric catalogue against BENCHMARK.json and the
+# statistics helpers; clippy holds it to the same lints as the root.
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings -D clippy::perf
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "== benchmark smoke (secbench --smoke)"
 # Every workload of BENCHMARK.json at smoke scale, untraced then traced:
