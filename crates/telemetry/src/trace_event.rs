@@ -186,6 +186,29 @@ mod tests {
     }
 
     #[test]
+    fn every_builder_method_renders_the_pinned_bytes() {
+        let mut t = TraceBuilder::new();
+        t.thread_name(2, "worker \"0\"");
+        t.begin(2, "job", 10, &[("key", "q\"b\\n\nc\u{1}"), ("k2", "v")]);
+        t.complete(2, "simulate", 12, 30, &[("cell", "x")]);
+        t.counter(2, "cells", 42, "done", 7);
+        t.end(2, 50);
+        assert_eq!(
+            t.finish(),
+            concat!(
+                r#"{"traceEvents":["#,
+                r#"{"ph":"M","pid":1,"tid":2,"name":"thread_name","args":{"name":"worker \"0\""}},"#,
+                r#"{"ph":"B","pid":1,"tid":2,"ts":10,"name":"job","#,
+                r#""args":{"key":"q\"b\\n\nc\u0001","k2":"v"}},"#,
+                r#"{"ph":"X","pid":1,"tid":2,"ts":12,"dur":30,"name":"simulate","args":{"cell":"x"}},"#,
+                r#"{"ph":"C","pid":1,"tid":2,"ts":42,"name":"cells","args":{"done":7}},"#,
+                r#"{"ph":"E","pid":1,"tid":2,"ts":50}"#,
+                r#"],"displayTimeUnit":"ms"}"#,
+            )
+        );
+    }
+
+    #[test]
     fn escapes_special_characters() {
         let mut t = TraceBuilder::new();
         t.begin(0, "a\"b\\c\nd", 0, &[("k\t", "v\u{1}")]);
