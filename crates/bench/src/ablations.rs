@@ -4,8 +4,8 @@
 //!   against the speculative-window coverage of the GM.
 //! * **SUF decomposition** — the re-fetch-drop half vs the
 //!   propagation-stop half vs the full filter.
-//! * **TS lateness threshold** — the sensitivity of the adaptive-distance
-//!   mechanism to its trigger threshold.
+//! * **IP-stride prefetch distance** — on-commit IP-stride's speedup
+//!   across the distances the timely-secure knob can move it to.
 //! * **TSB on a non-secure system** — the paper's claim that TSB matches
 //!   on-access Berti when security is not required (Section VII-A).
 //! * **LLC replacement** — LRU vs SRRIP vs random under GhostMinion.
@@ -27,7 +27,7 @@ pub fn all(cx: &Cx) -> Vec<Table> {
     vec![
         gm_size(cx),
         suf_parts(cx),
-        lateness_threshold(cx),
+        prefetch_distance(cx),
         tsb_non_secure(cx),
         llc_replacement(cx),
     ]
@@ -92,11 +92,11 @@ pub fn suf_parts(cx: &Cx) -> Table {
     t
 }
 
-/// TS-stride lateness-threshold sweep around the paper's 0.14.
-pub fn lateness_threshold(cx: &Cx) -> Table {
-    // The threshold is baked into the TimelySecure wrapper; sweep by
-    // constructing wrappers manually through the sim's prefetcher hook is
-    // not exposed, so sweep the *knob start* instead: distance presets.
+/// On-commit IP-stride's speedup at fixed prefetch distances: the range
+/// the timely-secure wrapper's distance knob moves through. The distance
+/// is set on the built system, so each point goes through
+/// [`Cx::adjusted`].
+pub fn prefetch_distance(cx: &Cx) -> Table {
     let mut t = Table::new(
         "Ablation — IP-stride prefetch distance (the TS knob's range)",
         &["distance", "speedup vs non-secure"],

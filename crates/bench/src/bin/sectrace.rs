@@ -26,8 +26,8 @@
 
 use secpref_sim::{run_single_with_window, run_stream_with_window};
 use secpref_trace::suite;
-use secpref_tracestore::fnv::{fnv1a64, FNV_OFFSET};
 use secpref_tracestore::{CaptureSink, TraceReader, TraceWriter, DEFAULT_CHUNK_SIZE};
+use secpref_types::fnv::{fnv1a64, FNV_OFFSET};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::Path;

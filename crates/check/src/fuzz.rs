@@ -25,7 +25,7 @@ use secpref_mem::{FillAttrs, SetAssocCache};
 use secpref_sim::{ObsConfig, System};
 use secpref_trace::{Instr, Trace};
 use secpref_tracestore::{TraceReader, TraceWriter, DEFAULT_CHUNK_SIZE};
-use secpref_types::rng::Xoshiro256ss;
+use secpref_types::rng::{SplitMix64, Xoshiro256ss};
 use secpref_types::{Addr, CacheLevel, PrefetchMode, PrefetcherKind, SecureMode, SystemConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -216,12 +216,10 @@ impl FuzzSummary {
     }
 }
 
-/// SplitMix64 — derives independent per-cell/per-iteration seeds.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+/// SplitMix64's first output for seed `x` — derives independent
+/// per-cell/per-iteration seeds.
+fn splitmix(x: u64) -> u64 {
+    SplitMix64::new(x).next_u64()
 }
 
 // ---------------------------------------------------------------------------
@@ -619,7 +617,7 @@ pub fn differential_gm_ops(seed: u64, ops: usize) {
                 assert_eq!(real.remove(line), gold.remove(line), "GM remove at op {op}");
             }
             _ => {
-                real.expire_older_than(ts, 0);
+                real.expire_older_than(ts);
                 gold.expire_older_than(ts);
             }
         }

@@ -64,7 +64,6 @@ pub struct TimelySecure {
     prev_lateness: Option<f64>,
     prev_interval_accesses: u64,
     accesses: u64,
-    consecutive_late: u32,
 }
 
 impl TimelySecure {
@@ -91,7 +90,6 @@ impl TimelySecure {
             prev_lateness: None,
             prev_interval_accesses: 0,
             accesses: 0,
-            consecutive_late: 0,
         }
     }
 
@@ -109,7 +107,6 @@ impl TimelySecure {
                     < self.prev_interval_accesses as f64);
         if phase_changed {
             self.inner.set_timeliness_knob(self.base_knob);
-            self.consecutive_late = 0;
         } else if let Some(prev) = self.prev_lateness {
             // "Updating distance based on the lateness of only the
             // previous interval leads to noisy decision-making": require
@@ -117,7 +114,6 @@ impl TimelySecure {
             if lateness > self.threshold && prev > self.threshold {
                 let k = self.inner.timeliness_knob();
                 self.inner.set_timeliness_knob((k + 1).min(KNOB_MAX));
-                self.consecutive_late += 1;
             }
         }
         self.prev_lateness = Some(lateness);

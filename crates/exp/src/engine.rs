@@ -46,7 +46,7 @@ use crate::job::{JobSpec, RunMode};
 use crate::json::{obj, Json};
 use crate::pool;
 use crate::store::{ResultStore, StoredResult};
-use secpref_obs::ObsSummary;
+use secpref_obs::{write_trace_artifacts, ObsSummary};
 use secpref_sim::SimReport;
 use secpref_telemetry::{progress::stderr_is_tty, Progress, TraceBuilder};
 use secpref_trace::suite;
@@ -351,8 +351,9 @@ impl Engine {
                 let write_start = t0.elapsed();
                 let written = match capture {
                     None => self.store.append(key, canonical, report).map(|()| None),
-                    Some(cap) => crate::obs::write_trace_artifacts(&out_dir, key, cap)
-                        .map(|[summary, ..]| Some(summary)),
+                    Some(cap) => {
+                        write_trace_artifacts(&out_dir, key, cap).map(|[summary, ..]| Some(summary))
+                    }
                 };
                 match written {
                     Ok(Some(path)) => self.say(&format!("[exp] wrote {}", path.display())),
@@ -460,7 +461,10 @@ impl Engine {
     /// to a warning and `None` — span export must never kill a run.
     fn write_span_trace(&self, run_id: &str, tb: TraceBuilder) -> Option<PathBuf> {
         let dir = self.store.dir().join("telemetry");
-        crate::telemetry::write_span_trace(&dir, run_id, &tb.finish())
+        let path = dir.join(format!("trace-{run_id}.json"));
+        std::fs::create_dir_all(&dir)
+            .and_then(|()| std::fs::write(&path, format!("{}\n", tb.finish())))
+            .map(|()| path)
             .map_err(|e| self.say(&format!("[exp] warning: span trace write failed: {e}")))
             .ok()
     }
@@ -730,6 +734,24 @@ mod tests {
             assert_eq!(job.get("source").unwrap().as_str(), Some("ran"));
             assert!(job.get("wall_ms").unwrap().as_f64().unwrap() > 0.0);
         }
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn span_trace_lands_under_the_telemetry_dir() {
+        let dir = tmp_dir("span-trace");
+        let engine = Engine::new(&dir, 1).unwrap();
+        let trace = || {
+            let mut t = TraceBuilder::new();
+            t.thread_name(0, "engine");
+            t.complete(0, "execute", 5, 10, &[]);
+            t
+        };
+        let path = engine.write_span_trace("r42", trace()).unwrap();
+        assert!(path.ends_with("telemetry/trace-r42.json"));
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, format!("{}\n", trace().finish()));
+        assert_eq!(crate::validate_trace_json(&text).unwrap().tracks, 1);
         cleanup(&dir);
     }
 }

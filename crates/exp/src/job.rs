@@ -12,7 +12,7 @@
 use crate::scale::ExpScale;
 use secpref_sim::{system_for, ObsCapture, ObsConfig, SimReport, StreamFeed, TraceFeed};
 use secpref_trace::suite;
-use secpref_tracestore::fnv::{fnv1a64, FNV_OFFSET};
+use secpref_types::fnv::{fnv1a64, FNV_OFFSET};
 use secpref_types::{SamplingConfig, SystemConfig};
 use std::path::PathBuf;
 

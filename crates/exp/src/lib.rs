@@ -19,16 +19,17 @@
 //! - [`pool`] — deterministic-order worker pool ([`pool::run_items`]).
 //! - [`store`] — [`ResultStore`]: append-only `results.jsonl`,
 //!   torn-write tolerant.
-//! - [`codec`] / [`json`] — hand-rolled, exact JSON (u64 counters stay
-//!   integers; `f64` round-trips bit-identically).
+//! - [`codec`] — the report's exact JSON form (u64 counters stay
+//!   integers; `f64` round-trips bit-identically), written with
+//!   [`json`], which is `secpref_types::json` re-exported.
 //! - [`engine`] — [`Engine`]: dedupe → resume → pre-generate traces →
 //!   execute → persist → manifest; one loop ([`Engine::run_with`]) whose
 //!   [`RunMode`] makes it a plain or a traced sweep.
-//! - [`obs`] — deterministic trace-artifact exporters (summary JSON,
-//!   epochs CSV, histogram CSV) for [`RunMode::Traced`] diagnostic
-//!   sweeps.
-//! - [`telemetry`] — the span-trace file writer and the structural
-//!   validator for exported span-trace JSON.
+//!
+//! A [`RunMode::Traced`] sweep writes each job's recorder artifacts with
+//! [`write_trace_artifacts`] (from `secpref-obs`); every sweep's span
+//! trace is checked by [`validate_trace_json`] (from
+//! `secpref-telemetry`, beside the builder that writes it).
 //!
 //! # Examples
 //!
@@ -53,18 +54,16 @@
 pub mod codec;
 pub mod engine;
 pub mod job;
-pub mod json;
-pub mod obs;
 pub mod pool;
 pub mod scale;
 pub mod store;
-pub mod telemetry;
 
 pub use engine::{default_workers, Engine, JobRecord, ResultSource, RunSummary};
 pub use job::{JobSpec, RunMode, Workload};
-pub use obs::write_trace_artifacts;
 pub use pool::ItemTiming;
 pub use scale::ExpScale;
+pub use secpref_obs::write_trace_artifacts;
 pub use secpref_sim::{ObsCapture, ObsConfig};
+pub use secpref_telemetry::{validate_trace_json, TraceStats};
+pub use secpref_types::json;
 pub use store::{ResultStore, StoredResult};
-pub use telemetry::{validate_trace_json, TraceStats};

@@ -1,6 +1,6 @@
 //! The GM: a small fully-associative cache with TimeGuarding.
 
-use secpref_types::{Cycle, LineAddr};
+use secpref_types::LineAddr;
 
 /// Result of attempting to insert a line into the GM.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -197,9 +197,8 @@ impl GmCache {
     }
 
     /// Drops entries older than `retire_horizon` that were never
-    /// committed (squashed leftovers), freeing slots. `now` is unused but
-    /// kept for symmetry with hardware that ages entries.
-    pub fn expire_older_than(&mut self, retire_horizon: u64, _now: Cycle) {
+    /// committed (squashed leftovers), freeing slots.
+    pub fn expire_older_than(&mut self, retire_horizon: u64) {
         for (e, tag) in self.entries.iter_mut().zip(self.tags.iter_mut()) {
             if e.valid && e.ts < retire_horizon {
                 e.valid = false;
@@ -281,7 +280,7 @@ mod tests {
         let mut gm = GmCache::new(4);
         gm.insert(la(1), 10, 0);
         gm.insert(la(2), 20, 0);
-        gm.expire_older_than(15, 0);
+        gm.expire_older_than(15);
         assert!(gm.lookup(la(1), 100).is_none());
         assert!(gm.lookup(la(2), 100).is_some());
     }

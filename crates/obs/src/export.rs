@@ -1,13 +1,15 @@
 //! Trace-artifact exporters: summary JSON, epochs CSV and histogram CSV.
 //!
-//! A traced run's [`ObsCapture`] is exported as three flat files under
-//! the store's `obs/` directory, named by the job's content key:
+//! A recorded run's [`ObsCapture`] is exported as three flat files,
+//! named by the job's content key (the experiment engine puts them under
+//! its store's `obs/` directory):
 //!
 //! - `<key>.summary.json` — one JSON object: each core's update filter,
 //!   the epoch interval and row count, the per-kind event totals and the
 //!   MSHR high-water marks.
 //! - `<key>.epochs.csv` — the epoch time-series
-//!   ([`secpref_obs::EpochSeries::to_csv`]: one column per counter).
+//!   ([`EpochSeries::to_csv`](crate::EpochSeries::to_csv): one column
+//!   per counter).
 //! - `<key>.hist.csv` — every histogram's non-empty buckets
 //!   (`hist,lo,hi,count` rows), each histogram's exact `total`/`sum`/
 //!   `min`/`max` summary rows, and the demand-conservation scalars
@@ -19,8 +21,8 @@
 //! makes the trace-determinism test (byte-identical across `--workers`
 //! values and resume-vs-cold) hold trivially.
 
-use crate::json::{obj, Json};
-use secpref_obs::{EventKind, Hists, ObsCapture};
+use crate::{EventKind, Hists, ObsCapture};
+use secpref_types::json::{obj, Json};
 use secpref_types::Hist;
 use std::fmt::Write as _;
 use std::io;
@@ -112,7 +114,7 @@ pub fn write_trace_artifacts(dir: &Path, key: &str, cap: &ObsCapture) -> io::Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use secpref_obs::{EpochSeries, KIND_COUNT};
+    use crate::{EpochSeries, KIND_COUNT};
 
     fn capture() -> ObsCapture {
         let mut recorded = [0u64; KIND_COUNT];
@@ -137,7 +139,7 @@ mod tests {
     fn summary_json_is_one_parseable_object() {
         let text = summary_json(&capture());
         assert_eq!(text.lines().count(), 1);
-        let last = crate::json::parse(text.trim()).unwrap();
+        let last = secpref_types::json::parse(text.trim()).unwrap();
         let filters: Vec<_> = last
             .get("filters")
             .unwrap()

@@ -23,12 +23,12 @@
 //!   only for cores past their warm-up boundary, so counts and sample
 //!   totals reconcile with the measurement-window counters of the final
 //!   report.
+//! - [`export`] — a capture's three artifacts (summary JSON, epochs CSV,
+//!   histogram CSV), written by [`write_trace_artifacts`] with
+//!   `secpref_types::json`.
 //!
-//! Exporters (summary JSON, epochs CSV, histogram CSV) live in
-//! `secpref-exp`, which owns the workspace's hand-rolled JSON, so this
-//! crate stays dependency-free. Three crates link it: `secpref-sim`,
-//! which holds the recorder, and `secpref-exp` and `secpref-check`, which
-//! read its capture.
+//! Three crates link it: `secpref-sim`, which holds the recorder, and
+//! `secpref-exp` and `secpref-check`, which read its capture.
 //!
 //! # Examples
 //!
@@ -55,10 +55,12 @@
 
 pub mod epoch;
 pub mod event;
+pub mod export;
 pub mod hists;
 
 pub use epoch::{EpochRow, EpochSeries};
 pub use event::{Event, EventKind, KIND_COUNT};
+pub use export::write_trace_artifacts;
 pub use hists::{Hists, LoadLevel, LOAD_LEVELS, LOAD_LEVEL_NAMES, MSHR_LEVELS, MSHR_LEVEL_NAMES};
 
 use secpref_types::Cycle;

@@ -16,26 +16,20 @@
 //! every target and fill level the old code produced).
 
 use secpref_prefetch::{simple_access, BertiEngine, Bingo, Ipcp, PfBuf, Prefetcher};
+use secpref_types::fnv::{fnv1a64, FNV_OFFSET};
 use secpref_types::{CacheLevel, Ip, LineAddr, PrefetchRequest};
 
 /// FNV-1a-64 over the prefetch output stream (target line + fill level).
 fn digest_requests(reqs: &[PrefetchRequest]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    let mut byte = |b: u8| {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    for r in reqs {
-        for b in r.line.raw().to_le_bytes() {
-            byte(b);
-        }
-        byte(match r.fill_level {
+    reqs.iter().fold(FNV_OFFSET, |hash, r| {
+        let level: u8 = match r.fill_level {
             CacheLevel::L1d => 1,
             CacheLevel::L2 => 2,
             _ => 0xFF,
-        });
-    }
-    hash
+        };
+        let hash = fnv1a64(&r.line.raw().to_le_bytes(), hash);
+        fnv1a64(&[level], hash)
+    })
 }
 
 // ---------------------------------------------------------------------

@@ -1109,7 +1109,7 @@ impl Hierarchy {
         // The whole commit engine (GM lookup, SUF decision, GM removal
         // and expiry, action dispatch) is GhostMinion work.
         self.prof.enter(Phase::Gm);
-        match self.st.commit(core, line, ts, now, fill.hit_level, None) {
+        match self.st.commit(core, line, ts, fill.hit_level, None) {
             None => {}
             Some(Commit::Drop { gm_hit }) => {
                 let present = gm_hit || self.st.caches.at(core, 0).probe(line).is_some();
@@ -1275,9 +1275,7 @@ impl Hierarchy {
             }
             self.st.fill_event(core, false, line, ip, now, latency);
         }
-        let commit = self
-            .st
-            .commit(core, line, ts, now, hit_level, Some(gm_visible));
+        let commit = self.st.commit(core, line, ts, hit_level, Some(gm_visible));
         match commit {
             None | Some(Commit::Drop { .. }) => {}
             Some(Commit::Update { kind, wb }) if kind == ReqKind::CommitWrite => {

@@ -607,7 +607,6 @@ impl MemState {
         core: CoreId,
         line: LineAddr,
         ts: u64,
-        now: Cycle,
         hit_level: HitLevel,
         gm_visible: Option<bool>,
     ) -> Option<Commit> {
@@ -627,7 +626,7 @@ impl MemState {
         }
         self.commit_count[core] += 1;
         if self.commit_count[core].is_multiple_of(16) {
-            gm.expire_older_than(ts, now);
+            gm.expire_older_than(ts);
         }
         let kind = match action {
             CommitAction::Drop => return Some(Commit::Drop { gm_hit }),

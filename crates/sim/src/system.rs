@@ -16,8 +16,8 @@ use secpref_trace::Trace;
 use secpref_tracestore::TraceFeed;
 use secpref_types::counters::Counter;
 use secpref_types::{
-    Addr, CacheLevel, CoreId, Cycle, Ip, MetricStats, PrefetchMode, PrefetcherKind, SamplingConfig,
-    SamplingSummary, SystemConfig,
+    Addr, CacheLevel, CoreId, CorePolicy, Cycle, Ip, MetricStats, PrefetchMode, PrefetcherKind,
+    SamplingConfig, SamplingSummary, SystemConfig,
 };
 use std::sync::Arc;
 
@@ -33,17 +33,17 @@ const WATCHDOG_CYCLES: Cycle = 2_000_000;
 /// timely-secure variant when `timely_secure` is set, the base prefetcher
 /// otherwise.
 pub fn build_prefetcher(cfg: &SystemConfig) -> Box<dyn Prefetcher> {
-    if cfg.timely_secure {
-        secpref_core::build_timely_secure(cfg.prefetcher)
-    } else {
-        secpref_prefetch::build(cfg.prefetcher)
-    }
+    prefetcher_of(&CorePolicy::of(cfg))
 }
 
 /// Builds core `c`'s prefetcher from its effective policy (identical to
 /// [`build_prefetcher`] for homogeneous configs).
 fn build_prefetcher_for(cfg: &SystemConfig, c: usize) -> Box<dyn Prefetcher> {
-    let p = cfg.policy(c);
+    prefetcher_of(&cfg.policy(c))
+}
+
+/// The prefetcher `p` names: timely-secure-wrapped or the base one.
+fn prefetcher_of(p: &CorePolicy) -> Box<dyn Prefetcher> {
     if p.timely_secure {
         secpref_core::build_timely_secure(p.prefetcher)
     } else {

@@ -6,15 +6,13 @@
 //!   calls ([`Profiler`]); `repro --profile` prints its ranked table.
 //!   `secpref-sim` re-exports it under the same names.
 //! - [`trace_event`] — a Chrome trace-event JSON builder (`ph: B/E/X/C`
-//!   records) whose output loads in Perfetto / `chrome://tracing`; used
+//!   records) whose output loads in Perfetto / `chrome://tracing`, and
+//!   [`validate_trace_json`], the structural check of its output; used
 //!   by `secpref-exp`'s engine spans and `repro --profile`.
 //! - [`progress`] — a rate-limited stderr progress line for sweeps,
 //!   disabled under `--quiet` and on non-TTY stderr, and structurally
 //!   unable to reach result bytes (it only ever renders to a string the
 //!   caller prints to stderr).
-//!
-//! Trace *validation* needs JSON parsing and lives in `secpref-exp`,
-//! which owns the workspace's hand-rolled JSON.
 //!
 //! # Examples
 //!
@@ -40,4 +38,4 @@ pub mod trace_event;
 
 pub use profile::{Phase, ProfileReport, ProfileRow, Profiler, PHASES};
 pub use progress::Progress;
-pub use trace_event::TraceBuilder;
+pub use trace_event::{validate_trace_json, TraceBuilder, TraceStats};

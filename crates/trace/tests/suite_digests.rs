@@ -17,17 +17,7 @@
 //! say why.
 
 use secpref_trace::{suite, Instr, InstrKind};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
+use secpref_types::fnv::{fnv1a64, FNV_OFFSET};
 
 /// Folds one instruction into `hash` as 19 fixed-width bytes: ip, a kind
 /// tag, address (0 if none) and a payload (dependency distance, branch
@@ -44,7 +34,7 @@ fn digest_instr(hash: u64, i: &Instr) -> u64 {
     buf[8] = tag;
     buf[9..17].copy_from_slice(&addr.to_le_bytes());
     buf[17..].copy_from_slice(&payload.to_le_bytes());
-    fnv1a(&buf, hash)
+    fnv1a64(&buf, hash)
 }
 
 /// Generates every suite trace at `n` instructions, one at a time, and
@@ -58,7 +48,7 @@ fn check(n: usize, pins: &[(&str, u64)]) {
             let hash = t
                 .instrs
                 .iter()
-                .fold(fnv1a(t.name.as_bytes(), FNV_OFFSET), digest_instr);
+                .fold(fnv1a64(t.name.as_bytes(), FNV_OFFSET), digest_instr);
             (t.name, hash)
         })
         .collect();

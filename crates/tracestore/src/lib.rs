@@ -41,8 +41,8 @@
 
 pub mod codec;
 pub mod feed;
-pub mod fnv;
 pub mod format;
+pub use secpref_types::fnv;
 
 pub use feed::{FeedStats, ReadSeek, StreamFeed, TraceFeed};
 pub use format::{

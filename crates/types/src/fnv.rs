@@ -1,6 +1,7 @@
-//! FNV-1a 64-bit hashing, used for chunk checksums and the whole-file
-//! content digest (the same function the experiment engine uses for job
-//! keys, so digests can feed directly into job canonicalization).
+//! FNV-1a 64-bit hashing: the workspace's one implementation. The trace
+//! store uses it for chunk checksums and the whole-file content digest,
+//! the experiment engine for job keys (so digests can feed directly into
+//! job canonicalization), and the digest pins for report and trace bytes.
 
 /// FNV-1a 64-bit offset basis (the seed for a fresh hash).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

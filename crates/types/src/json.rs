@@ -1,10 +1,13 @@
-//! Minimal JSON reader/writer for the result store and run manifests.
+//! Minimal JSON reader/writer: the workspace's one JSON implementation.
 //!
-//! The workspace builds with no external crates, so the experiment engine
-//! carries its own JSON support: a value model, a recursive-descent parser,
-//! and a compact writer. Scope is exactly what the engine needs —
-//! UTF-8 strings, `u64` counters kept exact (never routed through `f64`),
-//! and round-trippable `f64` via Rust's shortest-representation formatting.
+//! The workspace builds with no external crates, so it carries its own
+//! JSON support: a value model, a recursive-descent parser, and a compact
+//! writer. Everything that reads or writes JSON uses it — the result
+//! store and run manifests (`secpref-exp`), the recorder's summary
+//! artifact (`secpref-obs`) and the span traces and their validator
+//! (`secpref-telemetry`). Scope is exactly what those need — UTF-8
+//! strings, `u64` counters kept exact (never routed through `f64`), and
+//! round-trippable `f64` via Rust's shortest-representation formatting.
 
 use std::fmt::Write as _;
 

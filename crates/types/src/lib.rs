@@ -4,7 +4,10 @@
 //! workspace: addresses and cache-line addresses, cache levels and the 2-bit
 //! *hit level* encoding used by the Secure Update Filter (SUF), memory
 //! request/access kinds, and the [`config`] module holding the Table II
-//! baseline system parameters of the paper.
+//! baseline system parameters of the paper. It also holds the one
+//! implementation of each format the other crates share: [`json`] (the
+//! result store, manifests, span traces and recorder summaries) and
+//! [`fnv`] (job keys, trace checksums and digest pins).
 //!
 //! # Examples
 //!
@@ -23,7 +26,9 @@
 pub mod addr;
 pub mod config;
 pub mod counters;
+pub mod fnv;
 pub mod hist;
+pub mod json;
 pub mod level;
 pub mod req;
 pub mod rng;

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 gate: formatting, lints, rustdoc, release build, the full test suite in
-# debug and its release-only tail, the cross-core litmus, and the
-# benchmark workspace's lints, unit tests and smoke run. Run from
-# anywhere; operates on the repo root.
+# Tier-1 gate: formatting, one implementation per shared format, lints,
+# rustdoc, release build, the full test suite in debug and its
+# release-only tail, the cross-core litmus, and the benchmark
+# workspace's lints, unit tests and smoke run. Run from anywhere;
+# operates on the repo root.
 # Fails fast on the first broken step so CI output points straight at
 # the problem.
 #
@@ -16,6 +17,23 @@ cd "$(dirname "$0")/.."
 
 echo "== cargo fmt --check"
 cargo fmt --check
+
+echo "== one JSON string escaper, one FNV-1a"
+# Each format has one implementation, in secpref-types: the FNV-1a prime
+# appears only in fnv.rs and the \uXXXX string escape only in json.rs. A
+# second copy of either fails here, naming the file that holds it.
+only_in() {
+    local want=$1 got
+    shift
+    got=$(grep -rl "$@" crates --include=*.rs || true)
+    if [ "$got" != "$want" ]; then
+        echo "expected only $want to match grep $*; matched:" >&2
+        echo "$got" >&2
+        exit 1
+    fi
+}
+only_in crates/types/src/fnv.rs -i '0x0000_0100_0000_01b3'
+only_in crates/types/src/json.rs 'u{:04x}'
 
 echo "== cargo clippy (deny warnings, incl. perf lints)"
 cargo clippy --offline --workspace --all-targets -- -D warnings -D clippy::perf
