@@ -16,19 +16,8 @@
 //! and an 8-byte way record of fetch latency, LRU stamp, status flags
 //! and RRPV. LRU stamps are 16-bit and drawn from a per-set clock.
 
+use secpref_types::config::ReplacementChoice;
 use secpref_types::{LineAddr, MAX_CACHE_WAYS};
-
-/// Replacement policy for a [`SetAssocCache`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ReplacementKind {
-    /// True least-recently-used (the Table II baseline).
-    #[default]
-    Lru,
-    /// Static re-reference interval prediction (2-bit RRPV).
-    Srrip,
-    /// Deterministic pseudo-random victims (xorshift).
-    Random,
-}
 
 /// Status attributes applied when filling a line.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -167,7 +156,7 @@ pub struct SetAssocCache {
     /// Per-set LRU clock: the last stamp handed out in the set.
     clocks: Vec<u16>,
     valid_count: usize,
-    policy: ReplacementKind,
+    policy: ReplacementChoice,
     rng: u64,
 }
 
@@ -190,7 +179,7 @@ impl SetAssocCache {
     /// Panics if `sets` is not a power of two, either argument is zero,
     /// or `ways` exceeds [`MAX_CACHE_WAYS`].
     pub fn new(sets: usize, ways: usize) -> Self {
-        Self::with_policy(sets, ways, ReplacementKind::Lru)
+        Self::with_policy(sets, ways, ReplacementChoice::Lru)
     }
 
     /// Creates an empty cache with the given replacement policy.
@@ -199,7 +188,7 @@ impl SetAssocCache {
     ///
     /// Panics if `sets` is not a power of two, either argument is zero,
     /// or `ways` exceeds [`MAX_CACHE_WAYS`].
-    pub fn with_policy(sets: usize, ways: usize, policy: ReplacementKind) -> Self {
+    pub fn with_policy(sets: usize, ways: usize, policy: ReplacementChoice) -> Self {
         assert!(
             sets > 0 && sets.is_power_of_two(),
             "sets must be a power of two"
@@ -447,7 +436,7 @@ impl SetAssocCache {
         // Prefer an invalid way; otherwise the policy picks the victim
         // (the LRU answer already fell out of the scan above).
         let victim = invalid.unwrap_or_else(|| match self.policy {
-            ReplacementKind::Lru if raw != TAG_INVALID => lru_idx,
+            ReplacementChoice::Lru if raw != TAG_INVALID => lru_idx,
             _ => self.pick_victim(range),
         });
         let evicted = if self.state[victim].valid() {
@@ -471,17 +460,17 @@ impl SetAssocCache {
 
     fn pick_victim(&mut self, range: std::ops::Range<usize>) -> usize {
         match self.policy {
-            ReplacementKind::Lru => range
+            ReplacementChoice::Lru => range
                 .min_by_key(|&i| self.state[i].lru)
                 .expect("set has at least one way"),
-            ReplacementKind::Random => {
+            ReplacementChoice::Random => {
                 // xorshift64*: deterministic, seeded at construction.
                 self.rng ^= self.rng << 13;
                 self.rng ^= self.rng >> 7;
                 self.rng ^= self.rng << 17;
                 range.start + (self.rng as usize % self.ways)
             }
-            ReplacementKind::Srrip => {
+            ReplacementChoice::Srrip => {
                 // Find a distant (RRPV==3) line, aging the set until one
                 // appears — bounded by 3 aging rounds.
                 loop {
@@ -644,7 +633,7 @@ mod tests {
 
     #[test]
     fn srrip_protects_reused_lines() {
-        let mut c = SetAssocCache::with_policy(1, 2, ReplacementKind::Srrip);
+        let mut c = SetAssocCache::with_policy(1, 2, ReplacementChoice::Srrip);
         c.fill(la(1), FillAttrs::default());
         c.fill(la(2), FillAttrs::default());
         // Reuse line 1 repeatedly: RRPV drops to 0; line 2 stays at 2.
@@ -658,7 +647,7 @@ mod tests {
     #[test]
     fn random_policy_is_deterministic() {
         let run = || {
-            let mut c = SetAssocCache::with_policy(2, 4, ReplacementKind::Random);
+            let mut c = SetAssocCache::with_policy(2, 4, ReplacementChoice::Random);
             let mut evicted = Vec::new();
             for i in 0..64u64 {
                 if let Some(ev) = c.fill(la(i), FillAttrs::default()) {
@@ -674,9 +663,9 @@ mod tests {
     #[test]
     fn all_policies_respect_capacity() {
         for p in [
-            ReplacementKind::Lru,
-            ReplacementKind::Srrip,
-            ReplacementKind::Random,
+            ReplacementChoice::Lru,
+            ReplacementChoice::Srrip,
+            ReplacementChoice::Random,
         ] {
             let mut c = SetAssocCache::with_policy(4, 2, p);
             for i in 0..100u64 {

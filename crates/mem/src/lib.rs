@@ -27,7 +27,7 @@ pub mod dram;
 pub mod mshr;
 pub mod port;
 
-pub use cache::{EvictedLine, FillAttrs, LineMeta, ReplacementKind, SetAssocCache};
+pub use cache::{EvictedLine, FillAttrs, LineMeta, SetAssocCache};
 pub use dram::{DramCompletion, DramModel, DramRequest};
 pub use mshr::{AllocError, MshrEntry, MshrFile, MshrToken};
 pub use port::PortScheduler;

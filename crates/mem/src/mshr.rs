@@ -39,13 +39,10 @@ pub struct MshrEntry {
     pub is_prefetch: bool,
     /// Cycle of allocation.
     pub alloc_cycle: Cycle,
-    /// A demand request merged onto a prefetch entry — the "late prefetch"
-    /// signature.
-    pub demand_merged: bool,
-    /// Number of requests merged onto this entry (excluding the allocator).
-    pub merged: u32,
     /// GhostMinion timestamp of the *oldest* instruction waiting on this
-    /// entry (used by leapfrogging; `u64::MAX` for prefetches).
+    /// entry (`u64::MAX` for prefetches). Nothing in the model reads it:
+    /// GhostMinion's MSHR leapfrogging is not modelled, and admission
+    /// follows wait-list order with no age priority.
     pub oldest_ts: u64,
     token: MshrToken,
 }
@@ -157,8 +154,6 @@ impl MshrFile {
             line,
             is_prefetch,
             alloc_cycle: now,
-            demand_merged: false,
-            merged: 0,
             oldest_ts: ts,
             token,
         });
@@ -177,9 +172,7 @@ impl MshrFile {
         let idx = self.line_pos(line)?;
         let e = &mut self.entries[idx];
         let was_prefetch = e.is_prefetch;
-        e.merged += 1;
         if demand {
-            e.demand_merged |= was_prefetch;
             e.is_prefetch = false; // a demand now depends on this fill
             e.oldest_ts = e.oldest_ts.min(ts);
         }
@@ -202,11 +195,6 @@ impl MshrFile {
         self.lines.swap_remove(idx);
         self.tokens.swap_remove(idx);
         self.entries.swap_remove(idx)
-    }
-
-    /// Iterates over live entries.
-    pub fn iter(&self) -> impl Iterator<Item = &MshrEntry> {
-        self.entries.iter()
     }
 }
 
@@ -243,10 +231,8 @@ mod tests {
         assert_eq!(t, t2);
         assert!(was_prefetch, "demand found a prefetch in flight");
         let e = m.complete(t);
-        assert!(e.demand_merged);
         assert!(!e.is_prefetch, "entry was promoted to demand");
         assert_eq!(e.oldest_ts, 7);
-        assert_eq!(e.merged, 1);
     }
 
     #[test]
@@ -256,7 +242,7 @@ mod tests {
         let (_, was_prefetch) = m.merge(la(9), false, u64::MAX).unwrap();
         assert!(!was_prefetch);
         let e = m.complete(t);
-        assert!(!e.demand_merged);
+        assert!(!e.is_prefetch);
     }
 
     #[test]
@@ -307,16 +293,15 @@ mod tests {
         assert_eq!((mt1, mt2), (t1, t2));
         assert!(was_pf, "demand merged onto the in-flight prefetch");
         assert_eq!(m.occupancy(), 2, "merges must not consume entries");
-        assert_eq!(m.complete(t1).merged, 1);
-        assert_eq!(m.complete(t2).merged, 1);
+        assert_eq!(m.complete(t1).line, la(1));
+        assert_eq!(m.complete(t2).line, la(2));
     }
 
     #[test]
     fn leapfrogging_order_is_merge_order_independent() {
-        // TimeGuarding serves a fill to the *oldest* waiting timestamp
-        // (leapfrogging): whatever order demands merge in, `oldest_ts`
-        // must come out as the minimum over the allocator and every
-        // demand merge.
+        // Whatever order demands merge in, `oldest_ts` must come out as
+        // the minimum over the allocator and every demand merge (the age
+        // GhostMinion's leapfrogging would serve first; not modelled).
         let orders: [[u64; 3]; 3] = [[20, 50, 80], [80, 50, 20], [50, 80, 20]];
         for order in orders {
             let mut m = MshrFile::new(2);
@@ -331,14 +316,12 @@ mod tests {
     #[test]
     fn prefetch_merge_does_not_age_the_entry() {
         // A prefetch has no waiting instruction: merging one must leave
-        // `oldest_ts` (and thus leapfrogging priority) untouched.
+        // `oldest_ts` untouched.
         let mut m = MshrFile::new(2);
         let t = m.alloc(la(1), false, 0, 40).unwrap();
         m.merge(la(1), false, u64::MAX).unwrap();
         m.merge(la(1), false, 3).unwrap(); // non-demand: ts ignored
-        let e = m.complete(t);
-        assert_eq!(e.oldest_ts, 40);
-        assert_eq!(e.merged, 2);
+        assert_eq!(m.complete(t).oldest_ts, 40);
     }
 
     #[test]

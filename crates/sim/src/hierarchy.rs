@@ -33,7 +33,7 @@ use secpref_obs::{Event, EventKind, LoadLevel, Obs, ObsCapture};
 use secpref_prefetch::{AccessEvent, Feedback, Prefetcher};
 use secpref_telemetry::{Phase, ProfileReport, Profiler};
 use secpref_types::{
-    AccessKind, Addr, CacheConfig, CacheLevel, CoreId, Cycle, FillInfo, HitLevel, Ip, LineAddr,
+    Addr, CacheConfig, CacheLevel, CoreId, Cycle, FillInfo, HitLevel, Ip, LineAddr,
     PrefetchRequest, SystemConfig,
 };
 
@@ -167,9 +167,6 @@ pub struct Hierarchy {
     pf_outstanding: Vec<usize>,
     /// Reusable DRAM-completion buffer for `tick` (no per-cycle allocs).
     dram_done: Vec<secpref_mem::DramCompletion>,
-    /// Per-core `("l1d[c]", "l2[c]")` labels, built once at construction
-    /// so the capture path never formats strings.
-    mshr_labels: Vec<(String, String)>,
     /// The in-run recorder (event counts, epochs, histograms);
     /// `Obs::disabled()` unless the system installed one, in which case
     /// every hook below feeds it. The system arms it per core at the
@@ -264,9 +261,6 @@ impl Hierarchy {
             l1_inflight: vec![0; cores],
             pf_outstanding: vec![0; cores],
             dram_done: Vec::new(),
-            mshr_labels: (0..cores)
-                .map(|c| (format!("l1d[{c}]"), format!("l2[{c}]")))
-                .collect(),
             obs: Obs::disabled(),
             prof: Profiler::disabled(),
             cfg,
@@ -312,13 +306,14 @@ impl Hierarchy {
             .filter(|r| r.alive && r.obs_counted)
             .count() as u64;
         for c in 0..self.cfg.cores {
-            let (l1d_label, l2_label) = &self.mshr_labels[c];
             cap.mshr_high_water.push((
-                l1d_label.clone(),
+                format!("l1d[{c}]"),
                 self.timing.l1d[c].mshr.high_water() as u64,
             ));
-            cap.mshr_high_water
-                .push((l2_label.clone(), self.timing.l2[c].mshr.high_water() as u64));
+            cap.mshr_high_water.push((
+                format!("l2[{c}]"),
+                self.timing.l2[c].mshr.high_water() as u64,
+            ));
         }
         cap.mshr_high_water
             .push(("llc".to_string(), self.timing.llc.mshr.high_water() as u64));
@@ -600,18 +595,6 @@ impl Hierarchy {
         }
     }
 
-    fn access_kind(kind: ReqKind) -> AccessKind {
-        match kind {
-            ReqKind::Load => AccessKind::Load,
-            ReqKind::Store => AccessKind::Store,
-            ReqKind::Prefetch => AccessKind::Prefetch,
-            ReqKind::Refetch => AccessKind::Refetch,
-            ReqKind::CommitWrite => AccessKind::CommitWrite,
-            ReqKind::CleanProp => AccessKind::Writeback,
-            ReqKind::DirtyWb => AccessKind::Writeback,
-        }
-    }
-
     fn on_access(&mut self, now: Cycle, rid: u32) {
         if self.reqs[rid as usize].cur_level == 3 {
             self.access_dram(now, rid);
@@ -673,8 +656,7 @@ impl Hierarchy {
             self.reqs[rid as usize].holds_l1_slot = false;
         }
         if !req.counted {
-            self.level_metrics(core, lvl)
-                .record_access(Self::access_kind(req.kind));
+            self.level_metrics(core, lvl).record_access(req.kind);
             self.reqs[rid as usize].counted = true;
             // The recorder mirrors the L1D demand-access counter at
             // exactly this site; the returned flag gates the

@@ -1,7 +1,8 @@
 //! Per-core, per-level simulation counters — the raw material for every
 //! figure in the paper.
 
-use secpref_types::{counters, AccessKind, CacheLevel, Cycle};
+use crate::policy::ReqKind;
+use secpref_types::{counters, CacheLevel, Cycle};
 
 counters! {
     /// Traffic and miss counters for one cache level of one core.
@@ -13,10 +14,11 @@ counters! {
         pub demand_misses: u64,
         /// Prefetch accesses.
         pub prefetch_accesses: u64,
-        /// GhostMinion commit-path accesses (commit writes + re-fetches +
-        /// clean-line propagation) — the "Commit Requests" of Fig. 3.
+        /// GhostMinion commit-path accesses (commit writes + re-fetches)
+        /// — the "Commit Requests" of Fig. 3.
         pub commit_accesses: u64,
-        /// Writeback accesses (dirty evictions arriving here).
+        /// Writeback accesses: dirty evictions and GhostMinion clean-line
+        /// propagation arriving here.
         pub writeback_accesses: u64,
         /// Cycles×entries of MSHR occupancy (integral; divide by cycles for
         /// mean occupancy).
@@ -44,12 +46,12 @@ impl LevelMetrics {
     }
 
     /// Records an access of the given kind.
-    pub fn record_access(&mut self, kind: AccessKind) {
+    pub(crate) fn record_access(&mut self, kind: ReqKind) {
         match kind {
-            AccessKind::Load | AccessKind::Store => self.demand_accesses += 1,
-            AccessKind::Prefetch => self.prefetch_accesses += 1,
-            AccessKind::CommitWrite | AccessKind::Refetch => self.commit_accesses += 1,
-            AccessKind::Writeback => self.writeback_accesses += 1,
+            ReqKind::Load | ReqKind::Store => self.demand_accesses += 1,
+            ReqKind::Prefetch => self.prefetch_accesses += 1,
+            ReqKind::CommitWrite | ReqKind::Refetch => self.commit_accesses += 1,
+            ReqKind::CleanProp | ReqKind::DirtyWb => self.writeback_accesses += 1,
         }
     }
 
@@ -238,20 +240,27 @@ impl CoreMetrics {
 mod tests {
     use super::*;
 
+    /// Every request kind lands in one counter; both writeback kinds,
+    /// clean-line propagation included, count as writebacks.
     #[test]
     fn access_kind_buckets() {
         let mut m = LevelMetrics::default();
-        m.record_access(AccessKind::Load);
-        m.record_access(AccessKind::Store);
-        m.record_access(AccessKind::Prefetch);
-        m.record_access(AccessKind::CommitWrite);
-        m.record_access(AccessKind::Refetch);
-        m.record_access(AccessKind::Writeback);
+        for kind in [
+            ReqKind::Load,
+            ReqKind::Store,
+            ReqKind::Prefetch,
+            ReqKind::Refetch,
+            ReqKind::CommitWrite,
+            ReqKind::CleanProp,
+            ReqKind::DirtyWb,
+        ] {
+            m.record_access(kind);
+        }
         assert_eq!(m.demand_accesses, 2);
         assert_eq!(m.prefetch_accesses, 1);
         assert_eq!(m.commit_accesses, 2);
-        assert_eq!(m.writeback_accesses, 1);
-        assert_eq!(m.total_accesses(), 6);
+        assert_eq!(m.writeback_accesses, 2);
+        assert_eq!(m.total_accesses(), 7);
     }
 
     #[test]

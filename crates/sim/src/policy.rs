@@ -142,14 +142,7 @@ impl<T> PerLevel<T> {
 }
 
 fn cache_of(cfg: &CacheConfig) -> SetAssocCache {
-    use secpref_mem::ReplacementKind as R;
-    use secpref_types::config::ReplacementChoice as C;
-    let policy = match cfg.replacement {
-        C::Lru => R::Lru,
-        C::Srrip => R::Srrip,
-        C::Random => R::Random,
-    };
-    SetAssocCache::with_policy(cfg.sets(), cfg.ways, policy)
+    SetAssocCache::with_policy(cfg.sets(), cfg.ways, cfg.replacement)
 }
 
 /// Fill attributes of a `kind` request installing its line at `lvl`

@@ -325,13 +325,13 @@ impl System {
     }
 
     /// [`System::with_obs`] under its old name, kept because `benchmark/`
-    /// pins it; retires with that crate's next edit (ROADMAP item 3).
+    /// pins it; retires with that crate's next edit (ROADMAP item 4).
     pub fn with_telemetry(self, obs: &ObsConfig) -> Self {
         self.with_obs(obs)
     }
 
     /// [`System::take_obs`] under its old name, kept because `benchmark/`
-    /// pins it; retires with that crate's next edit (ROADMAP item 3).
+    /// pins it; retires with that crate's next edit (ROADMAP item 4).
     pub fn take_telemetry(&mut self) -> Option<ObsCapture> {
         self.take_obs()
     }

@@ -42,7 +42,7 @@ pub use config::{
 };
 pub use hist::Hist;
 pub use level::{CacheLevel, HitLevel};
-pub use req::{AccessKind, CoreId, FillInfo, PrefetchRequest};
+pub use req::{CoreId, FillInfo, PrefetchRequest};
 pub use sampling::{MetricStats, SamplingConfig, SamplingSummary};
 
 /// Simulation time, measured in core clock cycles.

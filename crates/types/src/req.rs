@@ -2,62 +2,9 @@
 //! hierarchy, GhostMinion, and the prefetchers.
 
 use crate::{CacheLevel, Cycle, HitLevel, Ip, LineAddr};
-use std::fmt;
 
 /// Identifies a core in a multi-core simulation.
 pub type CoreId = usize;
-
-/// The kind of access arriving at a cache, mirroring the traffic categories
-/// of Fig. 3 in the paper (Load / Prefetch / Commit Requests) plus the
-/// bookkeeping kinds needed internally.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum AccessKind {
-    /// A demand load issued speculatively by the core.
-    Load,
-    /// A demand store issued by the core (treated like a load for traffic).
-    Store,
-    /// A prefetch request issued by a hardware prefetcher.
-    Prefetch,
-    /// GhostMinion on-commit write (GM hit at commit): moves the line
-    /// from the GM into L1D.
-    CommitWrite,
-    /// GhostMinion commit-time re-fetch (GM miss at commit): re-fetches the
-    /// line into the non-speculative hierarchy.
-    Refetch,
-    /// A writeback of an evicted line (dirty data, or GhostMinion clean-line
-    /// commit propagation governed by the writeback bit).
-    Writeback,
-}
-
-impl AccessKind {
-    /// True for the GhostMinion commit-path kinds that Fig. 3 groups as
-    /// "Commit Requests".
-    pub const fn is_commit_traffic(self) -> bool {
-        matches!(
-            self,
-            AccessKind::CommitWrite | AccessKind::Refetch | AccessKind::Writeback
-        )
-    }
-
-    /// True for demand traffic generated directly by program instructions.
-    pub const fn is_demand(self) -> bool {
-        matches!(self, AccessKind::Load | AccessKind::Store)
-    }
-}
-
-impl fmt::Display for AccessKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            AccessKind::Load => "load",
-            AccessKind::Store => "store",
-            AccessKind::Prefetch => "prefetch",
-            AccessKind::CommitWrite => "commit-write",
-            AccessKind::Refetch => "refetch",
-            AccessKind::Writeback => "writeback",
-        };
-        f.write_str(s)
-    }
-}
 
 /// Everything a consumer learns when a memory request completes (fills).
 ///
@@ -129,18 +76,6 @@ impl PrefetchRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn commit_traffic_partition() {
-        assert!(AccessKind::CommitWrite.is_commit_traffic());
-        assert!(AccessKind::Refetch.is_commit_traffic());
-        assert!(AccessKind::Writeback.is_commit_traffic());
-        assert!(!AccessKind::Load.is_commit_traffic());
-        assert!(!AccessKind::Prefetch.is_commit_traffic());
-        assert!(AccessKind::Load.is_demand());
-        assert!(AccessKind::Store.is_demand());
-        assert!(!AccessKind::Prefetch.is_demand());
-    }
 
     #[test]
     fn fill_latency() {
