@@ -57,9 +57,10 @@
 //! structural invariants Perfetto needs (balanced `B`/`E` spans,
 //! monotonic per-track timestamps), then exits; nonzero on violation.
 //!
-//! `--profile` runs the pinned 13-configuration × 3-trace matrix plus one
-//! sampled cell with the built-in phase profiler, prints the ranked
-//! wall-time-per-phase table and the detailed driver's work counts
+//! `--profile` runs the pinned 18-configuration × 3-trace matrix (the
+//! sampled differential's cells, `secpref_check::sampling::diff_cells`)
+//! plus one sampled cell with the built-in phase profiler, prints the
+//! ranked wall-time-per-phase table and the detailed driver's work counts
 //! (EXPERIMENTS.md, "Profiling the simulator"), and writes the
 //! attribution as validated Chrome trace-event JSON to
 //! `<store>/telemetry/profile-trace.json`. Skips the figure pipeline.
@@ -144,7 +145,6 @@ fn main() {
     if workers == Some(0) {
         die("--workers needs a positive integer");
     }
-    quiet |= std::env::var_os("SECPREF_EXP_QUIET").is_some();
     let plan = |targets: &[&str]| runner::plan(targets, scale, mix_count);
     if let Some(bad) = trace_targets.iter().find(|t| plan(&[t]).is_empty()) {
         let mut sim: Vec<&str> = TARGETS.iter().map(|(name, _)| *name).collect();
@@ -183,8 +183,8 @@ fn main() {
 
     // So does the phase profile.
     if profile_run {
-        let report =
-            profile::run_profile(&profile::config_matrix(), &profile::trace_matrix(), !quiet);
+        let cells = secpref_check::sampling::diff_cells();
+        let report = profile::run_profile(&cells, &profile::trace_matrix(), !quiet);
         println!("repro: phase profile over the full matrix");
         println!("{report}");
         let json = profile::profile_trace_json(&report.phases);

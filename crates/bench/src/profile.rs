@@ -7,10 +7,12 @@
 //! is belongs to the repo's benchmark (`benchmark/`, `BENCHMARK.json`);
 //! this module only says where the time went.
 //!
-//! The matrix is deliberately small and fixed: thirteen configurations
-//! that exercise every distinct hot path (non-secure demand flow,
-//! on-access prefetch injection, the GhostMinion GM + commit engine, SUF
-//! filtering on the commit path, and the TSB timely-secure variant)
+//! The matrix is deliberately small and fixed: the eighteen
+//! configurations of the sampled differential
+//! ([`secpref_check::sampling::diff_cells`]), which exercise every
+//! distinct hot path (non-secure demand flow, on-access prefetch
+//! injection, the GhostMinion GM + commit engine, SUF filtering on the
+//! commit path, and the timely-secure variant of every prefetcher),
 //! crossed with three trace classes (pointer-chasing, streaming,
 //! graph-irregular), plus one sampled cell for the functional-warming
 //! phase.
@@ -24,33 +26,6 @@ use secpref_types::{PrefetcherKind, SystemConfig};
 pub const WARMUP: u64 = 10_000;
 /// Measurement window per cell, in instructions.
 pub const MEASURE: u64 = 40_000;
-
-/// The pinned configuration axis: label × config.
-///
-/// The matrix covers every distinct hot path: the two no-prefetch
-/// anchors, **all five** prefetchers on-access (non-secure), all five
-/// on-commit behind GhostMinion+SUF (the paper's secure configuration —
-/// and the slowest simulator cells, which is exactly why they are
-/// profiled), and the TSB timely-secure variant.
-pub fn config_matrix() -> Vec<(&'static str, SystemConfig)> {
-    use configs::{on_access_nonsecure as access, on_commit_suf as commit_suf};
-    use PrefetcherKind::{Berti, Bingo, IpStride, Ipcp, SppPpf};
-    vec![
-        ("nonsecure/nopf", configs::nonsecure_nopref()),
-        ("nonsecure/ip-stride-on-access", access(IpStride)),
-        ("nonsecure/ipcp-on-access", access(Ipcp)),
-        ("nonsecure/bingo-on-access", access(Bingo)),
-        ("nonsecure/spp-ppf-on-access", access(SppPpf)),
-        ("nonsecure/berti-on-access", access(Berti)),
-        ("ghostminion/nopf", configs::secure_nopref()),
-        ("ghostminion+suf/ip-stride-on-commit", commit_suf(IpStride)),
-        ("ghostminion+suf/ipcp-on-commit", commit_suf(Ipcp)),
-        ("ghostminion+suf/bingo-on-commit", commit_suf(Bingo)),
-        ("ghostminion+suf/spp-ppf-on-commit", commit_suf(SppPpf)),
-        ("ghostminion+suf/berti-on-commit", commit_suf(Berti)),
-        ("tsb+suf/berti", configs::timely_secure_suf(Berti)),
-    ]
-}
 
 /// The pinned trace axis: one representative per access-pattern class.
 pub fn trace_matrix() -> Vec<&'static str> {
@@ -116,14 +91,14 @@ impl std::fmt::Display for MatrixProfile {
 
 /// Runs every `configs` × `traces` cell once with the phase profiler
 /// enabled and returns the aggregated wall-time attribution; `repro
-/// --profile` passes [`config_matrix`] and [`trace_matrix`]. `verbose`
-/// prints one stderr line per cell.
+/// --profile` passes [`secpref_check::sampling::diff_cells`] and
+/// [`trace_matrix`]. `verbose` prints one stderr line per cell.
 ///
 /// Each cell simulates the full warm-up + measurement window exactly
 /// once (no repetition — profiling wants attribution, not variance
 /// control) and the per-cell profiles are merged into one ranked table.
 pub fn run_profile(
-    configs: &[(&str, SystemConfig)],
+    configs: &[(impl std::fmt::Display, SystemConfig)],
     traces: &[&str],
     verbose: bool,
 ) -> MatrixProfile {
@@ -262,7 +237,7 @@ mod tests {
         for t in trace_matrix() {
             assert!(suite::trace_by_name(t).is_some(), "{t}");
         }
-        for (_, cfg) in config_matrix() {
+        for (_, cfg) in secpref_check::sampling::diff_cells() {
             assert!(cfg.validate().is_ok());
         }
     }

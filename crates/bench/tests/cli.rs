@@ -27,8 +27,6 @@ impl Drop for Scratch {
 fn repro(store: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .env("SECPREF_EXP_DIR", store)
-        .env_remove("SECPREF_EXP_WORKERS")
-        .env_remove("SECPREF_EXP_QUIET")
         .args(args)
         .output()
         .expect("repro runs")
@@ -266,7 +264,7 @@ fn sectrace_refuses_an_ip_past_32_bits() {
 }
 
 #[test]
-#[ignore = "release-only: profiles the 39-cell matrix"]
+#[ignore = "release-only: profiles the 54-cell matrix"]
 fn profile_prints_table_and_writes_valid_trace() {
     let s = Scratch::new("profile");
     let out = repro(&s.0, &["--quiet", "--profile"]);
@@ -339,6 +337,28 @@ fn quick_ablations_render_all_five_tables_and_resume_identically() {
     let cold = run();
     assert_eq!(cold.matches("## Ablation").count(), 5, "{cold}");
     assert_eq!(run(), cold);
+}
+
+/// Without `--quiet`, a sweep whose stderr is a pipe still shows its one
+/// progress line, one render per line, and the last render counts every
+/// cell.
+#[test]
+#[ignore = "release-only: simulates fig5 at quick scale"]
+fn a_sweep_into_a_pipe_prints_its_progress_lines() {
+    let s = Scratch::new("progress");
+    let out = repro(&s.0, &["--quick", "fig5"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(!err.contains('\r'), "{err}");
+    let last = err
+        .lines()
+        .filter_map(|l| l.strip_prefix("[sweep] "))
+        .next_back()
+        .unwrap_or_else(|| panic!("no progress line in:\n{err}"));
+    let cells = last.split(' ').next().expect("done/total");
+    let (done, total) = cells.split_once('/').expect("done/total");
+    assert_eq!(done, total, "{last}");
+    assert!(last.starts_with(&format!("{cells} cells")), "{last}");
 }
 
 /// The scale-out path end to end: the 32-core mix-pressure sweep.

@@ -4,10 +4,11 @@
 //! welcome — figures freely re-request the same configurations) and:
 //!
 //! 1. deduplicates by content key ([`JobSpec::key`]),
-//! 2. resolves what it can from the in-memory cache and the on-disk
-//!    [`ResultStore`] (canonical strings are compared, so a hash
-//!    collision falls through to a re-run instead of returning the wrong
-//!    report),
+//! 2. resolves what it can from the engine's one result map — the
+//!    on-disk [`ResultStore`], loaded on first use, plus every job this
+//!    process ran since. Every hit compares the canonical string, so a
+//!    hash collision falls through to a re-run instead of returning the
+//!    wrong report,
 //! 3. pre-generates the traces the remaining jobs need (in parallel, one
 //!    generation per distinct trace),
 //! 4. runs the remaining jobs on the worker pool, appending each result
@@ -24,8 +25,8 @@
 //! recorder mode is a *diagnostic* sweep: step 2 resolves nothing and
 //! step 4 writes each job's capture
 //! to artifact files instead of appending to the store, so they always
-//! re-simulate and never read or write `results.jsonl` or the in-process
-//! cache. That keeps the artifacts a pure function of `(job, recorder
+//! re-simulate and never read or write `results.jsonl` or the result
+//! map. That keeps the artifacts a pure function of `(job, recorder
 //! config)` — byte-identical across worker counts and across cold and
 //! resumed engines — and keeps diagnostic runs from polluting the store
 //! with results that sweeps would then trust. Artifacts are written from
@@ -60,9 +61,10 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 /// Where a job's report came from in this run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ResultSource {
-    /// Already computed earlier in this process.
+    /// Already served or computed earlier in this process.
     Memory,
-    /// Loaded from the on-disk result store (a resumed job).
+    /// Loaded from the on-disk result store (a resumed job), the first
+    /// time this process serves it.
     Store,
     /// Simulated during this run.
     Ran,
@@ -102,7 +104,8 @@ pub struct RunSummary {
     pub jobs_requested: usize,
     /// Distinct jobs after dedupe.
     pub jobs_unique: usize,
-    /// Served from the in-process cache.
+    /// Served again, after an earlier sweep of this process served or ran
+    /// it.
     pub from_memory: usize,
     /// Resumed from the on-disk store.
     pub from_store: usize,
@@ -135,8 +138,10 @@ pub struct Engine {
     store: ResultStore,
     workers: usize,
     verbose: bool,
-    mem: Mutex<HashMap<String, SimReport>>,
-    disk: Mutex<Option<HashMap<String, StoredResult>>>,
+    /// Every result a plain sweep may serve, by job key: the store's
+    /// lines (loaded on the first resolve) and each job run since, with
+    /// whether this process has served or run it yet.
+    results: Mutex<Option<HashMap<String, (StoredResult, bool)>>>,
 }
 
 /// Process-wide run counter. Run ids embed `(unix second, pid, seq)`;
@@ -158,24 +163,20 @@ impl Engine {
             store: ResultStore::open(dir.into())?,
             workers: workers.max(1),
             verbose: false,
-            mem: Mutex::new(HashMap::new()),
-            disk: Mutex::new(None),
+            results: Mutex::new(None),
         })
     }
 
-    /// Builds an engine from the environment: `SECPREF_EXP_DIR` (default
-    /// `target/exp`) and — unless `workers` overrides it —
-    /// `SECPREF_EXP_WORKERS` (default: available parallelism).
+    /// Builds an engine over the store at `SECPREF_EXP_DIR` (default
+    /// `target/exp`) with `workers` threads (default: available
+    /// parallelism).
     ///
     /// # Errors
     ///
     /// Propagates store-directory creation failures.
     pub fn from_env(workers: Option<usize>) -> io::Result<Self> {
         let dir = std::env::var("SECPREF_EXP_DIR").unwrap_or_else(|_| "target/exp".to_string());
-        let workers = workers
-            .or_else(|| std::env::var("SECPREF_EXP_WORKERS").ok()?.parse().ok())
-            .unwrap_or_else(default_workers);
-        Engine::new(dir, workers)
+        Engine::new(dir, workers.unwrap_or_else(default_workers))
     }
 
     /// Enables/disables progress lines on stderr.
@@ -243,11 +244,11 @@ impl Engine {
         let n_req = jobs.len().to_string();
         tb.complete(0, "dedup", 0, us(t0.elapsed()), &[("requested", &n_req)]);
 
-        // Phase 2: resolve from memory, then from the on-disk store —
-        // plain sweeps only. The per-job dedup-hit/miss events below
-        // carry later timestamps, so this span must OPEN before them (a
-        // trailing `X` with the phase's start time would regress the
-        // engine track's event order, which the validator rejects).
+        // Phase 2: resolve from the result map — plain sweeps only. The
+        // per-job dedup-hit/miss events below carry later timestamps, so
+        // this span must OPEN before them (a trailing `X` with the phase's
+        // start time would regress the engine track's event order, which
+        // the validator rejects).
         tb.begin(0, "resolve", us(t0.elapsed()), &[]);
         let mut reports: Vec<Option<SimReport>> = vec![None; unique.len()];
         let mut records: Vec<Option<JobRecord>> = vec![None; unique.len()];
@@ -316,12 +317,18 @@ impl Engine {
         let n_total = total.to_string();
         tb.begin(0, "execute", us(t0.elapsed()), &[("jobs", &n_total)]);
         let exec_base = t0.elapsed();
-        let mut progress = Progress::new(unique.len() as u64, self.verbose && stderr_is_tty());
+        // One progress line, redrawn in place on a terminal and one line
+        // per render otherwise.
+        let mut progress = Progress::new(unique.len() as u64, self.verbose);
+        let tty = stderr_is_tty();
+        let show = |line: Option<String>| match line {
+            Some(line) if tty => eprint!("\r{line}"),
+            Some(line) => eprintln!("{line}"),
+            None => {}
+        };
         progress.set_dedup_hits((unique.len() - total) as u64);
         for _ in 0..unique.len() - total {
-            if let Some(line) = progress.tick(0) {
-                eprint!("\r{line}");
-            }
+            show(progress.tick(0));
         }
         let mut done = 0usize;
         let outcomes = pool::run_items(
@@ -370,37 +377,30 @@ impl Engine {
                 done += 1;
                 tb.counter(0, "cells", us(t0.elapsed()), "done", done as u64);
                 let instr: u64 = report.cores.iter().map(|m| m.instructions).sum();
-                if let Some(line) = progress.tick(instr) {
-                    eprint!("\r{line}");
-                } else if !progress.is_enabled() {
-                    let elapsed = t0.elapsed();
-                    let eta = elapsed.mul_f64((total - done) as f64 / done as f64);
-                    self.say(&format!(
-                        "[exp] {done}/{total} ({:.0}%) elapsed {} eta {} — {} in {}",
-                        done as f64 * 100.0 / total as f64,
-                        fmt_secs(elapsed),
-                        fmt_secs(eta),
-                        record.label,
-                        fmt_secs(timing.wall),
-                    ));
-                }
+                show(progress.tick(instr));
                 records[to_run[idx]] = Some(record);
             },
         );
-        if progress.needs_newline() {
+        if tty && progress.needs_newline() {
             eprintln!();
         }
         let exec_wall = t0.elapsed().saturating_sub(exec_base);
         tb.end(0, us(t0.elapsed()));
         let sim_wall: Duration = outcomes.iter().map(|(_, wall)| *wall).sum();
-        let mut mem = self.mem.lock().expect("engine mem cache");
+        let mut results = self.results.lock().expect("engine results");
         for (&slot, ((report, _), _)) in to_run.iter().zip(outcomes) {
             if let RunMode::Plain = mode {
-                mem.insert(keyed[unique[slot]].0.clone(), report.clone());
+                let (key, canonical) = &keyed[unique[slot]];
+                let stored = StoredResult {
+                    canonical: canonical.clone(),
+                    report: report.clone(),
+                };
+                let results = results.get_or_insert_with(|| self.load_store());
+                results.insert(key.clone(), (stored, true));
             }
             reports[slot] = Some(report);
         }
-        drop(mem);
+        drop(results);
 
         // Phase 5: manifest + span trace, then assemble
         // request-order output (duplicates share the unique job's report).
@@ -429,8 +429,7 @@ impl Engine {
             .map(|r| r.expect("every unique job resolved or ran"))
             .collect();
         self.say(&format!(
-            "[exp] {kind} run {run_id} done in {} ({} simulated, {} reused); manifest {}",
-            fmt_secs(wall),
+            "[exp] {kind} run {run_id} done in {wall:.1?} ({} simulated, {} reused); manifest {}",
             summary.executed,
             summary.from_memory + summary.from_store,
             summary.manifest_path.display(),
@@ -438,22 +437,32 @@ impl Engine {
         (reports, summary)
     }
 
-    /// Looks a job up in the in-process cache, then in the on-disk store
-    /// (loaded on first use). A stored result counts only if its
-    /// canonical string matches — a hash collision or stale canonical
-    /// falls through to a re-run instead of returning the wrong report.
+    /// Looks a job up in the result map (loading the store on first use).
+    /// A result counts only if its canonical string matches — a hash
+    /// collision or stale canonical falls through to a re-run instead of
+    /// returning the wrong report. The first hit on a stored line is a
+    /// [`ResultSource::Store`] hit, every later one a
+    /// [`ResultSource::Memory`] hit.
     fn resolve(&self, key: &str, canonical: &str) -> Option<(SimReport, ResultSource)> {
-        let mut mem = self.mem.lock().expect("engine mem cache");
-        if let Some(report) = mem.get(key) {
-            return Some((report.clone(), ResultSource::Memory));
-        }
-        let mut disk = self.disk.lock().expect("engine disk cache");
-        let stored = disk.get_or_insert_with(|| self.store.load()).get(key)?;
+        let mut results = self.results.lock().expect("engine results");
+        let (stored, seen) = results
+            .get_or_insert_with(|| self.load_store())
+            .get_mut(key)?;
         if stored.canonical != canonical {
             return None;
         }
-        mem.insert(key.to_string(), stored.report.clone());
-        Some((stored.report.clone(), ResultSource::Store))
+        let source = if std::mem::replace(seen, true) {
+            ResultSource::Memory
+        } else {
+            ResultSource::Store
+        };
+        Some((stored.report.clone(), source))
+    }
+
+    /// The store's lines as result-map entries, none served yet.
+    fn load_store(&self) -> HashMap<String, (StoredResult, bool)> {
+        let stored = self.store.load();
+        stored.into_iter().map(|(k, r)| (k, (r, false))).collect()
     }
 
     /// Writes the run's span trace as Chrome trace-event JSON under
@@ -633,17 +642,6 @@ fn dedup_hit_rate(requested: usize, executed: usize) -> f64 {
     (requested.saturating_sub(executed)) as f64 / requested as f64
 }
 
-fn fmt_secs(d: Duration) -> String {
-    let s = d.as_secs_f64();
-    if s < 10.0 {
-        format!("{s:.2}s")
-    } else if s < 600.0 {
-        format!("{s:.1}s")
-    } else {
-        format!("{:.1}m", s / 60.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -695,6 +693,19 @@ mod tests {
         let (_, summary) = engine.run_all_with_summary(&jobs());
         assert_eq!(summary.executed, 0);
         assert_eq!(summary.from_memory, 2);
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn a_memory_hit_checks_the_canonical_string() {
+        let dir = tmp_dir("canonical");
+        let engine = Engine::new(&dir, 1).unwrap();
+        engine.run_all(&jobs());
+        let job = &jobs()[0];
+        let hit = engine.resolve(&job.key(), &job.canonical());
+        assert_eq!(hit.map(|(_, source)| source), Some(ResultSource::Memory));
+        // Same key, another job: a collision re-runs, it is not served.
+        assert!(engine.resolve(&job.key(), "another canonical").is_none());
         cleanup(&dir);
     }
 

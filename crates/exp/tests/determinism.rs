@@ -417,3 +417,36 @@ fn partial_store_resumes_the_rest() {
     assert_eq!(summary.executed, 3);
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// A stored line whose canonical string is not the job's — a key
+/// collision, or a line written for another definition of the job — is
+/// never served: the job re-runs, its fresh line replaces the stale one,
+/// and the next engine resumes the fresh report.
+#[test]
+fn a_stored_line_under_another_canonical_is_rerun_and_replaced() {
+    let jobs = sweep();
+    let (job, other) = (&jobs[0], &jobs[2]);
+    let cold_dir = tmp_dir("canonical-cold");
+    let cold = Engine::new(&cold_dir, 1)
+        .unwrap()
+        .run_all(&[job.clone(), other.clone()]);
+    let _ = std::fs::remove_dir_all(cold_dir);
+
+    let dir = tmp_dir("canonical");
+    let store = secpref_exp::ResultStore::open(&dir).unwrap();
+    store
+        .append(&job.key(), &other.canonical(), &cold[1])
+        .unwrap();
+    let (reports, rerun) = Engine::new(&dir, 1)
+        .unwrap()
+        .run_all_with_summary(std::slice::from_ref(job));
+    assert_eq!((rerun.executed, rerun.from_store), (1, 0));
+    assert_eq!(serialize_all(&reports), serialize_all(&cold[..1]));
+
+    let (reports, warm) = Engine::new(&dir, 1)
+        .unwrap()
+        .run_all_with_summary(std::slice::from_ref(job));
+    assert_eq!((warm.executed, warm.from_store), (0, 1));
+    assert_eq!(serialize_all(&reports), serialize_all(&cold[..1]));
+    let _ = std::fs::remove_dir_all(dir);
+}

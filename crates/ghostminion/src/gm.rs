@@ -55,8 +55,6 @@ pub struct GmCache {
     tags: Vec<u64>,
     /// Number of valid entries (kept exact so `occupancy` is O(1)).
     live: usize,
-    /// Insertions dropped by TimeGuarding (statistics).
-    pub dropped_inserts: u64,
 }
 
 /// Sentinel tag for an invalid slot. A line with this raw address is
@@ -84,7 +82,6 @@ impl GmCache {
             ],
             tags: vec![TAG_INVALID; slots],
             live: 0,
-            dropped_inserts: 0,
         }
     }
 
@@ -181,7 +178,6 @@ impl GmCache {
             self.set_tag(idx, line);
             GmInsertOutcome::InsertedEvicting(victim)
         } else {
-            self.dropped_inserts += 1;
             GmInsertOutcome::Dropped
         }
     }
@@ -237,7 +233,6 @@ mod tests {
         gm.insert(la(2), 6, 0);
         // ts=7 is the youngest: full GM, all entries older → drop.
         assert_eq!(gm.insert(la(3), 7, 0), GmInsertOutcome::Dropped);
-        assert_eq!(gm.dropped_inserts, 1);
         assert!(gm.lookup(la(1), 100).is_some());
         assert!(gm.lookup(la(2), 100).is_some());
     }

@@ -187,11 +187,7 @@ pub struct System {
     hierarchy: Hierarchy,
     warmup: u64,
     measure: u64,
-    /// True when per-core `ObsTrack`s are installed; false is the run
-    /// loop's fast-path guard.
-    obs_on: bool,
     now: Cycle,
-    finished: bool,
     /// Master switch for the run loop's idle-cycle fast-forward (on by
     /// default; [`System::with_cycle_skip`] turns it off for
     /// differential testing).
@@ -288,9 +284,7 @@ impl System {
             hierarchy,
             warmup: DEFAULT_WARMUP,
             measure: DEFAULT_MEASURE,
-            obs_on: false,
             now: 0,
-            finished: false,
             allow_skip: true,
             sampling: None,
         }
@@ -314,7 +308,6 @@ impl System {
         for ctx in &mut self.cores {
             ctx.obs = Some(ObsTrack::new(obs.epoch_interval.max(1)));
         }
-        self.obs_on = true;
         self
     }
 
@@ -399,7 +392,6 @@ impl System {
     pub fn run(&mut self) {
         self.run_window(self.warmup, self.measure);
         self.hierarchy.finalize();
-        self.finished = true;
     }
 
     /// The one detailed run loop — the whole of [`System::run`] and each
@@ -454,7 +446,7 @@ impl System {
                 all_done = false;
                 // Epoch boundary: like the warm-up and finish boundaries,
                 // recorded on the cycle after the crossing retirement.
-                if self.obs_on {
+                if st.obs.is_some() {
                     self.obs_sample_epochs(c, now, false);
                 }
                 let st = &mut self.cores[c];
@@ -671,7 +663,6 @@ impl System {
             mpki_l1d: MetricStats::from_samples(&samples_mpki),
             pf_accuracy: MetricStats::from_samples(&samples_pfacc),
         });
-        self.finished = true;
     }
 
     /// Functionally retires up to `instrs` instructions on every core:

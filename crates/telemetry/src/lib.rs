@@ -10,9 +10,9 @@
 //!   [`validate_trace_json`], the structural check of its output; used
 //!   by `secpref-exp`'s engine spans and `repro --profile`.
 //! - [`progress`] — a rate-limited stderr progress line for sweeps,
-//!   disabled under `--quiet` and on non-TTY stderr, and structurally
-//!   unable to reach result bytes (it only ever renders to a string the
-//!   caller prints to stderr).
+//!   disabled under `--quiet`, and structurally unable to reach result
+//!   bytes (it only ever renders to a string the caller prints to
+//!   stderr).
 //!
 //! # Examples
 //!

@@ -1,17 +1,18 @@
 //! Throttled live progress line for sweeps.
 //!
 //! [`Progress`] renders `cells done/total · sim-instr/s · dedup hit rate ·
-//! ETA` as a carriage-return-overwritten stderr line. It is built to be
-//! *provably absent from result bytes*:
+//! ETA` as a stderr line. It is built to be *provably absent from result
+//! bytes*:
 //!
 //! - rendering is a pure function ([`Progress::tick`] returns an
 //!   `Option<String>`; the caller prints it to stderr and nowhere else),
-//! - a disabled instance (quiet mode, non-TTY stderr) returns `None`
-//!   unconditionally, so not a single byte is produced,
+//! - a disabled instance (quiet mode) returns `None` unconditionally, so
+//!   not a single byte is produced,
 //! - emission is rate-limited to one line per [`MIN_INTERVAL`].
 //!
-//! The engine enables it only when verbose (not `--quiet`) *and* stderr
-//! is a terminal ([`stderr_is_tty`]).
+//! The engine enables it whenever it is verbose (not `--quiet`), and
+//! prints each line after a `\r` when stderr is a terminal
+//! ([`stderr_is_tty`]) and on a line of its own otherwise.
 
 use std::io::IsTerminal;
 use std::time::{Duration, Instant};
@@ -19,8 +20,8 @@ use std::time::{Duration, Instant};
 /// Minimum wall time between two rendered progress lines.
 pub const MIN_INTERVAL: Duration = Duration::from_millis(200);
 
-/// Whether stderr is attached to a terminal (progress is pointless — and
-/// log-polluting — when redirected to a file or pipe).
+/// Whether stderr is attached to a terminal (where a progress line can be
+/// redrawn in place; a file or pipe gets one line per render instead).
 pub fn stderr_is_tty() -> bool {
     std::io::stderr().is_terminal()
 }
@@ -54,11 +55,6 @@ impl Progress {
             last_emit: None,
             emitted: false,
         }
-    }
-
-    /// Whether this tracker can ever produce output.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Records dedup hits discovered before simulation started.
@@ -151,7 +147,7 @@ mod tests {
 
     #[test]
     fn disabled_progress_emits_zero_bytes() {
-        // The `--quiet` / non-TTY contract: not one byte, ever.
+        // The `--quiet` contract: not one byte, ever.
         let mut p = Progress::new(10, false);
         p.set_dedup_hits(3);
         for _ in 0..10 {

@@ -146,13 +146,6 @@ impl CsrPrefix {
         self.neighbors[i as usize]
     }
 
-    /// Builds every list not built yet; sorts none of them.
-    pub fn grow_to_end(&mut self) {
-        if self.built() < self.vertices {
-            self.grow_to(self.vertices - 1);
-        }
-    }
-
     /// Copies built vertex `v`'s list from `pool` to `neighbors` and sorts
     /// it there.
     #[inline(never)]
@@ -264,6 +257,15 @@ pub(crate) fn power_law_by_lists(vertices: usize, avg_degree: usize, seed: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CsrPrefix {
+        /// Builds every list not built yet; sorts none of them.
+        fn grow_to_end(&mut self) {
+            if self.built() < self.vertices {
+                self.grow_to(self.vertices - 1);
+            }
+        }
+    }
 
     /// The whole graph, built to the end, no list sorted yet.
     fn full(vertices: usize, avg_degree: usize, seed: u64) -> CsrPrefix {

@@ -102,11 +102,6 @@ impl Instr {
             kind: InstrKind::Branch { taken },
         }
     }
-
-    /// True for loads and stores.
-    pub fn is_mem(&self) -> bool {
-        matches!(self.kind, InstrKind::Load { .. } | InstrKind::Store { .. })
-    }
 }
 
 /// A complete workload trace.
@@ -199,14 +194,6 @@ impl Trace {
             .filter(|i| matches!(i.kind, InstrKind::Load { .. }))
             .count()
     }
-
-    /// Number of branches in the trace.
-    pub fn branch_count(&self) -> usize {
-        self.instrs
-            .iter()
-            .filter(|i| matches!(i.kind, InstrKind::Branch { .. }))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -215,10 +202,13 @@ mod tests {
 
     #[test]
     fn constructors() {
-        assert!(Instr::load(1, 2).is_mem());
-        assert!(Instr::store(1, 2).is_mem());
-        assert!(!Instr::alu(1).is_mem());
-        assert!(!Instr::branch(1, true).is_mem());
+        assert!(matches!(Instr::load(1, 2).kind, InstrKind::Load { .. }));
+        assert!(matches!(Instr::store(1, 2).kind, InstrKind::Store { .. }));
+        assert!(matches!(Instr::alu(1).kind, InstrKind::Alu));
+        assert!(matches!(
+            Instr::branch(1, true).kind,
+            InstrKind::Branch { taken: true }
+        ));
     }
 
     #[test]
@@ -250,7 +240,6 @@ mod tests {
             ],
         );
         assert_eq!(t.load_count(), 2);
-        assert_eq!(t.branch_count(), 1);
     }
 
     #[test]

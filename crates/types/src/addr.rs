@@ -116,11 +116,6 @@ impl LineAddr {
         self.0
     }
 
-    /// Returns the byte address of the first byte of this line.
-    pub const fn base_addr(self) -> Addr {
-        Addr(self.0 << OFFSET_BITS)
-    }
-
     /// Returns the immediately following line.
     pub const fn next(self) -> LineAddr {
         LineAddr(self.0 + 1)
@@ -135,17 +130,6 @@ impl LineAddr {
     /// delta-based prefetchers such as Berti and SPP.
     pub const fn delta(self, earlier: LineAddr) -> i64 {
         self.0.wrapping_sub(earlier.0) as i64
-    }
-
-    /// Returns the 2 KB spatial region number containing this line
-    /// (32 lines per region; Bingo's region granularity).
-    pub const fn region_2k(self) -> u64 {
-        self.0 >> 5
-    }
-
-    /// Returns the line index within its 2 KB region (0..32).
-    pub const fn region_2k_offset(self) -> u32 {
-        (self.0 & 31) as u32
     }
 
     /// Returns the 4 KB page number containing this line.
@@ -229,12 +213,6 @@ impl Ip {
     pub const fn raw(self) -> u64 {
         self.0 as u64
     }
-
-    /// Returns the low `bits` bits — the common table-index hash
-    /// used by IP-indexed prefetcher tables.
-    pub const fn index_bits(self, bits: u32) -> usize {
-        (self.raw() & ((1u64 << bits) - 1)) as usize
-    }
 }
 
 impl fmt::Debug for Ip {
@@ -256,7 +234,6 @@ mod tests {
     #[test]
     fn addr_line_round_trip() {
         let a = Addr::new(0x12345);
-        assert_eq!(a.line().base_addr().raw(), 0x12345 & !(LINE_SIZE - 1));
         assert_eq!(a.offset(), 0x12345 % LINE_SIZE);
     }
 
@@ -273,7 +250,6 @@ mod tests {
     #[test]
     fn region_decomposition() {
         let l = LineAddr::new(0x1234);
-        assert_eq!(l.region_2k() * 32 + l.region_2k_offset() as u64, l.raw());
         assert_eq!(l.page() * 64 + l.page_offset() as u64, l.raw());
     }
 
@@ -293,13 +269,6 @@ mod tests {
             format!("{:?}", Addr::new(u64::MAX)),
             "Addr(0xffffffffffffffff)"
         );
-    }
-
-    #[test]
-    fn ip_index_bits() {
-        let ip = Ip::new(0xABCD);
-        assert_eq!(ip.index_bits(8), 0xCD);
-        assert_eq!(ip.index_bits(4), 0xD);
     }
 
     #[test]

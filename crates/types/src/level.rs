@@ -19,24 +19,6 @@ pub enum CacheLevel {
 }
 
 impl CacheLevel {
-    /// All levels from lowest (L1D) to DRAM.
-    pub const ALL: [CacheLevel; 4] = [
-        CacheLevel::L1d,
-        CacheLevel::L2,
-        CacheLevel::Llc,
-        CacheLevel::Dram,
-    ];
-
-    /// Returns the next level further from the core, or `None` for DRAM.
-    pub const fn next(self) -> Option<CacheLevel> {
-        match self {
-            CacheLevel::L1d => Some(CacheLevel::L2),
-            CacheLevel::L2 => Some(CacheLevel::Llc),
-            CacheLevel::Llc => Some(CacheLevel::Dram),
-            CacheLevel::Dram => None,
-        }
-    }
-
     /// Short display name matching the paper's figures.
     pub const fn name(self) -> &'static str {
         match self {
@@ -106,16 +88,6 @@ impl HitLevel {
         }
     }
 
-    /// Converts a serving cache level into a hit level.
-    pub const fn from_level(level: CacheLevel) -> HitLevel {
-        match level {
-            CacheLevel::L1d => HitLevel::L1d,
-            CacheLevel::L2 => HitLevel::L2,
-            CacheLevel::Llc => HitLevel::Llc,
-            CacheLevel::Dram => HitLevel::Dram,
-        }
-    }
-
     /// The cache level this hit level names.
     pub const fn level(self) -> CacheLevel {
         match self {
@@ -145,24 +117,9 @@ mod tests {
     }
 
     #[test]
-    fn level_chain() {
-        assert_eq!(CacheLevel::L1d.next(), Some(CacheLevel::L2));
-        assert_eq!(CacheLevel::L2.next(), Some(CacheLevel::Llc));
-        assert_eq!(CacheLevel::Llc.next(), Some(CacheLevel::Dram));
-        assert_eq!(CacheLevel::Dram.next(), None);
-    }
-
-    #[test]
     fn hit_level_orders_by_distance() {
         assert!(HitLevel::L1d < HitLevel::L2);
         assert!(HitLevel::L2 < HitLevel::Llc);
         assert!(HitLevel::Llc < HitLevel::Dram);
-    }
-
-    #[test]
-    fn from_level_round_trip() {
-        for lvl in CacheLevel::ALL {
-            assert_eq!(HitLevel::from_level(lvl).level(), lvl);
-        }
     }
 }

@@ -18,12 +18,14 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== one JSON string escaper, one FNV-1a, one line hasher"
+echo "== one JSON string escaper, one FNV-1a, one line hasher, one env setting"
 # Each format has one implementation, in secpref-types: the FNV-1a prime
 # appears only in fnv.rs and the \uXXXX string escape only in json.rs. The
 # one custom map hasher, for line addresses, sits beside the issue
 # trackers in classify.rs; a second fast map reuses it (moved to
-# secpref-types if another crate needs it). A second copy of any of
+# secpref-types if another crate needs it). The one environment variable
+# the workspace reads is the engine's store directory (SECPREF_EXP_DIR, a
+# deployment path); every other knob is a flag. A second copy of any of
 # these fails here, naming the file that holds it.
 only_in() {
     local want=$1 got
@@ -38,6 +40,7 @@ only_in() {
 only_in crates/types/src/fnv.rs -i '0x0000_0100_0000_01b3'
 only_in crates/types/src/json.rs 'u{:04x}'
 only_in crates/sim/src/classify.rs 'impl Hasher for'
+only_in crates/exp/src/engine.rs 'env::var'
 
 echo "== cargo clippy (deny warnings, incl. perf lints)"
 cargo clippy --offline --workspace --all-targets -- -D warnings -D clippy::perf
