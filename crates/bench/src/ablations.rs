@@ -10,17 +10,16 @@
 //!   on-access Berti when security is not required (Section VII-A).
 //! * **LLC replacement** — LRU vs SRRIP vs random under GhostMinion.
 //!
-//! Every point that is a `SystemConfig` is a job in the parallel sweep;
-//! the SUF halves (a trait-object filter) and the distance knob (set
-//! after construction) go through [`Cx::adjusted`].
+//! Every point is a job in the one parallel sweep: a `SystemConfig`,
+//! plus, for the SUF halves and the fixed distances, the
+//! [`Ablation`] applied to the built system.
 
 use crate::configs::*;
 use crate::runner::Cx;
 use crate::table::Table;
-use secpref_core::{DropOnlySuf, PropagateOnlySuf, SecureUpdateFilter};
-use secpref_ghostminion::UpdateFilter;
-use secpref_sim::{geomean, System};
-use secpref_types::{PrefetcherKind, SystemConfig};
+use secpref_sim::build_filter;
+use secpref_sim::Ablation::{self, DropOnlySuf, PropagateOnlySuf, TimelinessKnob};
+use secpref_types::PrefetcherKind::{self, Berti};
 
 /// All five ablation tables, in print order.
 pub fn all(cx: &Cx) -> Vec<Table> {
@@ -31,17 +30,6 @@ pub fn all(cx: &Cx) -> Vec<Table> {
         tsb_non_secure(cx),
         llc_replacement(cx),
     ]
-}
-
-/// Geomean speedup over the non-secure baseline across the ablation
-/// traces (one per pattern class, for speed) of `cfg`'s runs with
-/// `adjust` applied to each system.
-fn adjusted_speedup(cx: &Cx, cfg: &SystemConfig, adjust: impl Fn(System) -> System) -> f64 {
-    let ratios: Vec<f64> = quick_suite()
-        .iter()
-        .map(|tr| cx.adjusted(cfg, tr, &adjust).ipc() / cx.baseline_ipc(tr).max(1e-9))
-        .collect();
-    geomean(&ratios)
 }
 
 /// GM capacity sweep: 16/32/64/128 entries (the paper's GM is 2 KB = 32).
@@ -66,36 +54,30 @@ pub fn gm_size(cx: &Cx) -> Table {
 /// SUF decomposition: baseline GhostMinion vs drop-only vs
 /// propagation-only vs full SUF, under on-commit Berti.
 pub fn suf_parts(cx: &Cx) -> Table {
-    let cfg = on_commit_secure(PrefetcherKind::Berti);
+    let (gm, suf) = (on_commit_secure(Berti), on_commit_suf(Berti));
     let mut t = Table::new(
         "Ablation — SUF decomposition (on-commit Berti)",
         &["filter", "storage (bits)", "speedup vs non-secure"],
     );
-    type FilterMaker = fn() -> Box<dyn UpdateFilter>;
-    let rows: [(&str, Option<FilterMaker>); 4] = [
-        ("none (baseline GhostMinion)", None),
-        ("drop-only (hit-level bits)", Some(|| Box::new(DropOnlySuf))),
-        (
-            "propagation-only (wb bits)",
-            Some(|| Box::new(PropagateOnlySuf)),
-        ),
-        ("full SUF", Some(|| Box::new(SecureUpdateFilter::new()))),
+    let rows = [
+        ("none (baseline GhostMinion)", &gm, None),
+        ("drop-only (hit-level bits)", &gm, Some(DropOnlySuf)),
+        ("propagation-only (wb bits)", &gm, Some(PropagateOnlySuf)),
+        ("full SUF", &suf, None),
     ];
-    for (name, filter) in rows {
-        let bits = filter.map_or(0, |f| f().storage_bits());
-        let s = adjusted_speedup(cx, &cfg, |sys| match filter {
-            Some(f) => sys.with_update_filter(f()),
-            None => sys,
-        });
+    for (name, cfg, ablation) in rows {
+        let filter = ablation.and_then(Ablation::update_filter);
+        let bits = filter
+            .unwrap_or_else(|| build_filter(cfg, 0))
+            .storage_bits();
+        let s = cx.geomean_speedup_with(cfg, ablation, &quick_suite());
         t.row(vec![name.into(), bits.to_string(), format!("{s:.3}")]);
     }
     t
 }
 
 /// On-commit IP-stride's speedup at fixed prefetch distances: the range
-/// the timely-secure wrapper's distance knob moves through. The distance
-/// is set on the built system, so each point goes through
-/// [`Cx::adjusted`].
+/// the timely-secure wrapper's distance knob moves through.
 pub fn prefetch_distance(cx: &Cx) -> Table {
     let mut t = Table::new(
         "Ablation — IP-stride prefetch distance (the TS knob's range)",
@@ -103,10 +85,7 @@ pub fn prefetch_distance(cx: &Cx) -> Table {
     );
     let cfg = on_commit_secure(PrefetcherKind::IpStride);
     for d in [1u32, 2, 4, 8, 12] {
-        let s = adjusted_speedup(cx, &cfg, |mut sys| {
-            sys.set_timeliness_knob(0, d);
-            sys
-        });
+        let s = cx.geomean_speedup_with(&cfg, Some(TimelinessKnob(d)), &quick_suite());
         t.row(vec![d.to_string(), format!("{s:.3}")]);
     }
     t

@@ -370,12 +370,11 @@ fn main() {
         phases.push(("sweep", t_sweep.elapsed()));
         if !quiet {
             eprintln!(
-                "[repro] sweep: {} jobs, {} unique, {} simulated, {} resumed from store, {} already in memory ({} workers)",
+                "[repro] sweep: {} jobs, {} unique, {} simulated, {} resumed from store ({} workers)",
                 summary.jobs_requested,
                 summary.jobs_unique,
                 summary.executed,
                 summary.from_store,
-                summary.from_memory,
                 engine.workers(),
             );
         }

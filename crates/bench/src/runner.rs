@@ -8,15 +8,15 @@
 //! deduplicated, resumable [`secpref_exp::Engine`] as one sweep. Against
 //! a rendering `Cx` it reads the sweep's reports by job key. A job the
 //! plan did not record — one a renderer asks for only when a simulated
-//! value says so — panics with the target and job label.
+//! value says so — panics with the target and job label. Nothing
+//! simulates while a target renders.
 
 pub use secpref_exp::ExpScale;
 
 use crate::table::Table;
 use crate::{ablations, figures};
 use secpref_exp::JobSpec;
-use secpref_sim::{CoreMetrics, DramStats, SimReport, System, TraceFeed};
-use secpref_trace::suite;
+use secpref_sim::{Ablation, CoreMetrics, DramStats, SimReport};
 use secpref_types::SystemConfig;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -62,9 +62,6 @@ enum State<'a> {
     Render {
         target: &'a str,
         reports: &'a Reports,
-        /// Whether [`Cx::adjusted`] simulates (off only where a test
-        /// checks plan coverage without simulating).
-        simulate: bool,
     },
 }
 
@@ -87,11 +84,7 @@ impl<'a> Cx<'a> {
         Cx {
             scale,
             mix_count,
-            state: State::Render {
-                target,
-                reports,
-                simulate: true,
-            },
+            state: State::Render { target, reports },
         }
     }
 
@@ -106,13 +99,12 @@ impl<'a> Cx<'a> {
     fn report(&self, job: JobSpec) -> SimReport {
         match &self.state {
             State::Plan(jobs) => {
-                let zero = zero_report(&job);
+                let cores = vec![CoreMetrics::default(); job.workload.trace_names().len()];
+                let zero = SimReport::new(&job.cfg, cores, DramStats::default());
                 jobs.borrow_mut().push(job);
                 zero
             }
-            State::Render {
-                target, reports, ..
-            } => reports
+            State::Render { target, reports } => reports
                 .get(&job.key())
                 .cloned()
                 .unwrap_or_else(|| panic!("{target}: job {} is not in its plan", job.label())),
@@ -139,39 +131,27 @@ impl<'a> Cx<'a> {
     /// Geomean speedup of `cfg` over the non-secure no-prefetch baseline
     /// across `traces`.
     pub fn geomean_speedup(&self, cfg: &SystemConfig, traces: &[String]) -> f64 {
+        self.geomean_speedup_with(cfg, None, traces)
+    }
+
+    /// [`Cx::geomean_speedup`] with `ablation`, when set, applied to
+    /// each of `cfg`'s single-core systems.
+    pub fn geomean_speedup_with(
+        &self,
+        cfg: &SystemConfig,
+        ablation: Option<Ablation>,
+        traces: &[String],
+    ) -> f64 {
         let ratios: Vec<f64> = traces
             .iter()
-            .map(|t| self.single(cfg, t).ipc() / self.baseline_ipc(t).max(1e-9))
+            .map(|t| {
+                let job = JobSpec::single(cfg.clone(), t, self.scale);
+                let ipc = self.report(JobSpec { ablation, ..job }).ipc();
+                ipc / self.baseline_ipc(t).max(1e-9)
+            })
             .collect();
         secpref_sim::geomean(&ratios)
     }
-
-    /// Single-core run of `trace` under `cfg` with `adjust` applied to
-    /// the built [`System`] — for ablations of what is not a
-    /// `SystemConfig` field. Outside the sweep: planning skips it, and
-    /// rendering simulates it on the calling thread.
-    pub fn adjusted(
-        &self,
-        cfg: &SystemConfig,
-        trace: &str,
-        adjust: impl FnOnce(System) -> System,
-    ) -> SimReport {
-        let job = JobSpec::single(cfg.clone(), trace, self.scale);
-        if !matches!(self.state, State::Render { simulate: true, .. }) {
-            return zero_report(&job);
-        }
-        let (warmup, measure) = job.window();
-        let feed = TraceFeed::Mem(suite::cached_trace(trace, self.scale.trace_len()));
-        let mut sys = adjust(secpref_sim::system_for(cfg, vec![feed], warmup, measure));
-        sys.run();
-        sys.report()
-    }
-}
-
-/// What a planning [`Cx`] hands back: one all-zero core per trace.
-fn zero_report(job: &JobSpec) -> SimReport {
-    let cores = vec![CoreMetrics::default(); job.workload.trace_names().len()];
-    SimReport::new(&job.cfg, cores, DramStats::default())
 }
 
 /// The jobs the named targets render from, in print order; duplicates
@@ -273,6 +253,17 @@ mod tests {
     }
 
     #[test]
+    fn ablations_plan_every_suf_half_and_distance() {
+        let jobs = plan(&["ablations"], ExpScale::Quick, 2);
+        let mut points = vec![Ablation::DropOnlySuf, Ablation::PropagateOnlySuf];
+        points.extend([1, 2, 4, 8, 12].map(Ablation::TimelinessKnob));
+        for a in points {
+            let at_a = jobs.iter().filter(|j| j.ablation == Some(a)).count();
+            assert_eq!(at_a, quick_suite().len(), "{a:?}");
+        }
+    }
+
+    #[test]
     fn sampled_jobs_get_distinct_keys_and_the_validated_plan() {
         let jobs = plan(&["fig5"], ExpScale::Quick, 2);
         let plain_keys: HashSet<String> = jobs.iter().map(|j| j.key()).collect();
@@ -326,15 +317,7 @@ mod tests {
                 .iter()
                 .map(|j| (j.key(), synthetic_report(j)))
                 .collect();
-            let tables = render(&Cx {
-                scale: ExpScale::Quick,
-                mix_count: 2,
-                state: State::Render {
-                    target: name,
-                    reports: &reports,
-                    simulate: false,
-                },
-            });
+            let tables = render(&Cx::rendering(name, ExpScale::Quick, 2, &reports));
             assert!(!tables.is_empty(), "{name} rendered nothing");
             let titled = |t: &Table| !t.title.is_empty() && t.render().starts_with("## ");
             assert!(tables.iter().all(titled), "{name}");

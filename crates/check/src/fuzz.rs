@@ -19,10 +19,9 @@
 
 use crate::golden::{CheckedFilter, GoldenCache, GoldenGm, GoldenLine};
 use crate::invariants::audit_run;
-use secpref_core::SecureUpdateFilter;
-use secpref_ghostminion::{AlwaysUpdate, GmCache, UpdateFilter};
+use secpref_ghostminion::GmCache;
 use secpref_mem::{FillAttrs, SetAssocCache};
-use secpref_sim::{ObsConfig, System};
+use secpref_sim::{build_filter, ObsConfig, System};
 use secpref_trace::{Instr, Trace};
 use secpref_tracestore::{TraceReader, TraceWriter, DEFAULT_CHUNK_SIZE};
 use secpref_types::rng::{SplitMix64, Xoshiro256ss};
@@ -415,12 +414,7 @@ pub fn check_run(cell: &FuzzCell, trace: &Arc<Trace>) -> Result<RunStats, String
         // non-secure hierarchy has no commit path to check.
         let mut checks = None;
         if cfg.secure.is_secure() {
-            let inner: Box<dyn UpdateFilter> = if cfg.suf {
-                Box::new(SecureUpdateFilter::new())
-            } else {
-                Box::new(AlwaysUpdate)
-            };
-            let f = CheckedFilter::new(inner);
+            let f = CheckedFilter::new(build_filter(&cfg, 0));
             checks = Some(f.checks_handle());
             sys = sys.with_update_filter(Box::new(f));
         }

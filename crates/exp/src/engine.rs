@@ -327,9 +327,6 @@ impl Engine {
             None => {}
         };
         progress.set_dedup_hits((unique.len() - total) as u64);
-        for _ in 0..unique.len() - total {
-            show(progress.tick(0));
-        }
         let mut done = 0usize;
         let outcomes = pool::run_items(
             &run_specs,

@@ -10,7 +10,7 @@
 //! collision is detected instead of silently returning the wrong report.
 
 use crate::scale::ExpScale;
-use secpref_sim::{system_for, ObsCapture, ObsConfig, SimReport, StreamFeed, TraceFeed};
+use secpref_sim::{system_for, Ablation, ObsCapture, ObsConfig, SimReport, StreamFeed, TraceFeed};
 use secpref_trace::suite;
 use secpref_types::fnv::{fnv1a64, FNV_OFFSET};
 use secpref_types::{SamplingConfig, SystemConfig};
@@ -89,6 +89,12 @@ pub struct JobSpec {
     /// canonical string (appended only when set, so full-detail keys are
     /// unchanged), so sampled and full results never alias in the store.
     pub sampling: Option<SamplingConfig>,
+    /// A single-core study point no `SystemConfig` expresses, applied
+    /// to the built system
+    /// ([`System::with_ablation`](secpref_sim::System::with_ablation));
+    /// `None` runs `cfg` as built. Part of the canonical string only
+    /// when set, as `sampling` is.
+    pub ablation: Option<Ablation>,
 }
 
 impl JobSpec {
@@ -99,6 +105,7 @@ impl JobSpec {
             workload: Workload::Single(trace.to_string()),
             scale,
             sampling: None,
+            ablation: None,
         }
     }
 
@@ -114,6 +121,7 @@ impl JobSpec {
             workload: Workload::Mix(mix.to_vec()),
             scale,
             sampling: None,
+            ablation: None,
         }
     }
 
@@ -137,6 +145,7 @@ impl JobSpec {
             },
             scale,
             sampling: None,
+            ablation: None,
         })
     }
 
@@ -180,6 +189,9 @@ impl JobSpec {
         if let Some(s) = &self.sampling {
             c.push_str(&format!("|sampling={}", s.canonical()));
         }
+        if let Some(a) = self.ablation {
+            c.push_str(&format!("|ablation={a:?}"));
+        }
         c
     }
 
@@ -192,7 +204,7 @@ impl JobSpec {
     /// Short label for progress lines and timing exports.
     pub fn label(&self) -> String {
         format!(
-            "{}/{}/{}{}{} @ {} ({})",
+            "{}/{}/{}{}{}{} @ {} ({})",
             self.cfg.prefetcher,
             self.cfg.prefetch_mode,
             if self.cfg.secure.is_secure() {
@@ -202,6 +214,7 @@ impl JobSpec {
             },
             if self.cfg.suf { "+SUF" } else { "" },
             if self.cfg.timely_secure { "+TS" } else { "" },
+            self.ablation.map_or(String::new(), |a| format!(" [{a:?}]")),
             self.workload.describe(),
             match self.sampling {
                 Some(_) => format!("{}, sampled", self.scale.name()),
@@ -219,7 +232,8 @@ impl JobSpec {
     /// The system gets one feed per core (suite traces come from
     /// `secpref_trace::suite::cached_trace`, so repeated jobs over the
     /// same trace share one generated copy per process), the job's LLC
-    /// rescaled to the core count, and the job's windows ([`system_for`]).
+    /// rescaled to the core count, and the job's windows ([`system_for`]),
+    /// then the job's ablation.
     pub fn run_with(&self, mode: RunMode<'_>) -> (SimReport, Option<Box<ObsCapture>>) {
         let (warmup, measure) = self.window();
         let mem = |n: &String| TraceFeed::Mem(suite::cached_trace(n, self.scale.trace_len()));
@@ -234,7 +248,10 @@ impl JobSpec {
                 vec![TraceFeed::Stream(Box::new(feed))]
             }
         };
-        let sys = system_for(&self.cfg, feeds, warmup, measure);
+        let mut sys = system_for(&self.cfg, feeds, warmup, measure);
+        if let Some(a) = self.ablation {
+            sys = sys.with_ablation(a);
+        }
         let mut sys = match mode {
             RunMode::Plain => sys,
             RunMode::Traced(obs) => sys.with_obs(obs),
@@ -370,6 +387,7 @@ mod tests {
             },
             scale: ExpScale::Quick,
             sampling: None,
+            ablation: None,
         };
         let a = mk(0xDEAD_BEEF, "/tmp/a.sct");
         let b = mk(0xDEAD_BEEF, "/elsewhere/moved.sct");
@@ -401,6 +419,34 @@ mod tests {
         // Any plan knob changes the key.
         let other = base_job().with_sampling(s.with_jitter(300, 12));
         assert_ne!(sampled.key(), other.key());
+    }
+
+    fn ablated(a: Ablation) -> JobSpec {
+        JobSpec {
+            ablation: Some(a),
+            ..base_job()
+        }
+    }
+
+    #[test]
+    fn key_covers_the_ablation() {
+        let points = [
+            Ablation::DropOnlySuf,
+            Ablation::PropagateOnlySuf,
+            Ablation::TimelinessKnob(1),
+            Ablation::TimelinessKnob(2),
+        ];
+        let mut keys: Vec<String> = points.iter().map(|&a| ablated(a).key()).collect();
+        keys.push(base_job().key());
+        let distinct: std::collections::HashSet<&String> = keys.iter().collect();
+        assert_eq!(distinct.len(), keys.len(), "{keys:?}");
+    }
+
+    #[test]
+    fn a_job_without_an_ablation_keeps_its_canonical_string() {
+        assert!(!base_job().canonical().contains("ablation"));
+        let knob = ablated(Ablation::TimelinessKnob(4));
+        assert!(knob.canonical().ends_with("|ablation=TimelinessKnob(4)"));
     }
 
     #[test]

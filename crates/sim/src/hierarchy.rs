@@ -1144,13 +1144,13 @@ impl Hierarchy {
         self.metrics[core] = CoreMetrics::default();
     }
 
-    /// Replaces one core's commit-path update filter (ablation studies).
-    pub fn set_filter(&mut self, core: CoreId, filter: Box<dyn UpdateFilter>) {
+    /// Replaces one core's commit-path update filter.
+    pub(crate) fn set_filter(&mut self, core: CoreId, filter: Box<dyn UpdateFilter>) {
         self.st.filters[core] = filter;
     }
 
-    /// Sets a core's prefetcher timeliness knob (ablation studies).
-    pub fn set_timeliness_knob(&mut self, core: CoreId, k: u32) {
+    /// Sets a core's prefetcher timeliness knob.
+    pub(crate) fn set_timeliness_knob(&mut self, core: CoreId, k: u32) {
         self.st.prefetchers[core].set_timeliness_knob(k);
     }
 

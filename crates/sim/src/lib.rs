@@ -41,7 +41,9 @@ pub use secpref_obs::{ObsCapture, ObsConfig};
 pub use secpref_telemetry::{Phase, ProfileReport, ProfileRow, Profiler, PHASES};
 pub use secpref_tracestore::{FeedStats, StreamFeed, TraceFeed};
 pub use secpref_types::{MetricStats, SamplingConfig, SamplingSummary};
-pub use system::{build_prefetcher, System, DEFAULT_MEASURE, DEFAULT_WARMUP};
+pub use system::{
+    build_filter, build_prefetcher, Ablation, System, DEFAULT_MEASURE, DEFAULT_WARMUP,
+};
 
 use secpref_trace::Trace;
 use secpref_types::{CacheConfig, SystemConfig};

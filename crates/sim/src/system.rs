@@ -5,7 +5,7 @@ use crate::classify::Classifier;
 use crate::hierarchy::{DriverCounts, Hierarchy};
 use crate::metrics::CoreMetrics;
 use crate::report::SimReport;
-use secpref_core::SecureUpdateFilter;
+use secpref_core::{DropOnlySuf, PropagateOnlySuf, SecureUpdateFilter};
 use secpref_cpu::{Core, CoreEvent, FunctionalPort, LoadIssue, LoadPort};
 use secpref_ghostminion::{AlwaysUpdate, UpdateFilter};
 use secpref_mem::dram::DramStats;
@@ -51,7 +51,10 @@ fn prefetcher_of(p: &CorePolicy) -> Box<dyn Prefetcher> {
     }
 }
 
-fn build_filter_for(cfg: &SystemConfig, c: usize) -> Box<dyn UpdateFilter> {
+/// Builds core `c`'s commit-path update filter: SUF sized to the
+/// config's load queue and L1D when its policy sets `suf`, the
+/// always-update baseline otherwise.
+pub fn build_filter(cfg: &SystemConfig, c: usize) -> Box<dyn UpdateFilter> {
     if cfg.policy(c).suf {
         Box::new(SecureUpdateFilter::with_sizes(
             cfg.core.lq_entries as u64,
@@ -59,6 +62,33 @@ fn build_filter_for(cfg: &SystemConfig, c: usize) -> Box<dyn UpdateFilter> {
         ))
     } else {
         Box::new(AlwaysUpdate)
+    }
+}
+
+/// A single-core study point that no [`SystemConfig`] expresses: one
+/// half of SUF on the commit path, or a fixed prefetch distance.
+/// [`System::with_ablation`] applies it to a built system.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Ablation {
+    /// The commit path runs [`DropOnlySuf`]: SUF's re-fetch drop alone.
+    DropOnlySuf,
+    /// The commit path runs [`PropagateOnlySuf`]: SUF's propagation stop
+    /// alone.
+    PropagateOnlySuf,
+    /// The prefetcher's timeliness knob (distance / skip-k) is set to
+    /// this value.
+    TimelinessKnob(u32),
+}
+
+impl Ablation {
+    /// The commit-path filter this point installs (`None`: the config's
+    /// own, [`build_filter`]).
+    pub fn update_filter(self) -> Option<Box<dyn UpdateFilter>> {
+        match self {
+            Ablation::DropOnlySuf => Some(Box::new(DropOnlySuf)),
+            Ablation::PropagateOnlySuf => Some(Box::new(PropagateOnlySuf)),
+            Ablation::TimelinessKnob(_) => None,
+        }
     }
 }
 
@@ -264,7 +294,7 @@ impl System {
         let classifiers = (0..cfg.cores)
             .map(|c| build_classifier_for(&cfg, c))
             .collect();
-        let filters = (0..cfg.cores).map(|c| build_filter_for(&cfg, c)).collect();
+        let filters = (0..cfg.cores).map(|c| build_filter(&cfg, c)).collect();
         let hierarchy = Hierarchy::new(cfg.clone(), prefetchers, filters, classifiers);
         let cores = feeds
             .into_iter()
@@ -362,24 +392,33 @@ impl System {
         self
     }
 
-    /// Replaces the commit-path update filter — for ablations of the
-    /// SUF mechanism (e.g. [`secpref_core::DropOnlySuf`]).
+    /// Applies a study point no config expresses to this single-core
+    /// system (`repro ablations`).
     ///
     /// # Panics
     ///
-    /// Panics on multi-core systems: filter ablations are single-core
-    /// studies, and per-core filters are configured via
-    /// [`secpref_types::CorePolicy`] instead.
-    pub fn with_update_filter(mut self, filter: Box<dyn UpdateFilter>) -> Self {
-        assert_eq!(self.cfg.cores, 1, "filter ablations are single-core");
-        self.hierarchy.set_filter(0, filter);
+    /// Panics on multi-core systems.
+    pub fn with_ablation(mut self, ablation: Ablation) -> Self {
+        assert_eq!(self.cfg.cores, 1, "ablations are single-core");
+        if let Some(filter) = ablation.update_filter() {
+            self.hierarchy.set_filter(0, filter);
+        } else if let Ablation::TimelinessKnob(k) = ablation {
+            self.hierarchy.set_timeliness_knob(0, k);
+        }
         self
     }
 
-    /// Sets a core's prefetcher timeliness knob (distance / skip-k) —
-    /// used by the distance-sweep ablation.
-    pub fn set_timeliness_knob(&mut self, core: usize, k: u32) {
-        self.hierarchy.set_timeliness_knob(core, k);
+    /// Replaces the commit-path update filter: the fuzzer's hook for
+    /// wrapping [`build_filter`]'s filter, or a mutant of it, in a
+    /// differential checker.
+    ///
+    /// # Panics
+    ///
+    /// Panics on multi-core systems.
+    pub fn with_update_filter(mut self, filter: Box<dyn UpdateFilter>) -> Self {
+        assert_eq!(self.cfg.cores, 1, "the update-filter hook is single-core");
+        self.hierarchy.set_filter(0, filter);
+        self
     }
 
     /// Runs the simulation to completion: every core retires

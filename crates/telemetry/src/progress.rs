@@ -57,8 +57,10 @@ impl Progress {
         }
     }
 
-    /// Records dedup hits discovered before simulation started.
+    /// Records dedup hits discovered before simulation started; they
+    /// count as done cells.
     pub fn set_dedup_hits(&mut self, hits: u64) {
+        self.done = self.done - self.dedup_hits + hits;
         self.dedup_hits = hits;
     }
 
@@ -90,8 +92,10 @@ impl Progress {
     pub fn render(&self, elapsed: Duration) -> String {
         let secs = elapsed.as_secs_f64().max(1e-9);
         let rate = self.instr as f64 / secs;
-        let eta = if self.done > 0 && self.total > self.done {
-            let per_cell = secs / self.done as f64;
+        // Over simulated cells only: a dedup hit costs no time.
+        let simulated = self.done - self.dedup_hits;
+        let eta = if simulated > 0 && self.total > self.done {
+            let per_cell = secs / simulated as f64;
             per_cell * (self.total - self.done) as f64
         } else {
             0.0
@@ -182,10 +186,18 @@ mod tests {
         p.set_dedup_hits(10);
         let _ = p.tick(2_000_000);
         let line = p.render(Duration::from_secs(1));
-        assert!(line.contains("1/40 cells"), "{line}");
+        assert!(line.contains("11/40 cells"), "{line}");
         assert!(line.contains("2.0M instr/s"), "{line}");
         assert!(line.contains("dedup 25%"), "{line}");
-        assert!(line.contains("eta 39s"), "{line}");
+        assert!(line.contains("eta 29s"), "{line}");
+    }
+
+    #[test]
+    fn dedup_hits_count_as_done_cells() {
+        let mut p = Progress::new(3, true);
+        p.set_dedup_hits(2);
+        let line = p.tick(1_000).expect("first tick renders");
+        assert!(line.starts_with("[sweep] 3/3 cells"), "{line}");
     }
 
     #[test]

@@ -18,7 +18,7 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== one JSON string escaper, one FNV-1a, one line hasher, one env setting"
+echo "== one JSON string escaper, one FNV-1a, one line hasher, one env setting, one way to simulate"
 # Each format has one implementation, in secpref-types: the FNV-1a prime
 # appears only in fnv.rs and the \uXXXX string escape only in json.rs. The
 # one custom map hasher, for line addresses, sits beside the issue
@@ -26,7 +26,10 @@ echo "== one JSON string escaper, one FNV-1a, one line hasher, one env setting"
 # secpref-types if another crate needs it). The one environment variable
 # the workspace reads is the engine's store directory (SECPREF_EXP_DIR, a
 # deployment path); every other knob is a flag. A second copy of any of
-# these fails here, naming the file that holds it.
+# these fails here, naming the file that holds it. A renderer gets its
+# reports only through its Cx, so the files that plan and render the
+# figures never name the simulator's System, system_for or TraceFeed: a
+# run while rendering would sit outside the sweep.
 only_in() {
     local want=$1 got
     shift
@@ -41,6 +44,11 @@ only_in crates/types/src/fnv.rs -i '0x0000_0100_0000_01b3'
 only_in crates/types/src/json.rs 'u{:04x}'
 only_in crates/sim/src/classify.rs 'impl Hasher for'
 only_in crates/exp/src/engine.rs 'env::var'
+renderers=(crates/bench/src/{runner,figures,ablations}.rs)
+if grep -lwE 'System|system_for|TraceFeed' "${renderers[@]}"; then
+    echo "a renderer above names the simulator; ask its Cx for a job instead" >&2
+    exit 1
+fi
 
 echo "== cargo clippy (deny warnings, incl. perf lints)"
 cargo clippy --offline --workspace --all-targets -- -D warnings -D clippy::perf
