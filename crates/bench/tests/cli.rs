@@ -150,7 +150,7 @@ fn sectrace_capture_refuses_chunk_sizes_outside_the_cap() {
 }
 
 /// A store whose footer claims a dependency distance no load can have
-/// (it would size the replay's lookback and completion ring) is refused
+/// (it would size the replay's feed cap and completion ring) is refused
 /// at open, by `verify` and `replay` alike, with exit code 2. One that
 /// claims a plausible but too small distance fails `verify`, and
 /// `replay` refuses it before simulating, with exit code 2, not a panic

@@ -285,8 +285,8 @@ impl Engine {
         };
         let (from_memory, from_store) = (from(ResultSource::Memory), from(ResultSource::Store));
         self.say(&format!(
-            "[exp] {kind} run {run_id}: {} jobs requested, {} unique, {from_memory} from memory, \
-             {from_store} from store, {} to run on {} workers",
+            "[exp] {kind} run {run_id}: {} jobs requested, {} unique, {from_store} from store, \
+             {} to run on {} workers",
             jobs.len(),
             unique.len(),
             to_run.len(),

@@ -110,8 +110,8 @@ pub fn run_single_with_window(
 
 /// Runs a single-core simulation streamed from an on-disk chunk store
 /// (`.sct`), with explicit windows (instructions). Peak trace-resident
-/// memory stays bounded by the decode window — one chunk plus the
-/// core-shaped lookback — regardless of trace length; build the
+/// memory stays under the feed's cap on decoded instructions
+/// ([`StreamFeed::for_core`]) regardless of trace length; build the
 /// [`System`] by hand via [`System::from_feeds`] when the residency
 /// instrumentation ([`System::feed_stats`]) is needed.
 ///

@@ -1,8 +1,12 @@
 //! Streamed-simulation integration tests: a chunk-store feed driven
 //! through the full system must be bit-identical to the in-memory path
-//! while keeping only a bounded decode window resident (DESIGN.md §11).
+//! while keeping at most the feed's cap of decoded instructions resident
+//! (DESIGN.md §11).
 
-use secpref_sim::{run_single_with_window, StreamFeed, System, TraceFeed};
+use secpref_sim::{
+    run_single_sampled_with_window, run_single_with_window, system_for, FeedStats, SamplingConfig,
+    StreamFeed, System, TraceFeed,
+};
 use secpref_trace::suite;
 use secpref_tracestore::{CaptureSink, ReadSeek, TraceReader, TraceWriter};
 use secpref_types::{PrefetchMode, PrefetcherKind, SecureMode, SystemConfig};
@@ -21,9 +25,8 @@ fn capture(name: &str, n: usize, chunk: u32) -> Vec<u8> {
     bytes
 }
 
-fn stream_feed(bytes: Vec<u8>, rob_entries: usize) -> StreamFeed {
-    let reader = TraceReader::open(Box::new(Cursor::new(bytes)) as Box<dyn ReadSeek>).unwrap();
-    StreamFeed::for_core(reader, rob_entries)
+fn reader(bytes: Vec<u8>) -> TraceReader<Box<dyn ReadSeek>> {
+    TraceReader::open(Box::new(Cursor::new(bytes)) as Box<dyn ReadSeek>).unwrap()
 }
 
 fn test_cfg() -> SystemConfig {
@@ -33,21 +36,30 @@ fn test_cfg() -> SystemConfig {
         .with_mode(PrefetchMode::OnCommit)
 }
 
-/// Runs the streamed system and returns (report debug string, peak
-/// resident instructions, configured lookback).
+/// Runs the streamed system over `feed` and returns the report debug
+/// string and the feed's residency instrumentation.
+fn run_feed(
+    cfg: &SystemConfig,
+    feed: StreamFeed,
+    warmup: u64,
+    measure: u64,
+) -> (String, Arc<FeedStats>) {
+    let mut sys = System::from_feeds(cfg.clone(), vec![TraceFeed::Stream(Box::new(feed))])
+        .with_window(warmup, measure);
+    let stats = sys.feed_stats(0).expect("stream feed has stats");
+    sys.run();
+    (format!("{:?}", sys.report()), stats)
+}
+
+/// Like [`run_feed`] over a `for_core` feed of `bytes`.
 fn run_streamed(
     cfg: &SystemConfig,
     bytes: Vec<u8>,
     warmup: u64,
     measure: u64,
-) -> (String, usize, usize) {
-    let feed = stream_feed(bytes, cfg.core.rob_entries);
-    let lookback = feed.lookback();
-    let mut sys = System::from_feeds(cfg.clone(), vec![TraceFeed::Stream(Box::new(feed))])
-        .with_window(warmup, measure);
-    let stats = sys.feed_stats(0).expect("stream feed has stats");
-    sys.run();
-    (format!("{:?}", sys.report()), stats.peak(), lookback)
+) -> (String, Arc<FeedStats>) {
+    let feed = StreamFeed::for_core(reader(bytes), cfg.core.rob_entries);
+    run_feed(cfg, feed, warmup, measure)
 }
 
 fn run_in_memory(cfg: &SystemConfig, name: &str, n: usize, warmup: u64, measure: u64) -> String {
@@ -77,57 +89,115 @@ fn streamed_replay_matches_in_memory() {
     assert_eq!(streamed, mem, "replaying streamed run diverged");
 }
 
+/// A store under the `for_core` cap stays resident across replays: a
+/// window that passes over the 6-chunk capture three times decodes each
+/// chunk once (the property the sampled bench's rate rests on).
 #[test]
-fn peak_residency_is_bounded_by_window_not_trace_length() {
+fn streamed_replay_decodes_each_chunk_once() {
+    let cfg = test_cfg();
+    let (name, n) = ("mcf_like_a", 3_000);
+    let (streamed, stats) = run_streamed(&cfg, capture(name, n, 512), 1_000, 8_000);
+    assert_eq!(streamed, run_in_memory(&cfg, name, n, 1_000, 8_000));
+    assert_eq!(stats.decodes(), 6, "each of the 6 chunks decoded once");
+}
+
+#[test]
+fn peak_residency_is_bounded_by_cap_not_trace_length() {
     let cfg = test_cfg();
     let chunk = 1_024usize;
     let n = 60_000;
-    let (_, peak, lookback) =
-        run_streamed(&cfg, capture("mcf_like_a", n, chunk as u32), 5_000, 50_000);
-    // The window holds the chunks covering the lookback span plus one
-    // decode-ahead chunk (eviction is whole-chunk, hence the +2).
-    let bound = (lookback / chunk + 2) * chunk;
+    let cap = cfg.core.rob_entries + 2 * chunk;
+    assert!(4 * cap <= n, "cap {cap} too lax to be meaningful");
+    let feed = StreamFeed::new(reader(capture("mcf_like_a", n, chunk as u32)), cap);
+    let (streamed, stats) = run_feed(&cfg, feed, 5_000, 50_000);
+    let peak = stats.peak();
     assert!(peak > 0, "stats must have observed the run");
     assert!(
-        peak <= bound,
-        "peak resident {peak} instrs exceeds window bound {bound}"
+        peak <= cap.max(chunk),
+        "peak resident {peak} instrs exceeds cap {cap}"
     );
-    assert!(bound < n / 4, "bound {bound} too lax to be meaningful");
+    assert_eq!(
+        streamed,
+        run_in_memory(&cfg, "mcf_like_a", n, 5_000, 50_000)
+    );
+}
+
+/// Captures the first `n` instructions of suite trace `name` to a fresh
+/// `.sct` file in the temp dir, in `chunk`-record chunks.
+fn capture_to_disk(name: &str, n: usize, chunk: u32, tag: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("secpref_{tag}_{}.sct", std::process::id()));
+    let file = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
+    let w = TraceWriter::create(file, name, chunk).unwrap();
+    let mut sink = CaptureSink::new(w, n);
+    suite::trace_by_name(name).unwrap().generate_into(&mut sink);
+    let (meta, _) = sink.finish().unwrap();
+    assert_eq!(meta.n_instr, n as u64);
+    path
+}
+
+/// The residency claim at paper scale: a 10^7-instruction capture in
+/// 64 Ki-record chunks (153 chunks, over the default cap), run sampled
+/// through `open_for_core` over a span ending halfway into chunk 150.
+/// The report equals the in-memory trace's, residency stays under the
+/// cap, and each of the 151 chunks read is decoded once: eviction in
+/// decode order never drops a chunk a backward read still needs. The
+/// span stops short of the last record, since a core that wraps reads
+/// chunk 0 again. Release only (a few seconds):
+/// `cargo test -p secpref-sim --release --test stream -- --ignored paper_scale`.
+#[test]
+#[ignore = "release only: a 10^7-instruction capture and two sampled runs"]
+fn paper_scale_capture_decodes_each_chunk_once() {
+    let (name, n, chunk) = ("mcf_like_a", 10_000_000usize, 64 * 1024usize);
+    let path = capture_to_disk(name, n, chunk as u32, "paper_scale");
+    let cfg = test_cfg();
+    let plan = SamplingConfig::new(2_000, 500, 197_500).with_jitter(300, 1);
+    let (warmup, span) = (10_000u64, (150 * chunk + chunk / 2) as u64);
+    let feed = StreamFeed::open_for_core(&path, cfg.core.rob_entries).unwrap();
+    let cap = feed.cap();
+    let mut sys = system_for(
+        &cfg,
+        vec![TraceFeed::Stream(Box::new(feed))],
+        warmup,
+        span - warmup,
+    );
+    let stats = sys.feed_stats(0).unwrap();
+    sys.run_sampled(&plan);
+    let streamed = sys.report();
+    let _ = std::fs::remove_file(&path);
+
+    let trace = Arc::new(suite::trace_by_name(name).unwrap().generate(n));
+    let mem = run_single_sampled_with_window(&cfg, &trace, warmup, span - warmup, &plan);
+    assert_eq!(format!("{streamed:?}"), format!("{mem:?}"));
+    assert!(
+        stats.peak() <= cap.max(chunk),
+        "peak resident {} exceeds cap {cap}",
+        stats.peak()
+    );
+    assert_eq!(stats.decodes(), 151, "chunks 0..=150, each decoded once");
 }
 
 /// Full-scale acceptance run: capture a 1e9-instruction trace to disk
-/// and simulate it end-to-end streamed, asserting the same O(chunk +
-/// lookback) residency bound. Opt in with
+/// and simulate it end-to-end streamed, asserting residency stays under
+/// the cap. Opt in with
 /// `cargo test -p secpref-sim --release --test stream -- --ignored huge`.
 #[test]
 #[ignore = "hours of CPU"]
 fn huge_1e9_capture_simulates_with_bounded_memory() {
     let n: usize = 1_000_000_000;
     let chunk = 64 * 1024usize;
-    let path = std::env::temp_dir().join(format!("secpref_huge_{}.sct", std::process::id()));
-    {
-        let file = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
-        let w = TraceWriter::create(file, "mcf_like_a", chunk as u32).unwrap();
-        let mut sink = CaptureSink::new(w, n);
-        suite::trace_by_name("mcf_like_a")
-            .unwrap()
-            .generate_into(&mut sink);
-        let (meta, _) = sink.finish().unwrap();
-        assert_eq!(meta.n_instr, n as u64);
-    }
+    let path = capture_to_disk("mcf_like_a", n, chunk as u32, "huge");
     let cfg = test_cfg();
     let feed = StreamFeed::open_for_core(&path, cfg.core.rob_entries).unwrap();
-    let lookback = feed.lookback();
+    let cap = feed.cap();
     let mut sys =
         System::from_feeds(cfg, vec![TraceFeed::Stream(Box::new(feed))]).with_window(0, n as u64);
     let stats = sys.feed_stats(0).unwrap();
     sys.run();
     let report = sys.report();
     assert!(report.ipc() > 0.0);
-    let bound = (lookback / chunk + 2) * chunk;
     assert!(
-        stats.peak() <= bound,
-        "peak resident {} exceeds bound {bound}",
+        stats.peak() <= cap.max(chunk),
+        "peak resident {} exceeds cap {cap}",
         stats.peak()
     );
     let _ = std::fs::remove_file(&path);

@@ -153,12 +153,6 @@ impl Profiler {
         p
     }
 
-    /// Whether hooks record anything.
-    #[inline(always)]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Charges elapsed time to the current top-of-stack phase and
     /// resets the boundary clock.
     fn charge(&mut self) {

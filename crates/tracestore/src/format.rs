@@ -135,8 +135,8 @@ pub struct StoreMeta {
     pub n_instr: u64,
     /// Records per full chunk.
     pub chunk_size: u32,
-    /// Largest load dependency distance in the trace (sizes the reader's
-    /// lookback window).
+    /// Largest load dependency distance in the trace (sizes the stream
+    /// feed's cap and the core's completion ring).
     pub max_dep_dist: u64,
     /// Chunking-independent content digest (see module docs).
     pub content_digest: u64,
@@ -588,7 +588,7 @@ fn parse_footer(f: &[u8], chunk_size: u32, footer_off: u64) -> io::Result<StoreM
     }
     let max_dep_dist = c.u64()?;
     // A load's distance is a `u16`; a larger value would size the
-    // reader's lookback (and the core's completion ring) from the file.
+    // feed's cap (and the core's completion ring) from the file.
     if max_dep_dist > u16::MAX as u64 {
         return Err(bad(format!(
             "max dependency distance {max_dep_dist} exceeds u16"

@@ -7,14 +7,14 @@
 //! instruction chunks, delta/varint-encoded and block-compressed with an
 //! in-tree LZ codec, indexed by a checksummed footer — plus the
 //! [`feed::TraceFeed`] abstraction the core consumes, so a 1e9+
-//! instruction trace simulates with only a chunk-plus-lookback window
-//! resident.
+//! instruction trace simulates with at most a capped number of decoded
+//! instructions resident.
 //!
 //! * [`codec`] — std-only LZ77 block compressor/decompressor.
 //! * [`format`](mod@format) — the container: [`format::TraceWriter`] (streaming,
 //!   pure-append capture), [`format::TraceReader`] (random chunk
 //!   access, integrity verification).
-//! * [`feed`] — [`feed::StreamFeed`] sliding-window cursor and the
+//! * [`feed`] — [`feed::StreamFeed`], one capped table of decoded chunks, and the
 //!   [`feed::TraceFeed`] enum (in-memory or streamed).
 //!
 //! # Example

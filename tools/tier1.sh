@@ -78,10 +78,15 @@ echo "== release-only tests (--ignored)"
 # secpref-trace: the byte digests of all 22 suite traces at 200 000
 # instructions. secpref-sim: Fig. 16's 32-core baseline system built and
 # run briefly at 16 host bytes per cache way (40 B a way fails it, naming
-# the bytes per way); only that file, since stream.rs's ignored 1e9 run
-# takes hours.
+# the bytes per way), and the streamed residency claim at paper scale: a
+# 10^7-instruction capture in 153 chunks of 64 Ki records, larger than
+# the feed's cap, run sampled to halfway into chunk 150 must equal the
+# in-memory report, stay under the cap and decode each of its 151 chunks
+# once (~4 s). stream.rs's other ignored test, the 1e9 run, takes hours
+# and is named out.
 cargo test --release -q -p secpref-check -p secpref-bench -p secpref-tracestore -p secpref-trace -- --ignored
 cargo test --release -q -p secpref-sim --test cache_bytes -- --ignored
+cargo test --release -q -p secpref-sim --test stream -- --ignored paper_scale_capture_decodes_each_chunk_once
 
 echo "== cross-core attack litmus (release) + examples"
 # The cross-core covert-channel suite (DESIGN.md §13) in release mode:
