@@ -206,30 +206,24 @@ fn sectrace_refuses_a_crafted_footer_max_dep_dist() {
     assert_eq!(err.matches("chunk 0:").count(), 1, "{err}");
 }
 
-/// A one-chunk store whose second record's IP delta of +1 lands on 2^32
-/// is refused by `verify` and `replay` with a typed error and exit code
-/// 2, not a panic: a trace IP is 32 bits.
-#[test]
-fn sectrace_refuses_an_ip_past_32_bits() {
+/// Writes to `path` a one-chunk store of `raw`'s `n_records` records,
+/// sealed as the writer would but with a body no `Instr` can encode (and
+/// a content digest of 0).
+fn write_crafted_store(path: &str, raw: &[u8], n_records: u32) {
     use secpref_tracestore::codec::compress;
     use secpref_tracestore::fnv::{fnv1a64, FNV_OFFSET};
-    let s = Scratch::new("ip32");
-    let sct = s.0.join("t.sct");
-    let sct = sct.to_str().expect("utf-8 temp path");
-    // Two ALU records (head byte 0): IP deltas zigzag(u32::MAX), zigzag(1).
-    let raw = [0x00, 0xFE, 0xFF, 0xFF, 0xFF, 0x1F, 0x00, 0x02];
-    let comp = compress(&raw);
+    let comp = compress(raw);
     let mut store = b"SPTRCHK\0".to_vec();
     store.extend_from_slice(&1u32.to_le_bytes()); // version
     store.extend_from_slice(&64u32.to_le_bytes()); // chunk size
     store.extend_from_slice(&comp);
     let mut footer = 1u64.to_le_bytes().to_vec(); // one chunk
     footer.extend_from_slice(&16u64.to_le_bytes()); // its offset
-    footer.extend_from_slice(&2u32.to_le_bytes()); // its records
+    footer.extend_from_slice(&n_records.to_le_bytes()); // its records
     footer.extend_from_slice(&(raw.len() as u32).to_le_bytes());
     footer.extend_from_slice(&(comp.len() as u32).to_le_bytes());
-    footer.extend_from_slice(&fnv1a64(&raw, FNV_OFFSET).to_le_bytes());
-    footer.extend_from_slice(&2u64.to_le_bytes()); // n_instr
+    footer.extend_from_slice(&fnv1a64(raw, FNV_OFFSET).to_le_bytes());
+    footer.extend_from_slice(&(n_records as u64).to_le_bytes()); // n_instr
     footer.extend_from_slice(&0u64.to_le_bytes()); // max_dep_dist
     footer.extend_from_slice(&0u64.to_le_bytes()); // content digest
     footer.extend_from_slice(&1u32.to_le_bytes());
@@ -241,26 +235,87 @@ fn sectrace_refuses_an_ip_past_32_bits() {
     store.extend_from_slice(&footer_off.to_le_bytes());
     store.extend_from_slice(&(footer.len() as u64).to_le_bytes());
     store.extend_from_slice(b"SPTRIDX\0");
-    std::fs::write(sct, &store).expect("write crafted store");
-    let out = sectrace(&["info", sct]);
+    std::fs::write(path, &store).expect("write crafted store");
+}
+
+/// `info` reads the crafted store at `path`; `verify` (exit code 1) and
+/// `replay` (exit code 2) refuse it with `msg`, not a panic.
+fn assert_refused_at_decode(path: &str, msg: &str) {
+    let out = sectrace(&["info", path]);
     assert!(
         out.status.success(),
         "the footer is sound: {}",
         stderr(&out)
     );
     for (args, code) in [
-        (&["verify", sct][..], 1),
-        (&["replay", sct, "--measure", "1"], 2),
+        (&["verify", path][..], 1),
+        (&["replay", path, "--measure", "1"], 2),
     ] {
         let out = sectrace(args);
         let err = stderr(&out);
         assert_eq!(out.status.code(), Some(code), "{args:?}: {err}");
         assert!(!err.contains("panicked"), "{err}");
-        assert!(
-            err.contains("record 1: ip 0x100000000 exceeds 32 bits"),
-            "{err}"
-        );
+        assert!(err.contains(msg), "{err}");
     }
+}
+
+/// A one-chunk store whose second record's IP delta of +1 lands on 2^32
+/// is refused by `verify` and `replay` with a typed error, not a panic:
+/// a trace IP is 32 bits.
+#[test]
+fn sectrace_refuses_an_ip_past_32_bits() {
+    let s = Scratch::new("ip32");
+    let sct = s.0.join("t.sct");
+    let sct = sct.to_str().expect("utf-8 temp path");
+    // Two ALU records (head byte 0): IP deltas zigzag(u32::MAX), zigzag(1).
+    let raw = [0x00, 0xFE, 0xFF, 0xFF, 0xFF, 0x1F, 0x00, 0x02];
+    write_crafted_store(sct, &raw, 2);
+    assert_refused_at_decode(sct, "record 1: ip 0x100000000 exceeds 32 bits");
+}
+
+/// A one-chunk store whose second load's address delta of +1 lands on
+/// 2^40 is refused by `verify` and `replay` with a typed error, not a
+/// panic: a trace address is 40 bits. Loads and stores at 2^40 − 1
+/// capture, verify and replay.
+#[test]
+fn sectrace_refuses_an_addr_past_40_bits() {
+    use secpref_trace::Instr;
+    const MAX: u64 = (1 << 40) - 1;
+    let s = Scratch::new("addr40");
+    let sct = s.0.join("t.sct");
+    let sct = sct.to_str().expect("utf-8 temp path");
+    // Two loads (head byte 1), IP delta 0: address deltas
+    // zigzag(2^40 − 1), zigzag(1).
+    let raw = [
+        0x01, 0x00, 0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0x3F, 0x01, 0x00, 0x02,
+    ];
+    write_crafted_store(sct, &raw, 2);
+    assert_refused_at_decode(sct, "record 1: addr 0x10000000000 exceeds 40 bits");
+
+    let mut w = secpref_tracestore::TraceWriter::create(
+        std::fs::File::create(sct).expect("create store"),
+        "addr40",
+        64,
+    )
+    .expect("writer");
+    for i in 0..200u64 {
+        let op = match i % 3 {
+            0 => Instr::load(0x40_0000, MAX - i % 7 * 64),
+            1 => Instr::store(0x40_0004, MAX),
+            _ => Instr::alu(0x40_0008),
+        };
+        w.push(&op).expect("push");
+    }
+    w.finish().expect("finish");
+    let out = sectrace(&["verify", sct]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let out = sectrace(&["replay", sct, "--warmup", "50", "--measure", "100"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains("streamed addr40 (200 instrs)"),
+        "{}",
+        stdout(&out)
+    );
 }
 
 #[test]

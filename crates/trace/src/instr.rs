@@ -44,10 +44,11 @@ pub struct Instr {
     pub kind: InstrKind,
 }
 
-// A trace is an array of these: a 32-bit `Ip` and a 4-byte-aligned
-// `Addr` keep the record at 16 bytes with no padding.
-const _: () = assert!(std::mem::size_of::<InstrKind>() == 12);
-const _: () = assert!(std::mem::size_of::<Instr>() == 16);
+// A trace is an array of these: a tag, a 5-byte `Addr` and a `u16`
+// distance fill the kind's 8 bytes, and a 32-bit `Ip` keeps the record
+// at 12 bytes with no padding.
+const _: () = assert!(std::mem::size_of::<InstrKind>() == 8);
+const _: () = assert!(std::mem::size_of::<Instr>() == 12);
 
 impl Instr {
     /// Shorthand for an ALU instruction.

@@ -62,7 +62,7 @@ impl FeedStats {
 }
 
 /// The least resident-instruction cap [`StreamFeed::for_core`] sets:
-/// ~8 MB of `Instr`s per feed. A store within it is decoded once
+/// 6 MiB of 12-byte `Instr`s per feed. A store within it is decoded once
 /// however many passes a run makes over it (the SMARTS sampled bench
 /// replays a short store across a long span).
 pub const RESIDENT_CAP: usize = 512 * 1024;

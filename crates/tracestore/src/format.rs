@@ -31,8 +31,10 @@
 //! memory ops a zigzag-varint address delta and for dependent loads a
 //! varint dependency distance. Both deltas reset to base 0 at each chunk
 //! boundary, so chunks decode independently (random access). An IP is
-//! 32 bits: decode refuses a record whose IP lands outside `0..2^32`
-//! with a typed error naming the chunk and record.
+//! 32 bits and an address 40: decode refuses a record whose IP lands
+//! outside `0..2^32` or whose address lands outside `0..2^40` with a
+//! typed error naming the chunk and record, and a footer wrong-path
+//! address outside `0..2^40` with one naming its branch record.
 //!
 //! **Content digest.** The digest is FNV-1a over a canonical fixed-width
 //! expansion of every record (head byte, 8-byte IP, 8-byte payload,
@@ -59,7 +61,7 @@ const TRAILER_LEN: u64 = 24;
 pub const DEFAULT_CHUNK_SIZE: u32 = 64 * 1024;
 
 /// Largest records per chunk a store may declare (2^20: a decoded chunk
-/// of 16-byte records stays within 16 MiB). [`TraceWriter::create`]
+/// of 12-byte records stays within 12 MiB). [`TraceWriter::create`]
 /// refuses a larger chunk size and [`TraceReader::open`] a store that
 /// declares one, so no size read from a file can ask for an unbounded
 /// allocation.
@@ -610,7 +612,12 @@ fn parse_footer(f: &[u8], chunk_size: u32, footer_off: u64) -> io::Result<StoreM
         }
         let mut addrs = Vec::with_capacity(cnt);
         for _ in 0..cnt {
-            addrs.push(Addr::new(c.u64()?));
+            let a = c.u64()?;
+            addrs.push(Addr::try_new(a).ok_or_else(|| {
+                bad(format!(
+                    "wrong path: record {idx}: addr {a:#x} exceeds 40 bits"
+                ))
+            })?);
         }
         wrong_path.insert(idx, addrs);
     }
@@ -626,6 +633,14 @@ fn parse_footer(f: &[u8], chunk_size: u32, footer_off: u64) -> io::Result<StoreM
         chunks,
         wrong_path,
     })
+}
+
+/// Decodes record `rec`'s address delta against `prev`, refusing an
+/// address outside `0..2^40`.
+fn next_addr(raw: &[u8], pos: &mut usize, prev: &mut u64, rec: usize) -> Result<Addr, String> {
+    let da = varint::decode_u64(raw, pos).ok_or_else(|| format!("record {rec}: bad addr delta"))?;
+    *prev = prev.wrapping_add(varint::unzigzag(da) as u64);
+    Addr::try_new(*prev).ok_or_else(|| format!("record {rec}: addr {:#x} exceeds 40 bits", *prev))
 }
 
 /// Decodes one chunk's `n_records` records; a load reaching further back
@@ -651,10 +666,7 @@ fn decode_chunk(raw: &[u8], n_records: usize, max_dep: u64) -> Result<Vec<Instr>
         let kind = match head & 0b11 {
             TAG_ALU => InstrKind::Alu,
             TAG_LOAD => {
-                let da = varint::decode_u64(raw, &mut pos)
-                    .ok_or_else(|| format!("record {rec}: bad addr delta"))?;
-                let addr = prev_addr.wrapping_add(varint::unzigzag(da) as u64);
-                prev_addr = addr;
+                let addr = next_addr(raw, &mut pos, &mut prev_addr, rec)?;
                 let dep_dist = if head & HEAD_HAS_DEP != 0 {
                     let d = varint::decode_u64(raw, &mut pos)
                         .ok_or_else(|| format!("record {rec}: bad dep"))?;
@@ -667,19 +679,11 @@ fn decode_chunk(raw: &[u8], n_records: usize, max_dep: u64) -> Result<Vec<Instr>
                 } else {
                     0
                 };
-                InstrKind::Load {
-                    addr: Addr::new(addr),
-                    dep_dist,
-                }
+                InstrKind::Load { addr, dep_dist }
             }
             TAG_STORE => {
-                let da = varint::decode_u64(raw, &mut pos)
-                    .ok_or_else(|| format!("record {rec}: bad addr delta"))?;
-                let addr = prev_addr.wrapping_add(varint::unzigzag(da) as u64);
-                prev_addr = addr;
-                InstrKind::Store {
-                    addr: Addr::new(addr),
-                }
+                let addr = next_addr(raw, &mut pos, &mut prev_addr, rec)?;
+                InstrKind::Store { addr }
             }
             TAG_BRANCH => InstrKind::Branch {
                 taken: head & HEAD_TAKEN != 0,
@@ -945,6 +949,56 @@ mod tests {
         varint::encode_u64(&mut raw, varint::zigzag(0));
         let mut r = TraceReader::open(Cursor::new(crafted_store(&raw, 2))).expect("opens");
         assert_eq!(r.read_chunk(0).unwrap(), [Instr::alu(u32::MAX as u64); 2]);
+    }
+
+    #[test]
+    fn decode_refuses_an_addr_past_40_bits() {
+        const MAX: i64 = (1 << 40) - 1;
+        // An ALU, then a memory op at 2^40 − 1 and one whose address
+        // delta of `last` lands on 2^40 (or, at 0, stays put).
+        let chunk = |tag: u8, last: i64| {
+            let mut raw = vec![TAG_ALU, 0, tag, 0];
+            varint::encode_u64(&mut raw, varint::zigzag(MAX));
+            raw.extend([tag, 0]);
+            varint::encode_u64(&mut raw, varint::zigzag(last));
+            crafted_store(&raw, 3)
+        };
+        for (tag, op) in [
+            (TAG_LOAD, Instr::load(0, MAX as u64)),
+            (TAG_STORE, Instr::store(0, MAX as u64)),
+        ] {
+            let mut r = TraceReader::open(Cursor::new(chunk(tag, 1))).expect("opens");
+            let err = r.read_chunk(0).expect_err("refused at decode");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string()
+                    .contains("chunk 0: record 2: addr 0x10000000000 exceeds 40 bits"),
+                "{err}"
+            );
+            assert!(r.verify().is_err());
+            let mut r = TraceReader::open(Cursor::new(chunk(tag, 0))).expect("opens");
+            assert_eq!(r.read_chunk(0).unwrap(), [Instr::alu(0), op, op]);
+        }
+        // A footer wrong-path address is refused at open.
+        let mut w = TraceWriter::create(Vec::new(), "wp", 64).unwrap();
+        w.push(&Instr::branch(0, true)).unwrap();
+        w.push_wrong_path(0, vec![Addr::new(MAX as u64)]);
+        let (_, mut bytes) = w.finish().unwrap();
+        let at = bytes.len() - TRAILER_LEN as usize - 8 - 8;
+        assert_eq!(bytes[at..at + 8], (MAX as u64).to_le_bytes());
+        let r = TraceReader::open(Cursor::new(bytes.clone())).expect("opens");
+        assert_eq!(r.meta().wrong_path[&0], [Addr::new(MAX as u64)]);
+        reseal_footer(&mut bytes, |f| {
+            let n = f.len();
+            f[n - 8..].copy_from_slice(&(1u64 << 40).to_le_bytes())
+        });
+        let err = TraceReader::open(Cursor::new(bytes)).expect_err("refused at open");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains("wrong path: record 0: addr 0x10000000000 exceeds 40 bits"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Prefix stability at paper scale: a generator built in place to 10^7
 //! instructions holds exactly what the same generator streams into a
-//! capture, at one copy's memory (10^7 × 16 B). Release-only: `cargo test --release -p secpref-tracestore --
-//! --ignored` (a `tools/tier1.sh` stage).
+//! capture, at one copy's memory of 12-byte records (10^7 × 12 B).
+//! Release-only: `cargo test --release -p secpref-tracestore -- --ignored`
+//! (a `tools/tier1.sh` stage).
 
 use secpref_trace::gen::spec;
 use secpref_trace::Instr;
@@ -28,15 +29,15 @@ fn lbm_like_built_in_place_equals_its_capture_at_ten_million() {
     let peak = status_kib("VmHWM:");
     assert_eq!(trace.instrs.len(), N);
     // Building in place peaks at one copy of the trace, N records of
-    // 16 B. A `Vec` then a copy into the shared buffer would peak at two
-    // copies, and a record padded back to 24 B at one and a half.
+    // 12 B. A `Vec` then a copy into the shared buffer would peak at two
+    // copies, and a record padded back to 16 B at one and a third.
     if let (Some(before), Some(peak)) = (before, peak) {
-        let one_copy = N * 16 / 1024;
+        let one_copy = N * 12 / 1024;
         let grew = peak.saturating_sub(before);
         assert!(
             grew < one_copy * 5 / 4,
             "generation grew the peak by {grew} KiB for a {one_copy} KiB trace of \
-             16-byte records; a record is {} B",
+             12-byte records; a record is {} B",
             std::mem::size_of::<Instr>()
         );
     }

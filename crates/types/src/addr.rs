@@ -8,7 +8,15 @@ pub const LINE_SIZE: u64 = 64;
 /// Number of block-offset bits within a cache line (`log2(LINE_SIZE)`).
 pub const OFFSET_BITS: u32 = 6;
 
+/// Width of a byte address in bits: every producer stays below 2^39.
+const ADDR_BITS: u32 = 40;
+
 /// A byte address in the simulated virtual address space.
+///
+/// It holds 40 bits in five big-endian bytes, so a trace record carrying
+/// one is 12 bytes and the derived ordering is numeric. The API still
+/// speaks `u64`: [`Addr::new`] panics past 2^40 − 1 and [`Addr::try_new`]
+/// refuses.
 ///
 /// # Examples
 ///
@@ -16,37 +24,57 @@ pub const OFFSET_BITS: u32 = 6;
 /// use secpref_types::Addr;
 /// let a = Addr::new(0x1000);
 /// assert_eq!(a.raw(), 0x1000);
-/// assert_eq!((a + 64).line(), a.line().next());
+/// assert_eq!(Addr::try_new(1 << 40), None);
 /// ```
-///
-/// Packed to 4-byte alignment so that a trace record holding a 32-bit
-/// [`Ip`] beside an address is 16 bytes with no padding. It is still one
-/// `u64`; read it through [`Addr::raw`], never by reference.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[repr(C, packed(4))]
-pub struct Addr(u64);
+pub struct Addr([u8; 5]);
 
-const _: () = assert!(std::mem::size_of::<Addr>() == 8 && std::mem::align_of::<Addr>() == 4);
+const _: () = assert!(std::mem::size_of::<Addr>() == 5 && std::mem::align_of::<Addr>() == 1);
 
 impl Addr {
     /// Creates an address from a raw byte address.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `raw` does not fit in 40 bits.
+    // Inlined by hand: the panic path keeps it out of the compiler's
+    // cross-crate inlining, and generators call it once per access.
+    #[inline]
     pub const fn new(raw: u64) -> Self {
-        Addr(raw)
+        match Addr::try_new(raw) {
+            Some(a) => a,
+            None => panic!("address exceeds 40 bits"),
+        }
+    }
+
+    /// Creates an address from an untrusted raw byte address, or `None`
+    /// if it does not fit in 40 bits.
+    #[inline]
+    pub const fn try_new(raw: u64) -> Option<Self> {
+        if raw >> ADDR_BITS != 0 {
+            None
+        } else {
+            let b = raw.to_be_bytes();
+            Some(Addr([b[3], b[4], b[5], b[6], b[7]]))
+        }
     }
 
     /// Returns the raw byte address.
+    #[inline]
     pub const fn raw(self) -> u64 {
-        self.0
+        let [a, b, c, d, e] = self.0;
+        u64::from_be_bytes([0, 0, 0, a, b, c, d, e])
     }
 
     /// Returns the cache line containing this address.
+    #[inline]
     pub const fn line(self) -> LineAddr {
-        LineAddr(self.0 >> OFFSET_BITS)
+        LineAddr(self.raw() >> OFFSET_BITS)
     }
 
     /// Returns the byte offset within the cache line.
     pub const fn offset(self) -> u64 {
-        self.0 & (LINE_SIZE - 1)
+        self.raw() & (LINE_SIZE - 1)
     }
 }
 
@@ -65,26 +93,6 @@ impl fmt::Display for Addr {
 impl fmt::LowerHex for Addr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::LowerHex::fmt(&self.raw(), f)
-    }
-}
-
-impl From<u64> for Addr {
-    fn from(raw: u64) -> Self {
-        Addr(raw)
-    }
-}
-
-impl std::ops::Add<u64> for Addr {
-    type Output = Addr;
-    fn add(self, rhs: u64) -> Addr {
-        Addr(self.0.wrapping_add(rhs))
-    }
-}
-
-impl std::ops::Sub<u64> for Addr {
-    type Output = Addr;
-    fn sub(self, rhs: u64) -> Addr {
-        Addr(self.0.wrapping_sub(rhs))
     }
 }
 
@@ -166,7 +174,7 @@ impl From<Addr> for LineAddr {
 /// Prefetchers key their tables on the IP; it needs no arithmetic beyond
 /// hashing, so it is a plain opaque newtype. It holds 32 bits: every
 /// generator's IPs lie below 2^23, the modelled tables index low IP bits,
-/// and a 4-byte IP keeps a trace record at 16 bytes. The API still speaks
+/// and a 4-byte IP keeps a trace record at 12 bytes. The API still speaks
 /// `u64`: [`Ip::new`] panics past `u32::MAX` and [`Ip::try_new`] refuses.
 ///
 /// # Examples
@@ -254,21 +262,39 @@ mod tests {
     }
 
     #[test]
-    fn addr_arith() {
-        let a = Addr::new(0x1000);
-        assert_eq!((a + 0x40).line(), a.line().next());
-        assert_eq!(a + 8 - 8, a);
-    }
-
-    #[test]
     fn display_is_hex() {
         assert_eq!(format!("{}", Addr::new(255)), "0xff");
         assert_eq!(format!("{}", LineAddr::new(255)), "0xff");
         assert_eq!(format!("{:x}", Addr::new(255)), "ff");
         assert_eq!(
-            format!("{:?}", Addr::new(u64::MAX)),
-            "Addr(0xffffffffffffffff)"
+            format!("{:?}", Addr::new((1 << 40) - 1)),
+            "Addr(0xffffffffff)"
         );
+    }
+
+    #[test]
+    fn addr_holds_exactly_40_bits() {
+        let max = (1u64 << 40) - 1;
+        assert_eq!(Addr::new(max).raw(), max);
+        assert_eq!(Addr::try_new(max).map(Addr::raw), Some(max));
+        assert_eq!(Addr::try_new(1 << 40), None);
+        assert_eq!(Addr::try_new(u64::MAX), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "address exceeds 40 bits")]
+    fn addr_new_panics_past_40_bits() {
+        Addr::new(1 << 40);
+    }
+
+    #[test]
+    fn addr_orders_numerically() {
+        // Each pair straddles a byte boundary; a little-endian layout
+        // would order every one of them the wrong way round.
+        for shift in [8, 16, 24, 32] {
+            let (lo, hi) = ((1u64 << shift) - 1, 1u64 << shift);
+            assert!(Addr::new(lo) < Addr::new(hi), "{lo:#x} < {hi:#x}");
+        }
     }
 
     #[test]

@@ -73,8 +73,8 @@ echo "== release-only tests (--ignored)"
 # trace, fig16's 32-core row, the ablations cold and resumed
 # (crates/bench/tests/cli.rs). secpref-tracestore: prefix stability at
 # paper scale, `lbm_like` built in place to 10^7 instructions against
-# its streamed capture, at one copy's peak memory of 16-byte records
-# (a record padded back to 24 B fails it, naming the record size).
+# its streamed capture, at one copy's peak memory of 12-byte records
+# (a record padded back to 16 B fails it, naming the record size).
 # secpref-trace: the byte digests of all 22 suite traces at 200 000
 # instructions. secpref-sim: Fig. 16's 32-core baseline system built and
 # run briefly at 16 host bytes per cache way (40 B a way fails it, naming
