@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [--quick] [--workers N] [--serial] [--quiet] [--timings]
+//! repro [--quick] [--workers N] [--quiet] [--timings]
 //!       [--trace TARGET] [--validate-trace FILE]
 //!       [--check] [--check-iters N] [--check-replay FILE] [--sampled]
 //!       [--profile] [all | TARGET...]
@@ -12,11 +12,11 @@
 //!
 //! `--quick` shrinks the simulation windows and the Fig. 15 mix count so
 //! the whole sweep finishes in a couple of minutes. `--workers N` sets
-//! the experiment engine's thread count (default: all cores; `--serial`
-//! is shorthand for `--workers 1`). `--quiet` silences every stderr
-//! progress line (figures still print to stdout). `--timings` prints a
-//! per-phase wall-time breakdown (sweep, render, check, trace) to stderr
-//! at exit — it works with `--quiet`, which silences everything else.
+//! the experiment engine's thread count (default: all cores). `--quiet`
+//! silences every stderr progress line (figures still print to stdout).
+//! `--timings` prints a per-phase wall-time breakdown (sweep, render,
+//! check, trace) to stderr at exit — it works with `--quiet`, which
+//! silences everything else.
 //!
 //! `--check` runs the `secpref-check` deterministic fuzzer — the pinned
 //! tier-1 seed, 2000 iterations (`--check-iters N`) over every
@@ -100,7 +100,6 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => {}
-            "--serial" => workers = Some(1),
             "--quiet" => quiet = true,
             "--timings" => timings = true,
             "--check" => check = true,

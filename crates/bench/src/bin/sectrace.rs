@@ -181,8 +181,10 @@ fn cmd_replay(path: &str, args: &[String]) -> ExitCode {
         (r.meta().name.clone(), r.meta().n_instr as usize)
     };
     let cfg = secpref_types::SystemConfig::baseline(1);
+    // The store opened and verified above; the run's one refusal left,
+    // an empty store, names the file itself.
     let report = run_stream_with_window(&cfg, Path::new(path), warmup, measure)
-        .unwrap_or_else(|e| die(&format!("{path}: {e}")));
+        .unwrap_or_else(|e| die(&e.to_string()));
     let text = secpref_exp::codec::report_to_string(&report);
     let digest = report_digest(&text);
     println!(

@@ -79,6 +79,10 @@ fn unknown_target_or_subcommand_exits_2() {
     let out = repro(&s.0, &["--telemetry", "fig1"]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
     assert!(stderr(&out).contains("unknown flag `--telemetry`"));
+    // `--workers 1` is the one way to run serially.
+    let out = repro(&s.0, &["--serial", "fig1"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("unknown flag `--serial`"));
     let out = sectrace(&["frobnicate"]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
     assert!(stderr(&out).contains("usage: sectrace"));
@@ -118,6 +122,27 @@ fn sectrace_capture_verify_replay_agrees_with_memory() {
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).contains("IDENTICAL"), "{}", stdout(&out));
+}
+
+/// A store with no instructions is refused with exit code 2 naming the
+/// file, not simulated until the run loop's livelock watchdog panics.
+#[test]
+fn sectrace_refuses_an_empty_store() {
+    let s = Scratch::new("empty");
+    let sct = s.0.join("z.sct");
+    let sct = sct.to_str().expect("utf-8 temp path");
+    let out = sectrace(&["capture", "--trace", "lbm_like", "--n", "0", "--out", sct]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    for extra in [&[][..], &["--compare-mem"]] {
+        let out = sectrace(&[&["replay", sct][..], extra].concat());
+        assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+        assert!(
+            stderr(&out).contains(&format!("{sct}: store holds no instructions")),
+            "{}",
+            stderr(&out)
+        );
+        assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+    }
 }
 
 /// Chunk sizes a user can type but no store may have are refused with

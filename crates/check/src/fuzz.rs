@@ -20,7 +20,7 @@
 use crate::golden::{CheckedFilter, GoldenCache, GoldenGm, GoldenLine};
 use crate::invariants::audit_run;
 use secpref_ghostminion::GmCache;
-use secpref_mem::{FillAttrs, SetAssocCache};
+use secpref_mem::{FillAttrs, LineMeta, SetAssocCache};
 use secpref_sim::{build_filter, ObsConfig, System};
 use secpref_trace::{Instr, Trace};
 use secpref_tracestore::{TraceReader, TraceWriter, DEFAULT_CHUNK_SIZE};
@@ -473,11 +473,34 @@ fn panic_text(panic: &(dyn std::any::Any + Send)) -> String {
 // Component differential replay
 // ---------------------------------------------------------------------------
 
+/// What one [`differential_cache_ops`] replay reached.
+#[derive(Clone, Debug)]
+pub struct CacheOpsReach {
+    /// Per set, the ops that moved a line to MRU (every fill, and every
+    /// `touch_demand` that hit): each took a stamp from that set's LRU
+    /// clock.
+    pub promoted: Vec<u64>,
+    /// `touch_demand` calls that hit a prefetched line, indexed by `store`.
+    pub prefetched_touches: [u64; 2],
+}
+
+/// The golden line as the real cache reports it.
+fn meta(g: &GoldenLine) -> LineMeta {
+    LineMeta {
+        line: g.line,
+        dirty: g.dirty,
+        prefetched: g.prefetched,
+        wb_bit: g.wb_bit,
+        wb_next: g.wb_next,
+        fetch_latency: g.fetch_latency,
+    }
+}
+
 /// Replays `ops` random operations through the real `SetAssocCache` and
 /// the golden model on a `sets` × `ways` geometry, asserting identical
-/// outcomes and identical tag state after every operation. Returns, per
-/// set, how many ops moved a line to MRU (every fill, and every touch
-/// that hit): each took a stamp from that set's LRU clock.
+/// outcomes and identical tag state after every operation. The ops are
+/// the ones the simulator performs on a cache: `fill`, `probe`,
+/// `touch_demand` (load and store) and `mark_demand_use`.
 ///
 /// One line in eight is drawn from the set of `LineAddr::new(u64::MAX)`,
 /// that line included: its raw address is the cache's invalid-way tag,
@@ -486,11 +509,14 @@ fn panic_text(panic: &(dyn std::any::Any + Send)) -> String {
 /// # Panics
 ///
 /// Panics on the first divergence, or if `sets` is not a power of two.
-pub fn differential_cache_ops(seed: u64, sets: usize, ways: usize, ops: usize) -> Vec<u64> {
+pub fn differential_cache_ops(seed: u64, sets: usize, ways: usize, ops: usize) -> CacheOpsReach {
     let mut rng = Xoshiro256ss::seed_from_u64(seed);
     let mut real = SetAssocCache::new(sets, ways);
     let mut gold = GoldenCache::new(sets, ways);
-    let mut promoted = vec![0u64; sets];
+    let mut reach = CacheOpsReach {
+        promoted: vec![0; sets],
+        prefetched_touches: [0; 2],
+    };
     let pool = (sets * ways * 3) as u64;
     for op in 0..ops {
         let raw = if rng.gen_index(8) == 0 {
@@ -519,61 +545,44 @@ pub fn differential_cache_ops(seed: u64, sets: usize, ways: usize, ops: usize) -
                     fetch_latency: attrs.fetch_latency,
                 });
                 assert_eq!(ev_r, ev_g, "fill eviction diverged at op {op}");
-                promoted[set] += 1;
+                reach.promoted[set] += 1;
             }
-            3 => {
-                let r = real.touch(line).map(|l| l.line);
-                let g = gold.touch(line).map(|l| l.line);
-                assert_eq!(r, g, "touch diverged at op {op}");
-                promoted[set] += r.is_some() as u64;
+            3 | 4 => {
+                assert_eq!(
+                    real.probe(line),
+                    gold.probe(line).map(meta),
+                    "probe diverged at op {op}"
+                );
             }
-            4 => {
+            5 => {
                 assert_eq!(
                     real.mark_demand_use(line),
                     gold.mark_demand_use(line),
                     "mark_demand_use diverged at op {op}"
                 );
             }
-            5 => {
-                assert_eq!(real.set_dirty(line), gold.set_dirty(line));
-            }
-            6 => {
-                let wb = rng.gen_flip();
-                assert_eq!(real.set_wb_bit(line, wb), gold.set_wb_bit(line, wb));
-            }
-            _ => {
+            k => {
+                let store = k == 7;
+                let r = real.touch_demand(line, store);
                 assert_eq!(
-                    real.invalidate(line),
-                    gold.invalidate(line),
-                    "invalidate diverged at op {op}"
+                    r,
+                    gold.touch_demand(line, store),
+                    "touch_demand (store {store}) diverged at op {op}"
                 );
+                if let Some((was_prefetched, _)) = r {
+                    reach.promoted[set] += 1;
+                    reach.prefetched_touches[store as usize] += was_prefetched as u64;
+                }
             }
         }
         // Full tag-state equivalence after every op.
-        assert_eq!(
-            real.valid_lines(),
-            gold.valid_lines(),
-            "occupancy at op {op}"
-        );
-        let mut r_state: Vec<_> = real
-            .iter()
-            .map(|l| {
-                let s = (l.line, l.dirty, l.prefetched, l.wb_bit, l.wb_next);
-                (s, l.fetch_latency)
-            })
-            .collect();
-        let mut g_state: Vec<_> = gold
-            .iter()
-            .map(|l| {
-                let s = (l.line, l.dirty, l.prefetched, l.wb_bit, l.wb_next);
-                (s, l.fetch_latency)
-            })
-            .collect();
-        r_state.sort();
-        g_state.sort();
+        let mut r_state: Vec<LineMeta> = real.iter().collect();
+        let mut g_state: Vec<LineMeta> = gold.iter().map(meta).collect();
+        r_state.sort_by_key(|l| l.line);
+        g_state.sort_by_key(|l| l.line);
         assert_eq!(r_state, g_state, "tag state diverged at op {op}");
     }
-    promoted
+    reach
 }
 
 /// Replays `ops` random operations through the real `GmCache` and the
@@ -869,8 +878,8 @@ mod tests {
     fn cache_differential_spans_lru_renumbering() {
         const CLOCK_RANGE: u64 = 65_534;
         for sets in [1, 2] {
-            let promoted = differential_cache_ops(0x5e7_c10c, sets, 4, sets * 10 * 65_536);
-            for (set, &n) in promoted.iter().enumerate() {
+            let reach = differential_cache_ops(0x5e7_c10c, sets, 4, sets * 10 * 65_536);
+            for (set, &n) in reach.promoted.iter().enumerate() {
                 assert!(
                     n >= 3 * CLOCK_RANGE,
                     "{sets} sets: set {set} took only {n} stamps"
@@ -879,12 +888,23 @@ mod tests {
         }
     }
 
+    /// Both `touch_demand` flavours reach a prefetched line, so the
+    /// differential checks the `prefetched` clear and the store's dirty
+    /// bit on lines that carry them.
     #[test]
     fn component_differentials_hold() {
+        let mut prefetched_touches = [0u64; 2];
         for seed in 0..24u64 {
-            differential_cache_ops(seed, 8, 4, 150);
+            let reach = differential_cache_ops(seed, 8, 4, 150);
+            for (total, n) in prefetched_touches.iter_mut().zip(reach.prefetched_touches) {
+                *total += n;
+            }
             differential_gm_ops(seed, 120);
         }
+        assert!(
+            prefetched_touches.iter().all(|&n| n > 0),
+            "prefetched touches (load, store): {prefetched_touches:?}"
+        );
     }
 
     #[test]

@@ -38,7 +38,8 @@ pub struct GoldenLine {
 /// Golden set-associative LRU cache: each set is a `Vec<GoldenLine>` in
 /// MRU→LRU order. The victim is always the back of the vector, which is
 /// exactly `SetAssocCache`'s min-LRU-clock victim because fills and
-/// touches (the only LRU-clock writers) move lines to the front here.
+/// demand touches (the only LRU-clock writers) move lines to the front
+/// here.
 #[derive(Clone, Debug)]
 pub struct GoldenCache {
     sets: Vec<Vec<GoldenLine>>,
@@ -73,13 +74,17 @@ impl GoldenCache {
         self.set_ref(line).iter().find(|l| l.line == line)
     }
 
-    /// Non-speculative lookup: moves the line to MRU on a hit.
-    pub fn touch(&mut self, line: LineAddr) -> Option<GoldenLine> {
+    /// Demand access: moves the line to MRU, clears `prefetched`, sets
+    /// `dirty` on a store, and returns `(was_prefetched, fetch_latency)`.
+    pub fn touch_demand(&mut self, line: LineAddr, store: bool) -> Option<(bool, u32)> {
         let set = self.set_of(line);
         let i = set.iter().position(|l| l.line == line)?;
-        let l = set.remove(i);
+        let mut l = set.remove(i);
+        let was = l.prefetched;
+        l.prefetched = false;
+        l.dirty |= store;
         set.insert(0, l);
-        Some(l)
+        Some((was, l.fetch_latency))
     }
 
     /// Clears the `prefetched` bit, returning `(was_prefetched, latency)`.
@@ -90,28 +95,6 @@ impl GoldenCache {
         let was = l.prefetched;
         l.prefetched = false;
         Some((was, l.fetch_latency))
-    }
-
-    /// Sets the dirty bit of a resident line. Returns `false` on miss.
-    pub fn set_dirty(&mut self, line: LineAddr) -> bool {
-        match self.set_of(line).iter_mut().find(|l| l.line == line) {
-            Some(l) => {
-                l.dirty = true;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Sets the writeback bit of a resident line. Returns `false` on miss.
-    pub fn set_wb_bit(&mut self, line: LineAddr, wb: bool) -> bool {
-        match self.set_of(line).iter_mut().find(|l| l.line == line) {
-            Some(l) => {
-                l.wb_bit = wb;
-                true
-            }
-            None => false,
-        }
     }
 
     /// Inserts at MRU, evicting the LRU line of a full set. Refilling a
@@ -143,25 +126,6 @@ impl GoldenCache {
         };
         set.insert(0, new);
         evicted
-    }
-
-    /// Removes a line if resident, returning its eviction record.
-    pub fn invalidate(&mut self, line: LineAddr) -> Option<EvictedLine> {
-        let set = self.set_of(line);
-        let i = set.iter().position(|l| l.line == line)?;
-        let v = set.remove(i);
-        Some(EvictedLine {
-            line: v.line,
-            dirty: v.dirty,
-            wb_bit: v.wb_bit,
-            wb_next: v.wb_next,
-            prefetched: v.prefetched,
-        })
-    }
-
-    /// Number of resident lines.
-    pub fn valid_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
     }
 
     /// All resident lines, in arbitrary order.
@@ -505,10 +469,10 @@ mod tests {
         };
         assert!(g.fill(line(1)).is_none());
         assert!(g.fill(line(2)).is_none());
-        g.touch(LineAddr::new(1));
+        g.touch_demand(LineAddr::new(1), false);
         let ev = g.fill(line(3)).expect("full set evicts");
         assert_eq!(ev.line, LineAddr::new(2));
-        assert_eq!(g.valid_lines(), 2);
+        assert_eq!(g.iter().count(), 2);
     }
 
     #[test]

@@ -131,11 +131,17 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Propagates open/validation errors from the chunk-store reader.
+    /// Propagates open/validation errors from the chunk-store reader;
+    /// `InvalidData`, naming `path`, for a store that holds no
+    /// instructions.
     pub fn stream(cfg: SystemConfig, path: PathBuf, scale: ExpScale) -> std::io::Result<Self> {
         let file = std::io::BufReader::new(std::fs::File::open(&path)?);
         let reader = secpref_tracestore::TraceReader::open(file)?;
         let meta = reader.meta();
+        if meta.n_instr == 0 {
+            let msg = format!("{}: store holds no instructions", path.display());
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, msg));
+        }
         Ok(JobSpec {
             cfg,
             workload: Workload::Stream {
@@ -398,6 +404,22 @@ mod tests {
         assert!(
             a.workload.trace_names().is_empty(),
             "streams skip pregenerate"
+        );
+    }
+
+    #[test]
+    fn a_stream_job_refuses_an_empty_store() {
+        let path = std::env::temp_dir().join(format!("secpref-empty-{}.sct", std::process::id()));
+        let file = std::fs::File::create(&path).expect("temp store");
+        let w = secpref_tracestore::TraceWriter::create(file, "empty", 64).expect("header");
+        w.finish().expect("footer");
+        let err = JobSpec::stream(SystemConfig::baseline(1), path.clone(), ExpScale::Quick)
+            .expect_err("an empty store makes no job");
+        std::fs::remove_file(&path).expect("temp store removed");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            format!("{}: store holds no instructions", path.display())
         );
     }
 

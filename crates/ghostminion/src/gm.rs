@@ -106,11 +106,6 @@ impl GmCache {
         };
     }
 
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Number of valid entries.
     pub fn occupancy(&self) -> usize {
         self.live
@@ -124,10 +119,9 @@ impl GmCache {
         (e.ts <= ts).then_some(e.latency)
     }
 
-    /// Unguarded residence check (for the commit path: the committing
-    /// instruction is by definition the oldest, so everything resident
-    /// with `ts <= commit ts` is visible; squashed younger leftovers are
-    /// not transferred).
+    /// [`lookup`](Self::lookup) under its old name: a forward kept because
+    /// `benchmark/` pins it, to retire with that crate's next edit (ROADMAP
+    /// item 4).
     pub fn lookup_commit(&self, line: LineAddr, ts: u64) -> Option<u32> {
         self.lookup(line, ts)
     }

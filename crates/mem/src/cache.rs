@@ -37,9 +37,9 @@ pub struct FillAttrs {
     pub fetch_latency: u32,
 }
 
-/// A resident cache line's metadata, by value: what [`SetAssocCache::probe`],
-/// [`SetAssocCache::touch`] and [`SetAssocCache::iter`] return. The cache
-/// stores it packed (a tag and an 8-byte way record), not as this struct.
+/// A resident cache line's metadata, by value: what [`SetAssocCache::probe`]
+/// and [`SetAssocCache::iter`] return. The cache stores it packed (a tag
+/// and an 8-byte way record), not as this struct.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LineMeta {
     /// The resident line address.
@@ -105,7 +105,7 @@ impl Way {
     }
 }
 
-/// A line pushed out of the cache by a fill or invalidation.
+/// A line pushed out of the cache by a fill.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EvictedLine {
     /// The evicted line address.
@@ -123,8 +123,8 @@ pub struct EvictedLine {
 /// A set-associative cache array with true-LRU replacement.
 ///
 /// `probe` inspects without disturbing replacement state (GhostMinion's
-/// speculative accesses must not update LRU bits); `touch` performs the
-/// conventional LRU update for non-speculative accesses.
+/// speculative accesses must not update LRU bits); `touch_demand` performs
+/// the conventional LRU update for non-speculative accesses.
 ///
 /// Each set has its own 16-bit LRU clock. When a set's clock reaches
 /// `LRU_TOP`, the set renumbers its valid ways `1..=n` in stamp order
@@ -155,7 +155,6 @@ pub struct SetAssocCache {
     state: Vec<Way>,
     /// Per-set LRU clock: the last stamp handed out in the set.
     clocks: Vec<u16>,
-    valid_count: usize,
     policy: ReplacementChoice,
     rng: u64,
 }
@@ -204,25 +203,9 @@ impl SetAssocCache {
             tags: vec![TAG_INVALID; sets * ways],
             state: vec![Way::INVALID; sets * ways],
             clocks: vec![0; sets],
-            valid_count: 0,
             policy,
             rng: 0x243F_6A88_85A3_08D3,
         }
-    }
-
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.sets
-    }
-
-    /// Associativity.
-    pub fn ways(&self) -> usize {
-        self.ways
-    }
-
-    /// Number of currently valid lines.
-    pub fn valid_lines(&self) -> usize {
-        self.valid_count
     }
 
     fn set_index(&self, line: LineAddr) -> usize {
@@ -307,16 +290,6 @@ impl SetAssocCache {
         self.clocks[set] = valid.len() as u16;
     }
 
-    /// Moves way `i`, which holds `line`, to MRU on a reuse.
-    #[inline]
-    fn promote(&mut self, line: LineAddr, i: usize) -> &mut Way {
-        let lru = self.stamp(self.set_index(line));
-        let w = &mut self.state[i];
-        w.lru = lru;
-        w.rrpv = 0; // SRRIP: promote to imminent on reuse
-        w
-    }
-
     /// Looks up a line **without** updating replacement state
     /// (a GhostMinion speculative access).
     #[inline]
@@ -324,25 +297,17 @@ impl SetAssocCache {
         self.find(line).map(|i| self.view(i))
     }
 
-    /// Looks up a line and, on a hit, promotes it per the replacement
-    /// policy (a conventional non-speculative access). Returns the line's
-    /// metadata after update.
-    #[inline]
-    pub fn touch(&mut self, line: LineAddr) -> Option<LineMeta> {
-        let i = self.find(line)?;
-        self.promote(line, i);
-        Some(self.view(i))
-    }
-
-    /// Non-speculative access in one tag lookup: [`touch`](Self::touch) +
-    /// [`mark_demand_use`](Self::mark_demand_use), plus the dirty-bit set
-    /// when `store` is true. Returns `(was_prefetched, fetch_latency)` on
-    /// a hit — the simulator's hit fast path, equivalent to the three
-    /// separate calls but with a single set scan.
+    /// Non-speculative access (the simulator's demand hit): on a hit,
+    /// promotes the line per the replacement policy, clears its
+    /// `prefetched` bit and, when `store` is true, sets its dirty bit.
+    /// Returns `(was_prefetched, fetch_latency)` on a hit.
     #[inline]
     pub fn touch_demand(&mut self, line: LineAddr, store: bool) -> Option<(bool, u32)> {
         let i = self.find(line)?;
-        let w = self.promote(line, i);
+        let lru = self.stamp(self.set_index(line));
+        let w = &mut self.state[i];
+        w.lru = lru;
+        w.rrpv = 0; // SRRIP: promote to imminent on reuse
         let was = w.has(Way::PREFETCHED);
         w.flags = (w.flags & !Way::PREFETCHED) | (store as u8 * Way::DIRTY);
         Some((was, w.fetch_latency))
@@ -357,29 +322,6 @@ impl SetAssocCache {
         let was = w.has(Way::PREFETCHED);
         w.flags &= !Way::PREFETCHED;
         Some((was, w.fetch_latency))
-    }
-
-    /// Sets the dirty bit of a resident line. Returns `false` on miss.
-    pub fn set_dirty(&mut self, line: LineAddr) -> bool {
-        match self.find(line) {
-            Some(i) => {
-                self.state[i].flags |= Way::DIRTY;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Sets the writeback bit of a resident line. Returns `false` on miss.
-    pub fn set_wb_bit(&mut self, line: LineAddr, wb: bool) -> bool {
-        match self.find(line) {
-            Some(i) => {
-                let w = &mut self.state[i];
-                w.flags = (w.flags & !Way::WB) | (wb as u8 * Way::WB);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Inserts `line` at MRU with the given attributes, evicting the LRU
@@ -439,12 +381,7 @@ impl SetAssocCache {
             ReplacementChoice::Lru if raw != TAG_INVALID => lru_idx,
             _ => self.pick_victim(range),
         });
-        let evicted = if self.state[victim].valid() {
-            Some(self.evicted(victim))
-        } else {
-            self.valid_count += 1;
-            None
-        };
+        let evicted = self.state[victim].valid().then(|| self.evicted(victim));
         let lru = self.stamp(set);
         self.state[victim] = Way {
             fetch_latency: attrs.fetch_latency,
@@ -485,16 +422,6 @@ impl SetAssocCache {
         }
     }
 
-    /// Removes a line if resident, returning its eviction record.
-    pub fn invalidate(&mut self, line: LineAddr) -> Option<EvictedLine> {
-        let i = self.find(line)?;
-        let evicted = self.evicted(i);
-        self.state[i] = Way::INVALID;
-        self.tags[i] = TAG_INVALID;
-        self.valid_count -= 1;
-        Some(evicted)
-    }
-
     /// Iterates over all valid lines (for assertions and property tests).
     pub fn iter(&self) -> impl Iterator<Item = LineMeta> + '_ {
         (0..self.tags.len())
@@ -517,7 +444,7 @@ mod tests {
         assert!(c.probe(la(5)).is_none());
         assert!(c.fill(la(5), FillAttrs::default()).is_none());
         assert_eq!(c.probe(la(5)).unwrap().line, la(5));
-        assert_eq!(c.valid_lines(), 1);
+        assert_eq!(c.iter().count(), 1);
     }
 
     #[test]
@@ -526,7 +453,7 @@ mod tests {
         c.fill(la(1), FillAttrs::default());
         c.fill(la(2), FillAttrs::default());
         // Touch 1 so 2 becomes LRU.
-        c.touch(la(1));
+        c.touch_demand(la(1), false);
         let ev = c.fill(la(3), FillAttrs::default()).unwrap();
         assert_eq!(ev.line, la(2));
         assert!(c.probe(la(1)).is_some());
@@ -559,7 +486,7 @@ mod tests {
             )
             .is_none());
         assert!(c.probe(la(1)).unwrap().dirty);
-        assert_eq!(c.valid_lines(), 2);
+        assert_eq!(c.iter().count(), 2);
     }
 
     #[test]
@@ -607,22 +534,12 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes() {
-        let mut c = SetAssocCache::new(4, 2);
-        c.fill(la(9), FillAttrs::default());
-        assert!(c.invalidate(la(9)).is_some());
-        assert!(c.probe(la(9)).is_none());
-        assert!(c.invalidate(la(9)).is_none());
-        assert_eq!(c.valid_lines(), 0);
-    }
-
-    #[test]
     fn set_isolation() {
         let mut c = SetAssocCache::new(2, 1);
         c.fill(la(0), FillAttrs::default());
         // Line 1 maps to the other set: no eviction.
         assert!(c.fill(la(1), FillAttrs::default()).is_none());
-        assert_eq!(c.valid_lines(), 2);
+        assert_eq!(c.iter().count(), 2);
     }
 
     #[test]
@@ -637,8 +554,8 @@ mod tests {
         c.fill(la(1), FillAttrs::default());
         c.fill(la(2), FillAttrs::default());
         // Reuse line 1 repeatedly: RRPV drops to 0; line 2 stays at 2.
-        c.touch(la(1));
-        c.touch(la(1));
+        c.touch_demand(la(1), false);
+        c.touch_demand(la(1), false);
         let ev = c.fill(la(3), FillAttrs::default()).unwrap();
         assert_eq!(ev.line, la(2), "SRRIP evicts the distant line");
         assert!(c.probe(la(1)).is_some());
@@ -671,7 +588,7 @@ mod tests {
             for i in 0..100u64 {
                 c.fill(la(i), FillAttrs::default());
             }
-            assert!(c.valid_lines() <= 8, "{p:?}");
+            assert!(c.iter().count() <= 8, "{p:?}");
         }
     }
 
@@ -680,7 +597,8 @@ mod tests {
         use secpref_types::rng::Xoshiro256ss;
         use std::collections::HashSet;
 
-        /// No duplicate tags within the cache, and valid_lines is exact.
+        /// No duplicate tags within the cache, and never more lines than
+        /// ways.
         #[test]
         fn no_duplicate_lines() {
             for seed in 0..48u64 {
@@ -689,26 +607,23 @@ mod tests {
                     .map(|_| (rng.gen_u64(256), rng.gen_flip()))
                     .collect();
                 let mut c = SetAssocCache::new(8, 4);
-                for (addr, inv) in ops {
-                    if inv {
-                        c.invalidate(la(addr));
+                for (addr, touch) in ops {
+                    if touch {
+                        c.touch_demand(la(addr), false);
                     } else {
                         c.fill(la(addr), FillAttrs::default());
                     }
                     let mut seen = HashSet::new();
-                    let mut n = 0;
                     for l in c.iter() {
                         assert!(seen.insert(l.line), "duplicate line {:?}", l.line);
-                        n += 1;
                     }
-                    assert_eq!(n, c.valid_lines());
-                    assert!(n <= 32);
+                    assert!(seen.len() <= 32);
                 }
             }
         }
 
         /// A filled line is always resident until evicted by a fill
-        /// mapping to the same set or an invalidation.
+        /// mapping to the same set.
         #[test]
         fn fills_land_in_correct_set() {
             for seed in 0..48u64 {

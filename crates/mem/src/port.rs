@@ -29,10 +29,6 @@ pub struct PortScheduler {
     ports: usize,
     current_cycle: Cycle,
     used: usize,
-    /// Total slots ever consumed (for utilization statistics).
-    total_acquired: u64,
-    /// Number of rejected acquisitions (backpressure events).
-    total_rejected: u64,
 }
 
 impl PortScheduler {
@@ -47,8 +43,6 @@ impl PortScheduler {
             ports,
             current_cycle: 0,
             used: 0,
-            total_acquired: 0,
-            total_rejected: 0,
         }
     }
 
@@ -73,10 +67,8 @@ impl PortScheduler {
         }
         if self.used < self.ports {
             self.used += 1;
-            self.total_acquired += 1;
             true
         } else {
-            self.total_rejected += 1;
             false
         }
     }
@@ -93,31 +85,10 @@ impl PortScheduler {
         }
         if self.used + 1 < self.ports {
             self.used += 1;
-            self.total_acquired += 1;
             true
         } else {
-            self.total_rejected += 1;
             false
         }
-    }
-
-    /// Books `n` refused acquisitions without attempting them, for a
-    /// caller that knows the outcome: port use only grows within a
-    /// cycle, so after one refusal every later acquisition of the same
-    /// (or lower) priority in that cycle is refused too.
-    #[inline]
-    pub fn refuse(&mut self, n: u64) {
-        self.total_rejected += n;
-    }
-
-    /// Slots consumed over the whole simulation.
-    pub fn total_acquired(&self) -> u64 {
-        self.total_acquired
-    }
-
-    /// Rejections (a measure of port contention).
-    pub fn total_rejected(&self) -> u64 {
-        self.total_rejected
     }
 }
 
@@ -132,27 +103,22 @@ mod tests {
         assert!(!p.try_acquire(0));
         assert!(p.try_acquire(1));
         assert!(p.try_acquire(5));
-        assert_eq!(p.total_acquired(), 3);
-        assert_eq!(p.total_rejected(), 1);
     }
 
+    /// The hierarchy books a settled gate's later denials without asking
+    /// again: after one refusal, every acquisition of the same or lower
+    /// priority in that cycle is refused too.
     #[test]
-    fn refusals_repeat_within_a_cycle_and_refuse_books_them() {
+    fn refusals_repeat_within_a_cycle() {
         for ports in 1..4 {
             let mut p = PortScheduler::new(ports);
             while p.try_acquire_low_priority(5) {}
-            // Refused once, refused for the rest of the cycle.
             assert!(!p.try_acquire_low_priority(5));
             while p.try_acquire(5) {}
-            assert!(!p.try_acquire(5) && !p.try_acquire_low_priority(5));
-            let mut q = p.clone();
-            q.refuse(3);
             for _ in 0..3 {
-                assert!(!p.try_acquire(5));
+                assert!(!p.try_acquire(5) && !p.try_acquire_low_priority(5));
             }
-            assert_eq!(q.total_rejected(), p.total_rejected());
-            assert_eq!(q.total_acquired(), p.total_acquired());
-            assert_eq!(q.try_acquire(6), p.try_acquire(6));
+            assert!(p.try_acquire(6));
         }
     }
 
@@ -177,8 +143,7 @@ mod tests {
 
     /// The per-cycle limit holds under demand/prefetch interleaving:
     /// at most `ports` grants per cycle overall, at most `ports - 1`
-    /// of them low-priority, and every call is accounted as either a
-    /// grant or a rejection.
+    /// of them low-priority.
     #[test]
     fn per_cycle_limit_holds_with_mixed_priorities() {
         const PORTS: usize = 3;
@@ -199,10 +164,6 @@ mod tests {
             assert!(granted <= PORTS, "cycle {cycle}: granted {granted}");
             assert!(low < PORTS, "cycle {cycle}: low-priority {low}");
         }
-        assert_eq!(
-            p.total_acquired() + p.total_rejected(),
-            (CYCLES as usize * CALLS_PER_CYCLE) as u64
-        );
     }
 
     mod props {

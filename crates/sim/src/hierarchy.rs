@@ -529,9 +529,7 @@ impl Hierarchy {
             let gate = self.settled[i];
             let n = std::mem::take(&mut self.denials[gate.index()]) as u64;
             if n > 0 {
-                let (core, lvl) = (gate.core(), gate.lvl());
-                self.timing.at(core, lvl).ports.refuse(n);
-                self.level_metrics(core, lvl).port_stalls += n;
+                self.level_metrics(gate.core(), gate.lvl()).port_stalls += n;
             }
         }
     }
@@ -1585,17 +1583,9 @@ mod tests {
 
     /// Everything a walk may leave behind.
     fn aftermath(h: &mut Hierarchy) -> String {
-        let rejected: Vec<u64> = h
-            .timing
-            .l1d
-            .iter()
-            .chain(&h.timing.l2)
-            .chain([&h.timing.llc])
-            .map(|level| level.ports.total_rejected())
-            .collect();
         let recorded = h.take_capture().map(|cap| (cap.recorded, cap.hists));
         format!(
-            "{:?}\n{rejected:?}\n{:?}\n{:?}\n{recorded:?}\n{:?}\n{}",
+            "{:?}\n{:?}\n{:?}\n{recorded:?}\n{:?}\n{}",
             h.waits,
             h.metrics,
             h.reqs,

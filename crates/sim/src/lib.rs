@@ -117,7 +117,8 @@ pub fn run_single_with_window(
 ///
 /// # Errors
 ///
-/// Propagates open/validation errors from the chunk-store reader.
+/// Propagates open/validation errors from the chunk-store reader;
+/// `InvalidData`, naming `path`, for a store that holds no instructions.
 pub fn run_stream_with_window(
     cfg: &SystemConfig,
     path: &std::path::Path,
@@ -125,6 +126,10 @@ pub fn run_stream_with_window(
     measure: u64,
 ) -> std::io::Result<SimReport> {
     let feed = StreamFeed::open_for_core(path, cfg.core.rob_entries)?;
+    if feed.is_empty() {
+        let msg = format!("{}: store holds no instructions", path.display());
+        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, msg));
+    }
     let feeds = vec![TraceFeed::Stream(Box::new(feed))];
     Ok(full_detail(system_for(cfg, feeds, warmup, measure)))
 }

@@ -607,7 +607,7 @@ impl MemState {
             return None;
         }
         let gm = &mut self.gm[core];
-        let gm_hit = gm_visible.unwrap_or_else(|| gm.lookup_commit(line, ts).is_some());
+        let gm_hit = gm_visible.unwrap_or_else(|| gm.lookup(line, ts).is_some());
         let action = self.filters[core].commit_action(hit_level, gm_hit);
         let leaves_gm = match action {
             CommitAction::Drop => gm_visible != Some(false),

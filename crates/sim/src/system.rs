@@ -283,11 +283,15 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid or the feed count does not
-    /// match `cfg.cores`.
+    /// Panics if the configuration is invalid, the feed count does not
+    /// match `cfg.cores`, or a feed holds no instructions (its core
+    /// could never retire).
     pub fn from_feeds(cfg: SystemConfig, feeds: Vec<TraceFeed>) -> Self {
         cfg.validate().expect("invalid system configuration");
         assert_eq!(feeds.len(), cfg.cores, "one feed per core");
+        if let Some(i) = feeds.iter().position(TraceFeed::is_empty) {
+            panic!("feed {i} holds no instructions");
+        }
         let prefetchers = (0..cfg.cores)
             .map(|c| build_prefetcher_for(&cfg, c))
             .collect();

@@ -246,3 +246,12 @@ fn replay_covers_short_traces() {
     let m = sys.report().cores[0].clone();
     assert!(m.instructions >= 500);
 }
+
+/// A core with no instructions could never retire: the system refuses
+/// it at construction, not at the run loop's livelock watchdog.
+#[test]
+#[should_panic(expected = "feed 0 holds no instructions")]
+fn an_empty_feed_is_refused_at_construction() {
+    let empty = Arc::new(Trace::new("empty", Vec::new()));
+    let _ = System::new(SystemConfig::baseline(1), vec![empty]);
+}

@@ -18,7 +18,7 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== one JSON string escaper, one FNV-1a, one line hasher, one env setting, one way to simulate"
+echo "== one JSON string escaper, one FNV-1a, one line hasher, one env setting, one way to simulate, every model mutation diffed"
 # Each format has one implementation, in secpref-types: the FNV-1a prime
 # appears only in fnv.rs and the \uXXXX string escape only in json.rs. The
 # one custom map hasher, for line addresses, sits beside the issue
@@ -29,7 +29,10 @@ echo "== one JSON string escaper, one FNV-1a, one line hasher, one env setting, 
 # these fails here, naming the file that holds it. A renderer gets its
 # reports only through its Cx, so the files that plan and render the
 # figures never name the simulator's System, system_for or TraceFeed: a
-# run while rendering would sit outside the sweep.
+# run while rendering would sit outside the sweep. Every operation that
+# mutates a cache or the GM (a `pub fn NAME(&mut self` in cache.rs or
+# gm.rs) is driven as `real.NAME(` by the golden differentials in
+# fuzz.rs; one that is not fails here, naming it.
 only_in() {
     local want=$1 got
     shift
@@ -49,6 +52,15 @@ if grep -lwE 'System|system_for|TraceFeed' "${renderers[@]}"; then
     echo "a renderer above names the simulator; ask its Cx for a job instead" >&2
     exit 1
 fi
+for model in crates/mem/src/cache.rs crates/ghostminion/src/gm.rs; do
+    # Joined into one line, so a signature rustfmt wraps still matches.
+    for op in $(tr '\n' ' ' <"$model" | grep -oE 'pub fn [a-z0-9_]+\( *&mut self' | sed -E 's/pub fn ([a-z0-9_]+).*/\1/'); do
+        if ! grep -qF "real.$op(" crates/check/src/fuzz.rs; then
+            echo "$model: $op mutates the model but crates/check/src/fuzz.rs never calls real.$op(" >&2
+            exit 1
+        fi
+    done
+done
 
 echo "== cargo clippy (deny warnings, incl. perf lints)"
 cargo clippy --offline --workspace --all-targets -- -D warnings -D clippy::perf
