@@ -17,7 +17,7 @@
 //! half, then quarters, …, re-running the full check after each cut) and
 //! dumped as a replayable `.sct` artifact next to the failure report.
 
-use crate::golden::{CheckedFilter, GoldenCache, GoldenGm, GoldenLine};
+use crate::golden::{CheckedFilter, GoldenCache, GoldenGm};
 use crate::invariants::audit_run;
 use secpref_ghostminion::GmCache;
 use secpref_mem::{FillAttrs, LineMeta, SetAssocCache};
@@ -484,18 +484,6 @@ pub struct CacheOpsReach {
     pub prefetched_touches: [u64; 2],
 }
 
-/// The golden line as the real cache reports it.
-fn meta(g: &GoldenLine) -> LineMeta {
-    LineMeta {
-        line: g.line,
-        dirty: g.dirty,
-        prefetched: g.prefetched,
-        wb_bit: g.wb_bit,
-        wb_next: g.wb_next,
-        fetch_latency: g.fetch_latency,
-    }
-}
-
 /// Replays `ops` random operations through the real `SetAssocCache` and
 /// the golden model on a `sets` × `ways` geometry, asserting identical
 /// outcomes and identical tag state after every operation. The ops are
@@ -536,7 +524,7 @@ pub fn differential_cache_ops(seed: u64, sets: usize, ways: usize, ops: usize) -
                     fetch_latency: rng.gen_u32(200),
                 };
                 let ev_r = real.fill(line, attrs);
-                let ev_g = gold.fill(GoldenLine {
+                let ev_g = gold.fill(LineMeta {
                     line,
                     dirty: attrs.dirty,
                     prefetched: attrs.prefetched,
@@ -550,7 +538,7 @@ pub fn differential_cache_ops(seed: u64, sets: usize, ways: usize, ops: usize) -
             3 | 4 => {
                 assert_eq!(
                     real.probe(line),
-                    gold.probe(line).map(meta),
+                    gold.probe(line).copied(),
                     "probe diverged at op {op}"
                 );
             }
@@ -577,7 +565,7 @@ pub fn differential_cache_ops(seed: u64, sets: usize, ways: usize, ops: usize) -
         }
         // Full tag-state equivalence after every op.
         let mut r_state: Vec<LineMeta> = real.iter().collect();
-        let mut g_state: Vec<LineMeta> = gold.iter().map(meta).collect();
+        let mut g_state: Vec<LineMeta> = gold.iter().copied().collect();
         r_state.sort_by_key(|l| l.line);
         g_state.sort_by_key(|l| l.line);
         assert_eq!(r_state, g_state, "tag state diverged at op {op}");

@@ -12,37 +12,20 @@
 //! against the table at every commit boundary via [`CheckedFilter`].
 
 use secpref_ghostminion::{CommitAction, GmInsertOutcome, UpdateFilter, WbBits};
-use secpref_mem::EvictedLine;
+use secpref_mem::{EvictedLine, LineMeta};
 use secpref_types::{HitLevel, LineAddr};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One resident line of the golden cache model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GoldenLine {
-    /// Resident line address.
-    pub line: LineAddr,
-    /// Holds modified data.
-    pub dirty: bool,
-    /// Prefetched and not yet demanded.
-    pub prefetched: bool,
-    /// GhostMinion/SUF writeback bit.
-    pub wb_bit: bool,
-    /// Writeback bit handed to the next level on propagation.
-    pub wb_next: bool,
-    /// Fetch latency recorded at fill time.
-    pub fetch_latency: u32,
-}
-
-/// Golden set-associative LRU cache: each set is a `Vec<GoldenLine>` in
+/// Golden set-associative LRU cache: each set is a `Vec<LineMeta>` in
 /// MRU→LRU order. The victim is always the back of the vector, which is
 /// exactly `SetAssocCache`'s min-LRU-clock victim because fills and
 /// demand touches (the only LRU-clock writers) move lines to the front
 /// here.
 #[derive(Clone, Debug)]
 pub struct GoldenCache {
-    sets: Vec<Vec<GoldenLine>>,
+    sets: Vec<Vec<LineMeta>>,
     ways: usize,
 }
 
@@ -60,17 +43,17 @@ impl GoldenCache {
         }
     }
 
-    fn set_of(&mut self, line: LineAddr) -> &mut Vec<GoldenLine> {
+    fn set_of(&mut self, line: LineAddr) -> &mut Vec<LineMeta> {
         let idx = (line.raw() as usize) & (self.sets.len() - 1);
         &mut self.sets[idx]
     }
 
-    fn set_ref(&self, line: LineAddr) -> &Vec<GoldenLine> {
+    fn set_ref(&self, line: LineAddr) -> &Vec<LineMeta> {
         &self.sets[(line.raw() as usize) & (self.sets.len() - 1)]
     }
 
     /// Speculative lookup: no replacement-state change.
-    pub fn probe(&self, line: LineAddr) -> Option<&GoldenLine> {
+    pub fn probe(&self, line: LineAddr) -> Option<&LineMeta> {
         self.set_ref(line).iter().find(|l| l.line == line)
     }
 
@@ -100,7 +83,7 @@ impl GoldenCache {
     /// Inserts at MRU, evicting the LRU line of a full set. Refilling a
     /// resident line ORs the sticky bits, ANDs `prefetched`, keeps the old
     /// fetch latency, and moves it to MRU without evicting.
-    pub fn fill(&mut self, new: GoldenLine) -> Option<EvictedLine> {
+    pub fn fill(&mut self, new: LineMeta) -> Option<EvictedLine> {
         let ways = self.ways;
         let set = self.set_of(new.line);
         if let Some(i) = set.iter().position(|l| l.line == new.line) {
@@ -129,7 +112,7 @@ impl GoldenCache {
     }
 
     /// All resident lines, in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = &GoldenLine> {
+    pub fn iter(&self) -> impl Iterator<Item = &LineMeta> {
         self.sets.iter().flatten()
     }
 }
@@ -459,7 +442,7 @@ mod tests {
     #[test]
     fn golden_cache_basic_lru() {
         let mut g = GoldenCache::new(1, 2);
-        let line = |x: u64| GoldenLine {
+        let line = |x: u64| LineMeta {
             line: LineAddr::new(x),
             dirty: false,
             prefetched: false,

@@ -38,8 +38,7 @@ pub use fuzz::{
     PINNED_SEED,
 };
 pub use golden::{
-    golden_commit_action, golden_wb_bits, CheckedFilter, GoldenCache, GoldenGm, GoldenLine,
-    SkipOneDropMutant,
+    golden_commit_action, golden_wb_bits, CheckedFilter, GoldenCache, GoldenGm, SkipOneDropMutant,
 };
 pub use invariants::{audit_run, audit_sampled, Violation};
 pub use sampling::{run_sampled_differential, SampledDiffSummary};

@@ -1,9 +1,14 @@
 //! Single-channel DRAM model: banks with open-page row buffers, FR-FCFS
 //! scheduling, a shared data bus, and write-queue draining governed by a
 //! high watermark (Table II, DRAM row).
+//!
+//! Reads and writes wait in two instances of one queue type. Each queued
+//! request is one record holding the request, its precomputed
+//! `(bank, row)` and a sequence number; the queue's per-bank index turns
+//! the FR-FCFS pick into a scan over banks instead of over requests.
 
 use secpref_types::config::DramConfig;
-use secpref_types::{counters, Cycle, LineAddr};
+use secpref_types::{counters, Cycle, LineAddr, LINE_SIZE};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -30,24 +35,127 @@ struct Bank {
     ready_at: Cycle,
 }
 
-/// Per-bank FR-FCFS index over one request queue: ascending sequence
+/// One queued request: the request, its bank and row (computed once at
+/// enqueue), and its sequence number in its queue. Sequence numbers
+/// ascend along a queue, so seq → position is a binary search.
+#[derive(Clone, Copy, Debug)]
+struct Queued {
+    req: DramRequest,
+    bank: u32,
+    row: u64,
+    seq: u64,
+}
+
+/// Per-bank FR-FCFS index over one [`RequestQueue`]: ascending sequence
 /// numbers of the bank's queued requests (FCFS order), plus the subset
 /// that hits the bank's currently-open row. `hits` is rebuilt whenever
-/// the bank's open row changes and maintained incrementally otherwise,
-/// so the scheduler's pick is a scan over banks, not over the queue.
+/// the bank's open row changes and maintained incrementally otherwise.
 #[derive(Clone, Debug, Default)]
 struct BankIndex {
     seqs: VecDeque<u64>,
     hits: VecDeque<u64>,
 }
 
-impl BankIndex {
-    /// Drops `seq` from both lists (the request left the queue).
-    fn remove(&mut self, seq: u64) {
-        let i = self.seqs.binary_search(&seq).expect("seq indexed");
-        self.seqs.remove(i);
-        if let Ok(i) = self.hits.binary_search(&seq) {
-            self.hits.remove(i);
+/// One request queue (the controller has a read and a write instance):
+/// the queued records in arrival order and the per-bank index over them.
+#[derive(Clone, Debug)]
+struct RequestQueue {
+    reqs: VecDeque<Queued>,
+    by_bank: Vec<BankIndex>,
+    next_seq: u64,
+}
+
+impl RequestQueue {
+    fn new(banks: usize) -> Self {
+        RequestQueue {
+            reqs: VecDeque::new(),
+            by_bank: vec![BankIndex::default(); banks],
+            next_seq: 0,
+        }
+    }
+
+    /// Appends `req` for `bank`'s `row`, indexed as a row hit if `hit`.
+    fn push(&mut self, req: DramRequest, bank: u32, row: u64, hit: bool) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let bi = &mut self.by_bank[bank as usize];
+        bi.seqs.push_back(seq);
+        if hit {
+            bi.hits.push_back(seq);
+        }
+        self.reqs.push_back(Queued {
+            req,
+            bank,
+            row,
+            seq,
+        });
+    }
+
+    /// FR-FCFS pick: the oldest row hit whose bank is ready, else the
+    /// oldest request with a ready bank. Each index list's head is its
+    /// bank's oldest candidate, so this scans banks; the winner's queue
+    /// position is recovered by binary search on the records' seq.
+    fn pick(&self, banks: &[Bank], now: Cycle) -> Option<usize> {
+        let mut best_hit: Option<u64> = None;
+        let mut best_any: Option<u64> = None;
+        for (bank, bi) in banks.iter().zip(&self.by_bank) {
+            if bank.ready_at > now {
+                continue;
+            }
+            if let Some(&s) = bi.hits.front() {
+                if best_hit.is_none_or(|c| s < c) {
+                    best_hit = Some(s);
+                }
+            }
+            if let Some(&s) = bi.seqs.front() {
+                if best_any.is_none_or(|c| s < c) {
+                    best_any = Some(s);
+                }
+            }
+        }
+        let target = best_hit.or(best_any)?;
+        let i = self.reqs.binary_search_by_key(&target, |q| q.seq);
+        Some(i.expect("indexed seq is queued"))
+    }
+
+    /// The pre-index linear scan, kept as the debug-mode oracle: every
+    /// `tick` in a debug build asserts the indexed pick matches it.
+    #[cfg(debug_assertions)]
+    fn pick_linear(&self, banks: &[Bank], now: Cycle) -> Option<usize> {
+        let mut oldest_ready: Option<usize> = None;
+        for (i, q) in self.reqs.iter().enumerate() {
+            let bank = &banks[q.bank as usize];
+            if bank.ready_at > now {
+                continue;
+            }
+            if bank.open_row == Some(q.row) {
+                return Some(i); // first (oldest) row hit wins
+            }
+            if oldest_ready.is_none() {
+                oldest_ready = Some(i);
+            }
+        }
+        oldest_ready
+    }
+
+    /// Removes and returns the record at position `i`, unindexing it.
+    fn take(&mut self, i: usize) -> Option<Queued> {
+        let q = self.reqs.remove(i)?;
+        let bi = &mut self.by_bank[q.bank as usize];
+        let j = bi.seqs.binary_search(&q.seq);
+        bi.seqs.remove(j.expect("queued seq is indexed"));
+        if let Ok(j) = bi.hits.binary_search(&q.seq) {
+            bi.hits.remove(j);
+        }
+        Some(q)
+    }
+
+    /// Refills bank `b`'s row-hit list after its open row became `row`.
+    fn rebuild_hits(&mut self, b: u32, row: u64) {
+        let hits = &mut self.by_bank[b as usize].hits;
+        hits.clear();
+        for q in self.reqs.iter().filter(|q| (q.bank, q.row) == (b, row)) {
+            hits.push_back(q.seq);
         }
     }
 }
@@ -95,25 +203,8 @@ counters! {
 pub struct DramModel {
     cfg: DramConfig,
     banks: Vec<Bank>,
-    read_q: VecDeque<DramRequest>,
-    /// Precomputed `(bank, row)` per `read_q` entry, in lockstep — the
-    /// FR-FCFS scan runs over these words instead of re-dividing every
-    /// line address each cycle.
-    read_geo: VecDeque<(u32, u64)>,
-    write_q: VecDeque<DramRequest>,
-    /// Precomputed `(bank, row)` per `write_q` entry, in lockstep.
-    write_geo: VecDeque<(u32, u64)>,
-    /// Packed line addresses of `write_q`, in lockstep — the indexed
-    /// duplicate-line probe behind write-queue forwarding.
-    write_lines: VecDeque<u64>,
-    /// Monotonic per-request sequence numbers of `read_q` / `write_q`
-    /// entries, in lockstep (ascending, so seq → position is a binary
-    /// search), and the per-bank indexes built over them.
-    read_seqs: VecDeque<u64>,
-    write_seqs: VecDeque<u64>,
-    read_idx: Vec<BankIndex>,
-    write_idx: Vec<BankIndex>,
-    next_seq: u64,
+    reads: RequestQueue,
+    writes: RequestQueue,
     bus_free_at: Cycle,
     completions: BinaryHeap<Reverse<(Cycle, u64, Cycle)>>,
     draining_writes: bool,
@@ -122,22 +213,23 @@ pub struct DramModel {
 
 impl DramModel {
     /// Creates a controller with the given timing parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.banks` is zero or `cfg.row_bytes` is not a nonzero
+    /// whole number of 64 B lines, both of which
+    /// `SystemConfig::validate` refuses.
     pub fn new(cfg: DramConfig) -> Self {
-        let banks = vec![Bank::default(); cfg.banks.max(1)];
-        let nbanks = banks.len();
+        let row = cfg.row_bytes as u64;
+        assert!(
+            cfg.banks > 0 && row > 0 && row.is_multiple_of(LINE_SIZE),
+            "DRAM needs banks and whole-line rows: {cfg:?}"
+        );
         DramModel {
+            banks: vec![Bank::default(); cfg.banks],
+            reads: RequestQueue::new(cfg.banks),
+            writes: RequestQueue::new(cfg.banks),
             cfg,
-            banks,
-            read_q: VecDeque::new(),
-            read_geo: VecDeque::new(),
-            write_q: VecDeque::new(),
-            write_geo: VecDeque::new(),
-            write_lines: VecDeque::new(),
-            read_seqs: VecDeque::new(),
-            write_seqs: VecDeque::new(),
-            read_idx: vec![BankIndex::default(); nbanks],
-            write_idx: vec![BankIndex::default(); nbanks],
-            next_seq: 0,
             bus_free_at: 0,
             completions: BinaryHeap::new(),
             draining_writes: false,
@@ -145,76 +237,45 @@ impl DramModel {
         }
     }
 
-    /// Lines per row buffer.
-    fn lines_per_row(&self) -> u64 {
-        (self.cfg.row_bytes as u64 / secpref_types::LINE_SIZE).max(1)
-    }
-
-    fn bank_and_row(&self, line: LineAddr) -> (u32, u64) {
-        let global_row = line.raw() / self.lines_per_row();
-        let bank = (global_row % self.banks.len() as u64) as u32;
-        let row = global_row / self.banks.len() as u64;
-        (bank, row)
-    }
-
     /// Submits a request to the controller.
     ///
     /// Reads that find their line in the write queue are forwarded and
-    /// complete after `t_cas` without occupying a bank.
+    /// complete after `t_cas` without occupying a bank, even when the
+    /// read queue is full.
     ///
     /// # Errors
     ///
     /// Returns the request back when the respective queue is full; the
     /// caller must stall and retry.
     pub fn enqueue(&mut self, req: DramRequest) -> Result<(), DramRequest> {
-        if req.is_write {
-            if self.write_q.len() >= self.cfg.queue_depth {
-                return Err(req);
-            }
-            let geo = self.bank_and_row(req.line);
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.write_q.push_back(req);
-            self.write_geo.push_back(geo);
-            self.write_lines.push_back(req.line.raw());
-            self.write_seqs.push_back(seq);
-            let bi = &mut self.write_idx[geo.0 as usize];
-            bi.seqs.push_back(seq);
-            if self.banks[geo.0 as usize].open_row == Some(geo.1) {
-                bi.hits.push_back(seq);
-            }
-        } else {
-            let raw = req.line.raw();
-            if self.write_lines.iter().any(|&l| l == raw) {
-                self.stats.wq_forwards += 1;
-                self.completions.push(Reverse((
-                    req.arrival + self.cfg.t_cas,
-                    req.token,
-                    req.arrival,
-                )));
-                return Ok(());
-            }
-            if self.read_q.len() >= self.cfg.queue_depth {
-                return Err(req);
-            }
-            let geo = self.bank_and_row(req.line);
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.read_q.push_back(req);
-            self.read_geo.push_back(geo);
-            self.read_seqs.push_back(seq);
-            let bi = &mut self.read_idx[geo.0 as usize];
-            bi.seqs.push_back(seq);
-            if self.banks[geo.0 as usize].open_row == Some(geo.1) {
-                bi.hits.push_back(seq);
-            }
+        if !req.is_write && self.writes.reqs.iter().any(|q| q.req.line == req.line) {
+            self.stats.wq_forwards += 1;
+            self.completions.push(Reverse((
+                req.arrival + self.cfg.t_cas,
+                req.token,
+                req.arrival,
+            )));
+            return Ok(());
         }
+        let queue = if req.is_write {
+            &mut self.writes
+        } else {
+            &mut self.reads
+        };
+        if queue.reqs.len() >= self.cfg.queue_depth {
+            return Err(req);
+        }
+        let global_row = req.line.raw() / (self.cfg.row_bytes as u64 / LINE_SIZE);
+        let nbanks = self.banks.len() as u64;
+        let (bank, row) = ((global_row % nbanks) as u32, global_row / nbanks);
+        let hit = self.banks[bank as usize].open_row == Some(row);
+        queue.push(req, bank, row, hit);
         Ok(())
     }
 
     /// Number of buffered (unscheduled) requests.
     pub fn pending(&self) -> usize {
-        self.read_q.len() + self.write_q.len()
+        self.reads.reqs.len() + self.writes.reqs.len()
     }
 
     /// Statistics snapshot.
@@ -222,80 +283,15 @@ impl DramModel {
         self.stats
     }
 
-    /// FR-FCFS pick over a queue's per-bank index: the oldest row-hit
-    /// whose bank is ready, else the oldest request with a ready bank —
-    /// a scan over the banks (each list head is its bank's oldest
-    /// request) instead of over the whole queue, with the winner's queue
-    /// position recovered by binary search on the ascending seq array.
-    fn pick(&self, idx: &[BankIndex], seqs: &VecDeque<u64>, now: Cycle) -> Option<usize> {
-        let mut best_hit: Option<u64> = None;
-        let mut best_any: Option<u64> = None;
-        for (b, bi) in idx.iter().enumerate() {
-            if self.banks[b].ready_at > now {
-                continue;
-            }
-            if let Some(&s) = bi.hits.front() {
-                if best_hit.is_none_or(|c| s < c) {
-                    best_hit = Some(s);
-                }
-            }
-            if let Some(&s) = bi.seqs.front() {
-                if best_any.is_none_or(|c| s < c) {
-                    best_any = Some(s);
-                }
-            }
-        }
-        let target = best_hit.or(best_any)?;
-        Some(seqs.binary_search(&target).expect("seq in queue"))
-    }
-
-    /// The pre-index linear scan, kept as the debug-mode oracle: every
-    /// `tick` in a debug build asserts the indexed pick matches it.
-    #[cfg(debug_assertions)]
-    fn pick_linear(&self, geo: &VecDeque<(u32, u64)>, now: Cycle) -> Option<usize> {
-        let mut oldest_ready: Option<usize> = None;
-        for (i, &(b, row)) in geo.iter().enumerate() {
-            let bank = &self.banks[b as usize];
-            if bank.ready_at > now {
-                continue;
-            }
-            if bank.open_row == Some(row) {
-                return Some(i); // first (oldest) row hit wins
-            }
-            if oldest_ready.is_none() {
-                oldest_ready = Some(i);
-            }
-        }
-        oldest_ready
-    }
-
-    /// Refills bank `b`'s row-hit lists after its open row changed.
-    fn rebuild_hits(&mut self, b: u32, row: u64) {
-        let bi = &mut self.read_idx[b as usize];
-        bi.hits.clear();
-        for (g, &s) in self.read_geo.iter().zip(self.read_seqs.iter()) {
-            if *g == (b, row) {
-                bi.hits.push_back(s);
-            }
-        }
-        let bi = &mut self.write_idx[b as usize];
-        bi.hits.clear();
-        for (g, &s) in self.write_geo.iter().zip(self.write_seqs.iter()) {
-            if *g == (b, row) {
-                bi.hits.push_back(s);
-            }
-        }
-    }
-
-    fn service(&mut self, req: DramRequest, b: u32, row: u64, now: Cycle) {
-        let bank = &mut self.banks[b as usize];
-        let row_changed = bank.open_row != Some(row);
+    fn service(&mut self, q: Queued, now: Cycle) {
+        let bank = &mut self.banks[q.bank as usize];
+        let row_changed = bank.open_row != Some(q.row);
         // Access latency is when the data appears; bank *occupancy* is
         // shorter — column accesses pipeline behind an open row (t_ccd),
         // while activates hold the bank until the row is open.
         let t_ccd = 8;
         let (access_lat, busy) = match bank.open_row {
-            Some(r) if r == row => {
+            Some(r) if r == q.row => {
                 self.stats.row_hits += 1;
                 (self.cfg.t_cas, t_ccd)
             }
@@ -315,16 +311,17 @@ impl DramModel {
         let done = transfer_start + self.cfg.bus_cycles_per_line;
         self.bus_free_at = done;
         bank.ready_at = now + busy;
-        bank.open_row = Some(row);
+        bank.open_row = Some(q.row);
         if row_changed {
-            self.rebuild_hits(b, row);
+            self.reads.rebuild_hits(q.bank, q.row);
+            self.writes.rebuild_hits(q.bank, q.row);
         }
-        if req.is_write {
+        if q.req.is_write {
             self.stats.writes += 1;
         } else {
             self.stats.reads += 1;
             self.completions
-                .push(Reverse((done, req.token, req.arrival)));
+                .push(Reverse((done, q.req.token, q.req.arrival)));
         }
     }
 
@@ -336,49 +333,29 @@ impl DramModel {
         // Write-drain mode hysteresis around the high watermark.
         let (num, den) = self.cfg.write_watermark;
         let high = (self.cfg.queue_depth * num / den).max(1);
-        if self.write_q.len() >= high {
+        if self.writes.reqs.len() >= high {
             self.draining_writes = true;
         }
-        if self.write_q.is_empty() {
+        if self.writes.reqs.is_empty() {
             self.draining_writes = false;
         }
 
-        let use_writes =
-            self.draining_writes || (self.read_q.is_empty() && !self.write_q.is_empty());
-        let picked = if use_writes {
-            let i = self.pick(&self.write_idx, &self.write_seqs, now);
-            #[cfg(debug_assertions)]
-            debug_assert_eq!(
-                i,
-                self.pick_linear(&self.write_geo, now),
-                "indexed FR-FCFS must match the linear scan"
-            );
-            i.map(|i| {
-                let req = self.write_q.remove(i).expect("index in range");
-                let geo = self.write_geo.remove(i).expect("index in range");
-                self.write_lines.remove(i).expect("index in range");
-                let seq = self.write_seqs.remove(i).expect("index in range");
-                self.write_idx[geo.0 as usize].remove(seq);
-                (req, geo)
-            })
+        // Writes while draining or while no read waits (with both queues
+        // empty the pick is `None` either way).
+        let queue = if self.draining_writes || self.reads.reqs.is_empty() {
+            &mut self.writes
         } else {
-            let i = self.pick(&self.read_idx, &self.read_seqs, now);
-            #[cfg(debug_assertions)]
-            debug_assert_eq!(
-                i,
-                self.pick_linear(&self.read_geo, now),
-                "indexed FR-FCFS must match the linear scan"
-            );
-            i.map(|i| {
-                let req = self.read_q.remove(i).expect("index in range");
-                let geo = self.read_geo.remove(i).expect("index in range");
-                let seq = self.read_seqs.remove(i).expect("index in range");
-                self.read_idx[geo.0 as usize].remove(seq);
-                (req, geo)
-            })
+            &mut self.reads
         };
-        if let Some((req, (b, row))) = picked {
-            self.service(req, b, row, now);
+        let i = queue.pick(&self.banks, now);
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            i,
+            queue.pick_linear(&self.banks, now),
+            "indexed FR-FCFS must match the linear scan"
+        );
+        if let Some(q) = i.and_then(|i| queue.take(i)) {
+            self.service(q, now);
         }
 
         while let Some(&Reverse((c, tok, arr))) = self.completions.peek() {
@@ -402,10 +379,9 @@ impl DramModel {
             at = c.max(now + 1);
         }
         if self.pending() > 0 {
-            for (b, bank) in self.banks.iter().enumerate() {
-                if self.read_idx[b].seqs.front().is_some()
-                    || self.write_idx[b].seqs.front().is_some()
-                {
+            let queued = self.reads.by_bank.iter().zip(&self.writes.by_bank);
+            for (bank, (r, w)) in self.banks.iter().zip(queued) {
+                if !(r.seqs.is_empty() && w.seqs.is_empty()) {
                     at = at.min(bank.ready_at.max(now + 1));
                     if at == now + 1 {
                         break;
@@ -511,11 +487,10 @@ mod tests {
 
     #[test]
     fn wq_forward_index_tracks_queue_boundary() {
-        // The packed write-line index must stay in lockstep with the
-        // write queue across drains: a read arriving while its write is
-        // queued forwards at arrival + t_cas; once the write has drained
-        // out of the queue, the same line must go to the banks instead
-        // of forwarding against a stale index entry.
+        // Forwarding follows the write queue's contents across drains:
+        // a read arriving while its write is queued forwards at
+        // arrival + t_cas; once the write has drained out of the queue,
+        // the same line must go to the banks instead of forwarding.
         let cfg = DramConfig::default();
         let mut dram = DramModel::new(cfg.clone());
         dram.enqueue(DramRequest {
@@ -535,7 +510,7 @@ mod tests {
         assert!(done.iter().any(|&(t, _, _)| t == 1));
         // The write has drained (queues idle → drain mode picks it up).
         assert_eq!(dram.stats().writes, 1);
-        // Same line again: the index entry must be gone with the write.
+        // Same line again: nothing left in the write queue to forward.
         dram.enqueue(read(5, 3, 2000)).unwrap();
         let done = run_from(&mut dram, 2000, 2000);
         assert_eq!(dram.stats().wq_forwards, 1, "no forward after drain");
@@ -576,6 +551,31 @@ mod tests {
         dram.enqueue(read(0, 1, 0)).unwrap();
         dram.enqueue(read(100_000, 2, 0)).unwrap();
         assert!(dram.enqueue(read(200_000, 3, 0)).is_err());
+    }
+
+    #[test]
+    fn forwarding_is_decided_before_the_read_queue_is_full() {
+        // The hierarchy wakes reads parked on a full read queue after
+        // every write enqueue: a parked read whose line just entered the
+        // write queue must forward even though the read queue is full.
+        let cfg = DramConfig {
+            queue_depth: 2,
+            ..DramConfig::default()
+        };
+        let mut dram = DramModel::new(cfg);
+        dram.enqueue(read(0, 1, 0)).unwrap();
+        dram.enqueue(read(100_000, 2, 0)).unwrap();
+        dram.enqueue(DramRequest {
+            line: LineAddr::new(7),
+            is_write: true,
+            token: 0,
+            arrival: 1,
+        })
+        .unwrap();
+        assert!(dram.enqueue(read(7, 3, 2)).is_ok());
+        assert_eq!(dram.stats().wq_forwards, 1);
+        assert!(dram.enqueue(read(200_000, 4, 2)).is_err());
+        assert_eq!(dram.stats().wq_forwards, 1);
     }
 
     #[test]

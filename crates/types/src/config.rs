@@ -458,7 +458,8 @@ impl SystemConfig {
     /// Returns a human-readable message when a parameter combination is
     /// meaningless (zero-sized structures, widths or queues, SUF without
     /// GhostMinion, timely-secure with on-access mode, non-power-of-two
-    /// cache sets, a cache latency above [`MAX_CACHE_LATENCY`] or an
+    /// cache sets, a GM or DRAM row size that is not a whole number of
+    /// lines, a cache latency above [`MAX_CACHE_LATENCY`] or an
     /// associativity above [`MAX_CACHE_WAYS`]).
     pub fn validate(&self) -> Result<(), String> {
         if self.cores == 0 {
@@ -473,6 +474,7 @@ impl SystemConfig {
             ("core.lq_entries", self.core.lq_entries),
             ("core.load_issue_width", self.core.load_issue_width),
             ("dram.queue_depth", self.dram.queue_depth),
+            ("dram.banks", self.dram.banks),
             (
                 "dram.write_watermark denominator",
                 self.dram.write_watermark.1,
@@ -485,6 +487,10 @@ impl SystemConfig {
         let gm_bytes = self.gm.size_bytes;
         if gm_bytes == 0 || !gm_bytes.is_multiple_of(crate::LINE_SIZE as usize) {
             return Err("gm.size_bytes must be a nonzero whole number of 64 B lines".into());
+        }
+        let row_bytes = self.dram.row_bytes;
+        if row_bytes == 0 || !row_bytes.is_multiple_of(crate::LINE_SIZE as usize) {
+            return Err("dram.row_bytes must be a nonzero whole number of 64 B lines".into());
         }
         for (name, c) in [("l1d", &self.l1d), ("l2", &self.l2), ("llc", &self.llc)] {
             if c.ways == 0 || c.mshrs == 0 || c.ports_per_cycle == 0 {
@@ -581,7 +587,7 @@ mod tests {
         // Before these checks each one spun into the livelock watchdog,
         // divided by zero, or tripped a constructor assert mid-build.
         type Edit = fn(&mut SystemConfig);
-        let cases: [(&str, Edit); 10] = [
+        let cases: [(&str, Edit); 12] = [
             ("core.lq_entries", |c| c.core.lq_entries = 0),
             ("core.rob_entries", |c| c.core.rob_entries = 0),
             ("core.fetch_width", |c| c.core.fetch_width = 0),
@@ -589,6 +595,8 @@ mod tests {
             ("core.load_issue_width", |c| c.core.load_issue_width = 0),
             ("dram.queue_depth", |c| c.dram.queue_depth = 0),
             ("dram.write_watermark", |c| c.dram.write_watermark = (7, 0)),
+            ("dram.banks", |c| c.dram.banks = 0),
+            ("dram.row_bytes", |c| c.dram.row_bytes = 32),
             ("gm.size_bytes", |c| c.gm.size_bytes = 0),
             ("l1d", |c| c.l1d.ways = 0),
             ("llc.ways", |c| c.llc.ways = MAX_CACHE_WAYS + 1),

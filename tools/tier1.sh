@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: formatting, one implementation per shared format, lints,
 # rustdoc, release build, the full test suite in debug and its
-# release-only tail, the cross-core litmus, and the benchmark
-# workspace's lints, unit tests and smoke run. Run from anywhere;
-# operates on the repo root.
+# release-only tail, the cross-core litmus, the benchmark workspace's
+# lints, unit tests and smoke run, and the non-test line count. Run
+# from anywhere; operates on the repo root.
 # Fails fast on the first broken step so CI output points straight at
 # the problem.
 #
@@ -133,5 +133,9 @@ echo "== benchmark smoke (secbench --smoke)"
 # digest pins, span-trace validation, zero failed checks. Not a
 # performance measurement.
 benchmark/run.sh --smoke
+
+echo "== non-test code lines (tools/loc.sh, informational)"
+# ROADMAP aim 2's measure, printed for the record; no threshold.
+tools/loc.sh
 
 echo "tier1: all green"
