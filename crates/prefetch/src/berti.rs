@@ -15,8 +15,14 @@
 //! point (which, for naive on-commit operation on GhostMinion, is the
 //! misleading 1-cycle GM→L1D commit-write latency — the paper's Fig. 8
 //! pathology).
+//!
+//! The delta table is an [`LruTable`] keyed by ip-tag: a search that
+//! credits deltas touches its row (allocating one over the least
+//! recently used), while a search that found none and the prefetch
+//! lookup read the row without reordering the table.
 
 use crate::{AccessEvent, FillEvent, PfBuf, Prefetcher};
+use secpref_types::lru::LruTable;
 use secpref_types::{Cycle, Ip, LineAddr, PrefetchRequest};
 
 const HISTORY_SIZE: usize = 128;
@@ -126,10 +132,8 @@ struct DeltaStat {
 
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct DeltaEntry {
-    valid: bool,
     deltas: [DeltaStat; DELTAS_PER_ENTRY],
     searches: u8,
-    lru: u64,
 }
 
 /// The Berti training/prediction engine.
@@ -156,10 +160,8 @@ struct DeltaEntry {
 #[derive(Clone, Debug)]
 pub struct BertiEngine {
     history: History,
-    table: Vec<DeltaEntry>,
-    /// Packed ip-tags parallel to `table` (same trick for row lookup).
-    table_tags: Vec<u32>,
-    lru_clock: u64,
+    /// The delta table, one row per ip-tag.
+    table: LruTable<u32, DeltaEntry>,
 }
 
 impl Default for BertiEngine {
@@ -177,9 +179,7 @@ impl BertiEngine {
                 newest: [0; HIST_BUCKETS],
                 inserted: 0,
             },
-            table: vec![DeltaEntry::default(); DELTA_TABLE_SIZE],
-            table_tags: vec![0; DELTA_TABLE_SIZE],
-            lru_clock: 0,
+            table: LruTable::new(DELTA_TABLE_SIZE),
         }
     }
 
@@ -244,7 +244,7 @@ impl BertiEngine {
             self.bump_search(tag);
             return;
         }
-        let e = self.entry_mut(tag);
+        let e = self.table.get_or_insert_with(tag, DeltaEntry::default);
         e.searches = e.searches.saturating_add(1);
         for d in timely {
             if let Some(s) = e.deltas.iter_mut().find(|s| s.delta == *d && s.count > 0) {
@@ -264,44 +264,12 @@ impl BertiEngine {
         }
     }
 
+    /// Counts a search without a timely delta: an existing row only,
+    /// left where it stands in the LRU order.
     fn bump_search(&mut self, tag: u32) {
-        if let Some(i) = self.table_idx(tag) {
-            self.table[i].searches = self.table[i].searches.saturating_add(1);
+        if let Some(e) = self.table.peek_mut(&tag) {
+            e.searches = e.searches.saturating_add(1);
         }
-    }
-
-    /// Row lookup through the packed tag array; a tag match is confirmed
-    /// against the entry's valid bit (valid rows have unique tags).
-    #[inline]
-    fn table_idx(&self, tag: u32) -> Option<usize> {
-        self.table_tags
-            .iter()
-            .enumerate()
-            .find_map(|(i, &t)| (t == tag && self.table[i].valid).then_some(i))
-    }
-
-    fn entry_mut(&mut self, tag: u32) -> &mut DeltaEntry {
-        self.lru_clock += 1;
-        let clock = self.lru_clock;
-        if let Some(i) = self.table_idx(tag) {
-            self.table[i].lru = clock;
-            return &mut self.table[i];
-        }
-        let victim = self
-            .table
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| if e.valid { e.lru } else { 0 })
-            .map(|(i, _)| i)
-            .expect("delta table nonempty");
-        self.table[victim] = DeltaEntry {
-            valid: true,
-            deltas: [DeltaStat::default(); DELTAS_PER_ENTRY],
-            searches: 0,
-            lru: clock,
-        };
-        self.table_tags[victim] = tag;
-        &mut self.table[victim]
     }
 
     /// Issues prefetch requests for the trigger (`ip`, `line`):
@@ -309,10 +277,9 @@ impl BertiEngine {
     /// pressure), medium-coverage deltas to L2.
     pub fn prefetches(&self, ip: Ip, line: LineAddr, mshr_free: usize, out: &mut PfBuf) {
         let tag = Self::ip_tag(ip);
-        let Some(ei) = self.table_idx(tag) else {
+        let Some(e) = self.table.peek(&tag) else {
             return;
         };
-        let e = &self.table[ei];
         if e.searches < MIN_SEARCHES {
             return;
         }
@@ -453,8 +420,6 @@ mod tests {
 
     fn assert_same_tables(a: &BertiEngine, b: &BertiEngine, probe: LineAddr, what: &str) {
         assert_eq!(a.table, b.table, "{what}: delta table");
-        assert_eq!(a.table_tags, b.table_tags, "{what}: row tags");
-        assert_eq!(a.lru_clock, b.lru_clock, "{what}: LRU clock");
         for ip in STREAM_IPS {
             let (mut x, mut y) = (PfBuf::new(), PfBuf::new());
             a.prefetches(Ip::new(ip), probe, 16, &mut x);
@@ -565,7 +530,10 @@ mod tests {
             train_linear(&mut lin, ip, at, 10_000, 1);
             assert_same_tables(&real, &lin, at, "dense walk");
         }
-        let row = real.table.iter().find(|r| r.valid).expect("trained row");
+        let row = real
+            .table
+            .peek(&BertiEngine::ip_tag(ip))
+            .expect("trained row");
         let mut deltas: Vec<i32> = row.deltas.iter().map(|s| s.delta).collect();
         deltas.sort_unstable();
         assert_eq!(deltas, (1..=16).map(|k| 3 * k).collect::<Vec<_>>());

@@ -8,8 +8,16 @@
 //! "PC+Address → PC+Offset" dual-key scheme: the long key (trigger PC and
 //! full trigger address) is tried first; on a long-key miss the short key
 //! (trigger PC and in-region offset) generalizes across regions.
+//!
+//! The FT and the AT are [`LruTable`]s keyed by region. A region's first
+//! access inserts it into the FT, its second moves it to the AT (a
+//! `remove` then an `insert`, which may evict the AT's least recently
+//! used region and commit its footprint to the PHT), and later accesses
+//! touch it in the AT. Each access stamps each table at most once, so
+//! the tables' separate clocks order victims as one shared clock would.
 
-use crate::{min_idx, AccessEvent, FillEvent, PfBuf, Prefetcher};
+use crate::{AccessEvent, FillEvent, PfBuf, Prefetcher};
+use secpref_types::lru::LruTable;
 use secpref_types::{Ip, LineAddr, PrefetchRequest};
 
 const FT_SIZE: usize = 64;
@@ -19,20 +27,19 @@ const AT_SIZE: usize = 128;
 const PHT_SIZE: usize = 8192;
 const REGION_LINES: u64 = 32;
 
+/// A filtered region's trigger access.
 #[derive(Clone, Copy, Debug, Default)]
 struct FtEntry {
     ip: u64,
     offset: u32,
-    valid: bool,
 }
 
+/// An accumulating region: its trigger and the footprint so far.
 #[derive(Clone, Copy, Debug, Default)]
 struct AtEntry {
-    region: u64,
     ip: u64,
     offset: u32,
     bitmap: u32,
-    valid: bool,
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -65,20 +72,12 @@ struct PhtEntry {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Bingo {
-    ft: Vec<FtEntry>,
-    at: Vec<AtEntry>,
-    /// Packed region keys parallel to `ft`/`at`: the per-access match
-    /// scans touch 8 bytes per slot, loading an entry only to confirm
-    /// its valid bit on a key match (valid regions are unique per
-    /// table).
-    ft_regions: Vec<u64>,
-    at_regions: Vec<u64>,
-    /// Packed LRU stamps (0 = invalid slot) for the victim scans.
-    ft_lru: Vec<u64>,
-    at_lru: Vec<u64>,
+    /// Filter table: regions accessed once, by region.
+    ft: LruTable<u64, FtEntry>,
+    /// Accumulation table: regions accessed more than once, by region.
+    at: LruTable<u64, AtEntry>,
     pht_long: Vec<PhtEntry>,
     pht_short: Vec<PhtEntry>,
-    lru_clock: u64,
     /// TS-Bingo tempo knob: also prefetch the predicted footprint this
     /// many regions ahead in the stream direction.
     lookahead: u32,
@@ -96,15 +95,10 @@ impl Bingo {
     /// Creates the Table III configuration.
     pub fn new() -> Self {
         Bingo {
-            ft: vec![FtEntry::default(); FT_SIZE],
-            at: vec![AtEntry::default(); AT_SIZE],
-            ft_regions: vec![0; FT_SIZE],
-            at_regions: vec![0; AT_SIZE],
-            ft_lru: vec![0; FT_SIZE],
-            at_lru: vec![0; AT_SIZE],
+            ft: LruTable::new(FT_SIZE),
+            at: LruTable::new(AT_SIZE),
             pht_long: vec![PhtEntry::default(); PHT_SIZE],
             pht_short: vec![PhtEntry::default(); PHT_SIZE],
-            lru_clock: 0,
             lookahead: 0,
             last_region: 0,
             region_dir: 1,
@@ -125,11 +119,11 @@ impl Bingo {
         ((h as usize) & (PHT_SIZE - 1), (h >> 40) as u32)
     }
 
-    fn commit_footprint(&mut self, e: AtEntry) {
+    fn commit_footprint(&mut self, region: u64, e: AtEntry) {
         if e.bitmap.count_ones() < 2 {
             return; // single-access regions teach nothing
         }
-        let trigger_line = e.region * REGION_LINES + e.offset as u64;
+        let trigger_line = region * REGION_LINES + e.offset as u64;
         let (li, lt) = Self::long_key(e.ip, trigger_line);
         self.pht_long[li] = PhtEntry {
             tag: lt,
@@ -193,7 +187,6 @@ impl Prefetcher for Bingo {
     }
 
     fn observe_access(&mut self, ev: &AccessEvent, out: &mut PfBuf) {
-        self.lru_clock += 1;
         let region = ev.line.raw() / REGION_LINES;
         let offset = (ev.line.raw() % REGION_LINES) as u32;
         if region != self.last_region {
@@ -202,55 +195,28 @@ impl Prefetcher for Bingo {
         }
 
         // Accumulating?
-        let mut at_hit = None;
-        for (i, &r) in self.at_regions.iter().enumerate() {
-            if r == region && self.at[i].valid {
-                at_hit = Some(i);
-                break;
-            }
-        }
-        if let Some(i) = at_hit {
-            self.at[i].bitmap |= 1 << offset;
-            self.at_lru[i] = self.lru_clock;
+        if let Some(e) = self.at.get_mut(&region) {
+            e.bitmap |= 1 << offset;
             return;
         }
         // Second access to a filtered region: move FT → AT.
-        let mut ft_hit = None;
-        for (i, &r) in self.ft_regions.iter().enumerate() {
-            if r == region && self.ft[i].valid {
-                ft_hit = Some(i);
-                break;
-            }
-        }
-        if let Some(fi) = ft_hit {
-            let f = self.ft[fi];
-            self.ft[fi].valid = false;
-            self.ft_lru[fi] = 0;
-            let victim_idx = min_idx(&self.at_lru);
-            let victim = self.at[victim_idx];
-            if victim.valid {
-                self.commit_footprint(victim);
-            }
-            self.at[victim_idx] = AtEntry {
-                region,
+        if let Some(f) = self.ft.remove(&region) {
+            let e = AtEntry {
                 ip: f.ip,
                 offset: f.offset,
                 bitmap: (1 << f.offset) | (1 << offset),
-                valid: true,
             };
-            self.at_regions[victim_idx] = region;
-            self.at_lru[victim_idx] = self.lru_clock;
+            if let Some((victim, v)) = self.at.insert(region, e) {
+                self.commit_footprint(victim, v);
+            }
             return;
         }
         // Trigger access to a brand-new region: allocate FT and predict.
-        let victim_idx = min_idx(&self.ft_lru);
-        self.ft[victim_idx] = FtEntry {
+        let f = FtEntry {
             ip: ev.ip.raw(),
             offset,
-            valid: true,
         };
-        self.ft_regions[victim_idx] = region;
-        self.ft_lru[victim_idx] = self.lru_clock;
+        self.ft.insert(region, f);
         if let Some(fp) = self.predict(ev.ip.raw(), ev.line.raw(), offset) {
             self.issue_footprint(region, Some(offset), fp, ev.ip, out);
             // TS-Bingo tempo: prefetch the same predicted footprint for

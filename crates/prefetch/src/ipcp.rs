@@ -7,8 +7,13 @@
 //! precedence: **CS** (constant stride) → **GS** (global stream, from the
 //! region stream table) → **CPLX** (complex stride, predicted by the
 //! CSPT signature chain).
+//!
+//! The RST is an [`LruTable`] keyed by 2 KB region: every access touches
+//! its region's row, allocating one over the least recently used region
+//! on a miss.
 
-use crate::{min_idx, AccessEvent, FillEvent, PfBuf, Prefetcher};
+use crate::{AccessEvent, FillEvent, PfBuf, Prefetcher};
+use secpref_types::lru::LruTable;
 use secpref_types::PrefetchRequest;
 
 const IP_TABLE: usize = 128;
@@ -39,7 +44,6 @@ struct CsptEntry {
 
 #[derive(Clone, Copy, Debug, Default)]
 struct RstEntry {
-    valid: bool,
     bitmap: u32,
     last_offset: u32,
     /// +1 ascending, -1 descending, 0 unknown.
@@ -64,14 +68,9 @@ struct RstEntry {
 pub struct Ipcp {
     ip_table: Vec<IpEntry>,
     cspt: Vec<CsptEntry>,
-    rst: Vec<RstEntry>,
-    /// Packed region keys and LRU stamps (0 = invalid) parallel to
-    /// `rst`, so the per-access stream lookup and victim scan stay off
-    /// the full entries.
-    rst_regions: Vec<u64>,
-    rst_lru: Vec<u64>,
+    /// Region stream table, by region.
+    rst: LruTable<u64, RstEntry>,
     distance: u32,
-    lru_clock: u64,
 }
 
 impl Default for Ipcp {
@@ -86,11 +85,8 @@ impl Ipcp {
         Ipcp {
             ip_table: vec![IpEntry::default(); IP_TABLE],
             cspt: vec![CsptEntry::default(); CSPT_SIZE],
-            rst: vec![RstEntry::default(); RST_SIZE],
-            rst_regions: vec![0; RST_SIZE],
-            rst_lru: vec![0; RST_SIZE],
+            rst: LruTable::new(RST_SIZE),
             distance: 4,
-            lru_clock: 0,
         }
     }
 
@@ -101,42 +97,23 @@ impl Ipcp {
     /// Updates the region stream table; returns the stream direction if
     /// the region qualifies as a dense global stream.
     fn update_rst(&mut self, line: u64) -> Option<i8> {
-        self.lru_clock += 1;
         let region = line >> 5;
         let offset = (line & 31) as u32;
-        let mut hit = None;
-        for (i, &r) in self.rst_regions.iter().enumerate() {
-            if r == region && self.rst[i].valid {
-                hit = Some(i);
-                break;
-            }
-        }
-        if let Some(i) = hit {
-            let e = &mut self.rst[i];
-            self.rst_lru[i] = self.lru_clock;
-            e.bitmap |= 1 << offset;
-            e.direction = match offset.cmp(&e.last_offset) {
-                std::cmp::Ordering::Greater => 1,
-                std::cmp::Ordering::Less => -1,
-                std::cmp::Ordering::Equal => e.direction,
-            };
-            e.last_offset = offset;
-            if e.bitmap.count_ones() >= DENSE_THRESHOLD && e.direction != 0 {
-                return Some(e.direction);
-            }
-            return None;
-        }
-        // Allocate over LRU.
-        let victim = min_idx(&self.rst_lru);
-        self.rst[victim] = RstEntry {
-            valid: true,
-            bitmap: 1 << offset,
+        // A new row starts at this offset with no direction, so the
+        // update below leaves it one bit, undirected, below threshold.
+        let e = self.rst.get_or_insert_with(region, || RstEntry {
+            bitmap: 0,
             last_offset: offset,
             direction: 0,
+        });
+        e.bitmap |= 1 << offset;
+        e.direction = match offset.cmp(&e.last_offset) {
+            std::cmp::Ordering::Greater => 1,
+            std::cmp::Ordering::Less => -1,
+            std::cmp::Ordering::Equal => e.direction,
         };
-        self.rst_regions[victim] = region;
-        self.rst_lru[victim] = self.lru_clock;
-        None
+        e.last_offset = offset;
+        (e.bitmap.count_ones() >= DENSE_THRESHOLD && e.direction != 0).then_some(e.direction)
     }
 }
 

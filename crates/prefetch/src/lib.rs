@@ -117,20 +117,6 @@ impl<'a> IntoIterator for &'a PfBuf {
     }
 }
 
-/// Index of the smallest key (first occurrence on ties) — the victim
-/// scan over a packed per-slot LRU array, where invalid slots hold 0.
-/// Matches `min_by_key(|e| if e.valid { e.lru } else { 0 })` exactly.
-#[inline]
-pub(crate) fn min_idx(keys: &[u64]) -> usize {
-    let mut best = 0;
-    for (i, &k) in keys.iter().enumerate().skip(1) {
-        if k < keys[best] {
-            best = i;
-        }
-    }
-    best
-}
-
 /// A demand access observed by a prefetcher (at its cache level).
 #[derive(Clone, Copy, Debug)]
 pub struct AccessEvent {

@@ -442,14 +442,6 @@ impl Hierarchy {
         true
     }
 
-    /// Issues the non-speculative write of a retired store.
-    pub fn issue_store(&mut self, now: Cycle, core: CoreId, ip: Ip, line: LineAddr, ts: u64) {
-        let mut req = Self::blank_req(core, line, ip, ReqKind::Store, now);
-        req.ts = ts;
-        let rid = self.alloc_req(req);
-        self.schedule(now, rid, EV_ACCESS);
-    }
-
     /// Advances the memory system to `now`: ticks DRAM and processes all
     /// events due at or before `now`.
     pub fn tick(&mut self, now: Cycle) {
@@ -1123,9 +1115,13 @@ impl Hierarchy {
         }
     }
 
-    /// Commit-path processing of a retired store (non-speculative write).
+    /// Commit-path processing of a retired store: issues its
+    /// non-speculative write.
     pub fn commit_store(&mut self, now: Cycle, core: CoreId, ip: Ip, line: LineAddr, ts: u64) {
-        self.issue_store(now, core, ip, line, ts);
+        let mut req = Self::blank_req(core, line, ip, ReqKind::Store, now);
+        req.ts = ts;
+        let rid = self.alloc_req(req);
+        self.schedule(now, rid, EV_ACCESS);
     }
 
     /// Finishes classification, folding pending entries into the metrics.

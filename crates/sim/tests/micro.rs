@@ -1,6 +1,6 @@
 //! Micro-traces exercising each commit-path mechanism in isolation:
 //! commit writes, re-fetches, SUF filtering, clean-line propagation,
-//! dirty writebacks, and prefetch fill levels.
+//! dirty writebacks, write-queue forwarding, and prefetch fill levels.
 
 use secpref_sim::System;
 use secpref_trace::{Instr, Trace};
@@ -151,6 +151,60 @@ fn dirty_stores_write_back_through_the_hierarchy() {
             cfg.secure.is_secure()
         );
     }
+}
+
+#[test]
+fn queued_writeback_forwards_to_a_reload() {
+    // Direct-mapped 16-, 64- and 256-set levels: lines 256 apart share a
+    // set at all three. A write waits in the DRAM write queue while any
+    // read is queued, unless the queue passes its watermark; at (1, 1)
+    // only a full write queue drains ahead of reads.
+    let mut cfg = SystemConfig::baseline(1);
+    (cfg.l1d.size_bytes, cfg.l1d.ways) = (1024, 1);
+    (cfg.l2.size_bytes, cfg.l2.ways) = (4096, 1);
+    (cfg.llc.size_bytes, cfg.llc.ways) = (16 * 1024, 1);
+    cfg.dram.write_watermark = (1, 1);
+    cfg.validate().expect("micro config is valid");
+
+    let line = |l: u64| l * 64;
+    let pad = |v: &mut Vec<Instr>, n: usize| v.extend((0..n).map(|_| Instr::alu(0x300)));
+    let x = 0x1000;
+    let (y, z, w) = (x + 256, x + 512, x + 768);
+    let mut instrs = vec![Instr::store(0x110, line(x))];
+    pad(&mut instrs, 2000);
+    // Y's fill evicts dirty X from the L1D into the L2, Z's from the L2
+    // into the LLC.
+    for conflict in [y, z] {
+        instrs.push(Instr::load(0x120, line(conflict)));
+        pad(&mut instrs, 2000);
+    }
+    // Eight store misses to distinct rows of DRAM bank 2 (and distinct
+    // cache sets): their reads keep the read queue busy for hundreds of
+    // cycles. Meanwhile W's fill evicts dirty X from the LLC into the
+    // write queue, and the reload of X, issued once W's data is back,
+    // finds it there.
+    for r in 1..=8 {
+        instrs.push(Instr::store(0x130, line(512 * r + 128 + r)));
+    }
+    instrs.push(Instr::load(0x140, line(w)));
+    let warmup = instrs.len() as u64;
+    instrs.push(Instr::load_dep(0x150, line(x), 1));
+    pad(&mut instrs, 500);
+    let measure = instrs.len() as u64 - warmup;
+
+    let trace = Arc::new(Trace::new("wq-forward", instrs));
+    let mut sys = System::new(cfg.clone(), vec![trace]).with_window(warmup, measure);
+    sys.run();
+    let report = sys.report();
+    assert!(report.dram.wq_forwards >= 1, "{:?}", report.dram);
+    // The reload is the window's one L1D miss: it walks the three levels
+    // and is served from the write queue after one column access. A load
+    // issues after its cycle's memory tick, so its L1D lookup comes one
+    // cycle later (an L2 hit takes 1 + 5 + 15 cycles).
+    let l1d = &report.cores[0].l1d;
+    assert_eq!(l1d.miss_latency_count, 1, "{l1d:?}");
+    let walk = 1 + cfg.l1d.latency + cfg.l2.latency + cfg.llc.latency;
+    assert_eq!(l1d.miss_latency_sum, walk + cfg.dram.t_cas);
 }
 
 #[test]

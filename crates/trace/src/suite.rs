@@ -1,14 +1,16 @@
 //! The workload suite registry: every SPEC-like and GAP-like trace the
 //! experiments run, addressable by name, with a process-wide cache so a
 //! trace is generated once per (name, length) pair no matter how many
-//! experiment configurations consume it.
+//! experiment configurations consume it. The cache is an [`LruTable`] of
+//! per-key cells behind one lock; a trace is generated in its cell,
+//! outside the lock.
 
 use crate::gen::gap::{self, GapKernel};
 use crate::gen::graph::CsrGraph;
 use crate::gen::spec::{self, SpecKernel};
 use crate::instr::Trace;
 use crate::sink::TraceSink;
-use std::collections::HashMap;
+use secpref_types::lru::LruTable;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A named, deterministic trace generator.
@@ -130,18 +132,9 @@ pub fn trace_by_name(name: &str) -> Option<Box<dyn TraceGenerator>> {
 /// would accumulate every trace ever generated.
 const TRACE_CACHE_CAP: usize = 32;
 
-struct TraceEntry {
-    cell: Arc<OnceLock<Arc<Trace>>>,
-    last_used: u64,
-}
-
-struct TraceCacheState {
-    map: HashMap<(String, usize), TraceEntry>,
-    stamp: u64,
-}
-
-/// Cache for traces, keyed by (name, length), LRU-capped.
-type TraceCache = Mutex<TraceCacheState>;
+/// Cache for traces, keyed by (name, length), LRU-capped. Each key's
+/// cell is filled once, by whichever request gets to it first.
+type TraceCache = Mutex<LruTable<(String, usize), Arc<OnceLock<Arc<Trace>>>>>;
 
 static TRACES: OnceLock<TraceCache> = OnceLock::new();
 
@@ -149,7 +142,7 @@ static TRACES: OnceLock<TraceCache> = OnceLock::new();
 fn trace_cache_len() -> usize {
     TRACES
         .get()
-        .map(|l| l.lock().expect("trace cache poisoned").map.len())
+        .map(|l| l.lock().expect("trace cache poisoned").live())
         .unwrap_or(0)
 }
 
@@ -169,44 +162,14 @@ fn trace_cache_len() -> usize {
 ///
 /// Panics if `name` is not registered in the suite.
 pub fn cached_trace(name: &str, n: usize) -> Arc<Trace> {
-    let lock = TRACES.get_or_init(|| {
-        Mutex::new(TraceCacheState {
-            map: HashMap::new(),
-            stamp: 0,
-        })
-    });
-    let cell = {
-        let mut state = lock.lock().expect("trace cache poisoned");
-        state.stamp += 1;
-        let stamp = state.stamp;
-        let key = (name.to_string(), n);
-        if let Some(e) = state.map.get_mut(&key) {
-            e.last_used = stamp;
-            e.cell.clone()
-        } else {
-            if state.map.len() >= TRACE_CACHE_CAP {
-                // Evict the least recently used entry. O(cap) scan — the
-                // cap is small and requests are rare relative to runs.
-                if let Some(victim) = state
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| k.clone())
-                {
-                    state.map.remove(&victim);
-                }
-            }
-            let cell = Arc::new(OnceLock::new());
-            state.map.insert(
-                key,
-                TraceEntry {
-                    cell: cell.clone(),
-                    last_used: stamp,
-                },
-            );
-            cell
-        }
-    };
+    let lock = TRACES.get_or_init(|| Mutex::new(LruTable::new(TRACE_CACHE_CAP)));
+    // An O(cap) scan under the lock: the cap is small and requests are
+    // rare relative to runs.
+    let cell = lock
+        .lock()
+        .expect("trace cache poisoned")
+        .get_or_insert_with((name.to_string(), n), Default::default)
+        .clone();
     cell.get_or_init(|| {
         let g = trace_by_name(name).unwrap_or_else(|| panic!("trace `{name}` is not in the suite"));
         Arc::new(g.generate(n))

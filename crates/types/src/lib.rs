@@ -7,7 +7,9 @@
 //! baseline system parameters of the paper. It also holds the one
 //! implementation of each format the other crates share: [`json`] (the
 //! result store, manifests, span traces and recorder summaries) and
-//! [`fnv`] (job keys, trace checksums and digest pins).
+//! [`fnv`] (job keys, trace checksums and digest pins), and the one
+//! fully-associative LRU table, [`lru::LruTable`] (the prefetchers'
+//! small tables and the suite's trace cache).
 //!
 //! # Examples
 //!
@@ -30,6 +32,7 @@ pub mod fnv;
 pub mod hist;
 pub mod json;
 pub mod level;
+pub mod lru;
 pub mod req;
 pub mod rng;
 pub mod sampling;

@@ -18,12 +18,16 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== one JSON string escaper, one FNV-1a, one line hasher, one env setting, one way to simulate, every model mutation diffed"
+echo "== one JSON string escaper, one FNV-1a, one line hasher, one LRU table, one env setting, one way to simulate, every model mutation diffed"
 # Each format has one implementation, in secpref-types: the FNV-1a prime
 # appears only in fnv.rs and the \uXXXX string escape only in json.rs. The
 # one custom map hasher, for line addresses, sits beside the issue
 # trackers in classify.rs; a second fast map reuses it (moved to
-# secpref-types if another crate needs it). The one environment variable
+# secpref-types if another crate needs it). The prefetchers' small
+# fully-associative tables and the suite's trace cache are LruTables, so
+# an LRU clock or victim scan (`lru_clock`, `fn min_idx`, `last_used`)
+# appears only in lru.rs; the caches' per-set 16-bit `clocks` are part of
+# the 16-byte way and match none of these. The one environment variable
 # the workspace reads is the engine's store directory (SECPREF_EXP_DIR, a
 # deployment path); every other knob is a flag. A second copy of any of
 # these fails here, naming the file that holds it. A renderer gets its
@@ -46,6 +50,7 @@ only_in() {
 only_in crates/types/src/fnv.rs -i '0x0000_0100_0000_01b3'
 only_in crates/types/src/json.rs 'u{:04x}'
 only_in crates/sim/src/classify.rs 'impl Hasher for'
+only_in crates/types/src/lru.rs -E 'lru_clock|fn min_idx|last_used'
 only_in crates/exp/src/engine.rs 'env::var'
 renderers=(crates/bench/src/{runner,figures,ablations}.rs)
 if grep -lwE 'System|system_for|TraceFeed' "${renderers[@]}"; then
